@@ -28,7 +28,7 @@ from .errors import (
     PositivityLossError,
     StabilityError,
 )
-from .fields import Grid, build_test_function
+from .fields import MIN_CELLS, Grid, build_test_function
 from .inequalities import cmkm_ratio, sample_spec, worst_ratio_search
 from .keller_segel import (
     KSConfig,
@@ -268,8 +268,7 @@ def _run_ks(cfg, outdir):
         write_json(os.path.join(outdir, "ks_summary.json"), summary)
         return EXIT_NUMERICS
 
-    critical = abs(params.p - params.q - 1.0) <= 1e-12
-    monitors = measure_monitors(traj, params, strict=False, fisher=critical)
+    monitors = measure_monitors(traj, params, strict=False)
     rows = [
         (m.time, m.mass, m.lyap_classical, m.lyap_F, m.dissipation_D,
          m.ep_estimate, m.lp_norm, m.log_bound, m.vt_accum,
@@ -278,16 +277,18 @@ def _run_ks(cfg, outdir):
     ]
     write_csv(os.path.join(outdir, "ks_monitors.csv"), _KS_COLUMNS, rows)
 
-    # residual convergence table from a paired coarse run; skipped when a
+    # residual convergence table from a paired coarse run; a residual is
+    # null when the coarse grid would fall below the grid minimum or a
     # run records too few snapshots for interval residuals
     table = []
     for c in (cells // 2, cells):
-        t = traj if c == cells else _ks_run_once(params, c, run)
-        try:
-            res = lyapunov_identity_residual(t, params)
-            worst = max(abs(r) for r in res)
-        except EntroflowError:
-            worst = None
+        worst = None
+        if c >= MIN_CELLS:
+            t = traj if c == cells else _ks_run_once(params, c, run)
+            try:
+                worst = max(abs(r) for r in lyapunov_identity_residual(t, params))
+            except EntroflowError:
+                pass
         table.append({"cells": c, "max_lyap_residual": worst})
     if table[0]["max_lyap_residual"] and table[1]["max_lyap_residual"]:
         table_ratio = table[0]["max_lyap_residual"] / table[1]["max_lyap_residual"]
@@ -310,7 +311,7 @@ def _run_ks(cfg, outdir):
     )
 
     code = EXIT_PASS
-    if critical:
+    if params.model().critical:
         slack = lp_inequality_residuals(traj, params)
         h = 1.0 / cells
         scale = max(abs(m.lp_norm) for m in monitors)

@@ -7,10 +7,11 @@ Each model evaluates the primitives
     Sigma(s)  = int_1^s a(t)/sqrt(t) dt  (Fisher coordinate)
     F(s)      = int_0^s a(t) dt          (flux primitive)
 
-in closed form where one exists and by adaptive Simpson quadrature
-otherwise.  The lower integration limit is 1 for Lambda, H, Sigma (and for
-the chemotaxis primitives G, Psi) and 0 for F; no re-normalization is
-applied.
+in closed form where one exists and by batch Gauss-Legendre quadrature
+over the whole state array otherwise; adaptive Simpson quadrature
+(``primitives_by_quadrature``) is the independent oracle for both.  The
+lower integration limit is 1 for Lambda, H, Sigma (and for the chemotaxis
+primitives G, Psi) and 0 for F; no re-normalization is applied.
 
 Models are immutable after construction and safe to share across workers.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, gauss_legendre
 
 # Log-spaced probe grid used for structural checks at construction time.
 _PROBE = np.geomspace(1e-6, 1e6, 61)
@@ -58,22 +59,29 @@ class CoeffModel:
     def a_prime(self, s):
         raise NotImplementedError
 
-    # -- primitives (quadrature fallbacks; subclasses override with
-    #    closed forms where available) ----------------------------------
+    # -- primitives (batch quadrature; subclasses override with closed
+    #    forms where available) ------------------------------------------
 
     def lam(self, s):
-        return self._vectorize(self._lam_quad, s)
+        return gauss_legendre(lambda t: self.a(t) / t, 1.0, _require_positive(s))
 
     def entropy_density(self, s):
-        return self._vectorize(self._entropy_quad, s)
+        # Integration by parts, as in _entropy_quad.
+        s = _require_positive(s)
+        return s * self.lam(s) - gauss_legendre(self.a, 1.0, s)
 
     def sigma(self, s):
-        return self._vectorize(self._sigma_quad, s)
+        return gauss_legendre(
+            lambda t: self.a(t) / np.sqrt(t), 1.0, _require_positive(s)
+        )
 
     def flux_primitive(self, s):
-        return self._vectorize(self._flux_quad, s)
+        # t = x^2 as in _flux_quad; Gauss-Legendre never evaluates the end 0.
+        return gauss_legendre(
+            lambda x: 2.0 * x * self.a(x * x), 0.0, np.sqrt(_require_positive(s))
+        )
 
-    # -- quadrature paths, also used for closed-form cross-checks --------
+    # -- adaptive Simpson oracle for the closed forms and the batch path --
 
     def _lam_quad(self, s):
         return adaptive_simpson(lambda t: self.a(t) / t, 1.0, s)
@@ -103,18 +111,6 @@ class CoeffModel:
             sigma=self._sigma_quad(s),
             flux_primitive=self._flux_quad(s),
         )
-
-    @staticmethod
-    def _vectorize(fn, s):
-        arr = _require_positive(s)
-        if arr.ndim == 0:
-            return fn(float(arr))
-        out = np.empty(arr.shape)
-        flat = arr.ravel()
-        res = out.ravel()
-        for i in range(flat.size):
-            res[i] = fn(float(flat[i]))
-        return out
 
     def _check_positive_coefficient(self):
         vals = np.asarray(self.a(_PROBE), dtype=float)
@@ -320,48 +316,6 @@ class TabulatedModel(CoeffModel):
         return self._interp_prime(self._clip_check(s))
 
 
-class PrimitiveCache:
-    """Opt-in memoization of the primitives on a sorted knot set.
-
-    Values are precomputed at the knots and interpolated monotone-cubically
-    in between.  Intended for hot loops over quadrature-backed models; the
-    default everywhere else is direct evaluation.  Concurrent reads are
-    safe once constructed.
-    """
-
-    def __init__(self, model, knots):
-        from scipy.interpolate import PchipInterpolator
-
-        knots = np.sort(np.asarray(knots, dtype=float))
-        if knots.size < 4:
-            raise ModelError("cache needs at least 4 knots")
-        _require_positive(knots)
-        self.model = model
-        self.knots = knots
-        self._lam = PchipInterpolator(knots, model.lam(knots))
-        self._entropy = PchipInterpolator(knots, model.entropy_density(knots))
-        self._sigma = PchipInterpolator(knots, model.sigma(knots))
-        self._flux = PchipInterpolator(knots, model.flux_primitive(knots))
-
-    def _check(self, s):
-        s = _require_positive(s)
-        if np.any(s < self.knots[0]) or np.any(s > self.knots[-1]):
-            raise DomainError("state outside cached knot range")
-        return s
-
-    def lam(self, s):
-        return self._lam(self._check(s))
-
-    def entropy_density(self, s):
-        return self._entropy(self._check(s))
-
-    def sigma(self, s):
-        return self._sigma(self._check(s))
-
-    def flux_primitive(self, s):
-        return self._flux(self._check(s))
-
-
 # ---------------------------------------------------------------------------
 # Spec-level operations
 
@@ -426,8 +380,9 @@ class KSModel:
     """Vectorized evaluation of the chemotaxis coefficient pair.
 
     On the critical line p - q = 1 the ratio D/S collapses to
-    1/(tau (1+tau)) and the primitives close; elsewhere they fall back to
-    (nested) adaptive quadrature.
+    1/(tau (1+tau)) and the primitives close; elsewhere they are single
+    integrals evaluated by batch Gauss-Legendre quadrature, the double
+    primitives G and Psi after an integration by parts.
     """
 
     _CRIT_TOL = 1e-12
@@ -467,9 +422,7 @@ class KSModel:
         s = _require_positive(s)
         if self.critical:
             return np.log(2.0 * s / (1.0 + s))
-        return CoeffModel._vectorize(
-            lambda x: adaptive_simpson(lambda t: float(self.ratio(t)), 1.0, x), s
-        )
+        return gauss_legendre(self.ratio, 1.0, s)
 
     def G(self, s):
         """Double primitive int_1^s int_1^sigma D/S."""
@@ -478,20 +431,10 @@ class KSModel:
             return (
                 s * np.log(2.0 * s) - (1.0 + s) * np.log(1.0 + s) + math.log(2.0)
             )
-        return CoeffModel._vectorize(
-            lambda x: adaptive_simpson(
-                lambda sig: float(self.ratio_primitive(sig)), 1.0, x, tol=1e-11
-            ),
-            s,
+        # By parts: G(s) = s R(s) - int_1^s t D/S dt, with t D/S = (1+t)^(q-p).
+        return s * self.ratio_primitive(s) - gauss_legendre(
+            lambda t: (1.0 + t) ** (self.q - self.p), 1.0, s
         )
-
-    def _psi_inner(self, r):
-        """int_1^r tau D S'/S dtau + r D(r), the integrand defining Psi."""
-
-        def g(t):
-            return float(t * self.D(t) * self.S_prime(t) / self.S(t))
-
-        return adaptive_simpson(g, 1.0, r) + float(r * self.D(r))
 
     def psi(self, s):
         """Psi(s): double primitive from the entropy-production identity."""
@@ -500,9 +443,16 @@ class KSModel:
             raise DomainError("Psi requires a nonnegative state")
         if self.critical:
             return self._psi_critical(s)
-        return CoeffModel._vectorize(
-            lambda x: adaptive_simpson(self._psi_inner, 1.0, x, tol=1e-11),
-            np.maximum(s, 1e-300),
+
+        def g(t):
+            return t * self.D(t) * self.S_prime(t) / self.S(t)
+
+        # Psi(s) = int_1^s (int_1^r g + r D(r)) dr; by parts on the inner
+        # layer, Psi = s int g - int t g + int t D.  Nodes never touch s = 0.
+        return (
+            s * gauss_legendre(g, 1.0, s)
+            - gauss_legendre(lambda t: t * g(t), 1.0, s)
+            + gauss_legendre(lambda t: t * self.D(t), 1.0, s)
         )
 
     def _psi_critical(self, s):
@@ -532,13 +482,8 @@ class KSModel:
 
     def sigma_ds(self, s):
         """int_1^s D/sqrt(S), the Fisher coordinate for the pair."""
-        s = _require_positive(s)
-
-        def g(t):
-            return float(self.D(t) / math.sqrt(self.S(t)))
-
-        return CoeffModel._vectorize(
-            lambda x: adaptive_simpson(g, 1.0, x), s
+        return gauss_legendre(
+            lambda t: self.D(t) / np.sqrt(self.S(t)), 1.0, _require_positive(s)
         )
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConstructionError, DomainError
 
+MIN_CELLS = 8
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -28,8 +30,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ConstructionError("dim must be 1, 2 or 3")
-        if self.cells < 8:
-            raise ConstructionError("need at least 8 cells per axis")
+        if self.cells < MIN_CELLS:
+            raise ConstructionError("need at least %d cells per axis" % MIN_CELLS)
 
     @property
     def h(self):

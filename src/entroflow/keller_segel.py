@@ -431,13 +431,12 @@ def _lp(vals, grid, r):
     return integrate(Field(grid, np.abs(vals) ** r)) ** (1.0 / r)
 
 
-def measure_monitors(traj, params, strict=True, fisher=True):
+def measure_monitors(traj, params, strict=True):
     """KSMonitor series along a trajectory.
 
     With strict=True the (p, q) hypotheses of the estimates are enforced;
-    free mode evaluates whatever is well defined and reports it.
-    fisher=False skips the Fisher-type pair (whose Psi primitive needs
-    nested quadrature off the critical line) and reports nan for it.
+    free mode evaluates whatever is well defined and reports it, the
+    Fisher-type pair included for every (p, q).
     """
     if strict:
         params.check_strict()
@@ -449,10 +448,7 @@ def measure_monitors(traj, params, strict=True, fisher=True):
         v = state.v.values
         du = central_diff(u, 0, h)
         dv = central_diff(v, 0, h)
-        if fisher:
-            F, Dfun = functional_F_and_D(state, params)
-        else:
-            F = Dfun = float("nan")
+        F, Dfun = functional_F_and_D(state, params)
         out.append(
             KSMonitor(
                 time=t,

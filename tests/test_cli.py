@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -132,6 +133,10 @@ def test_plaplace_subcommand(outdir):
     assert summary["monotone"] is True
 
 
+def _reject_constant(token):
+    raise ValueError("non-standard JSON constant %s" % token)
+
+
 def test_ks_subcommand(outdir):
     code = main(["ks", "--p", "2", "--q", "1", "--mass", "2", "--cells", "64",
                  "--t-end", "0.01", "--record-every", "20", "--strict"])
@@ -143,6 +148,25 @@ def test_ks_subcommand(outdir):
     assert summary["termination"] == "completed"
     assert summary["lp_inequality"]["passed"] is True
     assert summary["residual_convergence"]["table"][0]["cells"] == 32
+
+    # off the critical line the Fisher-type pair is reported as numbers
+    code = main(["ks", "--p", "2", "--q", "0.5", "--cells", "16",
+                 "--t-end", "0.0234", "--record-every", "10"])
+    assert code == EXIT_PASS
+    text = (outdir / "ks_p2_q0.5" / "ks_summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    for col in ("lyap_F", "dissipation_D"):
+        assert math.isfinite(summary["max_monitors"][col])
+
+
+def test_ks_below_twice_the_grid_minimum_skips_coarse_run(outdir):
+    code = main(["ks", "--p", "2", "--q", "1", "--cells", "12",
+                 "--t-end", "0.001", "--record-every", "5"])
+    assert code == EXIT_PASS
+    summary = json.loads((outdir / "ks_p2_q1" / "ks_summary.json").read_text())
+    assert summary["residual_convergence"]["table"][0] == {
+        "cells": 6, "max_lyap_residual": None}
+    assert summary["residual_convergence"]["ratio"] is None
 
 
 def test_abort_still_writes_summary(outdir, tmp_path):

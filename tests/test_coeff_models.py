@@ -13,7 +13,6 @@ from entroflow.coeff_models import (
     KSModel,
     Linear,
     PowerLaw,
-    PrimitiveCache,
     ShiftedPowerLaw,
     TabulatedModel,
     eval_coefficient,
@@ -161,6 +160,29 @@ def test_tabulated_matches_source():
         tab.a(50.0)
 
 
+def test_tabulated_primitives_match_own_quadrature():
+    src = ShiftedPowerLaw(2.0)
+    knots = np.geomspace(0.1, 10.0, 40)
+    tab = TabulatedModel(knots, src.a(knots), src.a_prime(knots))
+    for s in (0.15, 0.7, 1.0, 3.3, 9.5):
+        for batch, oracle in ((tab.lam, tab._lam_quad),
+                              (tab.entropy_density, tab._entropy_quad),
+                              (tab.sigma, tab._sigma_quad)):
+            want = oracle(s)
+            assert float(batch(s)) == pytest.approx(want, abs=1e-9, rel=1e-9)
+
+
+def test_vector_call_matches_scalar_calls():
+    states = np.geomspace(1e-6, 1e6, 128)
+    spl, ks = ShiftedPowerLaw(2.0), KSModel(2.0, 0.5)
+    for fn in (spl.lam, spl.entropy_density, spl.sigma, spl.flux_primitive,
+               ks.ratio_primitive, ks.G, ks.psi, ks.sigma_ds):
+        vector = fn(states)
+        scalar = np.array([float(fn(float(s))) for s in states])
+        assert vector.shape == states.shape
+        np.testing.assert_allclose(vector, scalar, rtol=1e-14, atol=0.0)
+
+
 def test_tabulated_rejects_inconsistent_derivative():
     knots = np.linspace(1.0, 5.0, 20)
     a_knots = 2.0 * knots
@@ -185,20 +207,6 @@ def test_tabulated_from_csv(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     tab = TabulatedModel.from_csv(path)
     assert float(tab.a(2.0)) == pytest.approx(float(src.a(2.0)), rel=1e-3)
-
-
-def test_primitive_cache_consistency():
-    model = PowerLaw(2.0)
-    cache = PrimitiveCache(model, np.geomspace(0.2, 10.0, 1000))
-    for s in (0.5, 1.0, 3.0):
-        assert float(cache.sigma(s)) == pytest.approx(
-            float(model.sigma(s)), rel=1e-6, abs=1e-6
-        )
-        assert float(cache.entropy_density(s)) == pytest.approx(
-            float(model.entropy_density(s)), rel=1e-6, abs=1e-6
-        )
-    with pytest.raises(DomainError):
-        cache.lam(100.0)
 
 
 def test_model_from_spec():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entroflow.errors import PrecisionError
-from entroflow.quadrature import adaptive_simpson
+from entroflow.quadrature import adaptive_simpson, gauss_legendre
 
 
 def test_polynomial_exact():
@@ -38,6 +38,20 @@ def test_precision_error_carries_estimate():
         adaptive_simpson(lambda x: math.cos(40.0 * x), 0.0, 1.0, max_depth=1)
     assert info.value.achieved is not None
     assert info.value.achieved >= 0.0
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: np.abs(t - 0.3) ** -0.5,  # cusp at 0.3: never meets the budget
+        lambda t: np.sign(np.sin(1e4 / t)),  # rough: too many panels
+    ],
+    ids=["cusp", "rough"],
+)
+def test_batch_precision_error_instead_of_a_value(f):
+    with pytest.raises(PrecisionError) as info:
+        gauss_legendre(f, np.array([0.01, 0.2]), 1.0)
+    assert info.value.achieved > 0.0
 
 
 def test_oscillatory_needs_depth_but_converges():
