@@ -112,7 +112,8 @@ def validate_config(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Runners (each returns an exit code and writes its artifacts)
+# Runners: each writes its CSV artifacts and returns an exit code with the
+# summary fields; run_experiment writes the summary, for aborts as well
 
 
 def _echo(cfg):
@@ -136,18 +137,10 @@ def _run_diffusion(cfg, outdir):
         amplitude=float(run.get("amplitude", 0.5)),
         mode=int(run.get("mode", 1)),
     )
-    summary = {"config": _echo(cfg), "termination": "completed"}
-    try:
-        traj = run_flow(u0, flow_cfg)
-    except (PositivityLossError, StabilityError) as err:
-        summary["termination"] = type(err).__name__
-        summary["message"] = str(err)
-        write_json(os.path.join(outdir, "summary.json"), summary)
-        return EXIT_NUMERICS
-
+    traj = run_flow(u0, flow_cfg)
     measure_trajectory(traj, model)
     res = identity_residuals(traj, model)
-    h, dt = traj.fields[0].grid.h, traj.record_dt
+    h, dt = traj.states[0].grid.h, traj.record_dt
     ent = [m.entropy for m in traj.meters]
     fis = [m.fisher_sigma for m in traj.meters]
     mono_e = monotonicity_report(ent, h, dt)
@@ -164,20 +157,18 @@ def _run_diffusion(cfg, outdir):
          "r_entropy", "r_fisher"],
         rows,
     )
-    masses = [float(np.sum(f.values)) * h for f in traj.fields]
-    summary.update(
-        {
-            "dt": traj.dt,
-            "snapshots": len(traj.times),
-            "mass_drift": max(abs(m - masses[0]) for m in masses),
-            "entropy_monotone": mono_e.passed,
-            "fisher_monotone": mono_f.passed,
-            "max_r_entropy": max(abs(r) for r in res.r_entropy),
-            "max_r_fisher": max(abs(r) for r in res.r_fisher),
-        }
-    )
-    write_json(os.path.join(outdir, "summary.json"), summary)
-    return EXIT_PASS if (mono_e.passed and mono_f.passed) else EXIT_PROPERTY
+    masses = [float(np.sum(f.values)) * h for f in traj.states]
+    results = {
+        "dt": traj.dt,
+        "snapshots": len(traj.times),
+        "mass_drift": max(abs(m - masses[0]) for m in masses),
+        "entropy_monotone": mono_e.passed,
+        "fisher_monotone": mono_f.passed,
+        "max_r_entropy": max(abs(r) for r in res.r_entropy),
+        "max_r_fisher": max(abs(r) for r in res.r_fisher),
+    }
+    code = EXIT_PASS if (mono_e.passed and mono_f.passed) else EXIT_PROPERTY
+    return code, results
 
 
 def _spec_as_dict(spec):
@@ -192,7 +183,6 @@ def _run_ineq(cfg, outdir):
     trials = int(run["trials"])
     seed = int(run["seed"])
     check = run.get("check", "both")
-    summary = {"config": _echo(cfg), "termination": "completed"}
 
     if check == "cmkm":
         rng = np.random.default_rng(seed)
@@ -205,9 +195,7 @@ def _run_ineq(cfg, outdir):
             rows.append((trial, spec.offset, ratio))
         write_csv(os.path.join(outdir, "trials.csv"),
                   ["trial", "c0", "cmkm_ratio"], rows)
-        summary["max_cmkm_ratio"] = worst
-        write_json(os.path.join(outdir, "summary.json"), summary)
-        return EXIT_PASS
+        return EXIT_PASS, {"max_cmkm_ratio": worst}
 
     search = worst_ratio_search(n, model, trials, seed, cells=cells)
     write_csv(
@@ -215,20 +203,17 @@ def _run_ineq(cfg, outdir):
         ["trial", "c0", "bernis_ratio", "fisher_ratio", "lam"],
         search.rows,
     )
-    summary.update(
-        {
-            "n": n,
-            "cells": cells,
-            "tol": search.tol,
-            "max_bernis_ratio": search.max_bernis,
-            "max_fisher_ratio": search.max_fisher,
-            "argmax_bernis": _spec_as_dict(search.argmax_bernis),
-            "argmax_fisher": _spec_as_dict(search.argmax_fisher),
-            "all_passed": search.all_passed,
-        }
-    )
-    write_json(os.path.join(outdir, "summary.json"), summary)
-    return EXIT_PASS if search.all_passed else EXIT_PROPERTY
+    results = {
+        "n": n,
+        "cells": cells,
+        "tol": search.tol,
+        "max_bernis_ratio": search.max_bernis,
+        "max_fisher_ratio": search.max_fisher,
+        "argmax_bernis": _spec_as_dict(search.argmax_bernis),
+        "argmax_fisher": _spec_as_dict(search.argmax_fisher),
+        "all_passed": search.all_passed,
+    }
+    return (EXIT_PASS if search.all_passed else EXIT_PROPERTY), results
 
 
 _KS_COLUMNS = [
@@ -258,16 +243,7 @@ def _run_ks(cfg, outdir):
         params.check_strict()
     run = cfg["run"]
     cells = int(cfg["grid"]["cells"])
-    summary = {"config": _echo(cfg), "termination": "completed"}
-    try:
-        traj = _ks_run_once(params, cells, run)
-    except (PositivityLossError, StabilityError) as err:
-        summary["termination"] = type(err).__name__
-        summary["message"] = str(err)
-        summary["last_time"] = err.last_time
-        write_json(os.path.join(outdir, "ks_summary.json"), summary)
-        return EXIT_NUMERICS
-
+    traj = _ks_run_once(params, cells, run)
     monitors = measure_monitors(traj, params, strict=False)
     rows = [
         (m.time, m.mass, m.lyap_classical, m.lyap_F, m.dissipation_D,
@@ -296,19 +272,17 @@ def _run_ks(cfg, outdir):
         table_ratio = None
 
     masses = [m.mass for m in monitors]
-    summary.update(
-        {
-            "dt": traj.dt,
-            "snapshots": len(traj.times),
-            "mass_drift_rel": max(abs(m - masses[0]) for m in masses)
-            / abs(masses[0]),
-            "max_monitors": {
-                col: max(getattr(m, col) for m in monitors)
-                for col in _KS_COLUMNS[1:]
-            },
-            "residual_convergence": {"table": table, "ratio": table_ratio},
-        }
-    )
+    results = {
+        "dt": traj.dt,
+        "snapshots": len(traj.times),
+        "mass_drift_rel": max(abs(m - masses[0]) for m in masses)
+        / abs(masses[0]),
+        "max_monitors": {
+            col: max(getattr(m, col) for m in monitors)
+            for col in _KS_COLUMNS[1:]
+        },
+        "residual_convergence": {"table": table, "ratio": table_ratio},
+    }
 
     code = EXIT_PASS
     if params.model().critical:
@@ -316,15 +290,14 @@ def _run_ks(cfg, outdir):
         h = 1.0 / cells
         scale = max(abs(m.lp_norm) for m in monitors)
         tol = 10.0 * (h * h + traj.record_dt) * max(scale, 1.0)
-        summary["lp_inequality"] = {
+        results["lp_inequality"] = {
             "worst_slack": max(slack),
             "tol": tol,
             "passed": max(slack) <= tol,
         }
-        if not summary["lp_inequality"]["passed"]:
+        if not results["lp_inequality"]["passed"]:
             code = EXIT_PROPERTY
-    write_json(os.path.join(outdir, "ks_summary.json"), summary)
-    return code
+    return code, results
 
 
 def _run_plaplace(cfg, outdir):
@@ -343,15 +316,7 @@ def _run_plaplace(cfg, outdir):
         mean=float(run.get("mean", 1.0)),
         amplitude=float(run.get("amplitude", 0.5)),
     )
-    summary = {"config": _echo(cfg), "termination": "completed"}
-    try:
-        traj = pl_mod.run(u0, pl_cfg)
-    except (PositivityLossError, StabilityError) as err:
-        summary["termination"] = type(err).__name__
-        summary["message"] = str(err)
-        write_json(os.path.join(outdir, "pl_summary.json"), summary)
-        return EXIT_NUMERICS
-
+    traj = pl_mod.run(u0, pl_cfg)
     report = pl_mod.monotonicity_report(traj, pl_cfg)
     residuals = pl_mod.rate_residuals(traj, pl_cfg.p, pl_cfg.delta)
     dt = traj.record_dt
@@ -367,20 +332,15 @@ def _run_plaplace(cfg, outdir):
         ["t", "I", "dI_dt", "residual_prop61"],
         rows,
     )
-    summary.update(
-        {
-            "dt": traj.dt,
-            "monotone": report.passed,
-            "worst_violation": report.worst_violation,
-            "tolerance_scale": report.tolerance_scale,
-            "I_initial": report.I_values[0],
-            "I_final": report.I_values[-1],
-        }
-    )
-    write_json(os.path.join(outdir, "pl_summary.json"), summary)
-    if report.passed is False:
-        return EXIT_PROPERTY
-    return EXIT_PASS
+    results = {
+        "dt": traj.dt,
+        "monotone": report.passed,
+        "worst_violation": report.worst_violation,
+        "tolerance_scale": report.tolerance_scale,
+        "I_initial": report.I_values[0],
+        "I_final": report.I_values[-1],
+    }
+    return (EXIT_PROPERTY if report.passed is False else EXIT_PASS), results
 
 
 _RUNNERS = {
@@ -388,6 +348,13 @@ _RUNNERS = {
     "ineq": _run_ineq,
     "ks": _run_ks,
     "plaplace": _run_plaplace,
+}
+
+_SUMMARY_FILES = {
+    "diffusion": "summary.json",
+    "ineq": "summary.json",
+    "ks": "ks_summary.json",
+    "plaplace": "pl_summary.json",
 }
 
 
@@ -398,11 +365,21 @@ def run_experiment(cfg, out_root=None):
             print("config error: %s" % p, file=sys.stderr)
         return EXIT_CONFIG
     outdir = experiment_dir(cfg["name"], out_root)
+    summary = {"config": _echo(cfg), "termination": "completed"}
     try:
-        code = _RUNNERS[cfg["kind"]](cfg, outdir)
+        code, results = _RUNNERS[cfg["kind"]](cfg, outdir)
     except ConfigError as err:
         print("config error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
+    except (PositivityLossError, StabilityError) as err:
+        code = EXIT_NUMERICS
+        results = {
+            "termination": type(err).__name__,
+            "message": str(err),
+            "last_time": err.last_time,
+        }
+    summary.update(results)
+    write_json(os.path.join(outdir, _SUMMARY_FILES[cfg["kind"]]), summary)
     print("%s: exit %d (artifacts in %s)" % (cfg["name"], code, outdir))
     return code
 

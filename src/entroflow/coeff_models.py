@@ -320,15 +320,6 @@ class TabulatedModel(CoeffModel):
 # Spec-level operations
 
 
-def eval_coefficient(model, s):
-    """a(s) for a positive scalar state."""
-    s = float(_require_positive(s))
-    val = float(model.a(s))
-    if not math.isfinite(val) or val <= 0.0:
-        raise ModelError("coefficient evaluated nonpositive at s=%g" % s)
-    return val
-
-
 def eval_primitives(model, s):
     """All four primitive functionals at a positive scalar state."""
     s = float(_require_positive(s))

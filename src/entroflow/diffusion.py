@@ -1,9 +1,29 @@
-"""Explicit conservative time-stepping for u_t = (a(u) u_x)_x on (0,1).
+"""Explicit conservative time-stepping for u_t = (a(u) u_x)_x on (0,1),
+and the one guarded time loop that every flow of the package runs on.
 
 Conservative flux form with zero boundary fluxes keeps the discrete mass
 bit-exact; positivity is enforced by aborting the run rather than
 clamping, since clamping would silently break every identity this
 package exists to verify.
+
+The run contract, shared by ``run``, ``p_laplace.run`` and
+``keller_segel.run_ks`` through ``march``:
+
+- a flow supplies only its stencil (``step``, ``pl_step``, ``ks_step``)
+  and its stability guard (``stable_dt``, ``pl_stable_dt``,
+  ``ks_stable_dt``), both on raw ndarrays; a stencil raises
+  PositivityLossError when the new state leaves the admissible set,
+  non-finite values included;
+- the loop owns dt: it is fixed once from the guard at the configured
+  safety on the initial state, then shrunk so that t_end is a whole
+  number of ``record_every``-step blocks; every step re-checks the guard
+  at safety 1 on the current state;
+- the loop owns the aborts: an initial density at or below the
+  positivity floor, a guard violation, a stencil's positivity loss and
+  a density above the run's ceiling all raise with ``last_time``, the
+  time of the last valid state, and the trajectory recorded so far;
+- the loop owns the snapshots: only the recorded states, at t = 0 and
+  after every ``record_every`` steps, are wrapped in validated fields.
 """
 
 import math
@@ -44,17 +64,19 @@ class FlowConfig:
 class Trajectory:
     """Time-ordered snapshots of a run, with per-snapshot meters.
 
-    Immutable by convention once returned from a run; meters are attached
-    afterwards by the measuring code.
+    ``states`` holds a Field per snapshot for the scalar flows and a
+    KSState for the chemotaxis system.  Immutable by convention once
+    returned from a run; meters are attached afterwards by the measuring
+    code.
     """
 
     times: list
-    fields: list
+    states: list
     dt: float
     meters: list = dc_field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.times) != len(self.fields):
+        if len(self.times) != len(self.states):
             raise UsageError("snapshot count must match time count")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise UsageError("times must be strictly increasing")
@@ -67,13 +89,70 @@ class Trajectory:
         dts = np.diff(self.times)
         return bool(np.all(np.abs(dts - dts[0]) <= rtol * dts[0]))
 
+    def require_uniform(self, min_snapshots):
+        """UsageError unless there are enough uniformly spaced snapshots."""
+        if len(self.times) < min_snapshots:
+            raise UsageError("need at least %d snapshots" % min_snapshots)
+        if not self.uniform_spacing():
+            raise UsageError("snapshot spacing must be uniform")
 
-def stable_dt(u, model, safety=DEFAULT_SAFETY):
+    def interval_residuals(self, values, sources):
+        """Per recording interval, (values[k+1] - values[k]) / dt plus the
+        midpoint mean of the two sources: the residual of
+        d(value)/dt + source = 0 from per-snapshot series.
+        """
+        self.require_uniform(3)
+        dt = self.record_dt
+        return [
+            (v1 - v0) / dt + 0.5 * (s0 + s1)
+            for v0, v1, s0, s1 in zip(values, values[1:], sources, sources[1:])
+        ]
+
+
+def march(state, config, guard, advance, record, ceiling=math.inf):
+    """The guarded explicit loop of every flow; returns a Trajectory.
+
+    ``state`` is a tuple of raw values whose first entry is the density
+    array.  ``guard(state, safety)`` returns the largest stable step,
+    ``advance(state, dt)`` the next state and ``record(state)`` the
+    validated snapshot.  ``config`` supplies t_end, safety, record_every
+    and positivity_floor.
+    """
+    if not (state[0].min() > config.positivity_floor):
+        raise PositivityLossError("initial state below floor", last_time=0.0)
+    dt0 = guard(state, config.safety)
+    block = config.record_every
+    n_steps = max(block, block * math.ceil(config.t_end / (dt0 * block)))
+    dt = config.t_end / n_steps
+
+    times = [0.0]
+    snaps = [record(state)]
+    t = 0.0
+    for k in range(1, n_steps + 1):
+        try:
+            if dt > guard(state, 1.0):
+                raise StabilityError("fixed step exceeds the stability bound")
+            state = advance(state, dt)
+            if state[0].max() > ceiling:
+                raise StabilityError(
+                    "density exceeded the blow-up suspicion ceiling"
+                )
+        except (PositivityLossError, StabilityError) as err:
+            err.last_time = t
+            err.trajectory = Trajectory(times, snaps, dt)
+            raise
+        t = k * dt
+        if k % block == 0:
+            times.append(t)
+            snaps.append(record(state))
+    return Trajectory(times, snaps, dt)
+
+
+def stable_dt(u, model, h, safety=DEFAULT_SAFETY):
     """safety * h^2 / (2 max a(u)): the explicit-scheme stability guard."""
-    a_vals = np.asarray(model.a(u.values), dtype=float)
+    a_vals = np.asarray(model.a(u), dtype=float)
     if not np.all(np.isfinite(a_vals)):
         raise ModelError("coefficient evaluated non-finite on the state")
-    h = u.grid.h
     return safety * h * h / (2.0 * float(a_vals.max()))
 
 
@@ -83,57 +162,27 @@ def _face_flux(u_vals, model, h):
     return np.asarray(model.a(mid), dtype=float) * np.diff(u_vals) / h
 
 
-def step(u, model, dt, floor=DEFAULT_FLOOR):
+def step(u, model, h, dt, floor=DEFAULT_FLOOR):
     """One conservative explicit Euler step; aborts on positivity loss."""
-    h = u.grid.h
-    flux = _face_flux(u.values, model, h)
-    div = np.zeros_like(u.values)
+    flux = _face_flux(u, model, h)
+    div = np.zeros_like(u)
     div[:-1] += flux
     div[1:] -= flux
-    new_vals = u.values + (dt / h) * div
-    if new_vals.min() < floor:
-        raise PositivityLossError(
-            "state dropped below the positivity floor", last_time=None
-        )
-    return Field(u.grid, new_vals)
+    new = u + (dt / h) * div
+    if not (new.min() >= floor):
+        raise PositivityLossError("state dropped below the positivity floor")
+    return new
 
 
 def run(u0, config):
-    """Guarded explicit run to t_end with uniformly spaced snapshots.
-
-    The step size is fixed from the initial state, rounded so that t_end
-    is a whole number of recording intervals; every step re-checks the
-    safety-1 stability bound and aborts if the fixed dt violates it.
-    """
-    if u0.min() <= config.positivity_floor:
-        raise PositivityLossError("initial state below floor", last_time=0.0)
-    dt0 = stable_dt(u0, config.model, config.safety)
-    block = config.record_every
-    n_steps = max(block, block * math.ceil(config.t_end / (dt0 * block)))
-    dt = config.t_end / n_steps
-
-    times = [0.0]
-    snaps = [u0.copy()]
-    u = u0
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        if dt > stable_dt(u, config.model, 1.0):
-            raise StabilityError(
-                "fixed step exceeds the stability bound", last_time=t,
-                trajectory=Trajectory(times, snaps, dt),
-            )
-        try:
-            u = step(u, config.model, dt, config.positivity_floor)
-        except PositivityLossError:
-            raise PositivityLossError(
-                "positivity lost at t=%g" % t, last_time=t,
-                trajectory=Trajectory(times, snaps, dt),
-            )
-        t = k * dt
-        if k % block == 0:
-            times.append(t)
-            snaps.append(u.copy())
-    return Trajectory(times, snaps, dt)
+    """Guarded explicit run to t_end with uniformly spaced snapshots."""
+    model, h, floor = config.model, u0.grid.h, config.positivity_floor
+    return march(
+        (u0.values.copy(),), config,
+        guard=lambda s, safety: stable_dt(s[0], model, h, safety),
+        advance=lambda s, dt: (step(s[0], model, h, dt, floor),),
+        record=lambda s: Field(u0.grid, s[0]),
+    )
 
 
 def initial_cosine(grid, mean=1.0, amplitude=0.5, mode=1):

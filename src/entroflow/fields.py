@@ -254,15 +254,3 @@ def require_positive_field(f, floor=0.0):
         raise DomainError(
             "field must be positive (min %g, floor %g)" % (f.min(), floor)
         )
-
-
-def field_to_rows(f):
-    """CSV rows: one per cell, coordinates then value."""
-    coords = grid_coordinate_columns(f.grid)
-    vals = f.values.ravel()
-    return [tuple(c[i] for c in coords) + (vals[i],) for i in range(vals.size)]
-
-
-def grid_coordinate_columns(grid):
-    mesh = grid.centers()
-    return [m.ravel() for m in mesh]

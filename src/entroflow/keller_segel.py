@@ -13,22 +13,15 @@ never by time differencing: this keeps the dissipation terms pointwise
 consistent with the identities being checked.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coeff_models import KSModel
-from .errors import (
-    ConfigError,
-    PositivityLossError,
-    StabilityError,
-    UsageError,
-)
+from .diffusion import DEFAULT_FLOOR, DEFAULT_SAFETY, march
+from .errors import ConfigError, PositivityLossError, UsageError
 from .fields import Field, Grid, central_diff, integrate, second_diff
 
-DEFAULT_SAFETY = 0.4
-DEFAULT_FLOOR = 1e-8
 DEFAULT_CEILING = 1e6
 _V_NEG_TOL = -1e-14
 
@@ -56,9 +49,12 @@ class KSParams:
 
 @dataclass
 class KSState:
+    """A validated (u, v) pair; along a run, ``vt_accum`` is the cumulative
+    int_0^t int |v_t|^2 up to this snapshot."""
+
     u: Field
     v: Field
-    time: float = 0.0
+    vt_accum: float = 0.0
 
     def __post_init__(self):
         if self.u.grid != self.v.grid:
@@ -90,22 +86,6 @@ class KSConfig:
 
 
 @dataclass
-class KSTrajectory:
-    times: list
-    states: list
-    vt_accum: list  # cumulative int_0^t int |v_t|^2 at each snapshot
-    dt: float
-
-    @property
-    def record_dt(self):
-        return self.times[1] - self.times[0]
-
-    def uniform_spacing(self, rtol=1e-9):
-        dts = np.diff(self.times)
-        return bool(np.all(np.abs(dts - dts[0]) <= rtol * dts[0]))
-
-
-@dataclass
 class KSMonitor:
     """One row of the a-priori estimate monitors."""
 
@@ -128,37 +108,30 @@ class KSMonitor:
 # Stepping
 
 
-def v_time_derivative(state):
+def v_time_derivative(u, v, h):
     """v_xx - v + u with the mirror second difference."""
-    h = state.v.grid.h
-    return second_diff(state.v.values, 0, h) - state.v.values + state.u.values
+    return second_diff(v, 0, h) - v + u
 
 
-def ks_stable_dt(state, params, safety=DEFAULT_SAFETY):
+def ks_stable_dt(u, v, model, h, safety=DEFAULT_SAFETY):
     """Diffusive guard for both equations plus an advective guard."""
-    model = params.model()
-    h = state.u.grid.h
-    u = state.u.values
     diff_coeff = max(float(np.max(model.D(u))), 1.0)
     dt_diff = safety * h * h / (2.0 * diff_coeff)
-    dv = central_diff(state.v.values, 0, h)
+    dv = central_diff(v, 0, h)
     adv = float(np.max(np.abs(model.S(u) * dv)))
     dt_adv = safety * h / (adv + 1e-14)
     return min(dt_diff, dt_adv)
 
 
-def ks_step(state, params, dt, floor=DEFAULT_FLOOR):
+def ks_step(u, v, model, h, dt, floor=DEFAULT_FLOOR):
     """One conservative explicit step; aborts on positivity loss.
 
     The u flux at each interior face combines a diffusive and an advective
     part, both with coefficients at the arithmetic-mean face state; the
     boundary fluxes vanish, so the discrete u-mass telescopes exactly.
+    Returns the new (u, v) and v_t of the old state, which drove the
+    v-update.
     """
-    model = params.model()
-    grid = state.u.grid
-    h = grid.h
-    u = state.u.values
-    v = state.v.values
     mid = 0.5 * (u[1:] + u[:-1])
     flux = np.asarray(model.D(mid)) * np.diff(u) / h
     flux -= np.asarray(model.S(mid)) * np.diff(v) / h
@@ -166,15 +139,13 @@ def ks_step(state, params, dt, floor=DEFAULT_FLOOR):
     div[:-1] += flux
     div[1:] -= flux
     u_new = u + (dt / h) * div
-    v_new = v + dt * v_time_derivative(state)
-    if u_new.min() < floor:
-        raise PositivityLossError("cell density lost positivity", last_time=state.time)
-    if v_new.min() < _V_NEG_TOL:
-        raise PositivityLossError(
-            "chemoattractant went negative", last_time=state.time
-        )
-    return KSState(Field(grid, u_new), Field(grid, np.maximum(v_new, 0.0)),
-                   state.time + dt)
+    vt = v_time_derivative(u, v, h)
+    v_new = v + dt * vt
+    if not (u_new.min() >= floor):
+        raise PositivityLossError("cell density lost positivity")
+    if not (v_new.min() >= _V_NEG_TOL):
+        raise PositivityLossError("chemoattractant went negative")
+    return u_new, np.maximum(v_new, 0.0), vt
 
 
 def cosine_initial_state(grid, mass, amplitude=0.5):
@@ -182,57 +153,36 @@ def cosine_initial_state(grid, mass, amplitude=0.5):
     x = grid.axis_centers()
     u_vals = 1.0 + amplitude * np.cos(np.pi * x)
     u_vals *= mass / np.mean(u_vals)
-    return KSState(Field(grid, u_vals), Field(grid, np.full(grid.shape, mass)), 0.0)
+    return KSState(Field(grid, u_vals), Field(grid, np.full(grid.shape, mass)))
 
 
-def run_ks(config, state0=None):
-    """Guarded run to t_end with uniformly spaced snapshots.
+def run_ks(config):
+    """Guarded run from the cosine initial state to t_end.
 
-    Raises PositivityLossError / StabilityError carrying the trajectory
-    built so far (the numerical blow-up indicators); otherwise returns a
-    complete KSTrajectory.
+    The run contract is that of ``diffusion.march``: aborts raise
+    PositivityLossError / StabilityError (the numerical blow-up
+    indicators, the density ceiling included) carrying the trajectory
+    built so far.  Each recorded KSState carries the accumulated
+    int_0^t int |v_t|^2.
     """
-    state = state0 if state0 is not None else cosine_initial_state(
-        config.grid, config.mass, config.amplitude
-    )
-    dt0 = ks_stable_dt(state, config.params, config.safety)
-    block = config.record_every
-    n_steps = max(block, block * math.ceil(config.t_end / (dt0 * block)))
-    dt = config.t_end / n_steps
+    state = cosine_initial_state(config.grid, config.mass, config.amplitude)
+    model = config.params.model()
+    grid = config.grid
+    h, floor = grid.h, config.positivity_floor
 
-    times = [0.0]
-    states = [state]
-    accum = 0.0
-    vt_accum = [0.0]
-    grid = state.u.grid
-    for k in range(1, n_steps + 1):
-        if dt > ks_stable_dt(state, config.params, 1.0):
-            raise StabilityError(
-                "fixed step exceeds the stability bound",
-                last_time=state.time,
-                trajectory=KSTrajectory(times, states, vt_accum, dt),
-            )
-        vt = v_time_derivative(state)
-        accum += dt * integrate(Field(grid, vt * vt))
-        try:
-            state = ks_step(state, config.params, dt, config.positivity_floor)
-        except PositivityLossError as err:
-            raise PositivityLossError(
-                str(err),
-                last_time=err.last_time,
-                trajectory=KSTrajectory(times, states, vt_accum, dt),
-            )
-        if state.u.max() > config.ceiling:
-            raise StabilityError(
-                "density exceeded the blow-up suspicion ceiling",
-                last_time=state.time,
-                trajectory=KSTrajectory(times, states, vt_accum, dt),
-            )
-        if k % block == 0:
-            times.append(k * dt)
-            states.append(state)
-            vt_accum.append(accum)
-    return KSTrajectory(times, states, vt_accum, dt)
+    def advance(s, dt):
+        u, v, acc = s
+        u, v, vt = ks_step(u, v, model, h, dt, floor)
+        # dt times int |v_t|^2 by the midpoint rule of fields.integrate
+        return u, v, acc + dt * (float((vt * vt).sum()) * h)
+
+    return march(
+        (state.u.values, state.v.values, 0.0), config,
+        guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety),
+        advance=advance,
+        record=lambda s: KSState(Field(grid, s[0]), Field(grid, s[1]), s[2]),
+        ceiling=config.ceiling,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +208,7 @@ def lyapunov_dissipation(state, params):
     grid = state.u.grid
     h = grid.h
     u = state.u.values
-    vt = v_time_derivative(state)
+    vt = v_time_derivative(u, state.v.values, h)
     vt_sq = integrate(Field(grid, vt * vt))
     du = central_diff(u, 0, h)
     dv = central_diff(state.v.values, 0, h)
@@ -282,7 +232,7 @@ def functional_F_and_D(state, params):
     psi_term = integrate(Field(grid, np.asarray(model.psi(u), dtype=float)))
     F = grad_term - psi_term
 
-    vt = v_time_derivative(state)
+    vt = v_time_derivative(u, v, h)
     flux_field = np.asarray(model.ratio(u)) * du  # gradient-like: odd mirror
     bracket = (
         central_diff(flux_field, 0, h, odd=True)
@@ -302,7 +252,7 @@ def _entro_prod_sources(state, params):
     v = state.v.values
     D = np.asarray(model.D(u), dtype=float)
     S = np.asarray(model.S(u), dtype=float)
-    vt = v_time_derivative(state)
+    vt = v_time_derivative(u, v, h)
     quarter = integrate(Field(grid, S * D * (v + vt) ** 2 / 4.0))
     du = central_diff(u, 0, h)
     dv = central_diff(v, 0, h)
@@ -314,47 +264,21 @@ def _entro_prod_sources(state, params):
     return quarter, curvature
 
 
-def _interval_residuals(traj, value_fn, source_fn):
-    """Centered d(value)/dt plus the midpoint mean of the sources."""
-    if len(traj.times) < 3:
-        raise UsageError("need at least 3 snapshots")
-    if not traj.uniform_spacing():
-        raise UsageError("snapshot spacing must be uniform")
-    dt = traj.record_dt
-    values = [value_fn(s) for s in traj.states]
-    sources = [source_fn(s) for s in traj.states]
-    out = []
-    for k in range(len(values) - 1):
-        dval = (values[k + 1] - values[k]) / dt
-        mean_src = 0.5 * (sources[k] + sources[k + 1])
-        out.append(dval + mean_src)
-    return out
-
-
 def lyapunov_identity_residual(traj, params):
     """Residual of d/dt L + int |v_t|^2 + int S |D/S u_x - v_x|^2 = 0."""
-
-    def src(state):
-        vt_sq, s_term = lyapunov_dissipation(state, params)
-        return vt_sq + s_term
-
-    return _interval_residuals(
-        traj, lambda s: classical_lyapunov(s, params), src
+    return traj.interval_residuals(
+        [classical_lyapunov(s, params) for s in traj.states],
+        [sum(lyapunov_dissipation(s, params)) for s in traj.states],
     )
 
 
 def entro_prod_residual(traj, params):
     """Residual of d/dt F + D = quarter-term + curvature-term."""
-
-    def value(state):
-        return functional_F_and_D(state, params)[0]
-
-    def src(state):
-        Dfun = functional_F_and_D(state, params)[1]
-        quarter, curvature = _entro_prod_sources(state, params)
-        return Dfun - quarter - curvature
-
-    return _interval_residuals(traj, value, src)
+    F, Dfun = zip(*(functional_F_and_D(s, params) for s in traj.states))
+    rhs = [_entro_prod_sources(s, params) for s in traj.states]
+    return traj.interval_residuals(
+        F, [d - quarter - curv for d, (quarter, curv) in zip(Dfun, rhs)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +304,7 @@ def _s1_pieces(state, params):
     B = integrate(Field(grid, u * D * dflux**2))
     vxx = second_diff(v, 0, h)
     C = integrate(Field(grid, u * D * vxx * dflux))
-    vt = v_time_derivative(state)
+    vt = v_time_derivative(u, v, h)
     bracket = dflux - vxx + 0.5 * (v + vt)
     G = integrate(Field(grid, u * D * bracket**2))
     quarter = integrate(Field(grid, u * D * (v + vt) ** 2 / 4.0))
@@ -402,18 +326,9 @@ def s1_functional_identity(traj, params):
     d/dt F + G = quarter-term.
     """
     _check_s1(params)
-    pieces = [_s1_pieces(s, params) for s in traj.states]
-    if len(pieces) < 3:
-        raise UsageError("need at least 3 snapshots")
-    if not traj.uniform_spacing():
-        raise UsageError("snapshot spacing must be uniform")
-    dt = traj.record_dt
-    lemma, remark = [], []
-    for k in range(len(pieces) - 1):
-        A0, B0, C0, F0, G0, q0 = pieces[k]
-        A1, B1, C1, F1, G1, q1 = pieces[k + 1]
-        lemma.append((A1 - A0) / dt + 0.5 * (B0 + B1) - 0.5 * (C0 + C1))
-        remark.append((F1 - F0) / dt + 0.5 * (G0 + G1) - 0.5 * (q0 + q1))
+    A, B, C, F, G, quarter = zip(*(_s1_pieces(s, params) for s in traj.states))
+    lemma = traj.interval_residuals(A, [b - c for b, c in zip(B, C)])
+    remark = traj.interval_residuals(F, [g - q for g, q in zip(G, quarter)])
     return lemma, remark
 
 
@@ -441,7 +356,7 @@ def measure_monitors(traj, params, strict=True):
     if strict:
         params.check_strict()
     out = []
-    for t, state, acc in zip(traj.times, traj.states, traj.vt_accum):
+    for t, state in zip(traj.times, traj.states):
         grid = state.u.grid
         h = grid.h
         u = state.u.values
@@ -461,7 +376,7 @@ def measure_monitors(traj, params, strict=True):
                 ),
                 lp_norm=integrate(Field(grid, u**params.p)),
                 log_bound=float(np.max(np.abs(np.log1p(u)))),
-                vt_accum=acc,
+                vt_accum=state.vt_accum,
                 v_l2=_lp(v, grid, 2.0),
                 v_l4=_lp(v, grid, 4.0),
                 dv_l2=_lp(dv, grid, 2.0),
@@ -486,7 +401,7 @@ def lp_inequality_residuals(traj, params):
         grid = state.u.grid
         u = state.u.values
         du = central_diff(u, 0, grid.h)
-        vt = v_time_derivative(state)
+        vt = v_time_derivative(u, state.v.values, grid.h)
         lp = integrate(Field(grid, u**p))
         grad = integrate(Field(grid, u ** (p - 2.0) * (1.0 + u) ** (-p) * du**2))
         usq = integrate(Field(grid, u * u))

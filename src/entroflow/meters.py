@@ -70,15 +70,8 @@ def measure(u, model):
 
 def measure_trajectory(traj, model):
     """Attach a MeterRecord per snapshot; returns the list."""
-    traj.meters = [measure(u, model) for u in traj.fields]
+    traj.meters = [measure(u, model) for u in traj.states]
     return traj.meters
-
-
-def _require_uniform(traj, min_snapshots):
-    if len(traj.times) < min_snapshots:
-        raise UsageError("need at least %d snapshots" % min_snapshots)
-    if not traj.uniform_spacing():
-        raise UsageError("snapshot spacing must be uniform")
 
 
 def identity_residuals(traj, model):
@@ -90,17 +83,14 @@ def identity_residuals(traj, model):
     with the time difference centered at the interval midpoint, so both
     residuals are O(dt_record^2) + O(h^2) + O(dt).
     """
-    _require_uniform(traj, 3)
     meters = traj.meters or measure_trajectory(traj, model)
-    dt = traj.record_dt
-    r1, r2 = [], []
-    for lo, hi in zip(meters, meters[1:]):
-        r1.append((hi.entropy - lo.entropy) / dt + 0.5 * (lo.fisher_sigma + hi.fisher_sigma))
-        r2.append(
-            0.5 * (hi.fisher_sigma - lo.fisher_sigma) / dt
-            + 0.5 * (lo.dissipation + hi.dissipation)
-        )
-    return ResidualSeries(r1, r2, h=traj.fields[0].grid.h, dt=dt)
+    fisher = [m.fisher_sigma for m in meters]
+    r1 = traj.interval_residuals([m.entropy for m in meters], fisher)
+    # halving is exact, so the halved series differences bit-identically
+    r2 = traj.interval_residuals(
+        [0.5 * f for f in fisher], [m.dissipation for m in meters]
+    )
+    return ResidualSeries(r1, r2, h=traj.states[0].grid.h, dt=traj.record_dt)
 
 
 def monotone_tolerance(h, dt):
@@ -114,7 +104,11 @@ def monotonicity_report(series, h, dt):
     Each increment must satisfy delta <= 10 (h^2 + dt) |value|; the
     violation must vanish under refinement, which the tests encode.
     """
-    scale = monotone_tolerance(h, dt)
+    return nonincreasing_report(series, monotone_tolerance(h, dt))
+
+
+def nonincreasing_report(series, scale):
+    """Each increment must satisfy delta <= scale * |value| (either end)."""
     worst = 0.0
     ok = True
     for lo, hi in zip(series, series[1:]):
@@ -128,26 +122,16 @@ def monotonicity_report(series, h, dt):
 
 def convexity_check(traj, model=None):
     """Second time differences of the entropy integral are >= -tol."""
-    _require_uniform(traj, 4)
+    traj.require_uniform(4)
     meters = traj.meters
     if meters is None or not meters:
         if model is None:
             raise UsageError("trajectory has no meters and no model was given")
         meters = measure_trajectory(traj, model)
     ent = [m.entropy for m in meters]
-    h = traj.fields[0].grid.h
+    h = traj.states[0].grid.h
     dt = traj.record_dt
     scale = monotone_tolerance(h, dt) * max(max(abs(e) for e in ent), 1e-30)
     second = [b - 2.0 * m + a for a, m, b in zip(ent, ent[1:], ent[2:])]
     worst = min(second) if second else 0.0
     return MonotonicityReport(worst >= -scale, max(0.0, -worst - scale), scale)
-
-
-def meters_to_rows(traj):
-    """CSV rows t, entropy, fisher_sigma, fisher_st, dissipation[, r1, r2]."""
-    if not traj.meters:
-        raise UsageError("measure the trajectory first")
-    rows = []
-    for t, m in zip(traj.times, traj.meters):
-        rows.append((t, m.entropy, m.fisher_sigma, m.fisher_st, m.dissipation))
-    return rows

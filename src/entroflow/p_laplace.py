@@ -13,14 +13,14 @@ monotonicity tolerance budgets explicitly for the delta-sized bias this
 introduces.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
-from .diffusion import DEFAULT_FLOOR, DEFAULT_SAFETY, Trajectory
+from .errors import ConfigError, PositivityLossError, UsageError
+from .diffusion import DEFAULT_FLOOR, DEFAULT_SAFETY, march
 from .fields import Field, Grid, central_diff, integrate, second_diff
+from .meters import nonincreasing_report
 
 DEFAULT_DELTA = 1e-6
 
@@ -40,8 +40,8 @@ class PLaplaceConfig:
             raise ConfigError("p must be >= 1")
         if abs(self.p - 1.5) < 1e-12:
             raise ConfigError("p = 3/2 is excluded (the exponent p* vanishes)")
-        if self.delta < 0.0:
-            raise ConfigError("delta must be >= 0")
+        if not (self.delta > 0.0):
+            raise ConfigError("delta must be positive")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
         if not (0.0 < self.safety <= 1.0):
@@ -67,59 +67,35 @@ def _face_diffusivity(u_vals, p, delta, h):
     return (du * du + delta * delta) ** ((p - 2.0) / 2.0)
 
 
-def pl_stable_dt(u, config, safety=None):
+def pl_stable_dt(u, config, h, safety=None):
     if safety is None:
         safety = config.safety
-    h = u.grid.h
-    coeff = _face_diffusivity(u.values, config.p, config.delta, h)
+    coeff = _face_diffusivity(u, config.p, config.delta, h)
     return safety * h * h / (2.0 * float(coeff.max()))
 
 
-def pl_step(u, config, dt):
+def pl_step(u, config, h, dt):
     """One conservative explicit step of the regularized flow."""
-    h = u.grid.h
-    du = np.diff(u.values) / h
+    du = np.diff(u) / h
     flux = (du * du + config.delta**2) ** ((config.p - 2.0) / 2.0) * du
-    div = np.zeros_like(u.values)
+    div = np.zeros_like(u)
     div[:-1] += flux
     div[1:] -= flux
-    new_vals = u.values + (dt / h) * div
-    if new_vals.min() < config.positivity_floor:
+    new = u + (dt / h) * div
+    if not (new.min() >= config.positivity_floor):
         raise PositivityLossError("state dropped below the positivity floor")
-    return Field(u.grid, new_vals)
+    return new
 
 
 def run(u0, config):
-    """Fixed-step guarded run; same snapshot contract as the diffusion runs."""
-    if u0.min() <= config.positivity_floor:
-        raise PositivityLossError("initial state below floor", last_time=0.0)
-    dt0 = pl_stable_dt(u0, config)
-    block = config.record_every
-    n_steps = max(block, block * math.ceil(config.t_end / (dt0 * block)))
-    dt = config.t_end / n_steps
-
-    times = [0.0]
-    snaps = [u0.copy()]
-    u = u0
-    t = 0.0
-    for k in range(1, n_steps + 1):
-        if dt > pl_stable_dt(u, config, 1.0):
-            raise StabilityError(
-                "fixed step exceeds the stability bound", last_time=t,
-                trajectory=Trajectory(times, snaps, dt),
-            )
-        try:
-            u = pl_step(u, config, dt)
-        except PositivityLossError:
-            raise PositivityLossError(
-                "positivity lost at t=%g" % t, last_time=t,
-                trajectory=Trajectory(times, snaps, dt),
-            )
-        t = k * dt
-        if k % block == 0:
-            times.append(t)
-            snaps.append(u.copy())
-    return Trajectory(times, snaps, dt)
+    """Guarded run; the run contract is that of ``diffusion.march``."""
+    h = u0.grid.h
+    return march(
+        (u0.values.copy(),), config,
+        guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety),
+        advance=lambda s, dt: (pl_step(s[0], config, h, dt),),
+        record=lambda s: Field(u0.grid, s[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +145,10 @@ def rate_terms(u, p, delta=0.0):
 
 def rate_residuals(traj, p, delta=0.0):
     """Per-interval dI/dt minus the midpoint mean of the three rate terms."""
-    if len(traj.times) < 3:
-        raise UsageError("need at least 3 snapshots")
-    if not traj.uniform_spacing():
-        raise UsageError("snapshot spacing must be uniform")
-    dt = traj.record_dt
-    I_vals = [lyap_I(u, p) for u in traj.fields]
-    rates = [sum(rate_terms(u, p, delta)) for u in traj.fields]
-    out = []
-    for k in range(len(I_vals) - 1):
-        out.append((I_vals[k + 1] - I_vals[k]) / dt - 0.5 * (rates[k] + rates[k + 1]))
-    return out
+    return traj.interval_residuals(
+        [lyap_I(u, p) for u in traj.states],
+        [-sum(rate_terms(u, p, delta)) for u in traj.states],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +170,9 @@ def mono_tolerance(h, dt, p, delta):
 def monotonicity_report(traj, config):
     """Per-interval Delta I <= tol * |I|; verdict only issued for p >= 2."""
     p = config.p
-    h = traj.fields[0].grid.h
+    h = traj.states[0].grid.h
     dt = traj.record_dt if len(traj.times) > 1 else traj.dt
-    scale = mono_tolerance(h, dt, p, config.delta)
-    I_vals = [lyap_I(u, p) for u in traj.fields]
-    worst = 0.0
-    ok = True
-    for lo, hi in zip(I_vals, I_vals[1:]):
-        tol = scale * max(abs(lo), abs(hi), 1e-30)
-        excess = (hi - lo) - tol
-        worst = max(worst, excess)
-        if excess > 0.0:
-            ok = False
-    verdict = (ok if p >= 2.0 else None)
-    return PLMonoReport(verdict, worst, scale, I_vals)
+    I_vals = [lyap_I(u, p) for u in traj.states]
+    rep = nonincreasing_report(I_vals, mono_tolerance(h, dt, p, config.delta))
+    verdict = (rep.passed if p >= 2.0 else None)
+    return PLMonoReport(verdict, rep.worst_violation, rep.tolerance_scale, I_vals)

@@ -53,7 +53,7 @@ def test_1_linear_heat_sanity(capsys):
     )
     x = grid.axis_centers()
     exact = 1.0 + 0.5 * np.cos(np.pi * x) * np.exp(-np.pi**2 * 0.1)
-    err = float(np.max(np.abs(traj.fields[-1].values - exact)))
+    err = float(np.max(np.abs(traj.states[-1].values - exact)))
     measure_trajectory(traj, Linear())
     h, dt = grid.h, traj.record_dt
     mono_e = monotonicity_report([m.entropy for m in traj.meters], h, dt)
@@ -175,7 +175,7 @@ def test_7_plaplace_monotone(capsys):
     measure_trajectory(htraj, Linear())
     gap = max(
         abs(lyap_I(u, 2.0) - 0.25 * m.fisher_sigma)
-        for u, m in zip(traj.fields, htraj.meters)
+        for u, m in zip(traj.states, htraj.meters)
     )
     ok = ok and gap <= 1e-10
     _verdict(capsys, "plaplace_monotone", ok)

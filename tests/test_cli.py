@@ -171,17 +171,35 @@ def test_ks_below_twice_the_grid_minimum_skips_coarse_run(outdir):
 
 def test_abort_still_writes_summary(outdir, tmp_path):
     # initial data below the positivity floor: the run aborts with exit 3
-    # but the summary is still written with the abort reason
+    # but the summary is still written with the abort reason and time
+    for kind, model, summary_file in (
+        ("diffusion", {"family": "linear"}, "summary.json"),
+        ("plaplace", {"p": 3.0}, "pl_summary.json"),
+    ):
+        cfg = {
+            "name": "abort_" + kind,
+            "kind": kind,
+            "model": model,
+            "grid": {"dim": 1, "cells": 32},
+            "run": {"t_end": 0.001, "mean": 1e-9, "amplitude": 0.5},
+        }
+        assert main(["run", _write(tmp_path, cfg)]) == EXIT_NUMERICS
+        summary = json.loads((outdir / cfg["name"] / summary_file).read_text())
+        assert summary["termination"] == "PositivityLossError"
+        assert summary["last_time"] == 0.0
+
+
+def test_plaplace_zero_delta_is_config_error(outdir, tmp_path):
     cfg = {
-        "name": "abort",
-        "kind": "diffusion",
-        "model": {"family": "linear"},
-        "grid": {"dim": 1, "cells": 32},
-        "run": {"t_end": 0.001, "mean": 1e-9, "amplitude": 0.5},
+        "name": "flat",
+        "kind": "plaplace",
+        "model": {"p": 3.0, "delta": 0.0},
+        "grid": {"dim": 1, "cells": 16},
+        "run": {"t_end": 0.001, "amplitude": 0.0},
     }
-    assert main(["run", _write(tmp_path, cfg)]) == EXIT_NUMERICS
-    summary = json.loads((outdir / "abort" / "summary.json").read_text())
-    assert summary["termination"] == "PositivityLossError"
+    path = _write(tmp_path, cfg)
+    assert main(["validate", path]) == EXIT_CONFIG
+    assert main(["run", path]) == EXIT_CONFIG
 
 
 def test_config_name_defaults_to_filename(outdir, tmp_path):

@@ -15,7 +15,6 @@ from entroflow.coeff_models import (
     PowerLaw,
     ShiftedPowerLaw,
     TabulatedModel,
-    eval_coefficient,
     eval_ks,
     eval_primitives,
     model_from_spec,
@@ -143,11 +142,6 @@ def test_domain_errors():
         PowerLaw(0.0)
     with pytest.raises(ModelError):
         PowerLaw(-1.0)
-
-
-def test_eval_coefficient():
-    assert eval_coefficient(PowerLaw(2.0), 3.0) == pytest.approx(6.0)
-    assert eval_coefficient(Linear(), 0.1) == 1.0
 
 
 def test_tabulated_matches_source():

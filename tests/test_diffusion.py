@@ -33,23 +33,25 @@ def test_stable_dt_anchor():
     # a(3) = 6 for the m=2 power law, so dt = safety h^2 / 12
     g = Grid(1, 64)
     u = constant_field(g, 3.0)
-    assert stable_dt(u, PowerLaw(2.0), 0.4) == pytest.approx(0.4 * g.h**2 / 12.0)
-    assert stable_dt(u, Linear(), 1.0) == pytest.approx(g.h**2 / 2.0)
+    assert stable_dt(u.values, PowerLaw(2.0), g.h, 0.4) == pytest.approx(
+        0.4 * g.h**2 / 12.0
+    )
+    assert stable_dt(u.values, Linear(), g.h, 1.0) == pytest.approx(g.h**2 / 2.0)
 
 
 def test_constant_state_fixed_point():
     g = Grid(1, 32)
     u = constant_field(g, 2.0)
-    out = step(u, PowerLaw(2.0), 1e-5)
-    assert np.array_equal(out.values, u.values)
+    out = step(u.values, PowerLaw(2.0), g.h, 1e-5)
+    assert np.array_equal(out, u.values)
 
 
 def test_mass_conserved_exactly():
     g = Grid(1, 64)
     u0 = initial_cosine(g, mean=1.5)
     traj = run(u0, FlowConfig(PowerLaw(2.0), g, t_end=0.01, record_every=50))
-    m0 = float(np.sum(traj.fields[0].values))
-    for f in traj.fields:
+    m0 = float(np.sum(traj.states[0].values))
+    for f in traj.states:
         assert float(np.sum(f.values)) == pytest.approx(m0, abs=1e-12 * m0)
 
 
@@ -59,7 +61,7 @@ def test_spectral_decay_linear():
     traj = run(u0, FlowConfig(Linear(), g, t_end=0.1, record_every=1000))
     x = g.axis_centers()
     exact = 1.0 + 0.5 * np.cos(np.pi * x) * np.exp(-np.pi**2 * 0.1)
-    assert np.max(np.abs(traj.fields[-1].values - exact)) < 1e-3
+    assert np.max(np.abs(traj.states[-1].values - exact)) < 1e-3
 
 
 def test_comparison_principle():
@@ -70,7 +72,7 @@ def test_comparison_principle():
     cfg = FlowConfig(Linear(), g, t_end=0.02, record_every=100)
     tl = run(lo, cfg)
     th = run(hi, cfg)
-    for a, b in zip(tl.fields, th.fields):
+    for a, b in zip(tl.states, th.states):
         assert np.all(a.values <= b.values + 1e-12)
 
 
@@ -85,7 +87,7 @@ def test_self_convergence_order(model):
     for cells in (32, 64, 256):
         g = Grid(1, cells)
         traj = run(initial_cosine(g), FlowConfig(model, g, t_end, record_every=10))
-        sols[cells] = traj.fields[-1].values
+        sols[cells] = traj.states[-1].values
     ref = sols[256]
     e32 = np.max(np.abs(sols[32] - _restrict(ref, 8)))
     e64 = np.max(np.abs(sols[64] - _restrict(ref, 4)))
@@ -99,17 +101,17 @@ def test_instability_oracle():
     u0 = initial_cosine(g)
     dt_crit = g.h**2 / 2.0
 
-    u = u0
+    u = u0.values
     for _ in range(100):
-        u = step(u, Linear(), 0.9 * dt_crit)
+        u = step(u, Linear(), g.h, 0.9 * dt_crit)
     assert u.max() < 2.0
 
-    u = u0
+    u = u0.values
     grew = False
     try:
         for _ in range(100):
-            u = step(u, Linear(), 1.5 * dt_crit)
-        grew = u.max() > 10.0 or not np.all(np.isfinite(u.values))
+            u = step(u, Linear(), g.h, 1.5 * dt_crit)
+        grew = u.max() > 10.0 or not np.all(np.isfinite(u))
     except (PositivityLossError, ConstructionError):
         grew = True  # oscillation drove the state negative or non-finite
     assert grew
@@ -131,8 +133,14 @@ def test_run_rechecks_stability():
 def test_positivity_guard():
     g = Grid(1, 32)
     low = constant_field(g, 1e-9)
-    with pytest.raises(PositivityLossError):
+    with pytest.raises(PositivityLossError) as info:
         run(low, FlowConfig(Linear(), g, t_end=0.001))
+    assert info.value.last_time == 0.0
+    # a non-finite state is a positivity abort, not a construction error
+    nan_state = initial_cosine(g).values
+    nan_state[5] = np.nan
+    with pytest.raises(PositivityLossError):
+        step(nan_state, Linear(), g.h, 1e-5)
 
 
 def test_stability_error_carries_partial_trajectory():
@@ -140,7 +148,7 @@ def test_stability_error_carries_partial_trajectory():
     u0 = initial_cosine(g)
     cfg = FlowConfig(PowerLaw(2.0), g, t_end=0.01, safety=1.0, record_every=5)
     # force a violation by shrinking the state's coefficient after dt is fixed
-    dt = stable_dt(u0, PowerLaw(2.0), 1.0)
+    dt = stable_dt(u0.values, PowerLaw(2.0), g.h, 1.0)
     bad = Trajectory([0.0, dt], [u0, u0], dt)
     assert bad.uniform_spacing()
 

@@ -14,7 +14,6 @@ from entroflow.fields import (
     constant_field,
     from_function,
     frobenius_sq,
-    field_to_rows,
     grad_magnitude_sq,
     gradient_of_vector,
     integrate,
@@ -163,10 +162,3 @@ def test_require_positive_field():
     with pytest.raises(DomainError):
         require_positive_field(constant_field(g, 0.0))
     require_positive_field(constant_field(g, 0.1))
-
-
-def test_field_to_rows():
-    g = Grid(2, 8)
-    rows = field_to_rows(constant_field(g, 1.0))
-    assert len(rows) == 64
-    assert len(rows[0]) == 3

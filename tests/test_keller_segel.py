@@ -61,16 +61,17 @@ def test_classical_lyapunov_anchor():
     g = Grid(1, 64)
     st = _uniform_state(g, 1.0, 1.0)
     assert classical_lyapunov(st, P21) == pytest.approx(-0.5, abs=1e-14)
-    vt = v_time_derivative(st)
+    vt = v_time_derivative(st.u.values, st.v.values, g.h)
     assert np.all(vt == 0.0)
 
 
 def test_equilibrium_is_steady():
     g = Grid(1, 32)
     st = _uniform_state(g, 2.0, 2.0)
-    out = ks_step(st, P21, 1e-5)
-    assert np.array_equal(out.u.values, st.u.values)
-    assert np.array_equal(out.v.values, st.v.values)
+    u, v, vt = ks_step(st.u.values, st.v.values, P21.model(), g.h, 1e-5)
+    assert np.array_equal(u, st.u.values)
+    assert np.array_equal(v, st.v.values)
+    assert np.all(vt == 0.0)
     vt_sq, s_term = lyapunov_dissipation(st, P21)
     assert vt_sq == 0.0 and s_term == 0.0
 
@@ -103,7 +104,9 @@ def test_stable_dt_guards():
     g = Grid(1, 64)
     st = _uniform_state(g, 1.0, 1.0)
     # max D = 1/4 < 1, so the diffusive guard uses the floor coefficient 1
-    assert ks_stable_dt(st, P21, 0.4) == pytest.approx(0.4 * g.h**2 / 2.0)
+    assert ks_stable_dt(st.u.values, st.v.values, P21.model(), g.h, 0.4) == (
+        pytest.approx(0.4 * g.h**2 / 2.0)
+    )
 
 
 def test_ceiling_abort_carries_trajectory():
@@ -113,6 +116,28 @@ def test_ceiling_abort_carries_trajectory():
         run_ks(cfg)
     assert info.value.trajectory is not None
     assert len(info.value.trajectory.times) >= 1
+    assert info.value.last_time >= info.value.trajectory.times[-1]
+
+
+def test_guard_recheck_aborts_mid_run():
+    # v starts flat, so the fixed dt comes from the diffusive guard alone;
+    # the advective guard S(u)|v_x| tightens as v_x grows until the
+    # per-step re-check at safety 1 fires
+    g = Grid(1, 16)
+    cfg = KSConfig(P10, g, t_end=0.05, mass=50.0, safety=1.0, record_every=1)
+    with pytest.raises(StabilityError, match="stability bound") as info:
+        run_ks(cfg)
+    assert 0.0 < info.value.last_time < cfg.t_end
+    assert info.value.trajectory.times[-1] == info.value.last_time
+
+
+def test_nan_state_is_a_positivity_abort():
+    g = Grid(1, 32)
+    st = cosine_initial_state(g, mass=2.0)
+    u = st.u.values.copy()
+    u[5] = np.nan
+    with pytest.raises(PositivityLossError):
+        ks_step(u, st.v.values, P21.model(), g.h, 1e-5)
 
 
 @pytest.mark.parametrize("which", ["lyap", "ep"])

@@ -29,6 +29,8 @@ def test_config_validation():
         PLaplaceConfig(p=0.5, grid=g, t_end=0.01)
     with pytest.raises(ConfigError):
         PLaplaceConfig(p=2.0, grid=g, t_end=0.01, delta=-1.0)
+    with pytest.raises(ConfigError):
+        PLaplaceConfig(p=3.0, grid=g, t_end=0.01, delta=0.0)
     cfg = PLaplaceConfig(p=2.0, grid=g, t_end=0.01)
     assert cfg.p_star == 0.5
 
@@ -44,8 +46,8 @@ def test_constant_state():
     g = Grid(1, 32)
     u = constant_field(g, 2.0)
     cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01)
-    out = pl_step(u, cfg, 1e-6)
-    assert np.array_equal(out.values, u.values)
+    out = pl_step(u.values, cfg, g.h, 1e-6)
+    assert np.array_equal(out, u.values)
     assert lyap_I(u, 3.0) == 0.0
     traj = run(u, cfg)
     rep = monotonicity_report(traj, cfg)
@@ -60,7 +62,7 @@ def test_p2_reduces_to_heat_scheme():
     traj_pl = run(u0, cfg)
     traj_heat = run_heat(u0, FlowConfig(Linear(), g, 0.01, record_every=50))
     assert traj_pl.dt == traj_heat.dt
-    for a, b in zip(traj_pl.fields, traj_heat.fields):
+    for a, b in zip(traj_pl.states, traj_heat.states):
         assert np.array_equal(a.values, b.values)
 
 
@@ -70,7 +72,7 @@ def test_p2_quarter_fisher_path():
     traj = run(u0, PLaplaceConfig(p=2.0, grid=g, t_end=0.05, record_every=100))
     htraj = run_heat(u0, FlowConfig(Linear(), g, 0.05, record_every=100))
     measure_trajectory(htraj, Linear())
-    for u, m in zip(traj.fields, htraj.meters):
+    for u, m in zip(traj.states, htraj.meters):
         assert abs(lyap_I(u, 2.0) - 0.25 * m.fisher_sigma) <= 1e-10
 
 
@@ -78,8 +80,8 @@ def test_mass_conserved_exactly():
     g = Grid(1, 64)
     traj = run(initial_cosine(g), PLaplaceConfig(p=3.0, grid=g, t_end=0.01,
                                                  record_every=50))
-    m0 = float(np.sum(traj.fields[0].values))
-    for f in traj.fields:
+    m0 = float(np.sum(traj.states[0].values))
+    for f in traj.states:
         assert float(np.sum(f.values)) == pytest.approx(m0, abs=1e-12 * m0)
 
 
@@ -108,7 +110,7 @@ def test_delta_robustness():
         cfg = PLaplaceConfig(p=2.5, grid=g, t_end=0.01, delta=delta,
                              record_every=100)
         traj = run(initial_cosine(g), cfg)
-        finals.append(lyap_I(traj.fields[-1], 2.5))
+        finals.append(lyap_I(traj.states[-1], 2.5))
     assert abs(finals[0] - finals[1]) < 10.0 * 1e-4 ** min(1.5, 1.0)
 
 
@@ -131,7 +133,7 @@ def test_self_convergence_p3():
         g = Grid(1, cells)
         traj = run(initial_cosine(g),
                    PLaplaceConfig(p=3.0, grid=g, t_end=t_end, record_every=10))
-        sols[cells] = traj.fields[-1].values
+        sols[cells] = traj.states[-1].values
     ref = sols[256]
     e32 = np.max(np.abs(sols[32] - ref.reshape(-1, 8).mean(axis=1)))
     e64 = np.max(np.abs(sols[64] - ref.reshape(-1, 4).mean(axis=1)))
@@ -152,6 +154,10 @@ def test_positivity_guard():
     g = Grid(1, 32)
     with pytest.raises(PositivityLossError):
         run(constant_field(g, 1e-9), PLaplaceConfig(p=2.0, grid=g, t_end=0.001))
+    nan_state = initial_cosine(g).values
+    nan_state[5] = np.nan
+    with pytest.raises(PositivityLossError):
+        pl_step(nan_state, PLaplaceConfig(p=3.0, grid=g, t_end=0.001), g.h, 1e-6)
 
 
 def test_tolerance_budgets_delta():
@@ -165,7 +171,7 @@ def test_stable_dt_uses_face_gradients():
     g = Grid(1, 64)
     u = initial_cosine(g)
     cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01)
-    dt = pl_stable_dt(u, cfg)
+    dt = pl_stable_dt(u.values, cfg, g.h)
     du = np.diff(u.values) / g.h
     coeff = (du**2 + cfg.delta**2) ** 0.5
     assert dt == pytest.approx(cfg.safety * g.h**2 / (2.0 * coeff.max()))
