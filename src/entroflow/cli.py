@@ -5,9 +5,10 @@ preset), ``validate`` dry-checks one, ``presets`` lists the catalog, and
 ``ineq``/``ks``/``plaplace`` are flag-driven shortcuts that build the
 corresponding config on the fly.
 
-Exit codes: 0 = all checked properties passed, 1 = config error,
-2 = a property check failed (a finding), 3 = numerics aborted
-(positivity or stability loss).  A JSON summary is written whenever
+Exit codes: 0 = all checked properties passed, 1 = config error (the
+config does not parse, or a bad flag), 2 = a property check failed (a
+finding), 3 = the run aborted (positivity or stability loss, or any other
+package error after the parse).  A JSON summary is written whenever
 execution started, including aborted runs.
 """
 
@@ -16,18 +17,15 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import p_laplace as pl_mod
 from .coeff_models import model_from_spec
 from .diffusion import FlowConfig, initial_cosine, run as run_flow
-from .errors import (
-    ConfigError,
-    EntroflowError,
-    PositivityLossError,
-    StabilityError,
-)
+from .errors import ConfigError, EntroflowError
 from .fields import MIN_CELLS, Grid, build_test_function
 from .inequalities import cmkm_ratio, sample_spec, worst_ratio_search
 from .keller_segel import (
@@ -47,96 +45,133 @@ EXIT_CONFIG = 1
 EXIT_PROPERTY = 2
 EXIT_NUMERICS = 3
 
-_KINDS = ("diffusion", "ineq", "ks", "plaplace")
-
 
 # ---------------------------------------------------------------------------
-# Validation
+# The config parse: every path reads a config dict through parse_config
 
 
-def validate_config(cfg):
-    """List of violated invariants; empty means runnable."""
-    problems = []
-    kind = cfg.get("kind")
-    if kind not in _KINDS:
-        problems.append("kind must be one of %s, got %r" % (list(_KINDS), kind))
-        return problems
-    if "name" not in cfg:
-        problems.append("config needs a 'name' for the output directory")
-    grid = cfg.get("grid", {})
-    run = cfg.get("run", {})
-    model = cfg.get("model", {})
-    try:
-        Grid(dim=int(grid.get("dim", 1)), cells=int(grid.get("cells", 0)))
-    except EntroflowError as err:
-        problems.append("grid: %s" % err)
+@dataclass(frozen=True)
+class IneqConfig:
+    """Settings of a sampled inequality check."""
 
-    if kind == "diffusion":
-        try:
-            model_from_spec(model)
-        except EntroflowError as err:
-            problems.append("model: %s" % err)
-        if run.get("t_end", 0.0) <= 0.0:
-            problems.append("run.t_end must be positive")
-    elif kind == "ineq":
-        try:
-            model_from_spec(model)
-        except EntroflowError as err:
-            problems.append("model: %s" % err)
-        if "seed" not in run:
-            problems.append("run.seed is mandatory for sampled experiments")
-        if run.get("trials", 0) < 1:
-            problems.append("run.trials must be >= 1")
-    elif kind == "ks":
-        try:
-            params = KSParams(float(model.get("p", 0.0)), float(model.get("q", 0.0)))
-            if model.get("strict"):
-                params.check_strict()
-        except (EntroflowError, TypeError, ValueError) as err:
-            problems.append("model: %s" % err)
-        if run.get("t_end", 0.0) <= 0.0:
-            problems.append("run.t_end must be positive")
-        if run.get("mass", 1.0) <= 0.0:
-            problems.append("run.mass must be positive")
+    model: object
+    grid: Grid
+    trials: int
+    seed: int
+    check: str = "both"
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.check not in ("both", "cmkm"):
+            raise ConfigError("check must be 'both' or 'cmkm', got %r" % self.check)
+
+
+# A parsed config: the run's objects, each range-checked by its own
+# constructor; u0 is the initial Field of diffusion and p-Laplace runs.
+Experiment = namedtuple("Experiment", "kind name config u0")
+
+_REQUIRED = object()
+_JSON_TYPES = {str: "a string", bool: "a boolean", dict: "an object"}
+_MODEL_KEYS = {"power_law": {"m": float}, "shifted_power_law": {"m": float},
+               "custom": {"table": str}}
+
+
+class _Section:
+    """One JSON object of a config.  ``take`` reads a key once, typed;
+    ``done`` rejects a key that nothing read."""
+
+    def __init__(self, name, data):
+        if not isinstance(data, dict):
+            raise ConfigError("%s must be an object" % name)
+        self.name, self.data, self.unread = name, data, set(data)
+
+    def take(self, key, typ, default=_REQUIRED):
+        """The value of ``key`` as ``typ`` (str, bool, dict, int or float),
+        or ``default`` when the key is absent."""
+        where = "%s.%s" % (self.name, key)
+        if key not in self.data:
+            if default is _REQUIRED:
+                raise ConfigError("%s is required" % where)
+            return default
+        self.unread.discard(key)
+        value = self.data[key]
+        if typ in _JSON_TYPES:
+            if not isinstance(value, typ):
+                raise ConfigError("%s must be %s, got %r"
+                                  % (where, _JSON_TYPES[typ], value))
+            return value
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ConfigError("%s must be a finite number, got %r" % (where, value))
+        if typ is int and value != int(value):
+            raise ConfigError("%s must be an integer, got %r" % (where, value))
+        return typ(value)
+
+    def options(self, **types):
+        """The present ones of the keys as keyword arguments, each read as
+        its type, so that an absent key keeps the constructor's default."""
+        return {key: self.take(key, typ) for key, typ in types.items()
+                if key in self.data}
+
+    def done(self):
+        if self.unread:
+            key = min(self.unread, key=str)
+            raise ConfigError("unknown key %s.%s" % (self.name, key))
+
+
+def parse_config(cfg):
+    """The one reader of an experiment config dict: an Experiment, or an
+    EntroflowError that names the first problem.  Each key is read once,
+    typed, and passed to the constructor that owns its range checks and
+    default; only ``grid.dim`` defaults here, to 1."""
+    top = _Section("config", cfg)
+    kind, name = top.take("kind", str), top.take("name", str)
+    if kind not in _RUNNERS:
+        raise ConfigError("kind must be one of %s, got %r" % (sorted(_RUNNERS), kind))
+    model, grid, run = (
+        _Section(key, top.take(key, dict, {})) for key in ("model", "grid", "run")
+    )
+    top.done()
+    grid_ = Grid(dim=grid.take("dim", int, 1), cells=grid.take("cells", int))
+    u0 = None
+    if kind in ("diffusion", "ineq"):
+        family = model.take("family", str)
+        coeff = model_from_spec(
+            {"family": family, **model.options(**_MODEL_KEYS.get(family, {}))})
+    if kind == "ineq":
+        config = IneqConfig(coeff, grid_, run.take("trials", int),
+                            run.take("seed", int), **run.options(check=str))
+    else:
+        stepping = {"t_end": run.take("t_end", float),
+                    **run.options(safety=float, record_every=int)}
+    if kind == "ks":
+        params = KSParams(model.take("p", float), model.take("q", float))
+        config = KSConfig(params, grid_, **stepping, **model.options(strict=bool),
+                          **run.options(mass=float, amplitude=float))
+    elif kind == "diffusion":
+        config = FlowConfig(coeff, grid_, **stepping)
+        u0 = initial_cosine(
+            grid_, **run.options(mean=float, amplitude=float, mode=int))
     elif kind == "plaplace":
-        try:
-            pl_mod.PLaplaceConfig(
-                p=float(model.get("p", 0.0)),
-                grid=Grid(dim=1, cells=int(grid.get("cells", 8))),
-                t_end=float(run.get("t_end", 0.0)),
-                delta=float(model.get("delta", pl_mod.DEFAULT_DELTA)),
-            )
-        except (EntroflowError, TypeError, ValueError) as err:
-            problems.append("config: %s" % err)
-    return problems
+        config = pl_mod.PLaplaceConfig(model.take("p", float), grid_, **stepping,
+                                       **model.options(delta=float))
+        u0 = initial_cosine(grid_, **run.options(mean=float, amplitude=float))
+    for section in (model, grid, run):
+        section.done()
+    return Experiment(kind, name, config, u0)
 
 
 # ---------------------------------------------------------------------------
-# Runners: each writes its CSV artifacts and returns an exit code with the
-# summary fields; run_experiment writes the summary, for aborts as well
-
-
-def _echo(cfg):
-    return {k: v for k, v in cfg.items()}
+# Runners: each parses the config dict, writes its CSV artifacts and returns
+# an exit code with the summary fields, which run_experiment writes
 
 
 def _run_diffusion(cfg, outdir):
-    model = model_from_spec(cfg["model"])
-    grid = Grid(dim=1, cells=int(cfg["grid"]["cells"]))
-    run = cfg["run"]
-    flow_cfg = FlowConfig(
-        model=model,
-        grid=grid,
-        t_end=float(run["t_end"]),
-        safety=float(run.get("safety", 0.4)),
-        record_every=int(run.get("record_every", 1)),
-    )
-    u0 = initial_cosine(
-        grid,
-        mean=float(run.get("mean", 1.0)),
-        amplitude=float(run.get("amplitude", 0.5)),
-        mode=int(run.get("mode", 1)),
-    )
+    _, _, flow_cfg, u0 = parse_config(cfg)
+    model = flow_cfg.model
     traj = run_flow(u0, flow_cfg)
     measure_trajectory(traj, model)
     res = identity_residuals(traj, model)
@@ -176,28 +211,22 @@ def _spec_as_dict(spec):
 
 
 def _run_ineq(cfg, outdir):
-    model = model_from_spec(cfg["model"])
-    run = cfg["run"]
-    n = int(cfg["grid"].get("dim", 1))
-    cells = int(cfg["grid"].get("cells", 64))
-    trials = int(run["trials"])
-    seed = int(run["seed"])
-    check = run.get("check", "both")
+    ineq = parse_config(cfg).config
+    n, cells = ineq.grid.dim, ineq.grid.cells
 
-    if check == "cmkm":
-        rng = np.random.default_rng(seed)
-        grid = Grid(dim=n, cells=cells)
+    if ineq.check == "cmkm":
+        rng = np.random.default_rng(ineq.seed)
         rows, worst = [], -math.inf
-        for trial in range(trials):
+        for trial in range(ineq.trials):
             spec = sample_spec(rng, n)
-            ratio = cmkm_ratio(build_test_function(grid, spec))
+            ratio = cmkm_ratio(build_test_function(ineq.grid, spec))
             worst = max(worst, ratio)
             rows.append((trial, spec.offset, ratio))
         write_csv(os.path.join(outdir, "trials.csv"),
                   ["trial", "c0", "cmkm_ratio"], rows)
         return EXIT_PASS, {"max_cmkm_ratio": worst}
 
-    search = worst_ratio_search(n, model, trials, seed, cells=cells)
+    search = worst_ratio_search(n, ineq.model, ineq.trials, ineq.seed, cells=cells)
     write_csv(
         os.path.join(outdir, "trials.csv"),
         ["trial", "c0", "bernis_ratio", "fisher_ratio", "lam"],
@@ -222,29 +251,15 @@ _KS_COLUMNS = [
 ]
 
 
-def _ks_run_once(params, cells, run):
-    grid = Grid(dim=1, cells=cells)
-    ks_cfg = KSConfig(
-        params=params,
-        grid=grid,
-        t_end=float(run["t_end"]),
-        mass=float(run.get("mass", 1.0)),
-        amplitude=float(run.get("amplitude", 0.5)),
-        safety=float(run.get("safety", 0.4)),
-        record_every=int(run.get("record_every", 1)),
-    )
-    return run_ks(ks_cfg)
+def _ks_run_once(ks_cfg, cells):
+    return run_ks(replace(ks_cfg, grid=Grid(1, cells)))
 
 
 def _run_ks(cfg, outdir):
-    model = cfg["model"]
-    params = KSParams(float(model["p"]), float(model["q"]))
-    if model.get("strict"):
-        params.check_strict()
-    run = cfg["run"]
-    cells = int(cfg["grid"]["cells"])
-    traj = _ks_run_once(params, cells, run)
-    monitors = measure_monitors(traj, params, strict=False)
+    ks_cfg = parse_config(cfg).config
+    params, cells = ks_cfg.params, ks_cfg.grid.cells
+    traj = _ks_run_once(ks_cfg, cells)
+    monitors = measure_monitors(traj, params)
     rows = [
         (m.time, m.mass, m.lyap_classical, m.lyap_F, m.dissipation_D,
          m.ep_estimate, m.lp_norm, m.log_bound, m.vt_accum,
@@ -260,7 +275,7 @@ def _run_ks(cfg, outdir):
     for c in (cells // 2, cells):
         worst = None
         if c >= MIN_CELLS:
-            t = traj if c == cells else _ks_run_once(params, c, run)
+            t = traj if c == cells else _ks_run_once(ks_cfg, c)
             try:
                 worst = max(abs(r) for r in lyapunov_identity_residual(t, params))
             except EntroflowError:
@@ -301,21 +316,7 @@ def _run_ks(cfg, outdir):
 
 
 def _run_plaplace(cfg, outdir):
-    model = cfg["model"]
-    run = cfg["run"]
-    pl_cfg = pl_mod.PLaplaceConfig(
-        p=float(model["p"]),
-        grid=Grid(dim=1, cells=int(cfg["grid"]["cells"])),
-        t_end=float(run["t_end"]),
-        delta=float(model.get("delta", pl_mod.DEFAULT_DELTA)),
-        safety=float(run.get("safety", 0.4)),
-        record_every=int(run.get("record_every", 1)),
-    )
-    u0 = initial_cosine(
-        pl_cfg.grid,
-        mean=float(run.get("mean", 1.0)),
-        amplitude=float(run.get("amplitude", 0.5)),
-    )
+    _, _, pl_cfg, u0 = parse_config(cfg)
     traj = pl_mod.run(u0, pl_cfg)
     report = pl_mod.monotonicity_report(traj, pl_cfg)
     residuals = pl_mod.rate_residuals(traj, pl_cfg.p, pl_cfg.delta)
@@ -359,28 +360,25 @@ _SUMMARY_FILES = {
 
 
 def run_experiment(cfg, out_root=None):
-    problems = validate_config(cfg)
-    if problems:
-        for p in problems:
-            print("config error: %s" % p, file=sys.stderr)
-        return EXIT_CONFIG
-    outdir = experiment_dir(cfg["name"], out_root)
-    summary = {"config": _echo(cfg), "termination": "completed"}
+    """Parse, run and summarize one experiment; returns the exit code: 1
+    before any output if the parse fails, 3 with a summary for any
+    EntroflowError after it."""
     try:
-        code, results = _RUNNERS[cfg["kind"]](cfg, outdir)
-    except ConfigError as err:
+        exp = parse_config(cfg)
+    except EntroflowError as err:
         print("config error: %s" % err, file=sys.stderr)
         return EXIT_CONFIG
-    except (PositivityLossError, StabilityError) as err:
+    outdir = experiment_dir(exp.name, out_root)
+    summary = {"config": cfg, "termination": "completed"}
+    try:
+        code, results = _RUNNERS[exp.kind](cfg, outdir)
+    except EntroflowError as err:
         code = EXIT_NUMERICS
-        results = {
-            "termination": type(err).__name__,
-            "message": str(err),
-            "last_time": err.last_time,
-        }
+        results = {"termination": type(err).__name__, "message": str(err),
+                   "last_time": getattr(err, "last_time", None)}
     summary.update(results)
-    write_json(os.path.join(outdir, _SUMMARY_FILES[cfg["kind"]]), summary)
-    print("%s: exit %d (artifacts in %s)" % (cfg["name"], code, outdir))
+    write_json(os.path.join(outdir, _SUMMARY_FILES[exp.kind]), summary)
+    print("%s: exit %d (artifacts in %s)" % (exp.name, code, outdir))
     return code
 
 
@@ -389,15 +387,29 @@ def run_experiment(cfg, out_root=None):
 
 
 def _load_config(path):
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if "name" not in cfg:
+    """The JSON value in ``path``; an object without a name is named after
+    the file."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ConfigError("cannot read %s: %s" % (path, err))
+    if isinstance(cfg, dict) and "name" not in cfg:
         cfg["name"] = os.path.splitext(os.path.basename(path))[0]
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits with EXIT_CONFIG: argparse's own 2 is
+    EXIT_PROPERTY here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entroflow",
         description="entropy/Fisher-information laboratory for 1D flows",
     )
@@ -413,8 +425,7 @@ def build_parser():
     sub.add_parser("presets", help="list the preset catalog")
 
     p_ineq = sub.add_parser("ineq", help="inequality sampling check")
-    p_ineq.add_argument("--check", choices=["bernis", "fisher", "cmkm", "both"],
-                        default="both")
+    p_ineq.add_argument("--check", choices=["cmkm", "both"], default="both")
     p_ineq.add_argument("--n", type=int, choices=[1, 2, 3], default=1)
     p_ineq.add_argument("--model", default="linear",
                         help="linear | power_law (with --m)")
@@ -437,7 +448,7 @@ def build_parser():
 
     p_pl = sub.add_parser("plaplace", help="p-Laplace run with I[u] monitor")
     p_pl.add_argument("--p", type=float, required=True)
-    p_pl.add_argument("--delta", type=float, default=pl_mod.DEFAULT_DELTA)
+    p_pl.add_argument("--delta", type=float)
     p_pl.add_argument("--cells", type=int, default=128)
     p_pl.add_argument("--t-end", type=float, default=0.05)
     p_pl.add_argument("--record-every", type=int, default=100)
@@ -467,10 +478,11 @@ def _cfg_from_args(args):
                     "record_every": args.record_every},
         }
     if args.command == "plaplace":
+        delta = {} if args.delta is None else {"delta": args.delta}
         return {
             "name": "plaplace_p%g" % args.p,
             "kind": "plaplace",
-            "model": {"p": args.p, "delta": args.delta},
+            "model": {"p": args.p, **delta},
             "grid": {"dim": 1, "cells": args.cells},
             "run": {"t_end": args.t_end, "record_every": args.record_every},
         }
@@ -482,30 +494,21 @@ def main(argv=None):
     if args.command == "presets":
         print(catalog_text())
         return EXIT_PASS
-    if args.command == "validate":
-        try:
-            cfg = _load_config(args.config)
-        except (OSError, json.JSONDecodeError) as err:
-            print("config error: %s" % err, file=sys.stderr)
-            return EXIT_CONFIG
-        problems = validate_config(cfg)
-        if problems:
-            for p in problems:
-                print("violated: %s" % p)
-            return EXIT_CONFIG
-        print("ok")
-        return EXIT_PASS
-    if args.command == "run":
-        if args.config in PRESETS:
+    try:
+        if args.command == "validate":
+            parse_config(_load_config(args.config))
+            print("ok")
+            return EXIT_PASS
+        if args.command != "run":
+            cfg = _cfg_from_args(args)
+        elif args.config in PRESETS:
             cfg = preset_config(args.config)
         else:
-            try:
-                cfg = _load_config(args.config)
-            except (OSError, json.JSONDecodeError) as err:
-                print("config error: %s" % err, file=sys.stderr)
-                return EXIT_CONFIG
-        return run_experiment(cfg, args.out)
-    return run_experiment(_cfg_from_args(args), args.out)
+            cfg = _load_config(args.config)
+    except EntroflowError as err:
+        print("config error: %s" % err, file=sys.stderr)
+        return EXIT_CONFIG
+    return run_experiment(cfg, args.out)
 
 
 if __name__ == "__main__":

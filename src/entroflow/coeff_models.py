@@ -276,14 +276,17 @@ class TabulatedModel(CoeffModel):
     @classmethod
     def from_csv(cls, path):
         rows = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                try:
-                    rows.append([float(c) for c in row])
-                except ValueError:
-                    continue  # header line
+        try:
+            with open(path, newline="") as fh:
+                for row in csv.reader(fh):
+                    if not row or row[0].lstrip().startswith("#"):
+                        continue
+                    try:
+                        rows.append([float(c) for c in row])
+                    except ValueError:
+                        continue  # header line
+        except (OSError, UnicodeError, csv.Error) as err:
+            raise ModelError("cannot read table %s: %s" % (path, err))
         if not rows:
             raise ModelError("no numeric rows in table %s" % path)
         cols = list(zip(*rows))
@@ -340,13 +343,14 @@ def model_from_spec(spec):
     family = spec.get("family")
     if family == "linear":
         return Linear()
-    if family == "power_law":
-        return PowerLaw(spec["m"])
-    if family == "shifted_power_law":
-        return ShiftedPowerLaw(spec["m"])
+    if family not in ("power_law", "shifted_power_law", "custom"):
+        raise ModelError("unknown model family %r" % (family,))
+    key = "table" if family == "custom" else "m"
+    if key not in spec:
+        raise ModelError("model family %s needs %r" % (family, key))
     if family == "custom":
         return TabulatedModel.from_csv(spec["table"])
-    raise ModelError("unknown model family %r" % (family,))
+    return (PowerLaw if family == "power_law" else ShiftedPowerLaw)(spec["m"])
 
 
 # ---------------------------------------------------------------------------

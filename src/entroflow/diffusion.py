@@ -31,7 +31,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ModelError, PositivityLossError, StabilityError, UsageError
+from .errors import (ConfigError, ModelError, PositivityLossError,
+                     StabilityError, UsageError)
 from .fields import Field, Grid
 
 DEFAULT_SAFETY = 0.4
@@ -48,16 +49,7 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise UsageError("t_end must be positive")
-        if not (0.0 < self.safety <= 1.0):
-            raise UsageError("safety must lie in (0, 1]")
-        if self.positivity_floor <= 0.0:
-            raise UsageError("positivity floor must be positive")
-        if self.grid.dim != 1:
-            raise UsageError("flows are one-dimensional")
-        if self.record_every < 1:
-            raise UsageError("record_every must be >= 1")
+        check_run_contract(self)
 
 
 @dataclass
@@ -107,6 +99,21 @@ class Trajectory:
             (v1 - v0) / dt + 0.5 * (s0 + s1)
             for v0, v1, s0, s1 in zip(values, values[1:], sources, sources[1:])
         ]
+
+
+def check_run_contract(config):
+    """ConfigError unless ``config`` holds a run ``march`` can make: its
+    t_end, safety, positivity_floor and record_every, on a 1D grid."""
+    if not config.t_end > 0.0:
+        raise ConfigError("t_end must be positive")
+    if not (0.0 < config.safety <= 1.0):
+        raise ConfigError("safety must lie in (0, 1]")
+    if not config.positivity_floor > 0.0:
+        raise ConfigError("positivity floor must be positive")
+    if config.grid.dim != 1:
+        raise ConfigError("flows are one-dimensional")
+    if config.record_every < 1:
+        raise ConfigError("record_every must be >= 1")
 
 
 def march(state, config, guard, advance, record, ceiling=math.inf):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import KSModel
-from .diffusion import DEFAULT_FLOOR, DEFAULT_SAFETY, march
+from .diffusion import DEFAULT_FLOOR, DEFAULT_SAFETY, check_run_contract, march
 from .errors import ConfigError, PositivityLossError, UsageError
 from .fields import Field, Grid, central_diff, integrate, second_diff
 
@@ -77,10 +77,9 @@ class KSConfig:
     strict: bool = False
 
     def __post_init__(self):
-        if self.t_end <= 0.0 or self.mass <= 0.0:
-            raise ConfigError("t_end and mass must be positive")
-        if not (0.0 < self.safety <= 1.0):
-            raise ConfigError("safety must lie in (0, 1]")
+        if not self.mass > 0.0:
+            raise ConfigError("mass must be positive")
+        check_run_contract(self)
         if self.strict:
             self.params.check_strict()
 
@@ -346,15 +345,11 @@ def _lp(vals, grid, r):
     return integrate(Field(grid, np.abs(vals) ** r)) ** (1.0 / r)
 
 
-def measure_monitors(traj, params, strict=True):
-    """KSMonitor series along a trajectory.
-
-    With strict=True the (p, q) hypotheses of the estimates are enforced;
-    free mode evaluates whatever is well defined and reports it, the
-    Fisher-type pair included for every (p, q).
+def measure_monitors(traj, params):
+    """KSMonitor series along a trajectory, the Fisher-type pair included
+    for every (p, q); the (p, q) hypotheses of the estimates are checked
+    by ``KSConfig(strict=True)``.
     """
-    if strict:
-        params.check_strict()
     out = []
     for t, state in zip(traj.times, traj.states):
         grid = state.u.grid

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PositivityLossError, UsageError
-from .diffusion import DEFAULT_FLOOR, DEFAULT_SAFETY, march
+from .diffusion import DEFAULT_FLOOR, DEFAULT_SAFETY, check_run_contract, march
 from .fields import Field, Grid, central_diff, integrate, second_diff
 from .meters import nonincreasing_report
 
@@ -42,14 +42,7 @@ class PLaplaceConfig:
             raise ConfigError("p = 3/2 is excluded (the exponent p* vanishes)")
         if not (self.delta > 0.0):
             raise ConfigError("delta must be positive")
-        if self.t_end <= 0.0:
-            raise ConfigError("t_end must be positive")
-        if not (0.0 < self.safety <= 1.0):
-            raise ConfigError("safety must lie in (0, 1]")
-        if self.grid.dim != 1:
-            raise ConfigError("the p-Laplace solver is one-dimensional")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be >= 1")
+        check_run_contract(self)
 
     @property
     def p_star(self):

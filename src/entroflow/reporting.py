@@ -37,8 +37,6 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if hasattr(obj, "__dict__"):
-        return vars(obj)
     raise TypeError("cannot serialize %r" % type(obj))
 
 

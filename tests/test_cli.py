@@ -1,15 +1,23 @@
+import copy
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroflow.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICS,
     EXIT_PASS,
     main,
-    validate_config,
+    parse_config,
+    run_experiment,
 )
+from entroflow.errors import ConfigError
+from entroflow.presets import PRESETS, preset_config
+from entroflow.reporting import write_json
 
 
 @pytest.fixture
@@ -64,8 +72,8 @@ def test_strict_q_out_of_range_is_config_error(outdir, tmp_path):
     path = _write(tmp_path, cfg)
     assert main(["run", path]) == EXIT_CONFIG
     assert main(["validate", path]) == EXIT_CONFIG
-    problems = validate_config(cfg)
-    assert any("(1/2, 1]" in p for p in problems)
+    with pytest.raises(ConfigError, match=r"\(1/2, 1\]"):
+        parse_config(cfg)
 
 
 def test_validate_good_config(tmp_path, capsys):
@@ -88,8 +96,8 @@ def test_validate_catches_missing_seed():
         "grid": {"dim": 1, "cells": 64},
         "run": {"trials": 5},
     }
-    problems = validate_config(cfg)
-    assert any("seed" in p for p in problems)
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(cfg)
 
 
 def test_missing_config_file(outdir):
@@ -98,8 +106,8 @@ def test_missing_config_file(outdir):
 
 
 def test_unknown_kind():
-    problems = validate_config({"name": "x", "kind": "magic"})
-    assert problems
+    with pytest.raises(ConfigError, match="kind"):
+        parse_config({"name": "x", "kind": "magic"})
 
 
 def test_ineq_subcommand(outdir):
@@ -212,3 +220,132 @@ def test_config_name_defaults_to_filename(outdir, tmp_path):
     path = _write(tmp_path, cfg, name="myrun.json")
     assert main(["run", path]) == EXIT_PASS
     assert (outdir / "myrun" / "summary.json").exists()
+
+
+_DELETE = object()
+
+
+def _small_preset(name):
+    cfg = copy.deepcopy(preset_config(name))
+    cfg["grid"]["cells"] = 16
+    for key, value in (("t_end", 1e-3), ("trials", 2), ("record_every", 1)):
+        if key in cfg["run"]:
+            cfg["run"][key] = value
+    return cfg
+
+
+# (preset, edits of its small form, exit code of `run`); edits of None put
+# the config in a list, and a table path is a file name in the test's
+# directory, where high.csv tabulates a(s) = 1 on [2, 5]
+_PROBES = [
+    ("heat_sanity", {"run.t_end": "0.01"}, EXIT_CONFIG),
+    ("heat_sanity", {"grid.cells": "abc"}, EXIT_CONFIG),
+    ("heat_sanity", {"grid.cells": 16.7}, EXIT_CONFIG),
+    ("bernis_n1", {"run.trials": "2"}, EXIT_CONFIG),
+    ("heat_sanity", {"run.record_every": 0}, EXIT_CONFIG),
+    ("ks_critical_21", {"run.record_every": 0}, EXIT_CONFIG),
+    ("plaplace_mono", {"run.record_every": 0}, EXIT_CONFIG),
+    ("ks_critical_21", {"run.safety": 0}, EXIT_CONFIG),
+    ("heat_sanity", {"run.safety": 2}, EXIT_CONFIG),
+    ("ks_critical_21", {"model.p": _DELETE}, EXIT_CONFIG),
+    ("heat_sanity", {"model.family": "power_law"}, EXIT_CONFIG),
+    ("heat_sanity", {"grid.dim": 2}, EXIT_CONFIG),
+    ("ks_critical_21", {"grid.dim": 2}, EXIT_CONFIG),
+    ("bernis_n1", {"run.check": "foo"}, EXIT_CONFIG),
+    ("heat_sanity", {"run.tend": 0.01}, EXIT_CONFIG),
+    ("heat_sanity", None, EXIT_CONFIG),
+    ("heat_sanity", {"model.family": "custom", "model.table": "none.csv"},
+     EXIT_CONFIG),
+    ("heat_sanity", {"run.record_every": 5}, EXIT_NUMERICS),
+    ("plaplace_mono", {"run.record_every": 5}, EXIT_NUMERICS),
+    ("heat_sanity", {"model.family": "custom", "model.table": "high.csv"},
+     EXIT_NUMERICS),
+]
+
+
+def _probe_config(preset, edits, tmp_path):
+    cfg = _small_preset(preset)
+    for path, value in (edits or {}).items():
+        section, key = path.split(".")
+        if value is _DELETE:
+            del cfg[section][key]
+        else:
+            cfg[section][key] = str(tmp_path / value) if key == "table" else value
+    return cfg if edits is not None else [cfg]
+
+
+@pytest.mark.parametrize("preset, edits, code", _PROBES)
+def test_validate_and_run_agree(preset, edits, code, outdir, tmp_path):
+    (tmp_path / "high.csv").write_text("s,a\n2,1\n3,1\n4,1\n5,1\n")
+    path = _write(tmp_path, _probe_config(preset, edits, tmp_path))
+    assert main(["validate", path]) == (code if code == EXIT_CONFIG else EXIT_PASS)
+    assert main(["run", path]) == code
+    if code == EXIT_CONFIG:
+        assert not outdir.exists()
+        return
+    (summary_file,) = (outdir / preset).glob("*summary.json")
+    summary = json.loads(summary_file.read_text())
+    assert summary["termination"] != "completed"
+    assert summary["message"]
+    assert "last_time" in summary
+
+
+def test_bad_flags_exit_as_config_errors():
+    for argv in (["ks", "--p", "x", "--q", "1"],
+                 ["ineq", "--check", "bernis", "--seed", "1"],
+                 ["nonsense"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_CONFIG
+    with pytest.raises(SystemExit) as info:
+        main(["ks", "-h"])
+    assert info.value.code == EXIT_PASS
+
+
+def test_write_json_rejects_arbitrary_objects(tmp_path):
+    class Thing:
+        def __init__(self):
+            self.value = 1.0
+
+    with pytest.raises(TypeError):
+        write_json(str(tmp_path / "thing.json"), {"thing": Thing()})
+
+
+_JUNK = (_DELETE, None, True, "1", -1, 0, 1e-3, 0.5, 2, math.nan, math.inf,
+         [], {})
+_FUZZ_PATHS = [("kind",), ("name",), ("model",), ("grid",), ("run",)] + [
+    (section, key)
+    for section, keys in (
+        ("model", ("family", "m", "p", "q", "strict", "delta", "table")),
+        ("grid", ("dim", "cells")),
+        ("run", ("t_end", "safety", "record_every", "mean", "amplitude",
+                 "mode", "mass", "trials", "seed", "check", "tend")),
+    )
+    for key in keys
+]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(sorted(PRESETS)),
+    st.lists(st.tuples(st.sampled_from(_FUZZ_PATHS), st.sampled_from(_JUNK)),
+             min_size=1, max_size=3),
+)
+def test_no_config_escapes_run_experiment(name, mutations):
+    cfg = _small_preset(name)
+    for path, value in mutations:
+        target = cfg
+        for key in path[:-1]:
+            target = target.get(key) if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            continue
+        if value is _DELETE:
+            target.pop(path[-1], None)
+        else:
+            target[path[-1]] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as root:
+        code = run_experiment(cfg, root)
+        assert code in (0, 1, 2, 3)
+        summaries = [f for _, _, files in os.walk(root) for f in files
+                     if f.endswith("summary.json")]
+        assert bool(summaries) == (code != EXIT_CONFIG)

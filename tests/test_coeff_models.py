@@ -212,3 +212,12 @@ def test_model_from_spec():
     )
     with pytest.raises(ModelError):
         model_from_spec({"family": "mystery"})
+
+
+def test_model_from_spec_missing_parameter_or_table(tmp_path):
+    with pytest.raises(ModelError):
+        model_from_spec({"family": "power_law"})
+    with pytest.raises(ModelError):
+        model_from_spec({"family": "custom"})
+    with pytest.raises(ModelError):
+        model_from_spec({"family": "custom", "table": str(tmp_path / "none.csv")})

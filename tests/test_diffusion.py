@@ -6,11 +6,13 @@ from entroflow.diffusion import (
     FlowConfig,
     Trajectory,
     initial_cosine,
+    march,
     run,
     stable_dt,
     step,
 )
 from entroflow.errors import (
+    ConfigError,
     ConstructionError,
     PositivityLossError,
     StabilityError,
@@ -21,11 +23,11 @@ from entroflow.fields import Field, Grid, constant_field, integrate
 
 def test_config_validation():
     g = Grid(1, 16)
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         FlowConfig(Linear(), g, t_end=-1.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         FlowConfig(Linear(), g, t_end=0.1, safety=1.5)
-    with pytest.raises(UsageError):
+    with pytest.raises(ConfigError):
         FlowConfig(Linear(), Grid(2, 16), t_end=0.1)
 
 
@@ -146,11 +148,27 @@ def test_positivity_guard():
 def test_stability_error_carries_partial_trajectory():
     g = Grid(1, 32)
     u0 = initial_cosine(g)
-    cfg = FlowConfig(PowerLaw(2.0), g, t_end=0.01, safety=1.0, record_every=5)
-    # force a violation by shrinking the state's coefficient after dt is fixed
-    dt = stable_dt(u0.values, PowerLaw(2.0), g.h, 1.0)
-    bad = Trajectory([0.0, dt], [u0, u0], dt)
-    assert bad.uniform_spacing()
+    cfg = FlowConfig(Linear(), g, t_end=0.01, safety=1.0)
+    steps = []
+
+    def advance(state, dt):
+        steps.append(dt)
+        return (step(state[0], Linear(), g.h, dt),)
+
+    def guard(state, safety):
+        # the stability bound halves once the first step is taken
+        bound = stable_dt(state[0], Linear(), g.h, safety)
+        return 0.5 * bound if steps else bound
+
+    with pytest.raises(StabilityError) as info:
+        march((u0.values.copy(),), cfg, guard, advance,
+              record=lambda state: Field(g, state[0]))
+    (dt,) = steps
+    assert info.value.last_time == dt
+    traj = info.value.trajectory
+    assert traj.times == [0.0, dt]
+    assert len(traj.states) == 2
+    assert traj.dt == dt
 
 
 def test_snapshot_contract():

@@ -182,7 +182,7 @@ def test_lp_inequality_on_short_run():
     traj = run_ks(KSConfig(P21, g, t_end=0.01, mass=4.0, record_every=50))
     slack = lp_inequality_residuals(traj, P21)
     h = g.h
-    mons = measure_monitors(traj, P21, strict=True)
+    mons = measure_monitors(traj, P21)
     tol = 10.0 * (h * h + traj.record_dt) * max(m.lp_norm for m in mons)
     assert max(slack) <= tol
 
@@ -190,7 +190,7 @@ def test_lp_inequality_on_short_run():
 def test_monitor_columns_finite():
     g = Grid(1, 48)
     traj = run_ks(KSConfig(P21, g, t_end=0.005, mass=2.0, record_every=20))
-    mons = measure_monitors(traj, P21, strict=True)
+    mons = measure_monitors(traj, P21)
     assert len(mons) == len(traj.times)
     for m in mons:
         for val in (m.mass, m.lyap_classical, m.lyap_F, m.dissipation_D,
@@ -203,11 +203,12 @@ def test_monitor_columns_finite():
 
 def test_monitor_strict_enforced():
     g = Grid(1, 48)
+    with pytest.raises(ConfigError):
+        KSConfig(KSParams(1.0, 0.0), g, t_end=0.002, mass=1.0, record_every=10,
+                 strict=True)
     traj = run_ks(KSConfig(KSParams(1.0, 0.0), g, t_end=0.002, mass=1.0,
                            record_every=10))
-    with pytest.raises(ConfigError):
-        measure_monitors(traj, KSParams(1.0, 0.0), strict=True)
-    mons = measure_monitors(traj, KSParams(1.0, 0.0), strict=False)
+    mons = measure_monitors(traj, KSParams(1.0, 0.0))
     assert math.isfinite(mons[0].lyap_F)
 
 
