@@ -10,10 +10,20 @@ flips sign; with that pairing the discrete summation-by-parts identity
 
 holds bit-exactly, which is what every integration-by-parts based check
 in this package relies on.
+
+The difference stencils write into a caller-given ``out`` array.  The
+nD inequality checks take theirs from a scratch workspace (``scratch``),
+under one rule: the workspace caches the arrays of a single grid shape
+(per thread), and a request for another shape drops them, so its memory
+is bounded by the largest grid in use; a scratch array is never returned
+to the caller of a check, nor kept past the call that took it; and
+nothing configures the workspace.
 """
 
-import numpy as np
+import threading
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConstructionError, DomainError
 
@@ -88,39 +98,115 @@ def from_function(grid, fn):
 
 # ---------------------------------------------------------------------------
 # Mirror-ghost difference stencils
+#
+# Each stencil writes the interior differences and the two ghost faces of
+# one axis straight into ``out`` (a fresh array when None); ``out`` must
+# not overlap ``values``.  The arithmetic is that of differencing a
+# ghost-padded copy, operation for operation, so results are bit-for-bit
+# those of the padded formula.
 
 
-def _pad(values, axis, sign):
-    lo = sign * np.take(values, [0], axis=axis)
-    hi = sign * np.take(values, [-1], axis=axis)
-    return np.concatenate([lo, values, hi], axis=axis)
+def _cuts(axis):
+    lead = (slice(None),) * axis
+    return tuple(
+        lead + (s,)
+        for s in (
+            slice(2, None),  # ahead: i + 1 for the interior
+            slice(None, -2),  # behind: i - 1 for the interior
+            slice(1, -1),  # interior
+            slice(1, None),  # tail
+            slice(None, -1),  # head
+            slice(0, 1),  # first
+            slice(1, 2),  # second
+            slice(-2, -1),  # penultimate
+            slice(-1, None),  # last
+        )
+    )
 
 
-def _slice_axis(arr, axis, start, stop):
-    idx = [slice(None)] * arr.ndim
-    idx[axis] = slice(start, stop)
-    return arr[tuple(idx)]
+_CUTS = tuple(_cuts(axis) for axis in range(3))
 
 
-def central_diff(values, axis, h, odd=False):
+def central_diff(values, axis, h, odd=False, out=None):
     """Central difference with mirror ghosts.
 
     odd=False: scalar mirror (ghost = edge value), the Neumann stencil.
     odd=True: vector mirror (ghost = -edge value), for differentiating
     the axis-aligned component of a gradient-like field.
     """
-    p = _pad(values, axis, -1.0 if odd else 1.0)
-    upper = _slice_axis(p, axis, 2, None)
-    lower = _slice_axis(p, axis, 0, -2)
-    return (upper - lower) / (2.0 * h)
+    ahead, behind, inner, _, _, first, second, penult, last = _CUTS[axis]
+    if out is None:
+        out = np.empty(values.shape)
+    np.subtract(values[ahead], values[behind], out=out[inner])
+    if odd:
+        # v[1] - (-v[0]) is v[1] + v[0] exactly.  The upper ghost is
+        # formed first, so that a zero difference keeps its sign, and by
+        # multiplication: np.negative into a strided out= view misreads
+        # its input on numpy 2.4.
+        np.add(values[second], values[first], out=out[first])
+        np.multiply(values[last], -1.0, out=out[last])
+        np.subtract(out[last], values[penult], out=out[last])
+    else:
+        np.subtract(values[second], values[first], out=out[first])
+        np.subtract(values[last], values[penult], out=out[last])
+    return np.divide(out, 2.0 * h, out=out)
 
 
-def second_diff(values, axis, h):
+def second_diff(values, axis, h, out=None):
     """On-axis second central difference with scalar mirror ghosts."""
-    p = _pad(values, axis, 1.0)
-    upper = _slice_axis(p, axis, 2, None)
-    lower = _slice_axis(p, axis, 0, -2)
-    return (upper - 2.0 * values + lower) / (h * h)
+    _, _, _, tail, head, first, _, _, last = _CUTS[axis]
+    if out is None:
+        out = np.empty(values.shape)
+    np.multiply(values, 2.0, out=out)
+    # (v[i+1] - 2 v[i]) + v[i-1], the ghosts being v[-1] and v[0]
+    np.subtract(values[tail], out[head], out=out[head])
+    np.subtract(values[last], out[last], out=out[last])
+    np.add(out[tail], values[head], out=out[tail])
+    np.add(out[first], values[first], out=out[first])
+    return np.divide(out, h * h, out=out)
+
+
+# ---------------------------------------------------------------------------
+# Scratch workspace (see the module docstring for its rule)
+#
+# An nD inequality check differences 2 MB (64^3) arrays a dozen times.
+# Fresh arrays of that size come back from the allocator as fresh pages,
+# and faulting those in cost about as much as the arithmetic; reused
+# arrays do not.
+
+
+class _Workspace(threading.local):
+    shape = None
+
+    def arrays(self, shape, count):
+        if shape != self.shape:
+            self.shape = shape
+            self.floats = []
+            self.finite = np.empty(shape, dtype=bool)
+        while len(self.floats) < count:
+            self.floats.append(np.empty(shape))
+        return self.floats[:count]
+
+
+_WORKSPACE = _Workspace()
+
+
+def scratch(shape, count):
+    """``count`` distinct float arrays of ``shape``, with garbage contents,
+    reused by the next call for the same shape (see the workspace rule)."""
+    return _WORKSPACE.arrays(shape, count)
+
+
+def require_finite(values):
+    """Raise ConstructionError, as Field does, unless values are all finite."""
+    ws = _WORKSPACE
+    if values.shape == ws.shape:
+        finite = np.isfinite(values, out=ws.finite).all()
+    else:
+        finite = np.isfinite(values).all()
+    if not finite:
+        raise ConstructionError("field values must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +263,6 @@ def neumann_hessian(f):
             else:
                 out[i][j] = Field(grid, central_diff(firsts[j], i, h))
     return out
-
-
-def frobenius_sq(matrix):
-    """Pointwise squared Frobenius norm of a matrix of fields."""
-    grid = matrix[0][0].grid
-    acc = np.zeros(grid.shape)
-    for row in matrix:
-        for entry in row:
-            acc += entry.values**2
-    return Field(grid, acc)
-
-
-def grad_magnitude_sq(components):
-    grid = components[0].grid
-    acc = np.zeros(grid.shape)
-    for comp in components:
-        acc += comp.values**2
-    return Field(grid, acc)
 
 
 # ---------------------------------------------------------------------------

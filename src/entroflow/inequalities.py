@@ -16,16 +16,13 @@ import numpy as np
 
 from .errors import HypothesisError, UsageError
 from .fields import (
-    Field,
     TestFunctionSpec,
     build_test_function,
-    frobenius_sq,
-    grad_magnitude_sq,
-    gradient_of_vector,
-    integrate,
-    neumann_gradient,
-    neumann_hessian,
+    central_diff,
+    require_finite,
     require_positive_field,
+    scratch,
+    second_diff,
 )
 
 _TINY = 1e-30
@@ -68,6 +65,47 @@ def fisher_constant(n, lam):
     return (4.0 + (1.0 + math.sqrt(n)) ** 2) / (2.0 * lam)
 
 
+# The checks below work on raw arrays taken from fields.scratch and return
+# plain floats.  Each intermediate that is a field in the continuum formula
+# (a gradient, a matrix entry, a pointwise norm, an integrand) is checked
+# finite as it is formed.  Squared entries are summed one at a time in
+# row-major (i, j) order, the order of a sum over a matrix of fields, so
+# every integral is bit-for-bit that of the field-by-field formula.
+
+
+def _integral(values, h):
+    """Midpoint rule on raw values: the arithmetic of fields.integrate."""
+    return float(values.sum()) * h**values.ndim
+
+
+def _add_square(acc, entry):
+    """acc += entry**2, once the entry is checked finite; entry is spent."""
+    require_finite(entry)
+    np.add(acc, np.square(entry, out=entry), out=acc)
+
+
+def _hessian_sq(values, h, acc, entry, firsts):
+    """|D^2 values|^2 pointwise into acc, with mirror ghosts.
+
+    On-axis entries use the second central difference; mixed entries
+    compose two first differences, each with its own mirror, as
+    fields.neumann_hessian does.  ``firsts`` holds one array per axis.
+    """
+    n = values.ndim
+    if n > 1:
+        for ax in range(n):
+            central_diff(values, ax, h, out=firsts[ax])
+    acc.fill(0.0)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                second_diff(values, i, h, out=entry)
+            else:
+                central_diff(firsts[j], i, h, out=entry)
+            _add_square(acc, entry)
+    return require_finite(acc)
+
+
 def dissipation_rhs(f, model):
     """int f a(f) |grad(f^{-1/2} grad Sigma(f))|^2, the canonical rhs.
 
@@ -77,14 +115,22 @@ def dissipation_rhs(f, model):
     check.
     """
     vals = f.values
+    h, n = f.grid.h, f.grid.dim
     a_vals = np.asarray(model.a(vals), dtype=float)
-    sig = Field(f.grid, np.asarray(model.sigma(vals), dtype=float))
-    grad_sig = neumann_gradient(sig)
-    inv_sqrt = 1.0 / np.sqrt(vals)
-    w = [Field(f.grid, inv_sqrt * g.values) for g in grad_sig]
-    matrix = gradient_of_vector(w)
-    integrand = vals * a_vals * frobenius_sq(matrix).values
-    return integrate(Field(f.grid, integrand))
+    sig = require_finite(np.asarray(model.sigma(vals), dtype=float))
+    acc, entry, *w = scratch(vals.shape, 2 + n)
+    for k in range(n):
+        require_finite(central_diff(sig, k, h, out=w[k]))
+    inv_sqrt = np.divide(1.0, np.sqrt(vals, out=entry), out=entry)
+    for k in range(n):
+        require_finite(np.multiply(inv_sqrt, w[k], out=w[k]))
+    acc.fill(0.0)
+    for i in range(n):
+        for j in range(n):
+            _add_square(acc, central_diff(w[j], i, h, odd=(i == j), out=entry))
+    require_finite(acc)
+    integrand = np.multiply(np.multiply(vals, a_vals, out=entry), acc, out=entry)
+    return _integral(require_finite(integrand), h)
 
 
 def _make_report(lhs, rhs, constant, tol):
@@ -100,12 +146,19 @@ def bernis_check(f, model, tol=None):
     if tol is None:
         tol = default_tol(f.grid)
     vals = f.values
+    h, n = f.grid.h, f.grid.dim
     a_vals = np.asarray(model.a(vals), dtype=float)
-    grad = neumann_gradient(f)
-    grad_sq = grad_magnitude_sq(grad).values
-    lhs = integrate(Field(f.grid, a_vals**3 / vals**3 * grad_sq**2))
+    grad_sq, work, cubes = scratch(vals.shape, 3)
+    grad_sq.fill(0.0)
+    for k in range(n):
+        _add_square(grad_sq, central_diff(vals, k, h, out=work))
+    require_finite(grad_sq)
+    # a^3 / f^3 * |grad f|^4
+    np.divide(np.power(a_vals, 3, out=work), np.power(vals, 3, out=cubes), out=work)
+    integrand = np.multiply(work, np.square(grad_sq, out=grad_sq), out=work)
+    lhs = _integral(require_finite(integrand), h)
     rhs = dissipation_rhs(f, model)
-    return _make_report(lhs, rhs, bernis_constant(f.grid.dim), tol)
+    return _make_report(lhs, rhs, bernis_constant(n), tol)
 
 
 def fisher_ineq_check(f, model, lam, tol=None):
@@ -121,10 +174,12 @@ def fisher_ineq_check(f, model, lam, tol=None):
             "coefficient drops below lambda=%g on the field range (min a = %g)"
             % (lam, a_range.min())
         )
-    sig = Field(f.grid, np.asarray(model.sigma(f.values), dtype=float))
-    lhs = integrate(frobenius_sq(neumann_hessian(sig)))
+    h, n = f.grid.h, f.grid.dim
+    sig = require_finite(np.asarray(model.sigma(f.values), dtype=float))
+    acc, entry, *firsts = scratch(sig.shape, 2 + n)
+    lhs = _integral(_hessian_sq(sig, h, acc, entry, firsts), h)
     rhs = dissipation_rhs(f, model)
-    return _make_report(lhs, rhs, fisher_constant(f.grid.dim, lam), tol)
+    return _make_report(lhs, rhs, fisher_constant(n, lam), tol)
 
 
 def cmkm_ratio(f):
@@ -134,12 +189,14 @@ def cmkm_ratio(f):
     only the observed ratio is reported; 0 when both integrals vanish.
     """
     require_positive_field(f)
-    sqrt_f = Field(f.grid, np.sqrt(f.values))
-    log_f = Field(f.grid, np.log(f.values))
-    num = integrate(frobenius_sq(neumann_hessian(sqrt_f)))
-    den = integrate(
-        Field(f.grid, f.values * frobenius_sq(neumann_hessian(log_f)).values)
-    )
+    vals = f.values
+    h, n = f.grid.h, f.grid.dim
+    root, log, acc, entry, *firsts = scratch(vals.shape, 4 + n)
+    require_finite(np.sqrt(vals, out=root))
+    require_finite(np.log(vals, out=log))
+    num = _integral(_hessian_sq(root, h, acc, entry, firsts), h)
+    weighted = np.multiply(vals, _hessian_sq(log, h, acc, entry, firsts), out=entry)
+    den = _integral(require_finite(weighted), h)
     if num <= _TINY and den <= _TINY:
         return 0.0
     return num / den

@@ -4,6 +4,8 @@ Each preset is a complete experiment config plus a one-line claim: the
 property the run provides numerical evidence for.
 """
 
+import copy
+
 PRESETS = {
     "heat_sanity": {
         "kind": "diffusion",
@@ -76,7 +78,9 @@ PRESETS = {
 
 
 def preset_config(name):
-    cfg = {k: v for k, v in PRESETS[name].items() if k != "claim"}
+    """A fresh, deep copy of the preset's config: editing it leaves the
+    catalog unchanged."""
+    cfg = {k: copy.deepcopy(v) for k, v in PRESETS[name].items() if k != "claim"}
     cfg["name"] = name
     return cfg
 

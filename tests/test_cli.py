@@ -40,6 +40,16 @@ def test_presets_listing(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_config_edits_leave_the_catalog_alone(name):
+    first = copy.deepcopy(preset_config(name))
+    cfg = preset_config(name)
+    cfg["run"]["t_end"] = 5.0
+    cfg["grid"]["cells"] = 9
+    cfg["model"]["family"] = "edited"
+    assert preset_config(name) == first
+
+
 def test_run_heat_preset(outdir):
     assert main(["run", "heat_sanity"]) == EXIT_PASS
     summary = json.loads((outdir / "heat_sanity" / "summary.json").read_text())

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from entroflow.errors import ConstructionError, DomainError
 from entroflow.fields import (
+    MIN_CELLS,
     Field,
     Grid,
     TestFunctionSpec,
@@ -13,8 +14,6 @@ from entroflow.fields import (
     central_diff,
     constant_field,
     from_function,
-    frobenius_sq,
-    grad_magnitude_sq,
     gradient_of_vector,
     integrate,
     neumann_gradient,
@@ -123,8 +122,49 @@ def test_gradient_of_vector_shapes():
     grad = neumann_gradient(f)
     M = gradient_of_vector(grad)
     assert len(M) == 3 and len(M[0]) == 3
-    assert integrate(frobenius_sq(M)) == 0.0
-    assert integrate(grad_magnitude_sq(grad)) == 0.0
+    assert all(np.all(entry.values == 0.0) for row in M for entry in row)
+    assert all(np.all(g.values == 0.0) for g in grad)
+
+
+def _padded(values, axis, sign):
+    lo = sign * np.take(values, [0], axis=axis)
+    hi = sign * np.take(values, [-1], axis=axis)
+    p = np.concatenate([lo, values, hi], axis=axis)
+    return np.take(p, range(2, p.shape[axis]), axis), np.take(
+        p, range(p.shape[axis] - 2), axis
+    )
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cells", [MIN_CELLS, 11])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stencils_match_padded_ghost_reference(rng, dim, cells):
+    # The stencils write the ghost faces in place; the reference
+    # differences a ghost-padded copy.  Bit patterns must agree, signed
+    # zeros included, with and without a caller-given output buffer.
+    h = 1.0 / cells
+    vals = rng.standard_normal((cells,) * dim) * 10.0 ** rng.integers(
+        -6, 6, (cells,) * dim
+    )
+    vals.flat[::5] = 0.0
+    vals.flat[1::7] = -0.0
+    for axis in range(dim):
+        for odd in (False, True):
+            upper, lower = _padded(vals, axis, -1.0 if odd else 1.0)
+            ref = (upper - lower) / (2.0 * h)
+            assert _same_bits(central_diff(vals, axis, h, odd=odd), ref)
+            out = np.full(vals.shape, np.nan)
+            assert central_diff(vals, axis, h, odd=odd, out=out) is out
+            assert _same_bits(out, ref)
+        upper, lower = _padded(vals, axis, 1.0)
+        ref = (upper - 2.0 * vals + lower) / (h * h)
+        assert _same_bits(second_diff(vals, axis, h), ref)
+        out = np.full(vals.shape, np.nan)
+        assert second_diff(vals, axis, h, out=out) is out
+        assert _same_bits(out, ref)
 
 
 def test_spec_margin_enforced():

@@ -3,8 +3,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entroflow.coeff_models import Linear, PowerLaw, ShiftedPowerLaw
-from entroflow.errors import HypothesisError, UsageError
-from entroflow.fields import Grid, TestFunctionSpec, build_test_function, constant_field
+from entroflow.errors import ConstructionError, HypothesisError, UsageError
+from entroflow.fields import (
+    Field,
+    Grid,
+    TestFunctionSpec,
+    build_test_function,
+    constant_field,
+    gradient_of_vector,
+    integrate,
+    neumann_gradient,
+    neumann_hessian,
+)
 from entroflow.inequalities import (
     bernis_check,
     bernis_constant,
@@ -112,3 +122,80 @@ def test_ratio_refines_towards_continuum():
     a = worst_ratio_search(1, Linear(), trials=50, seed=5, cells=64)
     b = worst_ratio_search(1, Linear(), trials=50, seed=5, cells=128)
     assert abs(a.max_bernis - b.max_bernis) <= 0.05 * max(a.max_bernis, b.max_bernis)
+
+
+def _sum_sq(entries):
+    acc = np.zeros(entries[0].values.shape)
+    for e in entries:
+        acc += e.values**2
+    return acc
+
+
+def _field_reference(f, model):
+    """The checks written with one Field per gradient and matrix entry."""
+    g = f.grid
+    vals = f.values
+    a_vals = np.asarray(model.a(vals), dtype=float)
+    sig = Field(g, np.asarray(model.sigma(vals), dtype=float))
+    w = [Field(g, 1.0 / np.sqrt(vals) * d.values) for d in neumann_gradient(sig)]
+    matrix = [e for row in gradient_of_vector(w) for e in row]
+    rhs = integrate(Field(g, vals * a_vals * _sum_sq(matrix)))
+    grad_sq = _sum_sq(neumann_gradient(f))
+    bernis = integrate(Field(g, a_vals**3 / vals**3 * grad_sq**2))
+    fisher = integrate(Field(g, _sum_sq([e for r in neumann_hessian(sig) for e in r])))
+
+    def hess_sq(values):
+        return _sum_sq([e for r in neumann_hessian(Field(g, values)) for e in r])
+
+    cmkm = integrate(Field(g, hess_sq(np.sqrt(vals)))) / integrate(
+        Field(g, vals * hess_sq(np.log(vals)))
+    )
+    return bernis / rhs, fisher / rhs, cmkm
+
+
+def _checks(f, model, lam):
+    return (
+        lambda: bernis_check(f, model).ratio,
+        lambda: fisher_ineq_check(f, model, lam).ratio,
+        lambda: cmkm_ratio(f),
+    )
+
+
+def _run(check, f):
+    before = f.values.copy()
+    ratio = check()
+    assert type(ratio) is float
+    assert f.values.tobytes() == before.tobytes()
+    return ratio
+
+
+def test_checks_match_field_reference_and_survive_interleaving():
+    # Scratch buffers are cached per grid shape.  Checks that switch grid
+    # at every call (3D, 1D, 2D, 3D, then the next check) must give the
+    # ratios of the same checks run one grid at a time, and both must
+    # equal the Field-by-Field formula bit for bit.
+    model = PowerLaw(2.0)
+    rng = np.random.default_rng(7)
+    fields = [
+        build_test_function(Grid(n, cells), sample_spec(rng, n))
+        for n, cells in ((3, 10), (1, 64), (2, 16), (3, 10))
+    ]
+    lams = [float(np.min(model.a(np.linspace(f.min(), f.max(), 64)))) for f in fields]
+    checks = [_checks(f, model, lam) for f, lam in zip(fields, lams)]
+    one_at_a_time = [tuple(_run(c, f) for c in cs) for f, cs in zip(fields, checks)]
+    interleaved = [[_run(cs[k], f) for f, cs in zip(fields, checks)] for k in range(3)]
+    assert list(zip(*interleaved)) == one_at_a_time
+    for f, ratios in zip(fields, one_at_a_time):
+        assert ratios == _field_reference(f, model)
+    assert one_at_a_time[0] != one_at_a_time[3]
+
+
+def test_sigma_overflow_is_a_construction_error():
+    g = Grid(2, 16)
+    f = build_test_function(g, TestFunctionSpec(2.0, ((0.5,), (0.3,))))
+    huge = Field(g, 1e250 * f.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConstructionError):
+            bernis_check(huge, PowerLaw(2.0))
+        with pytest.raises(ConstructionError):
+            fisher_ineq_check(huge, PowerLaw(2.0), lam=1.0)
