@@ -276,8 +276,11 @@ def _run_ks(cfg, outdir):
         worst = None
         if c >= MIN_CELLS:
             t = traj if c == cells else _ks_run_once(ks_cfg, c)
+            # the metered run's Lyapunov values are its lyap_classical
+            lyap = [m.lyap_classical for m in monitors] if t is traj else None
             try:
-                worst = max(abs(r) for r in lyapunov_identity_residual(t, params))
+                res = lyapunov_identity_residual(t, params, lyap)
+                worst = max(abs(r) for r in res)
             except EntroflowError:
                 pass
         table.append({"cells": c, "max_lyap_residual": worst})

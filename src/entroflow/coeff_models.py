@@ -11,7 +11,9 @@ in closed form where one exists and by batch Gauss-Legendre quadrature
 over the whole state array otherwise; adaptive Simpson quadrature
 (``primitives_by_quadrature``) is the independent oracle for both.  The
 lower integration limit is 1 for Lambda, H, Sigma (and for the chemotaxis
-primitives G, Psi) and 0 for F; no re-normalization is applied.
+primitives G, Psi) and 0 for F; no re-normalization is applied.  F is
+defined only for models defined down to 0, so a tabulated model, whose
+first knot is positive, has none.
 
 Models are immutable after construction and safe to share across workers.
 """
@@ -31,7 +33,8 @@ _PROBE = np.geomspace(1e-6, 1e6, 61)
 
 @dataclass(frozen=True)
 class Primitives:
-    """Values of the four primitive functionals at one state."""
+    """Values of the four primitive functionals at one state;
+    ``flux_primitive`` is None for a model without F."""
 
     lam: float
     entropy_density: float
@@ -109,7 +112,9 @@ class CoeffModel:
             lam=self._lam_quad(s),
             entropy_density=self._entropy_quad(s),
             sigma=self._sigma_quad(s),
-            flux_primitive=self._flux_quad(s),
+            flux_primitive=(
+                None if self.flux_primitive is None else self._flux_quad(s)
+            ),
         )
 
     def _check_positive_coefficient(self):
@@ -318,19 +323,24 @@ class TabulatedModel(CoeffModel):
     def a_prime(self, s):
         return self._interp_prime(self._clip_check(s))
 
+    # F integrates a from 0, below the first knot: a table has no F.
+    flux_primitive = None
+
 
 # ---------------------------------------------------------------------------
 # Spec-level operations
 
 
 def eval_primitives(model, s):
-    """All four primitive functionals at a positive scalar state."""
+    """The primitive functionals at a positive scalar state (F only for a
+    model that has it)."""
     s = float(_require_positive(s))
+    F = model.flux_primitive
     return Primitives(
         lam=float(model.lam(s)),
         entropy_density=float(model.entropy_density(s)),
         sigma=float(model.sigma(s)),
-        flux_primitive=float(model.flux_primitive(s)),
+        flux_primitive=None if F is None else float(F(s)),
     )
 
 
@@ -390,12 +400,19 @@ class KSModel:
     def critical(self):
         return abs(self.p - self.q - 1.0) <= self._CRIT_TOL
 
-    def D(self, s):
-        return (1.0 + np.asarray(s, dtype=float)) ** (-self.p)
+    # D and S write into ``out`` when given: the explicit chemotaxis step
+    # evaluates them on its own face arrays every step.
 
-    def S(self, s):
+    def D(self, s, out=None):
+        d = np.add(np.asarray(s, dtype=float), 1.0, out=out)
+        d **= -self.p
+        return d
+
+    def S(self, s, out=None):
         s = np.asarray(s, dtype=float)
-        return s * (1.0 + s) ** (-self.q)
+        w = np.add(s, 1.0, out=out)
+        w **= -self.q
+        return np.multiply(s, w, out=out)
 
     def S_prime(self, s):
         s = np.asarray(s, dtype=float)

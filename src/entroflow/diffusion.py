@@ -23,7 +23,15 @@ The run contract, shared by ``run``, ``p_laplace.run`` and
   a density above the run's ceiling all raise with ``last_time``, the
   time of the last valid state, and the trajectory recorded so far;
 - the loop owns the snapshots: only the recorded states, at t = 0 and
-  after every ``record_every`` steps, are wrapped in validated fields.
+  after every ``record_every`` steps, are wrapped in validated fields;
+- the run owns its buffers: it allocates its face- and cell-sized
+  arrays once (``RunBuffers``), shares them with no other run, and its
+  stencil and guard write into them every step.  A stencil writes the
+  next state into the state slot its input does not occupy, so a state
+  it returns is overwritten two steps later and any other array it
+  returns by the next step; ``record`` therefore copies what it keeps,
+  since ``Field`` does not.  A stencil or guard called without buffers
+  allocates its own.  Nothing configures the buffers.
 """
 
 import math
@@ -123,7 +131,8 @@ def march(state, config, guard, advance, record, ceiling=math.inf):
     array.  ``guard(state, safety)`` returns the largest stable step,
     ``advance(state, dt)`` the next state and ``record(state)`` the
     validated snapshot.  ``config`` supplies t_end, safety, record_every
-    and positivity_floor.
+    and positivity_floor.  The density is tested against ``ceiling``
+    after every step unless the ceiling is infinite.
     """
     if not (state[0].min() > config.positivity_floor):
         raise PositivityLossError("initial state below floor", last_time=0.0)
@@ -135,12 +144,13 @@ def march(state, config, guard, advance, record, ceiling=math.inf):
     times = [0.0]
     snaps = [record(state)]
     t = 0.0
+    check_ceiling = ceiling < math.inf
     for k in range(1, n_steps + 1):
         try:
             if dt > guard(state, 1.0):
                 raise StabilityError("fixed step exceeds the stability bound")
             state = advance(state, dt)
-            if state[0].max() > ceiling:
+            if check_ceiling and np.maximum.reduce(state[0]) > ceiling:
                 raise StabilityError(
                     "density exceeded the blow-up suspicion ceiling"
                 )
@@ -155,28 +165,67 @@ def march(state, config, guard, advance, record, ceiling=math.inf):
     return Trajectory(times, snaps, dt)
 
 
+class RunBuffers:
+    """The arrays one run on ``n`` cells allocates once (see the run
+    contract): ``faces`` scratch arrays of n - 1 entries, ``cells``
+    scratch arrays of n entries, and two state slots per field of the
+    state, which a stencil writes the next state into alternately."""
+
+    def __init__(self, n, faces=0, cells=0, fields=1):
+        self.faces = [np.empty(n - 1) for _ in range(faces)]
+        self.cells = [np.empty(n) for _ in range(cells)]
+        self._slots = [(np.empty(n), np.empty(n)) for _ in range(fields)]
+
+    def next_state(self, field, current):
+        """The slot of state field ``field`` that ``current`` does not occupy."""
+        first, second = self._slots[field]
+        return second if current is first else first
+
+
+def flux_update(u, flux, dt, h, out):
+    """u + (dt/h) times the divergence of the interior face fluxes, the
+    fluxes through both walls being zero, written into ``out``.
+
+    Each cell gains the flux of its right face and loses that of its left
+    one, so the update telescopes and the discrete mass is conserved to
+    rounding.
+    """
+    out[0] = flux[0]
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    out[-1] = -flux[-1]
+    np.multiply(out, dt / h, out=out)
+    return np.add(u, out, out=out)
+
+
 def stable_dt(u, model, h, safety=DEFAULT_SAFETY):
     """safety * h^2 / (2 max a(u)): the explicit-scheme stability guard."""
     a_vals = np.asarray(model.a(u), dtype=float)
-    if not np.all(np.isfinite(a_vals)):
+    a_max = np.maximum.reduce(a_vals)
+    # a NaN reaches both extremes, and an infinity one of them
+    if not (math.isfinite(a_max) and math.isfinite(np.minimum.reduce(a_vals))):
         raise ModelError("coefficient evaluated non-finite on the state")
-    return safety * h * h / (2.0 * float(a_vals.max()))
+    return safety * h * h / (2.0 * float(a_max))
 
 
-def _face_flux(u_vals, model, h):
-    """a at the arithmetic-mean face state times the face difference."""
-    mid = 0.5 * (u_vals[1:] + u_vals[:-1])
-    return np.asarray(model.a(mid), dtype=float) * np.diff(u_vals) / h
+def step(u, model, h, dt, floor=DEFAULT_FLOOR, buf=None):
+    """One conservative explicit Euler step; aborts on positivity loss.
 
-
-def step(u, model, h, dt, floor=DEFAULT_FLOOR):
-    """One conservative explicit Euler step; aborts on positivity loss."""
-    flux = _face_flux(u, model, h)
-    div = np.zeros_like(u)
-    div[:-1] += flux
-    div[1:] -= flux
-    new = u + (dt / h) * div
-    if not (new.min() >= floor):
+    The flux at each interior face is a at the arithmetic-mean face state
+    times the face difference.  ``buf`` lends it two face arrays and the
+    state slot the new state is written into; without it the step
+    allocates its own.
+    """
+    if buf is None:
+        buf = RunBuffers(u.size, faces=2)
+    mid, flux = buf.faces[:2]
+    np.add(u[1:], u[:-1], out=mid)
+    np.multiply(mid, 0.5, out=mid)
+    a_mid = np.asarray(model.a(mid), dtype=float)
+    np.subtract(u[1:], u[:-1], out=flux)
+    np.multiply(a_mid, flux, out=flux)
+    np.divide(flux, h, out=flux)
+    new = flux_update(u, flux, dt, h, buf.next_state(0, u))
+    if not (np.minimum.reduce(new) >= floor):
         raise PositivityLossError("state dropped below the positivity floor")
     return new
 
@@ -184,11 +233,12 @@ def step(u, model, h, dt, floor=DEFAULT_FLOOR):
 def run(u0, config):
     """Guarded explicit run to t_end with uniformly spaced snapshots."""
     model, h, floor = config.model, u0.grid.h, config.positivity_floor
+    buf = RunBuffers(u0.grid.cells, faces=2)
     return march(
-        (u0.values.copy(),), config,
+        (u0.values,), config,
         guard=lambda s, safety: stable_dt(s[0], model, h, safety),
-        advance=lambda s, dt: (step(s[0], model, h, dt, floor),),
-        record=lambda s: Field(u0.grid, s[0]),
+        advance=lambda s, dt: (step(s[0], model, h, dt, floor, buf),),
+        record=lambda s: Field(u0.grid, s[0].copy()),
     )
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import KSModel
-from .diffusion import DEFAULT_FLOOR, DEFAULT_SAFETY, check_run_contract, march
+from .diffusion import (DEFAULT_FLOOR, DEFAULT_SAFETY, RunBuffers,
+                        check_run_contract, flux_update, march)
 from .errors import ConfigError, PositivityLossError, UsageError
 from .fields import Field, Grid, central_diff, integrate, second_diff
 
@@ -107,44 +108,65 @@ class KSMonitor:
 # Stepping
 
 
-def v_time_derivative(u, v, h):
-    """v_xx - v + u with the mirror second difference."""
-    return second_diff(v, 0, h) - v + u
+def v_time_derivative(u, v, h, out=None):
+    """v_xx - v + u with the mirror second difference, into ``out`` when
+    given."""
+    vt = second_diff(v, 0, h, out=out)
+    np.subtract(vt, v, out=vt)
+    return np.add(vt, u, out=vt)
 
 
-def ks_stable_dt(u, v, model, h, safety=DEFAULT_SAFETY):
-    """Diffusive guard for both equations plus an advective guard."""
-    diff_coeff = max(float(np.max(model.D(u))), 1.0)
+def ks_stable_dt(u, v, model, h, safety=DEFAULT_SAFETY, buf=None):
+    """Diffusive guard for both equations plus an advective guard.
+
+    ``buf`` lends it two cell arrays; without it the guard allocates its
+    own.
+    """
+    if buf is None:
+        buf = RunBuffers(u.size, cells=2)
+    coeff, dv = buf.cells[:2]
+    diff_coeff = max(float(np.maximum.reduce(model.D(u, out=coeff))), 1.0)
     dt_diff = safety * h * h / (2.0 * diff_coeff)
-    dv = central_diff(v, 0, h)
-    adv = float(np.max(np.abs(model.S(u) * dv)))
+    central_diff(v, 0, h, out=dv)
+    np.multiply(model.S(u, out=coeff), dv, out=coeff)
+    adv = float(np.maximum.reduce(np.abs(coeff, out=coeff)))
     dt_adv = safety * h / (adv + 1e-14)
     return min(dt_diff, dt_adv)
 
 
-def ks_step(u, v, model, h, dt, floor=DEFAULT_FLOOR):
+def ks_step(u, v, model, h, dt, floor=DEFAULT_FLOOR, buf=None):
     """One conservative explicit step; aborts on positivity loss.
 
     The u flux at each interior face combines a diffusive and an advective
     part, both with coefficients at the arithmetic-mean face state; the
     boundary fluxes vanish, so the discrete u-mass telescopes exactly.
     Returns the new (u, v) and v_t of the old state, which drove the
-    v-update.
+    v-update.  ``buf`` lends it three face arrays, one cell array (for
+    v_t) and the state slots the new u and v are written into; without it
+    the step allocates its own.
     """
-    mid = 0.5 * (u[1:] + u[:-1])
-    flux = np.asarray(model.D(mid)) * np.diff(u) / h
-    flux -= np.asarray(model.S(mid)) * np.diff(v) / h
-    div = np.zeros_like(u)
-    div[:-1] += flux
-    div[1:] -= flux
-    u_new = u + (dt / h) * div
-    vt = v_time_derivative(u, v, h)
-    v_new = v + dt * vt
-    if not (u_new.min() >= floor):
+    if buf is None:
+        buf = RunBuffers(u.size, faces=3, cells=1, fields=2)
+    mid, flux, drift = buf.faces[:3]
+    np.add(u[1:], u[:-1], out=mid)
+    np.multiply(mid, 0.5, out=mid)
+    np.subtract(u[1:], u[:-1], out=drift)
+    np.multiply(model.D(mid, out=flux), drift, out=flux)
+    np.divide(flux, h, out=flux)
+    model.S(mid, out=drift)
+    np.subtract(v[1:], v[:-1], out=mid)
+    np.multiply(drift, mid, out=drift)
+    np.divide(drift, h, out=drift)
+    np.subtract(flux, drift, out=flux)
+    u_new = flux_update(u, flux, dt, h, buf.next_state(0, u))
+    if not (np.minimum.reduce(u_new) >= floor):
         raise PositivityLossError("cell density lost positivity")
-    if not (v_new.min() >= _V_NEG_TOL):
+    vt = v_time_derivative(u, v, h, out=buf.cells[0])
+    v_new = np.multiply(vt, dt, out=buf.next_state(1, v))
+    np.add(v, v_new, out=v_new)
+    if not (np.minimum.reduce(v_new) >= _V_NEG_TOL):
         raise PositivityLossError("chemoattractant went negative")
-    return u_new, np.maximum(v_new, 0.0), vt
+    return u_new, np.maximum(v_new, 0.0, out=v_new), vt
 
 
 def cosine_initial_state(grid, mass, amplitude=0.5):
@@ -168,18 +190,24 @@ def run_ks(config):
     model = config.params.model()
     grid = config.grid
     h, floor = grid.h, config.positivity_floor
+    # the guard's two cell arrays are free again once it has returned:
+    # the step takes the first for v_t, and the second holds v_t^2
+    buf = RunBuffers(grid.cells, faces=3, cells=2, fields=2)
+    vt_sq = buf.cells[1]
 
     def advance(s, dt):
         u, v, acc = s
-        u, v, vt = ks_step(u, v, model, h, dt, floor)
+        u, v, vt = ks_step(u, v, model, h, dt, floor, buf)
         # dt times int |v_t|^2 by the midpoint rule of fields.integrate
-        return u, v, acc + dt * (float((vt * vt).sum()) * h)
+        np.multiply(vt, vt, out=vt_sq)
+        return u, v, acc + dt * (float(np.add.reduce(vt_sq)) * h)
 
     return march(
         (state.u.values, state.v.values, 0.0), config,
-        guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety),
+        guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety, buf),
         advance=advance,
-        record=lambda s: KSState(Field(grid, s[0]), Field(grid, s[1]), s[2]),
+        record=lambda s: KSState(Field(grid, s[0].copy()),
+                                 Field(grid, s[1].copy()), s[2]),
         ceiling=config.ceiling,
     )
 
@@ -263,11 +291,16 @@ def _entro_prod_sources(state, params):
     return quarter, curvature
 
 
-def lyapunov_identity_residual(traj, params):
-    """Residual of d/dt L + int |v_t|^2 + int S |D/S u_x - v_x|^2 = 0."""
+def lyapunov_identity_residual(traj, params, lyap=None):
+    """Residual of d/dt L + int |v_t|^2 + int S |D/S u_x - v_x|^2 = 0.
+
+    ``lyap`` holds L per snapshot when the caller has it already (the
+    ``lyap_classical`` monitors); otherwise it is computed here.
+    """
+    if lyap is None:
+        lyap = [classical_lyapunov(s, params) for s in traj.states]
     return traj.interval_residuals(
-        [classical_lyapunov(s, params) for s in traj.states],
-        [sum(lyapunov_dissipation(s, params)) for s in traj.states],
+        lyap, [sum(lyapunov_dissipation(s, params)) for s in traj.states],
     )
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PositivityLossError, UsageError
-from .diffusion import DEFAULT_FLOOR, DEFAULT_SAFETY, check_run_contract, march
+from .diffusion import (DEFAULT_FLOOR, DEFAULT_SAFETY, RunBuffers,
+                        check_run_contract, flux_update, march)
 from .fields import Field, Grid, central_diff, integrate, second_diff
 from .meters import nonincreasing_report
 
@@ -55,27 +56,41 @@ def p_star(p):
     return 1.0 - 1.0 / (2.0 * (p - 1.0))
 
 
-def _face_diffusivity(u_vals, p, delta, h):
-    du = np.diff(u_vals) / h
-    return (du * du + delta * delta) ** ((p - 2.0) / 2.0)
+def _face_diffusivity(u, p, delta, h, buf):
+    """Face gradients u_x and the coefficient (u_x^2 + delta^2)^((p-2)/2),
+    written into the first two face arrays of ``buf``."""
+    du, coeff = buf.faces[:2]
+    np.subtract(u[1:], u[:-1], out=du)
+    np.divide(du, h, out=du)
+    np.multiply(du, du, out=coeff)
+    np.add(coeff, delta**2, out=coeff)
+    coeff **= (p - 2.0) / 2.0
+    return du, coeff
 
 
-def pl_stable_dt(u, config, h, safety=None):
+def pl_stable_dt(u, config, h, safety=None, buf=None):
+    """safety * h^2 / (2 max face coefficient); ``buf`` lends it two face
+    arrays, and without it the guard allocates its own."""
     if safety is None:
         safety = config.safety
-    coeff = _face_diffusivity(u, config.p, config.delta, h)
-    return safety * h * h / (2.0 * float(coeff.max()))
+    if buf is None:
+        buf = RunBuffers(u.size, faces=2)
+    _, coeff = _face_diffusivity(u, config.p, config.delta, h, buf)
+    return safety * h * h / (2.0 * float(np.maximum.reduce(coeff)))
 
 
-def pl_step(u, config, h, dt):
-    """One conservative explicit step of the regularized flow."""
-    du = np.diff(u) / h
-    flux = (du * du + config.delta**2) ** ((config.p - 2.0) / 2.0) * du
-    div = np.zeros_like(u)
-    div[:-1] += flux
-    div[1:] -= flux
-    new = u + (dt / h) * div
-    if not (new.min() >= config.positivity_floor):
+def pl_step(u, config, h, dt, buf=None):
+    """One conservative explicit step of the regularized flow.
+
+    ``buf`` lends it two face arrays and the state slot the new state is
+    written into; without it the step allocates its own.
+    """
+    if buf is None:
+        buf = RunBuffers(u.size, faces=2)
+    du, flux = _face_diffusivity(u, config.p, config.delta, h, buf)
+    np.multiply(flux, du, out=flux)
+    new = flux_update(u, flux, dt, h, buf.next_state(0, u))
+    if not (np.minimum.reduce(new) >= config.positivity_floor):
         raise PositivityLossError("state dropped below the positivity floor")
     return new
 
@@ -83,11 +98,12 @@ def pl_step(u, config, h, dt):
 def run(u0, config):
     """Guarded run; the run contract is that of ``diffusion.march``."""
     h = u0.grid.h
+    buf = RunBuffers(u0.grid.cells, faces=2)
     return march(
-        (u0.values.copy(),), config,
-        guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety),
-        advance=lambda s, dt: (pl_step(s[0], config, h, dt),),
-        record=lambda s: Field(u0.grid, s[0]),
+        (u0.values,), config,
+        guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety, buf),
+        advance=lambda s, dt: (pl_step(s[0], config, h, dt, buf),),
+        record=lambda s: Field(u0.grid, s[0].copy()),
     )
 
 

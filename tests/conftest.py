@@ -11,3 +11,52 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260824)
+
+
+@pytest.fixture
+def spy_buffers(monkeypatch):
+    """``spy_buffers(module, name)`` wraps the stencil ``module.name`` for
+    the test and returns a dict that collects, by id, every array a call
+    was lent through its last argument (a RunBuffers) or returned."""
+
+    def install(module, name):
+        seen = {}
+        original = getattr(module, name)
+
+        def spy(*args):
+            out = original(*args)
+            buf = args[-1]
+            returned = out if isinstance(out, tuple) else (out,)
+            for arr in (*buf.faces, *buf.cells, *returned):
+                seen[id(arr)] = arr
+            return out
+
+        monkeypatch.setattr(module, name, spy)
+        return seen
+
+    return install
+
+
+@pytest.fixture
+def run_interleaved(monkeypatch):
+    """``run_interleaved(module, name, outer, *inner)`` calls ``outer()``
+    and, between its first and second call of the stencil ``module.name``
+    (its buffers live), every one of ``inner``; returns all the results,
+    the outer run's first."""
+
+    def go(module, name, outer, *inner):
+        original, calls, results = getattr(module, name), [], []
+
+        def stencil(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                results.extend(run() for run in inner)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, stencil)
+        first = outer()
+        monkeypatch.setattr(module, name, original)
+        assert len(results) == len(inner)
+        return [first] + results
+
+    return go

@@ -166,6 +166,21 @@ def test_tabulated_primitives_match_own_quadrature():
             assert float(batch(s)) == pytest.approx(want, abs=1e-9, rel=1e-9)
 
 
+def test_tabulated_model_has_no_flux_primitive():
+    # F integrates from 0, below a table's first knot: the other three
+    # primitives are still evaluated, and F is reported as absent
+    src = ShiftedPowerLaw(2.0)
+    knots = np.geomspace(0.1, 10.0, 40)
+    tab = TabulatedModel(knots, src.a(knots))
+    for prims in (eval_primitives(tab, 2.0), tab.primitives_by_quadrature(2.0)):
+        assert prims.flux_primitive is None
+        assert prims.lam == pytest.approx(tab._lam_quad(2.0), rel=1e-9)
+        assert prims.entropy_density == pytest.approx(
+            tab._entropy_quad(2.0), rel=1e-9
+        )
+        assert prims.sigma == pytest.approx(tab._sigma_quad(2.0), rel=1e-9)
+
+
 def test_vector_call_matches_scalar_calls():
     states = np.geomspace(1e-6, 1e6, 128)
     spl, ks = ShiftedPowerLaw(2.0), KSModel(2.0, 0.5)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from entroflow import diffusion
 from entroflow.coeff_models import Linear, PowerLaw
 from entroflow.diffusion import (
     FlowConfig,
@@ -194,3 +197,68 @@ def test_trajectory_validation():
         Trajectory([0.0, 0.0], [f, f], 0.1)
     with pytest.raises(UsageError):
         Trajectory([0.0], [f, f], 0.1)
+
+
+# Buffer safety: a run steps in its own buffers (see the run contract in
+# entroflow.diffusion); these pin it against a loop over the public
+# stencil and guard called without buffers.
+
+
+def _unbuffered_run(u0, cfg):
+    """(dt, recorded arrays) of the loop ``run`` makes, without buffers."""
+    h, block = u0.grid.h, cfg.record_every
+    u = u0.values
+    dt0 = stable_dt(u, cfg.model, h, cfg.safety)
+    n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
+    dt = cfg.t_end / n_steps
+    snaps = [u.copy()]
+    for k in range(1, n_steps + 1):
+        assert dt <= stable_dt(u, cfg.model, h, 1.0)
+        u = step(u, cfg.model, h, dt, cfg.positivity_floor)
+        if k % block == 0:
+            snaps.append(u)
+    return dt, snaps
+
+
+@pytest.mark.parametrize("model", [Linear(), PowerLaw(2.0)])
+def test_run_equals_unbuffered_stencil_loop(model):
+    g = Grid(1, 32)
+    u0 = initial_cosine(g)
+    cfg = FlowConfig(model, g, t_end=0.01, record_every=7)
+    traj = run(u0, cfg)
+    dt, snaps = _unbuffered_run(u0, cfg)
+    assert traj.dt == dt
+    assert len(traj.states) == len(snaps)
+    for f, ref in zip(traj.states, snaps):
+        assert np.array_equal(f.values, ref)
+
+
+def test_run_buffers_stay_private(spy_buffers):
+    g = Grid(1, 16)
+    u0 = initial_cosine(g)
+    before = u0.values.copy()
+    cfg = FlowConfig(PowerLaw(2.0), g, t_end=0.01, record_every=5)
+    live = spy_buffers(diffusion, "step")
+    traj = run(u0, cfg)
+    assert np.array_equal(u0.values, before)
+    snaps = [f.values for f in traj.states]
+    assert len(live) >= 4  # two face arrays and both state slots
+    for i, a in enumerate(snaps):
+        assert not np.shares_memory(a, u0.values)
+        assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
+        assert not any(np.shares_memory(a, b) for b in live.values())
+
+
+def test_interleaved_runs_match_runs_alone(run_interleaved):
+    def runner(cells):
+        g = Grid(1, cells)
+        cfg = FlowConfig(PowerLaw(2.0), g, t_end=0.005, record_every=4)
+        return lambda: run(initial_cosine(g), cfg)
+
+    runs = [runner(c) for c in (16, 32, 16)]
+    alone = [r() for r in runs]
+    for got, want in zip(run_interleaved(diffusion, "step", *runs), alone):
+        assert got.dt == want.dt
+        assert [f.values.tobytes() for f in got.states] == [
+            f.values.tobytes() for f in want.states
+        ]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entroflow import keller_segel
 from entroflow.errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from entroflow.fields import Field, Grid
 from entroflow.keller_segel import (
@@ -221,3 +222,68 @@ def test_state_validation():
             Field(Grid(2, 16), np.ones((16, 16))),
             Field(Grid(2, 16), np.ones((16, 16))),
         )
+
+
+# Buffer safety: a run steps in its own buffers (see the run contract in
+# entroflow.diffusion); these pin it against a loop over the public
+# stencil and guard called without buffers.
+
+
+def _unbuffered_run(cfg):
+    """(dt, recorded (u, v, vt_accum)) of the loop ``run_ks`` makes,
+    without buffers."""
+    st = cosine_initial_state(cfg.grid, cfg.mass, cfg.amplitude)
+    model, h, block = cfg.params.model(), cfg.grid.h, cfg.record_every
+    u, v, acc = st.u.values, st.v.values, 0.0
+    dt0 = ks_stable_dt(u, v, model, h, cfg.safety)
+    n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
+    dt = cfg.t_end / n_steps
+    snaps = [(u.copy(), v.copy(), acc)]
+    for k in range(1, n_steps + 1):
+        assert dt <= ks_stable_dt(u, v, model, h, 1.0)
+        u, v, vt = ks_step(u, v, model, h, dt, cfg.positivity_floor)
+        acc = acc + dt * (float((vt * vt).sum()) * h)
+        if k % block == 0:
+            snaps.append((u, v, acc))
+    return dt, snaps
+
+
+@pytest.mark.parametrize("params", [P21, P10])
+def test_run_equals_unbuffered_stencil_loop(params):
+    cfg = KSConfig(params, Grid(1, 32), t_end=0.003, mass=4.0, record_every=7)
+    traj = run_ks(cfg)
+    dt, snaps = _unbuffered_run(cfg)
+    assert traj.dt == dt
+    assert len(traj.states) == len(snaps)
+    for st, (u, v, acc) in zip(traj.states, snaps):
+        assert np.array_equal(st.u.values, u)
+        assert np.array_equal(st.v.values, v)
+        assert st.vt_accum == acc
+
+
+def test_run_buffers_stay_private(spy_buffers):
+    cfg = KSConfig(P21, Grid(1, 16), t_end=0.005, mass=4.0, record_every=5)
+    live = spy_buffers(keller_segel, "ks_step")
+    traj = run_ks(cfg)
+    snaps = [a for st in traj.states for a in (st.u.values, st.v.values)]
+    assert len(live) >= 8  # three face arrays, two cell arrays, four slots
+    for i, a in enumerate(snaps):
+        assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
+        assert not any(np.shares_memory(a, b) for b in live.values())
+
+
+def test_interleaved_runs_match_runs_alone(run_interleaved):
+    def runner(cells):
+        cfg = KSConfig(P21, Grid(1, cells), t_end=0.002, mass=4.0,
+                       record_every=4)
+        return lambda: run_ks(cfg)
+
+    runs = [runner(c) for c in (16, 32, 16)]
+    alone = [r() for r in runs]
+    for got, want in zip(run_interleaved(keller_segel, "ks_step", *runs), alone):
+        assert got.dt == want.dt
+        assert [(st.u.values.tobytes(), st.v.values.tobytes(), st.vt_accum)
+                for st in got.states] == [
+            (st.u.values.tobytes(), st.v.values.tobytes(), st.vt_accum)
+            for st in want.states
+        ]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entroflow import p_laplace
 from entroflow.coeff_models import Linear
 from entroflow.diffusion import FlowConfig, initial_cosine, run as run_heat
 from entroflow.errors import ConfigError, PositivityLossError, UsageError
@@ -175,3 +176,68 @@ def test_stable_dt_uses_face_gradients():
     du = np.diff(u.values) / g.h
     coeff = (du**2 + cfg.delta**2) ** 0.5
     assert dt == pytest.approx(cfg.safety * g.h**2 / (2.0 * coeff.max()))
+
+
+# Buffer safety: a run steps in its own buffers (see the run contract in
+# entroflow.diffusion); these pin it against a loop over the public
+# stencil and guard called without buffers.
+
+
+def _unbuffered_run(u0, cfg):
+    """(dt, recorded arrays) of the loop ``run`` makes, without buffers."""
+    h, block = u0.grid.h, cfg.record_every
+    u = u0.values
+    dt0 = pl_stable_dt(u, cfg, h)
+    n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
+    dt = cfg.t_end / n_steps
+    snaps = [u.copy()]
+    for k in range(1, n_steps + 1):
+        assert dt <= pl_stable_dt(u, cfg, h, 1.0)
+        u = pl_step(u, cfg, h, dt)
+        if k % block == 0:
+            snaps.append(u)
+    return dt, snaps
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_run_equals_unbuffered_stencil_loop(p):
+    g = Grid(1, 32)
+    u0 = initial_cosine(g)
+    cfg = PLaplaceConfig(p=p, grid=g, t_end=0.005, record_every=7)
+    traj = run(u0, cfg)
+    dt, snaps = _unbuffered_run(u0, cfg)
+    assert traj.dt == dt
+    assert len(traj.states) == len(snaps)
+    for f, ref in zip(traj.states, snaps):
+        assert np.array_equal(f.values, ref)
+
+
+def test_run_buffers_stay_private(spy_buffers):
+    g = Grid(1, 16)
+    u0 = initial_cosine(g)
+    before = u0.values.copy()
+    cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01, record_every=5)
+    live = spy_buffers(p_laplace, "pl_step")
+    traj = run(u0, cfg)
+    assert np.array_equal(u0.values, before)
+    snaps = [f.values for f in traj.states]
+    assert len(live) >= 4  # two face arrays and both state slots
+    for i, a in enumerate(snaps):
+        assert not np.shares_memory(a, u0.values)
+        assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
+        assert not any(np.shares_memory(a, b) for b in live.values())
+
+
+def test_interleaved_runs_match_runs_alone(run_interleaved):
+    def runner(cells):
+        g = Grid(1, cells)
+        cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.005, record_every=4)
+        return lambda: run(initial_cosine(g), cfg)
+
+    runs = [runner(c) for c in (16, 32, 16)]
+    alone = [r() for r in runs]
+    for got, want in zip(run_interleaved(p_laplace, "pl_step", *runs), alone):
+        assert got.dt == want.dt
+        assert [f.values.tobytes() for f in got.states] == [
+            f.values.tobytes() for f in want.states
+        ]
