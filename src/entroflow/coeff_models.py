@@ -89,10 +89,13 @@ class CoeffModel:
     def _lam_quad(self, s):
         return adaptive_simpson(lambda t: self.a(t) / t, 1.0, s)
 
-    def _entropy_quad(self, s):
+    def _entropy_quad(self, s, lam=None):
         # Integration by parts: int_1^s Lambda = s Lambda(s) - int_1^s a,
         # which avoids nesting one adaptive quadrature inside another.
-        return s * self._lam_quad(s) - adaptive_simpson(lambda t: self.a(t), 1.0, s)
+        # ``lam`` is _lam_quad(s) when the caller already has it.
+        if lam is None:
+            lam = self._lam_quad(s)
+        return s * lam - adaptive_simpson(lambda t: self.a(t), 1.0, s)
 
     def _sigma_quad(self, s):
         return adaptive_simpson(lambda t: self.a(t) / math.sqrt(t), 1.0, s)
@@ -108,9 +111,10 @@ class CoeffModel:
     def primitives_by_quadrature(self, s):
         """Quadrature-only evaluation, independent of any closed form."""
         s = float(_require_positive(s))
+        lam = self._lam_quad(s)
         return Primitives(
-            lam=self._lam_quad(s),
-            entropy_density=self._entropy_quad(s),
+            lam=lam,
+            entropy_density=self._entropy_quad(s, lam),
             sigma=self._sigma_quad(s),
             flux_primitive=(
                 None if self.flux_primitive is None else self._flux_quad(s)

@@ -180,7 +180,8 @@ def second_diff(values, axis, h, out=None):
 # ---------------------------------------------------------------------------
 # Scratch workspace (see the module docstring for its rule)
 #
-# An nD inequality check differences 2 MB (64^3) arrays a dozen times.
+# A sampled field's inequality checks difference 2 MB (64^3) arrays two
+# dozen times.
 # Fresh arrays of that size come back from the allocator as fresh pages,
 # and faulting those in cost about as much as the arithmetic; reused
 # arrays do not.
@@ -329,7 +330,8 @@ def build_test_function(grid, spec):
 
 
 def require_positive_field(f, floor=0.0):
-    if f.min() <= floor:
-        raise DomainError(
-            "field must be positive (min %g, floor %g)" % (f.min(), floor)
-        )
+    """Raise DomainError unless f > floor everywhere; returns min f."""
+    lo = f.min()
+    if lo <= floor:
+        raise DomainError("field must be positive (min %g, floor %g)" % (lo, floor))
+    return lo

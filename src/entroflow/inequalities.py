@@ -6,7 +6,8 @@ integral, and (when a >= lambda > 0) the squared Hessian of Sigma(f) is
 bounded by (4+(1+sqrt(n))^2)/(2 lambda) times the same integral.  The
 checks evaluate both sides with one canonical discretization and report
 the observed ratio; a seeded sampler searches cosine test functions for
-the worst ratio.
+the worst ratio, evaluating the terms the two checks share once per
+sampled field.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import HypothesisError, UsageError
 from .fields import (
+    Grid,
     TestFunctionSpec,
     build_test_function,
     central_diff,
@@ -71,6 +73,12 @@ def fisher_constant(n, lam):
 # finite as it is formed.  Squared entries are summed one at a time in
 # row-major (i, j) order, the order of a sum over a matrix of fields, so
 # every integral is bit-for-bit that of the field-by-field formula.
+#
+# Each check is its own left-hand side plus the shared dissipation
+# integral, and both the Fisher lhs and the dissipation integral start
+# from grad Sigma(f).  The public checks and worst_ratio_search compose
+# the same helpers; the search evaluates a(f), Sigma(f), grad Sigma(f)
+# and the dissipation integral once per sampled field for both checks.
 
 
 def _integral(values, h):
@@ -84,17 +92,24 @@ def _add_square(acc, entry):
     np.add(acc, np.square(entry, out=entry), out=acc)
 
 
+def _mixed_firsts(values, h, firsts):
+    """First differences along each axis into ``firsts``: what the mixed
+    Hessian entries compose (1D has none)."""
+    if values.ndim > 1:
+        for ax, out in enumerate(firsts):
+            central_diff(values, ax, h, out=out)
+    return firsts
+
+
 def _hessian_sq(values, h, acc, entry, firsts):
     """|D^2 values|^2 pointwise into acc, with mirror ghosts.
 
     On-axis entries use the second central difference; mixed entries
     compose two first differences, each with its own mirror, as
-    fields.neumann_hessian does.  ``firsts`` holds one array per axis.
+    fields.neumann_hessian does.  ``firsts`` holds the first differences
+    of values, one array per axis (unused in 1D).
     """
     n = values.ndim
-    if n > 1:
-        for ax in range(n):
-            central_diff(values, ax, h, out=firsts[ax])
     acc.fill(0.0)
     for i in range(n):
         for j in range(n):
@@ -106,31 +121,85 @@ def _hessian_sq(values, h, acc, entry, firsts):
     return require_finite(acc)
 
 
+def _a_on_range(model, lo, hi):
+    """a on 64 points of the field range [lo, hi], where lambda is read
+    and the hypothesis a >= lambda is probed."""
+    return np.asarray(model.a(np.linspace(lo, hi, 64)), dtype=float)
+
+
+def _require_lambda(a_range, lam):
+    if lam <= 0.0:
+        raise UsageError("lambda must be positive")
+    if a_range.min() < lam * (1.0 - 1e-12):
+        raise HypothesisError(
+            "coefficient drops below lambda=%g on the field range (min a = %g)"
+            % (lam, a_range.min())
+        )
+
+
+def _bernis_lhs(f, a_vals):
+    """int a^3 / f^3 |grad f|^4, from a(f) in a_vals."""
+    vals, h = f.values, f.grid.h
+    grad_sq, work, cubes = scratch(vals.shape, 3)
+    grad_sq.fill(0.0)
+    for k in range(vals.ndim):
+        _add_square(grad_sq, central_diff(vals, k, h, out=work))
+    require_finite(grad_sq)
+    np.divide(np.power(a_vals, 3, out=work), np.power(vals, 3, out=cubes), out=work)
+    integrand = np.multiply(work, np.square(grad_sq, out=grad_sq), out=work)
+    return _integral(require_finite(integrand), h)
+
+
+def _grad_sigma(f, model):
+    """Sigma(f) and grad Sigma(f), each checked finite.
+
+    Returns Sigma(f) and ``work``, three scratch items: ``grads``, which
+    holds grad Sigma, one array per axis, the first differences that the
+    Hessian of Sigma and the rhs vector field f^{-1/2} grad Sigma both
+    start from; and ``acc`` and ``entry``, two arrays for the sums.  Any
+    scratch taken earlier (as by _bernis_lhs) is overwritten.
+    """
+    vals = f.values
+    sig = require_finite(np.asarray(model.sigma(vals), dtype=float))
+    acc, entry, *grads = scratch(vals.shape, 2 + f.grid.dim)
+    for k, out in enumerate(grads):
+        require_finite(central_diff(sig, k, f.grid.h, out=out))
+    return sig, (grads, acc, entry)
+
+
+def _fisher_lhs(sig, h, work):
+    """int |D^2 Sigma(f)|^2; the mixed entries compose grad Sigma."""
+    grads, acc, entry = work
+    return _integral(_hessian_sq(sig, h, acc, entry, grads), h)
+
+
+def _dissipation(f, a_vals, work):
+    """int f a(f) |grad(f^{-1/2} grad Sigma(f))|^2, from a(f) in a_vals
+    and grad Sigma(f) in ``work``, which becomes f^{-1/2} grad Sigma(f)."""
+    grads, acc, entry = work
+    vals, h, n = f.values, f.grid.h, f.grid.dim
+    inv_sqrt = np.divide(1.0, np.sqrt(vals, out=entry), out=entry)
+    for w in grads:
+        require_finite(np.multiply(inv_sqrt, w, out=w))
+    acc.fill(0.0)
+    for i in range(n):
+        for j in range(n):
+            _add_square(acc, central_diff(grads[j], i, h, odd=(i == j), out=entry))
+    require_finite(acc)
+    integrand = np.multiply(np.multiply(vals, a_vals, out=entry), acc, out=entry)
+    return _integral(require_finite(integrand), h)
+
+
 def dissipation_rhs(f, model):
     """int f a(f) |grad(f^{-1/2} grad Sigma(f))|^2, the canonical rhs.
 
     The matrix field is formed by differentiating the vector field
     f^{-1/2} grad Sigma(f) componentwise with mirror ghosts (odd across
-    the component's own axis).  Used identically on both sides of every
-    check.
+    the component's own axis).  Every check and the search form it with
+    the same helpers, from the same grad Sigma(f).
     """
-    vals = f.values
-    h, n = f.grid.h, f.grid.dim
-    a_vals = np.asarray(model.a(vals), dtype=float)
-    sig = require_finite(np.asarray(model.sigma(vals), dtype=float))
-    acc, entry, *w = scratch(vals.shape, 2 + n)
-    for k in range(n):
-        require_finite(central_diff(sig, k, h, out=w[k]))
-    inv_sqrt = np.divide(1.0, np.sqrt(vals, out=entry), out=entry)
-    for k in range(n):
-        require_finite(np.multiply(inv_sqrt, w[k], out=w[k]))
-    acc.fill(0.0)
-    for i in range(n):
-        for j in range(n):
-            _add_square(acc, central_diff(w[j], i, h, odd=(i == j), out=entry))
-    require_finite(acc)
-    integrand = np.multiply(np.multiply(vals, a_vals, out=entry), acc, out=entry)
-    return _integral(require_finite(integrand), h)
+    a_vals = np.asarray(model.a(f.values), dtype=float)
+    return _dissipation(f, a_vals, _grad_sigma(f, model)[1])
 
 
 def _make_report(lhs, rhs, constant, tol):
@@ -145,41 +214,22 @@ def bernis_check(f, model, tol=None):
     require_positive_field(f)
     if tol is None:
         tol = default_tol(f.grid)
-    vals = f.values
-    h, n = f.grid.h, f.grid.dim
-    a_vals = np.asarray(model.a(vals), dtype=float)
-    grad_sq, work, cubes = scratch(vals.shape, 3)
-    grad_sq.fill(0.0)
-    for k in range(n):
-        _add_square(grad_sq, central_diff(vals, k, h, out=work))
-    require_finite(grad_sq)
-    # a^3 / f^3 * |grad f|^4
-    np.divide(np.power(a_vals, 3, out=work), np.power(vals, 3, out=cubes), out=work)
-    integrand = np.multiply(work, np.square(grad_sq, out=grad_sq), out=work)
-    lhs = _integral(require_finite(integrand), h)
-    rhs = dissipation_rhs(f, model)
-    return _make_report(lhs, rhs, bernis_constant(n), tol)
+    a_vals = np.asarray(model.a(f.values), dtype=float)
+    lhs = _bernis_lhs(f, a_vals)
+    rhs = _dissipation(f, a_vals, _grad_sigma(f, model)[1])
+    return _make_report(lhs, rhs, bernis_constant(f.grid.dim), tol)
 
 
 def fisher_ineq_check(f, model, lam, tol=None):
     """Hessian-of-Sigma bound with constant (4+(1+sqrt(n))^2)/(2 lambda)."""
-    require_positive_field(f)
-    if lam <= 0.0:
-        raise UsageError("lambda must be positive")
+    lo = require_positive_field(f)
     if tol is None:
         tol = default_tol(f.grid)
-    a_range = np.asarray(model.a(np.linspace(f.min(), f.max(), 64)), dtype=float)
-    if a_range.min() < lam * (1.0 - 1e-12):
-        raise HypothesisError(
-            "coefficient drops below lambda=%g on the field range (min a = %g)"
-            % (lam, a_range.min())
-        )
-    h, n = f.grid.h, f.grid.dim
-    sig = require_finite(np.asarray(model.sigma(f.values), dtype=float))
-    acc, entry, *firsts = scratch(sig.shape, 2 + n)
-    lhs = _integral(_hessian_sq(sig, h, acc, entry, firsts), h)
-    rhs = dissipation_rhs(f, model)
-    return _make_report(lhs, rhs, fisher_constant(n, lam), tol)
+    _require_lambda(_a_on_range(model, lo, f.max()), lam)
+    sig, work = _grad_sigma(f, model)
+    lhs = _fisher_lhs(sig, f.grid.h, work)
+    rhs = _dissipation(f, np.asarray(model.a(f.values), dtype=float), work)
+    return _make_report(lhs, rhs, fisher_constant(f.grid.dim, lam), tol)
 
 
 def cmkm_ratio(f):
@@ -194,7 +244,9 @@ def cmkm_ratio(f):
     root, log, acc, entry, *firsts = scratch(vals.shape, 4 + n)
     require_finite(np.sqrt(vals, out=root))
     require_finite(np.log(vals, out=log))
+    _mixed_firsts(root, h, firsts)
     num = _integral(_hessian_sq(root, h, acc, entry, firsts), h)
+    _mixed_firsts(log, h, firsts)
     weighted = np.multiply(vals, _hessian_sq(log, h, acc, entry, firsts), out=entry)
     den = _integral(require_finite(weighted), h)
     if num <= _TINY and den <= _TINY:
@@ -218,10 +270,12 @@ def worst_ratio_search(n, model, trials, seed, cells=64, tol=None):
     """Seeded sampling of test functions; reports the worst observed ratios.
 
     Deterministic for a given (seed, grid, model): trial index, not
-    arrival order, fixes the sample.
+    arrival order, fixes the sample.  Each trial gives the ratios that
+    bernis_check and fisher_ineq_check (with lambda the least a on the
+    field range) give on its field, under the same checks, from one
+    evaluation of the field's extremes, a(f), Sigma(f), grad Sigma(f) and
+    the dissipation integral.
     """
-    from .fields import Grid
-
     if trials < 1:
         raise UsageError("need at least one trial")
     grid = Grid(dim=n, cells=cells)
@@ -236,9 +290,16 @@ def worst_ratio_search(n, model, trials, seed, cells=64, tol=None):
     for trial in range(trials):
         spec = sample_spec(rng, n)
         f = build_test_function(grid, spec)
-        lam = float(np.asarray(model.a(np.linspace(f.min(), f.max(), 64))).min())
-        rb = bernis_check(f, model, tol)
-        rf = fisher_ineq_check(f, model, lam, tol)
+        a_range = _a_on_range(model, require_positive_field(f), f.max())
+        lam = float(a_range.min())
+        _require_lambda(a_range, lam)
+        a_vals = np.asarray(model.a(f.values), dtype=float)
+        lhs_b = _bernis_lhs(f, a_vals)
+        sig, work = _grad_sigma(f, model)
+        lhs_f = _fisher_lhs(sig, grid.h, work)
+        rhs = _dissipation(f, a_vals, work)
+        rb = _make_report(lhs_b, rhs, bernis_constant(n), tol)
+        rf = _make_report(lhs_f, rhs, fisher_constant(n, lam), tol)
         all_passed = all_passed and rb.passed and rf.passed
         if rb.ratio > max_b:
             max_b, arg_b = rb.ratio, spec

@@ -71,6 +71,23 @@ def test_rerun_byte_identical(outdir, tmp_path):
     assert first == second
 
 
+def test_ineq_rerun_byte_identical(tmp_path):
+    # a 3D run between two 2D runs swaps the scratch arrays' grid shape
+    def ineq(name, dim, cells):
+        cfg = {"name": name, "kind": "ineq", "model": {"family": "power_law", "m": 2.0},
+               "grid": {"dim": dim, "cells": cells},
+               "run": {"trials": 6, "seed": 17, "check": "both"}}
+        return _write(tmp_path, cfg, name + ".json")
+
+    runs = {}
+    for out, dim, cells in (("a", 2, 24), ("c", 3, 10), ("b", 2, 24)):
+        path = ineq("ineq_rerun_%d" % dim, dim, cells)
+        assert main(["run", path, "--out", str(tmp_path / out)]) == EXIT_PASS
+        run_dir = tmp_path / out / ("ineq_rerun_%d" % dim)
+        runs[out] = [(run_dir / f).read_bytes() for f in ("trials.csv", "summary.json")]
+    assert runs["a"] == runs["b"]
+
+
 def test_strict_q_out_of_range_is_config_error(outdir, tmp_path):
     cfg = {
         "name": "bad",

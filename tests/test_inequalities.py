@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from entroflow import inequalities
 from entroflow.coeff_models import Linear, PowerLaw, ShiftedPowerLaw
 from entroflow.errors import ConstructionError, HypothesisError, UsageError
 from entroflow.fields import (
@@ -199,3 +202,103 @@ def test_sigma_overflow_is_a_construction_error():
             bernis_check(huge, PowerLaw(2.0))
         with pytest.raises(ConstructionError):
             fisher_ineq_check(huge, PowerLaw(2.0), lam=1.0)
+
+
+def _replayed_search(n, model, trials, seed, cells, tol):
+    """The search written as a loop over the public checks."""
+    grid = Grid(n, cells)
+    rng = np.random.default_rng(seed)
+    rows, all_passed = [], True
+    max_b = max_f = -np.inf
+    arg_b = arg_f = None
+    for trial in range(trials):
+        spec = sample_spec(rng, n)
+        f = build_test_function(grid, spec)
+        lam = float(np.min(model.a(np.linspace(f.min(), f.max(), 64))))
+        rb = bernis_check(f, model, tol)
+        rf = fisher_ineq_check(f, model, lam, tol)
+        all_passed = all_passed and rb.passed and rf.passed
+        if rb.ratio > max_b:
+            max_b, arg_b = rb.ratio, spec
+        if rf.ratio > max_f:
+            max_f, arg_f = rf.ratio, spec
+        rows.append((trial, spec.offset, rb.ratio, rf.ratio, lam))
+    return rows, all_passed, arg_b, arg_f
+
+
+@pytest.mark.parametrize("n,cells", [(1, 64), (2, 24), (3, 12)])
+@pytest.mark.parametrize(
+    "model", [Linear(), PowerLaw(0.5), PowerLaw(2.0), ShiftedPowerLaw(2.0)]
+)
+def test_search_equals_public_checks_on_replayed_specs(n, cells, model):
+    s = worst_ratio_search(n, model, trials=6, seed=41, cells=cells)
+    rows, all_passed, arg_b, arg_f = _replayed_search(n, model, 6, 41, cells, s.tol)
+    assert s.rows == rows
+    assert s.all_passed == all_passed
+    assert (s.argmax_bernis, s.argmax_fisher) == (arg_b, arg_f)
+    assert (s.max_bernis, s.max_fisher) == (max(r[2] for r in rows),
+                                            max(r[3] for r in rows))
+
+
+class _CountingPowerLaw(PowerLaw):
+    """PowerLaw(2) that counts its a and Sigma calls by argument shape."""
+
+    def __init__(self):
+        self.calls = Counter()
+        super().__init__(2.0)
+        self.calls.clear()  # the constructor probes a
+
+    def a(self, s):
+        self.calls["a", np.shape(s)] += 1
+        return super().a(s)
+
+    def sigma(self, s):
+        self.calls["sigma", np.shape(s)] += 1
+        return super().sigma(s)
+
+
+@pytest.mark.parametrize(
+    "n,central,second", [(1, 3, 1), (2, 10, 2), (3, 21, 3)]
+)
+def test_search_evaluates_each_term_once_per_trial(n, central, second, monkeypatch):
+    calls = Counter()
+
+    def spy(name):
+        original = getattr(inequalities, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(inequalities, name, counted)
+
+    spy("central_diff")
+    spy("second_diff")
+    model = _CountingPowerLaw()
+    trials, cells = 3, 10
+    worst_ratio_search(n, model, trials=trials, seed=5, cells=cells)
+    assert calls == {"central_diff": trials * central, "second_diff": trials * second}
+    assert model.calls == {
+        ("a", (cells,) * n): trials,
+        ("a", (64,)): trials,
+        ("sigma", (cells,) * n): trials,
+    }
+
+
+class _InfiniteSigma(Linear):
+    def sigma(self, s):
+        return np.full(np.shape(s), np.inf)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nonfinite_sigma_aborts_the_search_as_the_checks(n):
+    model = _InfiniteSigma()
+    f = build_test_function(Grid(n, 10), sample_spec(np.random.default_rng(2), n))
+    for check in (
+        lambda: bernis_check(f, model),
+        lambda: fisher_ineq_check(f, model, lam=1.0),
+        lambda: dissipation_rhs(f, model),
+        lambda: worst_ratio_search(n, model, trials=2, seed=2, cells=10),
+    ):
+        with pytest.raises(ConstructionError):
+            check()
