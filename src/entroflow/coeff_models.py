@@ -10,6 +10,8 @@ Each model evaluates the primitives
 in closed form where one exists and by batch Gauss-Legendre quadrature
 over the whole state array otherwise; adaptive Simpson quadrature
 (``primitives_by_quadrature``) is the independent oracle for both.  The
+oracle integrates one state at a time, but its integrands, like the batch
+path's, take node arrays: each bisection level evaluates a(t) once.  The
 lower integration limit is 1 for Lambda, H, Sigma (and for the chemotaxis
 primitives G, Psi) and 0 for F; no re-normalization is applied.  F is
 defined only for models defined down to 0, so a tabulated model, whose
@@ -59,9 +61,6 @@ class CoeffModel:
     def a(self, s):
         raise NotImplementedError
 
-    def a_prime(self, s):
-        raise NotImplementedError
-
     # -- primitives (batch quadrature; subclasses override with closed
     #    forms where available) ------------------------------------------
 
@@ -95,10 +94,10 @@ class CoeffModel:
         # ``lam`` is _lam_quad(s) when the caller already has it.
         if lam is None:
             lam = self._lam_quad(s)
-        return s * lam - adaptive_simpson(lambda t: self.a(t), 1.0, s)
+        return s * lam - adaptive_simpson(self.a, 1.0, s)
 
     def _sigma_quad(self, s):
-        return adaptive_simpson(lambda t: self.a(t) / math.sqrt(t), 1.0, s)
+        return adaptive_simpson(lambda t: self.a(t) / np.sqrt(t), 1.0, s)
 
     def _flux_quad(self, s):
         # Substituting t = x^2 regularizes integrable power singularities of
@@ -141,9 +140,6 @@ class Linear(CoeffModel):
     def a(self, s):
         return np.ones_like(np.asarray(s, dtype=float))
 
-    def a_prime(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
     def lam(self, s):
         return np.log(_require_positive(s))
 
@@ -174,9 +170,6 @@ class PowerLaw(CoeffModel):
 
     def a(self, s):
         return self.m * np.asarray(s, dtype=float) ** (self.m - 1.0)
-
-    def a_prime(self, s):
-        return self.m * (self.m - 1.0) * np.asarray(s, dtype=float) ** (self.m - 2.0)
 
     def lam(self, s):
         s = _require_positive(s)
@@ -220,13 +213,6 @@ class ShiftedPowerLaw(CoeffModel):
     def a(self, s):
         return self.m * (1.0 + np.asarray(s, dtype=float)) ** (self.m - 1.0)
 
-    def a_prime(self, s):
-        return (
-            self.m
-            * (self.m - 1.0)
-            * (1.0 + np.asarray(s, dtype=float)) ** (self.m - 2.0)
-        )
-
     # Lambda, H, Sigma keep the quadrature path; only F closes.
 
     def flux_primitive(self, s):
@@ -235,20 +221,15 @@ class ShiftedPowerLaw(CoeffModel):
 
 
 class TabulatedModel(CoeffModel):
-    """Custom model built from a (s, a(s)[, a'(s)]) table.
+    """Custom model built from a (s, a(s)) table.
 
-    The coefficient is interpolated monotone-cubically; a missing a' column
-    is filled from the interpolant's derivative.  A supplied a' column is
-    cross-checked against centrally differenced a at load: relative
-    mismatch above 1e-4 rejects the model.  Evaluation outside the table
-    range is a domain error.
+    The coefficient is interpolated monotone-cubically.  Evaluation
+    outside the table range is a domain error.
     """
 
     family = "custom"
 
-    _APRIME_RTOL = 1e-4
-
-    def __init__(self, s_knots, a_knots, a_prime_knots=None):
+    def __init__(self, s_knots, a_knots):
         from scipy.interpolate import PchipInterpolator
 
         s_knots = np.asarray(s_knots, dtype=float)
@@ -264,23 +245,6 @@ class TabulatedModel(CoeffModel):
         self.s_knots = s_knots
         self.a_knots = a_knots
         self._interp = PchipInterpolator(s_knots, a_knots)
-        if a_prime_knots is None:
-            self.a_prime_knots = self._interp.derivative()(s_knots)
-        else:
-            a_prime_knots = np.asarray(a_prime_knots, dtype=float)
-            diffed = np.gradient(a_knots, s_knots)
-            scale = np.maximum(np.abs(a_prime_knots), np.abs(diffed))
-            scale = np.maximum(scale, 1e-30)
-            # Endpoints of np.gradient are one-sided and first order;
-            # check the interior knots only.
-            mismatch = np.abs(a_prime_knots - diffed)[1:-1] / scale[1:-1]
-            if np.max(mismatch) > self._APRIME_RTOL:
-                raise ModelError(
-                    "tabulated a' disagrees with differenced a "
-                    "(max relative mismatch %.3g)" % np.max(mismatch)
-                )
-            self.a_prime_knots = a_prime_knots
-        self._interp_prime = PchipInterpolator(s_knots, self.a_prime_knots)
 
     @classmethod
     def from_csv(cls, path):
@@ -298,12 +262,11 @@ class TabulatedModel(CoeffModel):
             raise ModelError("cannot read table %s: %s" % (path, err))
         if not rows:
             raise ModelError("no numeric rows in table %s" % path)
-        cols = list(zip(*rows))
-        if len(cols) == 2:
-            return cls(cols[0], cols[1])
-        if len(cols) == 3:
-            return cls(cols[0], cols[1], cols[2])
-        raise ModelError("table must have 2 or 3 columns, got %d" % len(cols))
+        for row in rows:
+            if len(row) != 2:
+                raise ModelError("a table has 2 columns (s, a), got %d" % len(row))
+        s_knots, a_knots = zip(*rows)
+        return cls(s_knots, a_knots)
 
     def __repr__(self):
         return "TabulatedModel(%d knots on [%g, %g])" % (
@@ -323,9 +286,6 @@ class TabulatedModel(CoeffModel):
         if np.any(np.asarray(vals) <= 0.0):
             raise ModelError("interpolated coefficient is nonpositive")
         return vals
-
-    def a_prime(self, s):
-        return self._interp_prime(self._clip_check(s))
 
     # F integrates a from 0, below the first knot: a table has no F.
     flux_primitive = None

@@ -147,7 +147,7 @@ def test_domain_errors():
 def test_tabulated_matches_source():
     src = PowerLaw(2.0)
     knots = np.geomspace(0.1, 10.0, 40)
-    tab = TabulatedModel(knots, src.a(knots), src.a_prime(knots))
+    tab = TabulatedModel(knots, src.a(knots))
     for s in (0.2, 1.0, 5.0):
         assert float(tab.a(s)) == pytest.approx(float(src.a(s)), rel=1e-3)
     with pytest.raises(DomainError):
@@ -157,7 +157,7 @@ def test_tabulated_matches_source():
 def test_tabulated_primitives_match_own_quadrature():
     src = ShiftedPowerLaw(2.0)
     knots = np.geomspace(0.1, 10.0, 40)
-    tab = TabulatedModel(knots, src.a(knots), src.a_prime(knots))
+    tab = TabulatedModel(knots, src.a(knots))
     for s in (0.15, 0.7, 1.0, 3.3, 9.5):
         for batch, oracle in ((tab.lam, tab._lam_quad),
                               (tab.entropy_density, tab._entropy_quad),
@@ -192,11 +192,16 @@ def test_vector_call_matches_scalar_calls():
         np.testing.assert_allclose(vector, scalar, rtol=1e-14, atol=0.0)
 
 
-def test_tabulated_rejects_inconsistent_derivative():
-    knots = np.linspace(1.0, 5.0, 20)
-    a_knots = 2.0 * knots
-    with pytest.raises(ModelError):
-        TabulatedModel(knots, a_knots, np.full(20, 7.0))
+def test_tabulated_rejects_three_column_table(tmp_path):
+    # A table is (s, a); a third column (once an a' column) is refused,
+    # also when only one row has it.
+    rows = ["%.17g,%.17g" % (s, 2.0 * s) for s in np.linspace(1.0, 5.0, 20)]
+    path = tmp_path / "table.csv"
+    for extra in (range(20), [7]):
+        lines = [r + ",2" if k in extra else r for k, r in enumerate(rows)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelError, match=r"2 columns \(s, a\), got 3"):
+            TabulatedModel.from_csv(path)
 
 
 def test_tabulated_rejects_bad_tables():
