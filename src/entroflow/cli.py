@@ -35,6 +35,7 @@ from .keller_segel import (
     lyapunov_identity_residual,
     measure_monitors,
     run_ks,
+    s1_functional_identity,
 )
 from .meters import identity_residuals, measure_trajectory, monotonicity_report
 from .presets import PRESETS, catalog_text, preset_config
@@ -258,32 +259,34 @@ def _ks_run_once(ks_cfg, cells):
 def _run_ks(cfg, outdir):
     ks_cfg = parse_config(cfg).config
     params, cells = ks_cfg.params, ks_cfg.grid.cells
+    s1 = params.linear_sensitivity
     traj = _ks_run_once(ks_cfg, cells)
     monitors = measure_monitors(traj, params)
-    rows = [
-        (m.time, m.mass, m.lyap_classical, m.lyap_F, m.dissipation_D,
-         m.ep_estimate, m.lp_norm, m.log_bound, m.vt_accum,
-         m.v_l2, m.v_l4, m.dv_l2, m.dv_l4)
-        for m in monitors
-    ]
+    rows = [(m.time,) + tuple(getattr(m, col) for col in _KS_COLUMNS[1:])
+            for m in monitors]
     write_csv(os.path.join(outdir, "ks_monitors.csv"), _KS_COLUMNS, rows)
 
     # residual convergence table from a paired coarse run; a residual is
     # null when the coarse grid would fall below the grid minimum or a
-    # run records too few snapshots for interval residuals
+    # run records too few snapshots for interval residuals.  At S(u) = u
+    # the rows also hold the two special-case identities.
     table = []
     for c in (cells // 2, cells):
-        worst = None
+        row = {"cells": c, "max_lyap_residual": None}
+        if s1:
+            row.update(max_s1_lemma_residual=None, max_s1_remark_residual=None)
         if c >= MIN_CELLS:
             t = traj if c == cells else _ks_run_once(ks_cfg, c)
-            # the metered run's Lyapunov values are its lyap_classical
-            lyap = [m.lyap_classical for m in monitors] if t is traj else None
             try:
-                res = lyapunov_identity_residual(t, params, lyap)
-                worst = max(abs(r) for r in res)
+                res = lyapunov_identity_residual(t, params)
+                row["max_lyap_residual"] = max(abs(r) for r in res)
+                if s1:
+                    lemma, remark = s1_functional_identity(t, params)
+                    row["max_s1_lemma_residual"] = max(abs(r) for r in lemma)
+                    row["max_s1_remark_residual"] = max(abs(r) for r in remark)
             except EntroflowError:
                 pass
-        table.append({"cells": c, "max_lyap_residual": worst})
+        table.append(row)
     if table[0]["max_lyap_residual"] and table[1]["max_lyap_residual"]:
         table_ratio = table[0]["max_lyap_residual"] / table[1]["max_lyap_residual"]
     else:
@@ -321,16 +324,14 @@ def _run_ks(cfg, outdir):
 def _run_plaplace(cfg, outdir):
     _, _, pl_cfg, u0 = parse_config(cfg)
     traj = pl_mod.run(u0, pl_cfg)
+    pl_mod.measure_trajectory(traj, pl_cfg.p, pl_cfg.delta)
     report = pl_mod.monotonicity_report(traj, pl_cfg)
     residuals = pl_mod.rate_residuals(traj, pl_cfg.p, pl_cfg.delta)
-    dt = traj.record_dt
-    rows = []
-    for k, (t, I) in enumerate(zip(traj.times, report.I_values)):
-        if k == 0:
-            rows.append((t, I, "", ""))
-        else:
-            dI = (report.I_values[k] - report.I_values[k - 1]) / dt
-            rows.append((t, I, dI, residuals[k - 1]))
+    dt, I = traj.record_dt, report.I_values
+    rows = [(traj.times[0], I[0], "", "")] + [
+        (t, i1, (i1 - i0) / dt, r)
+        for t, i0, i1, r in zip(traj.times[1:], I, I[1:], residuals)
+    ]
     write_csv(
         os.path.join(outdir, "pl_monitors.csv"),
         ["t", "I", "dI_dt", "residual_prop61"],

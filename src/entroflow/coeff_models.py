@@ -249,15 +249,20 @@ class TabulatedModel(CoeffModel):
     @classmethod
     def from_csv(cls, path):
         rows = []
+        header_allowed = True
         try:
             with open(path, newline="") as fh:
-                for row in csv.reader(fh):
-                    if not row or row[0].lstrip().startswith("#"):
+                reader = csv.reader(fh)
+                for row in reader:
+                    if not "".join(row).strip() or row[0].lstrip().startswith("#"):
                         continue
                     try:
                         rows.append([float(c) for c in row])
-                    except ValueError:
-                        continue  # header line
+                    except ValueError:  # only the first row may be a header
+                        if not header_allowed:
+                            raise ModelError("line %d of table %s is not numeric"
+                                             % (reader.line_num, path))
+                    header_allowed = False
         except (OSError, UnicodeError, csv.Error) as err:
             raise ModelError("cannot read table %s: %s" % (path, err))
         if not rows:

@@ -66,8 +66,10 @@ class Trajectory:
 
     ``states`` holds a Field per snapshot for the scalar flows and a
     KSState for the chemotaxis system.  Immutable by convention once
-    returned from a run; meters are attached afterwards by the measuring
-    code.
+    returned from a run.  ``meters`` holds one record per snapshot from
+    the flow's one measuring pass, with the run's own model (or
+    parameters); every residual and verdict reads it, and measures the
+    trajectory only while it is empty.
     """
 
     times: list

@@ -8,6 +8,11 @@ functional, the Fisher-type functional/dissipation pair, the S(u)=u
 special-case identities, and the a-priori estimate monitors that together
 constitute desk-scale evidence for global existence at (p,q)=(2,1).
 
+``measure_monitors`` evaluates each snapshot once, into a KSMonitor record
+attached as ``Trajectory.meters``: the monitors and the sources of the
+Lyapunov, entropy-production and L^p residuals.  Every residual reads that
+record, and measures the trajectory only when it has none.
+
 In every functional, v_t is evaluated from the equation (v_xx - v + u),
 never by time differencing: this keeps the dissipation terms pointwise
 consistent with the identities being checked.
@@ -34,6 +39,11 @@ class KSParams:
 
     def model(self):
         return KSModel(self.p, self.q)
+
+    @property
+    def linear_sensitivity(self):
+        """S(u) = u, the q = 0 case of the special-case identities."""
+        return abs(self.q) <= 1e-12
 
     def check_strict(self):
         """Hypotheses of the entropy-production estimates: p-q=1, q in (1/2,1]."""
@@ -87,7 +97,8 @@ class KSConfig:
 
 @dataclass
 class KSMonitor:
-    """One row of the a-priori estimate monitors."""
+    """The record of one snapshot: the a-priori estimate monitors, which
+    are the CSV columns, then the residual sources no column shows."""
 
     time: float
     mass: float
@@ -102,6 +113,12 @@ class KSMonitor:
     v_l4: float
     dv_l2: float
     dv_l4: float
+    vt_sq: float         # int |v_t|^2
+    drift_sq: float      # int S |D/S u_x - v_x|^2
+    ep_quarter: float    # int S D (v + v_t)^2 / 4
+    ep_curvature: float  # int (D/S u_x - v_x) D^2 S'' / (2 S) u_x^3
+    lp_grad: float       # int u^(p-2) (1+u)^(-p) |u_x|^2
+    u_sq: float          # int u^2
 
 
 # ---------------------------------------------------------------------------
@@ -229,189 +246,85 @@ def classical_lyapunov(state, params):
     return g_term - uv + 0.5 * h1
 
 
-def lyapunov_dissipation(state, params):
-    """(int |v_t|^2, int S(u) |D/S u_x - v_x|^2)."""
-    model = params.model()
-    grid = state.u.grid
-    h = grid.h
-    u = state.u.values
-    vt = v_time_derivative(u, state.v.values, h)
-    vt_sq = integrate(Field(grid, vt * vt))
-    du = central_diff(u, 0, h)
-    dv = central_diff(state.v.values, 0, h)
-    drift = np.asarray(model.ratio(u)) * du - dv
-    s_term = integrate(Field(grid, np.asarray(model.S(u)) * drift**2))
-    return vt_sq, s_term
-
-
-def functional_F_and_D(state, params):
-    """The Fisher-type pair: F = (1/2) int D^2/S |u_x|^2 - int Psi(u) and
-    the nonnegative dissipation D built on the drift D/S u_x - v_x."""
-    model = params.model()
-    grid = state.u.grid
-    h = grid.h
-    u = state.u.values
-    v = state.v.values
-    D = np.asarray(model.D(u), dtype=float)
-    S = np.asarray(model.S(u), dtype=float)
-    du = central_diff(u, 0, h)
-    grad_term = 0.5 * integrate(Field(grid, D * D / S * du * du))
-    psi_term = integrate(Field(grid, np.asarray(model.psi(u), dtype=float)))
-    F = grad_term - psi_term
-
-    vt = v_time_derivative(u, v, h)
-    flux_field = np.asarray(model.ratio(u)) * du  # gradient-like: odd mirror
-    bracket = (
-        central_diff(flux_field, 0, h, odd=True)
-        - second_diff(v, 0, h)
-        + 0.5 * (v + vt)
-    )
-    Dfun = integrate(Field(grid, S * D * bracket**2))
-    return F, Dfun
-
-
-def _entro_prod_sources(state, params):
-    """Right-hand side of the entropy-production identity."""
-    model = params.model()
-    grid = state.u.grid
-    h = grid.h
-    u = state.u.values
-    v = state.v.values
-    D = np.asarray(model.D(u), dtype=float)
-    S = np.asarray(model.S(u), dtype=float)
-    vt = v_time_derivative(u, v, h)
-    quarter = integrate(Field(grid, S * D * (v + vt) ** 2 / 4.0))
-    du = central_diff(u, 0, h)
-    dv = central_diff(v, 0, h)
-    drift = np.asarray(model.ratio(u)) * du - dv
-    s2 = np.asarray(model.S_second(u), dtype=float)
-    curvature = integrate(
-        Field(grid, drift * D * D * s2 / (2.0 * S) * du**3)
-    )
-    return quarter, curvature
-
-
-def lyapunov_identity_residual(traj, params, lyap=None):
-    """Residual of d/dt L + int |v_t|^2 + int S |D/S u_x - v_x|^2 = 0.
-
-    ``lyap`` holds L per snapshot when the caller has it already (the
-    ``lyap_classical`` monitors); otherwise it is computed here.
-    """
-    if lyap is None:
-        lyap = [classical_lyapunov(s, params) for s in traj.states]
-    return traj.interval_residuals(
-        lyap, [sum(lyapunov_dissipation(s, params)) for s in traj.states],
-    )
-
-
-def entro_prod_residual(traj, params):
-    """Residual of d/dt F + D = quarter-term + curvature-term."""
-    F, Dfun = zip(*(functional_F_and_D(s, params) for s in traj.states))
-    rhs = [_entro_prod_sources(s, params) for s in traj.states]
-    return traj.interval_residuals(
-        F, [d - quarter - curv for d, (quarter, curv) in zip(Dfun, rhs)]
-    )
-
-
-# ---------------------------------------------------------------------------
-# S(u) = u special case, (p, q) = (p, 0)
-
-
-def _check_s1(params):
-    if abs(params.q) > 1e-12:
-        raise UsageError("the S(u)=u identities require q = 0")
-
-
-def _s1_pieces(state, params):
-    model = params.model()
-    grid = state.u.grid
-    h = grid.h
-    u = state.u.values
-    v = state.v.values
-    D = np.asarray(model.D(u), dtype=float)
-    du = central_diff(u, 0, h)
-    A = 0.5 * integrate(Field(grid, D * D / u * du * du))
-    flux_field = D / u * du
-    dflux = central_diff(flux_field, 0, h, odd=True)
-    B = integrate(Field(grid, u * D * dflux**2))
-    vxx = second_diff(v, 0, h)
-    C = integrate(Field(grid, u * D * vxx * dflux))
-    vt = v_time_derivative(u, v, h)
-    bracket = dflux - vxx + 0.5 * (v + vt)
-    G = integrate(Field(grid, u * D * bracket**2))
-    quarter = integrate(Field(grid, u * D * (v + vt) ** 2 / 4.0))
-    # int_1^u D(s) ds in closed form for D = (1+s)^(-p)
-    p = params.p
-    if abs(p - 1.0) <= 1e-12:
-        d_primitive = np.log((1.0 + u) / 2.0)
-    else:
-        d_primitive = ((1.0 + u) ** (1.0 - p) - 2.0 ** (1.0 - p)) / (1.0 - p)
-    F_s1 = A - integrate(Field(grid, u * d_primitive))
-    return A, B, C, F_s1, G, quarter
-
-
-def s1_functional_identity(traj, params):
-    """Residuals of the two S(u)=u identities.
-
-    Returns (lemma_series, remark_series): the first checks
-    d/dt A + B = C with A the weighted gradient energy, the second checks
-    d/dt F + G = quarter-term.
-    """
-    _check_s1(params)
-    A, B, C, F, G, quarter = zip(*(_s1_pieces(s, params) for s in traj.states))
-    lemma = traj.interval_residuals(A, [b - c for b, c in zip(B, C)])
-    remark = traj.interval_residuals(F, [g - q for g, q in zip(G, quarter)])
-    return lemma, remark
-
-
-def s1_nonneg_dissipation(state, params):
-    """The square-integrand G of the remark identity (bit-exactly >= 0)."""
-    _check_s1(params)
-    return _s1_pieces(state, params)[4]
-
-
-# ---------------------------------------------------------------------------
-# A-priori estimate monitors
-
-
 def _lp(vals, grid, r):
     return integrate(Field(grid, np.abs(vals) ** r)) ** (1.0 / r)
 
 
 def measure_monitors(traj, params):
-    """KSMonitor series along a trajectory, the Fisher-type pair included
-    for every (p, q); the (p, q) hypotheses of the estimates are checked
-    by ``KSConfig(strict=True)``.
+    """The one evaluation of a trajectory: a KSMonitor per snapshot,
+    attached as ``traj.meters`` and returned.
+
+    Per snapshot it forms D(u), S(u), u_x, v_x, v_t and (D/S)(u) u_x once.
+    The Fisher-type pair is included for every (p, q); the (p, q)
+    hypotheses of the estimates are checked by ``KSConfig(strict=True)``.
     """
+    model = params.model()
+    p = params.p
     out = []
     for t, state in zip(traj.times, traj.states):
-        grid = state.u.grid
-        h = grid.h
-        u = state.u.values
-        v = state.v.values
+        grid, h = state.u.grid, state.u.grid.h
+        u, v = state.u.values, state.v.values
+
+        def integral(vals):
+            return integrate(Field(grid, vals))
+
+        D = np.asarray(model.D(u), dtype=float)
+        S = np.asarray(model.S(u), dtype=float)
         du = central_diff(u, 0, h)
         dv = central_diff(v, 0, h)
-        F, Dfun = functional_F_and_D(state, params)
+        vt = v_time_derivative(u, v, h)
+        flux_field = np.asarray(model.ratio(u)) * du  # gradient-like: odd mirror
+        drift = flux_field - dv
+        bracket = (
+            central_diff(flux_field, 0, h, odd=True)
+            - second_diff(v, 0, h)
+            + 0.5 * (v + vt)
+        )
+        s2 = np.asarray(model.S_second(u), dtype=float)
         out.append(
             KSMonitor(
                 time=t,
                 mass=integrate(state.u),
                 lyap_classical=classical_lyapunov(state, params),
-                lyap_F=F,
-                dissipation_D=Dfun,
-                ep_estimate=integrate(
-                    Field(grid, du**2 / (u * (1.0 + u) ** (params.p + 1.0)))
-                ),
-                lp_norm=integrate(Field(grid, u**params.p)),
+                lyap_F=(0.5 * integral(D * D / S * du * du)
+                        - integral(np.asarray(model.psi(u), dtype=float))),
+                dissipation_D=integral(S * D * bracket**2),
+                ep_estimate=integral(du**2 / (u * (1.0 + u) ** (p + 1.0))),
+                lp_norm=integral(u**p),
                 log_bound=float(np.max(np.abs(np.log1p(u)))),
                 vt_accum=state.vt_accum,
                 v_l2=_lp(v, grid, 2.0),
                 v_l4=_lp(v, grid, 4.0),
                 dv_l2=_lp(dv, grid, 2.0),
                 dv_l4=_lp(dv, grid, 4.0),
+                vt_sq=integral(vt * vt),
+                drift_sq=integral(S * drift**2),
+                ep_quarter=integral(S * D * (v + vt) ** 2 / 4.0),
+                ep_curvature=integral(drift * D * D * s2 / (2.0 * S) * du**3),
+                lp_grad=integral(u ** (p - 2.0) * (1.0 + u) ** (-p) * du**2),
+                u_sq=integral(u * u),
             )
         )
+    traj.meters = out
     return out
+
+
+def lyapunov_identity_residual(traj, params):
+    """Residual of d/dt L + int |v_t|^2 + int S |D/S u_x - v_x|^2 = 0."""
+    meters = traj.meters or measure_monitors(traj, params)
+    return traj.interval_residuals(
+        [m.lyap_classical for m in meters],
+        [m.vt_sq + m.drift_sq for m in meters],
+    )
+
+
+def entro_prod_residual(traj, params):
+    """Residual of d/dt F + D = quarter-term + curvature-term."""
+    meters = traj.meters or measure_monitors(traj, params)
+    return traj.interval_residuals(
+        [m.lyap_F for m in meters],
+        [m.dissipation_D - m.ep_quarter - m.ep_curvature for m in meters],
+    )
 
 
 def lp_inequality_residuals(traj, params):
@@ -424,25 +337,58 @@ def lp_inequality_residuals(traj, params):
     if len(traj.times) < 2:
         raise UsageError("need at least 2 snapshots")
     dt = traj.record_dt
-
-    def pieces(state):
-        grid = state.u.grid
-        u = state.u.values
-        du = central_diff(u, 0, grid.h)
-        vt = v_time_derivative(u, state.v.values, grid.h)
-        lp = integrate(Field(grid, u**p))
-        grad = integrate(Field(grid, u ** (p - 2.0) * (1.0 + u) ** (-p) * du**2))
-        usq = integrate(Field(grid, u * u))
-        vtsq = integrate(Field(grid, vt * vt))
-        return lp, grad, usq, vtsq
-
-    vals = [pieces(s) for s in traj.states]
+    meters = traj.meters or measure_monitors(traj, params)
     c = p * (p - 1.0)
     out = []
-    for k in range(len(vals) - 1):
-        lp0, g0, us0, vt0 = vals[k]
-        lp1, g1, us1, vt1 = vals[k + 1]
-        lhs = (lp1 - lp0) / dt + c * 0.5 * (g0 + g1)
-        rhs = 1.5 * c * 0.5 * (us0 + us1) + 0.5 * c * 0.5 * (vt0 + vt1)
+    for m0, m1 in zip(meters, meters[1:]):
+        lhs = ((m1.lp_norm - m0.lp_norm) / dt
+               + c * 0.5 * (m0.lp_grad + m1.lp_grad))
+        rhs = (1.5 * c * 0.5 * (m0.u_sq + m1.u_sq)
+               + 0.5 * c * 0.5 * (m0.vt_sq + m1.vt_sq))
         out.append(lhs - rhs)
     return out
+
+
+# ---------------------------------------------------------------------------
+# S(u) = u special case, (p, q) = (p, 0)
+
+
+def _s1_pieces(state, params):
+    """The lemma's A, B, C and the remark's functional F on one snapshot;
+    the remark's G and quarter-term are the record's ``dissipation_D``
+    and ``ep_quarter`` at S(u) = u."""
+    grid, h, u = state.u.grid, state.u.grid.h, state.u.values
+    D = np.asarray(params.model().D(u), dtype=float)
+    du = central_diff(u, 0, h)
+    A = 0.5 * integrate(Field(grid, D * D / u * du * du))
+    flux_field = D / u * du
+    dflux = central_diff(flux_field, 0, h, odd=True)
+    B = integrate(Field(grid, u * D * dflux**2))
+    vxx = second_diff(state.v.values, 0, h)
+    C = integrate(Field(grid, u * D * vxx * dflux))
+    # int_1^u D(s) ds in closed form for D = (1+s)^(-p)
+    p = params.p
+    if abs(p - 1.0) <= 1e-12:
+        d_primitive = np.log((1.0 + u) / 2.0)
+    else:
+        d_primitive = ((1.0 + u) ** (1.0 - p) - 2.0 ** (1.0 - p)) / (1.0 - p)
+    F_s1 = A - integrate(Field(grid, u * d_primitive))
+    return A, B, C, F_s1
+
+
+def s1_functional_identity(traj, params):
+    """Residuals of the two S(u)=u identities.
+
+    Returns (lemma_series, remark_series): the first checks
+    d/dt A + B = C with A the weighted gradient energy, the second checks
+    d/dt F + G = quarter-term.
+    """
+    if not params.linear_sensitivity:
+        raise UsageError("the S(u)=u identities require q = 0")
+    meters = traj.meters or measure_monitors(traj, params)
+    A, B, C, F = zip(*(_s1_pieces(s, params) for s in traj.states))
+    lemma = traj.interval_residuals(A, [b - c for b, c in zip(B, C)])
+    remark = traj.interval_residuals(
+        F, [m.dissipation_D - m.ep_quarter for m in meters]
+    )
+    return lemma, remark

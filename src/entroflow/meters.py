@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
 from .fields import Field, central_diff, integrate, require_positive_field
 
 
@@ -119,19 +118,3 @@ def nonincreasing_report(series, scale):
             ok = False
     return MonotonicityReport(ok, worst, scale)
 
-
-def convexity_check(traj, model=None):
-    """Second time differences of the entropy integral are >= -tol."""
-    traj.require_uniform(4)
-    meters = traj.meters
-    if meters is None or not meters:
-        if model is None:
-            raise UsageError("trajectory has no meters and no model was given")
-        meters = measure_trajectory(traj, model)
-    ent = [m.entropy for m in meters]
-    h = traj.states[0].grid.h
-    dt = traj.record_dt
-    scale = monotone_tolerance(h, dt) * max(max(abs(e) for e in ent), 1e-30)
-    second = [b - 2.0 * m + a for a, m, b in zip(ent, ent[1:], ent[2:])]
-    worst = min(second) if second else 0.0
-    return MonotonicityReport(worst >= -scale, max(0.0, -worst - scale), scale)

@@ -11,6 +11,10 @@ The flux is regularized as (|u_x|^2 + delta^2)^{(p-2)/2} u_x, which makes
 the explicit scheme well-posed where the gradient vanishes; the
 monotonicity tolerance budgets explicitly for the delta-sized bias this
 introduces.
+
+``measure_trajectory`` evaluates each snapshot once, into a PLMeter record
+(I[u] and the source of its exact rate) attached as ``Trajectory.meters``;
+the monotonicity verdict and the rate residuals both read it.
 """
 
 from dataclasses import dataclass
@@ -111,52 +115,65 @@ def run(u0, config):
 # The Lyapunov functional and its exact rate
 
 
+@dataclass(frozen=True)
+class PLMeter:
+    """The record of one snapshot."""
+
+    I: float            # I[u] = int |d_x(u^{p*})|^p
+    rate_source: float  # minus dI/dt: minus the sum of the three rate terms
+
+
 def lyap_I(u, p):
     """I[u] = int |d_x(u^{p*})|^p by the mirror stencil and midpoint rule."""
+    return _lyap_parts(u, p)[0]
+
+
+def _lyap_parts(u, p):
+    """I[u], p*, w = u^{p*} and w_x on a positive field."""
     if u.min() <= 0.0:
         raise UsageError("u must be positive")
     ps = p_star(p)
-    h = u.grid.h
     w = u.values**ps
-    dw = central_diff(w, 0, h)
-    return integrate(Field(u.grid, np.abs(dw) ** p))
+    dw = central_diff(w, 0, u.grid.h)
+    return integrate(Field(u.grid, np.abs(dw) ** p)), ps, w, dw
 
 
-def rate_terms(u, p, delta=0.0):
-    """The three integrals whose sum equals dI/dt for smooth positive u.
+def measure_trajectory(traj, p, delta=0.0):
+    """The one evaluation of a trajectory: a PLMeter per snapshot, attached
+    as ``traj.meters`` and returned.
 
-    With w = u^{p*} the terms are a negative square involving
-    d_x(|w_x|^{p-2} w_x), a signed cubic-gradient curvature term, and a
-    negative term in |w_x|^{2p}; delta regularizes the |w_x|^{p-2}
-    weights exactly as the flux does.
+    For smooth positive u, dI/dt is the sum of three integrals in
+    w = u^{p*}: a negative square involving d_x(|w_x|^{p-2} w_x), a signed
+    cubic-gradient curvature term, and a negative term in |w_x|^{2p};
+    delta regularizes the |w_x|^{p-2} weights exactly as the flux does.
     """
-    ps = p_star(p)
-    grid = u.grid
-    h = grid.h
-    vals = u.values
-    w = vals**ps
-    dw = central_diff(w, 0, h)
-    dw_sq = dw * dw + delta * delta
-    flux_like = dw_sq ** ((p - 2.0) / 2.0) * dw  # gradient-like: odd mirror
-    dflux = central_diff(flux_like, 0, h, odd=True)
-    t1 = -p * ps ** (2.0 - p) * integrate(
-        Field(grid, vals ** (0.5 - 0.5 / (p - 1.0)) * dflux**2)
-    )
-    d2w = second_diff(w, 0, h)
-    t2 = 0.5 * p * p * ps ** (1.0 - p) * integrate(
-        Field(grid, vals ** (-0.5) * dw_sq ** (p - 2.0) * dw * dw * d2w)
-    )
-    t3 = -0.25 * p * ps ** (-p) * integrate(
-        Field(grid, dw_sq**p * vals ** (-1.5 + 0.5 / (p - 1.0)))
-    )
-    return t1, t2, t3
+    meters = []
+    for u in traj.states:
+        I, ps, w, dw = _lyap_parts(u, p)
+        grid, h, vals = u.grid, u.grid.h, u.values
+        dw_sq = dw * dw + delta * delta
+        flux_like = dw_sq ** ((p - 2.0) / 2.0) * dw  # gradient-like: odd mirror
+        dflux = central_diff(flux_like, 0, h, odd=True)
+        t1 = -p * ps ** (2.0 - p) * integrate(
+            Field(grid, vals ** (0.5 - 0.5 / (p - 1.0)) * dflux**2)
+        )
+        d2w = second_diff(w, 0, h)
+        t2 = 0.5 * p * p * ps ** (1.0 - p) * integrate(
+            Field(grid, vals ** (-0.5) * dw_sq ** (p - 2.0) * dw * dw * d2w)
+        )
+        t3 = -0.25 * p * ps ** (-p) * integrate(
+            Field(grid, dw_sq**p * vals ** (-1.5 + 0.5 / (p - 1.0)))
+        )
+        meters.append(PLMeter(I, -(t1 + t2 + t3)))
+    traj.meters = meters
+    return meters
 
 
 def rate_residuals(traj, p, delta=0.0):
     """Per-interval dI/dt minus the midpoint mean of the three rate terms."""
+    meters = traj.meters or measure_trajectory(traj, p, delta)
     return traj.interval_residuals(
-        [lyap_I(u, p) for u in traj.states],
-        [-sum(rate_terms(u, p, delta)) for u in traj.states],
+        [m.I for m in meters], [m.rate_source for m in meters]
     )
 
 
@@ -181,7 +198,8 @@ def monotonicity_report(traj, config):
     p = config.p
     h = traj.states[0].grid.h
     dt = traj.record_dt if len(traj.times) > 1 else traj.dt
-    I_vals = [lyap_I(u, p) for u in traj.states]
+    meters = traj.meters or measure_trajectory(traj, p, config.delta)
+    I_vals = [m.I for m in meters]
     rep = nonincreasing_report(I_vals, mono_tolerance(h, dt, p, config.delta))
     verdict = (rep.passed if p >= 2.0 else None)
     return PLMonoReport(verdict, rep.worst_violation, rep.tolerance_scale, I_vals)

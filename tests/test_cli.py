@@ -194,6 +194,93 @@ def test_ks_subcommand(outdir):
         assert math.isfinite(summary["max_monitors"][col])
 
 
+def test_ks_s1_preset_reports_convergent_special_case_identities(outdir):
+    assert main(["run", "ks_s1_10"]) == EXIT_PASS
+    summary = json.loads((outdir / "ks_s1_10" / "ks_summary.json").read_text())
+    coarse, fine = summary["residual_convergence"]["table"]
+    assert (coarse["cells"], fine["cells"]) == (64, 128)
+    for key in ("max_s1_lemma_residual", "max_s1_remark_residual"):
+        assert coarse[key] / fine[key] > 1.0
+
+
+def _count_calls(monkeypatch, owner, name, counts, skip=lambda: False):
+    """Count calls of ``owner.name`` into ``counts[name]``, except while
+    ``skip()`` holds."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if not skip():
+            counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _capture_results(monkeypatch, owner, name, into):
+    original = getattr(owner, name)
+
+    def capture(*args, **kwargs):
+        into.append(original(*args, **kwargs))
+        return into[-1]
+
+    monkeypatch.setattr(owner, name, capture)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 0.0)])
+def test_ks_run_evaluates_each_snapshot_once(p, q, monkeypatch, tmp_path):
+    # outside the step and its guard, v_t, D/S and S are formed once per
+    # snapshot of the fine and the paired coarse run
+    from entroflow import cli, keller_segel
+    from entroflow.coeff_models import KSModel
+
+    counts = {"v_time_derivative": 0, "ratio": 0, "S": 0}
+    stepping = [0]
+
+    def in_step(fn):
+        def wrapped(*args, **kwargs):
+            stepping[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stepping[0] -= 1
+        return wrapped
+
+    for name in ("ks_step", "ks_stable_dt"):
+        monkeypatch.setattr(keller_segel, name, in_step(getattr(keller_segel, name)))
+    _count_calls(monkeypatch, keller_segel, "v_time_derivative", counts,
+                 lambda: stepping[0] > 0)
+    for name in ("ratio", "S"):
+        _count_calls(monkeypatch, KSModel, name, counts, lambda: stepping[0] > 0)
+    trajs = []
+    _capture_results(monkeypatch, cli, "_ks_run_once", trajs)
+
+    cfg = {"kind": "ks", "name": "ks_counts",
+           "model": {"p": p, "q": q},
+           "grid": {"dim": 1, "cells": 32},
+           "run": {"t_end": 0.004, "mass": 2.0, "record_every": 5}}
+    assert run_experiment(cfg, str(tmp_path)) == EXIT_PASS
+    assert len(trajs) == 2 and all(len(t.times) >= 3 for t in trajs)
+    snapshots = sum(len(t.times) for t in trajs)
+    assert counts == {"v_time_derivative": snapshots, "ratio": snapshots,
+                      "S": snapshots}
+
+
+def test_plaplace_run_evaluates_each_snapshot_once(monkeypatch, tmp_path):
+    # u^{p*} is formed where p* is: once per snapshot
+    from entroflow import cli
+
+    counts = {"p_star": 0}
+    _count_calls(monkeypatch, cli.pl_mod, "p_star", counts)
+    trajs = []
+    _capture_results(monkeypatch, cli.pl_mod, "run", trajs)
+    cfg = {"kind": "plaplace", "name": "pl_counts", "model": {"p": 3.0},
+           "grid": {"dim": 1, "cells": 32},
+           "run": {"t_end": 0.002, "record_every": 10}}
+    assert run_experiment(cfg, str(tmp_path)) == EXIT_PASS
+    assert len(trajs) == 1 and len(trajs[0].times) >= 3
+    assert counts["p_star"] == len(trajs[0].times)
+
+
 def test_ks_below_twice_the_grid_minimum_skips_coarse_run(outdir):
     code = main(["ks", "--p", "2", "--q", "1", "--cells", "12",
                  "--t-end", "0.001", "--record-every", "5"])

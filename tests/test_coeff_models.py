@@ -223,6 +223,25 @@ def test_tabulated_from_csv(tmp_path):
     assert float(tab.a(2.0)) == pytest.approx(float(src.a(2.0)), rel=1e-3)
 
 
+def test_tabulated_from_csv_rejects_unparsable_rows(tmp_path):
+    # only the first row that is not a comment may be a header: a later
+    # unparsable row is an error naming its line, not a skipped row
+    path = tmp_path / "table.csv"
+    good = ["0.5,1", "1.0,2", "3.0,4", "4.0,5"]
+    for bad, line in (("2.0,3.O", 4), ("5.0,6.0,", 6)):
+        lines = ["# s, a(s)", "s,a"] + good
+        lines.insert(line - 1, bad)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelError, match="line %d " % line):
+            TabulatedModel.from_csv(path)
+    path.write_text("\n".join(["# s, a(s)", "s,a", "", *good, "  "]) + "\n")
+    tab = TabulatedModel.from_csv(path)
+    assert (tab.s_knots[0], tab.s_knots[-1]) == (0.5, 4.0)
+    path.write_text("\n".join(good + ["s,a"]) + "\n")
+    with pytest.raises(ModelError, match="line 5 "):
+        TabulatedModel.from_csv(path)
+
+
 def test_model_from_spec():
     assert isinstance(model_from_spec({"family": "linear"}), Linear)
     m = model_from_spec({"family": "power_law", "m": 3.0})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entroflow import keller_segel
+from entroflow.diffusion import Trajectory
 from entroflow.errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from entroflow.fields import Field, Grid
 from entroflow.keller_segel import (
@@ -13,16 +14,13 @@ from entroflow.keller_segel import (
     classical_lyapunov,
     cosine_initial_state,
     entro_prod_residual,
-    functional_F_and_D,
     ks_stable_dt,
     ks_step,
     lp_inequality_residuals,
-    lyapunov_dissipation,
     lyapunov_identity_residual,
     measure_monitors,
     run_ks,
     s1_functional_identity,
-    s1_nonneg_dissipation,
     v_time_derivative,
 )
 
@@ -35,6 +33,11 @@ def _uniform_state(grid, u_val, v_val):
         Field(grid, np.full(grid.shape, u_val)),
         Field(grid, np.full(grid.shape, v_val)),
     )
+
+
+def _monitor(state, params):
+    """The record ``measure_monitors`` makes of a one-snapshot trajectory."""
+    return measure_monitors(Trajectory([0.0], [state], 0.0), params)[0]
 
 
 def test_strict_hypotheses():
@@ -52,9 +55,9 @@ def test_dissipation_anchor():
     # D = int S D (1/2)^2 = (1/2)(1/4)(1/4) = 1/32; F vanishes
     g = Grid(1, 64)
     st = _uniform_state(g, 1.0, 0.0)
-    F, D = functional_F_and_D(st, P21)
-    assert F == 0.0
-    assert D == pytest.approx(1.0 / 32.0, abs=1e-14)
+    m = _monitor(st, P21)
+    assert m.lyap_F == 0.0
+    assert m.dissipation_D == pytest.approx(1.0 / 32.0, abs=1e-14)
 
 
 def test_classical_lyapunov_anchor():
@@ -73,8 +76,8 @@ def test_equilibrium_is_steady():
     assert np.array_equal(u, st.u.values)
     assert np.array_equal(v, st.v.values)
     assert np.all(vt == 0.0)
-    vt_sq, s_term = lyapunov_dissipation(st, P21)
-    assert vt_sq == 0.0 and s_term == 0.0
+    m = _monitor(st, P21)
+    assert m.vt_sq == 0.0 and m.drift_sq == 0.0
 
 
 def test_mass_conserved_exactly():
@@ -174,8 +177,6 @@ def test_s1_requires_q_zero():
     traj = run_ks(KSConfig(P21, g, t_end=0.002, mass=1.0, record_every=10))
     with pytest.raises(UsageError):
         s1_functional_identity(traj, P21)
-    st = _uniform_state(g, 1.0, 0.0)
-    assert s1_nonneg_dissipation(st, P10) >= 0.0
 
 
 def test_lp_inequality_on_short_run():
@@ -186,6 +187,25 @@ def test_lp_inequality_on_short_run():
     mons = measure_monitors(traj, P21)
     tol = 10.0 * (h * h + traj.record_dt) * max(m.lp_norm for m in mons)
     assert max(slack) <= tol
+
+
+@pytest.mark.parametrize("params", [P21, P10, KSParams(2.0, 0.5)])
+def test_residuals_from_meters_equal_fresh_measurement(params):
+    # every residual reads the record measure_monitors attached, and gives
+    # exactly what it gives on a copy of the trajectory without one
+    traj = run_ks(KSConfig(params, Grid(1, 32), t_end=0.004, mass=2.0,
+                           record_every=10))
+    fns = [lyapunov_identity_residual, entro_prod_residual,
+           lp_inequality_residuals]
+    if params.linear_sensitivity:
+        fns.append(s1_functional_identity)
+    meters = measure_monitors(traj, params)
+    assert traj.meters is meters and len(meters) == len(traj.times) >= 3
+    for fn in fns:
+        fresh = Trajectory(traj.times, traj.states, traj.dt)
+        assert fn(traj, params) == fn(fresh, params)
+        assert len(fresh.meters) == len(traj.times)
+    assert traj.meters is meters
 
 
 def test_monitor_columns_finite():

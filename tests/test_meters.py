@@ -6,7 +6,6 @@ from entroflow.diffusion import FlowConfig, Trajectory, initial_cosine, run
 from entroflow.errors import UsageError
 from entroflow.fields import Grid, constant_field, from_function
 from entroflow.meters import (
-    convexity_check,
     identity_residuals,
     measure,
     monotone_tolerance,
@@ -79,10 +78,3 @@ def test_monotonicity_report():
     rep_ok = monotonicity_report([1.0, 1.0 + 0.5 * scale], h=0.1, dt=1e-3)
     assert rep_ok.passed
 
-
-def test_entropy_convex_along_heat_flow():
-    g = Grid(1, 64)
-    model = Linear()
-    traj = run(initial_cosine(g), FlowConfig(model, g, 0.02, record_every=20))
-    rep = convexity_check(traj, model)
-    assert rep.passed

@@ -5,7 +5,7 @@ import pytest
 
 from entroflow import p_laplace
 from entroflow.coeff_models import Linear
-from entroflow.diffusion import FlowConfig, initial_cosine, run as run_heat
+from entroflow.diffusion import FlowConfig, Trajectory, initial_cosine, run as run_heat
 from entroflow.errors import ConfigError, PositivityLossError, UsageError
 from entroflow.fields import Field, Grid, constant_field
 from entroflow.meters import measure_trajectory
@@ -125,6 +125,24 @@ def test_rate_residual_convergence():
 
     a, b = resmax(64), resmax(128)
     assert a / b >= 3.0
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0])
+def test_report_and_residuals_read_the_meters(p):
+    # both reports read the record measure_trajectory attached, and give
+    # exactly what they give on a copy of the trajectory without one
+    g = Grid(1, 32)
+    cfg = PLaplaceConfig(p=p, grid=g, t_end=0.002, record_every=10)
+    traj = run(initial_cosine(g), cfg)
+    meters = p_laplace.measure_trajectory(traj, p, cfg.delta)
+    assert traj.meters is meters and len(meters) == len(traj.times) >= 3
+    assert [m.I for m in meters] == [lyap_I(u, p) for u in traj.states]
+    fresh = Trajectory(traj.times, traj.states, traj.dt)
+    assert (rate_residuals(traj, p, cfg.delta)
+            == rate_residuals(fresh, p, cfg.delta))
+    fresh = Trajectory(traj.times, traj.states, traj.dt)
+    assert monotonicity_report(traj, cfg) == monotonicity_report(fresh, cfg)
+    assert traj.meters is meters
 
 
 def test_self_convergence_p3():
