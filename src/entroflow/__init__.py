@@ -51,7 +51,7 @@ from .keller_segel import (
     run_ks,
 )
 from .meters import identity_residuals, measure, measure_trajectory
-from .p_laplace import PLaplaceConfig, lyap_I, p_star
+from .p_laplace import PLaplaceConfig, p_star
 from .quadrature import adaptive_simpson
 
 __version__ = "0.1.0"

@@ -33,11 +33,10 @@ from .keller_segel import (
     KSParams,
     lp_inequality_residuals,
     lyapunov_identity_residual,
-    measure_monitors,
     run_ks,
     s1_functional_identity,
 )
-from .meters import identity_residuals, measure_trajectory, monotonicity_report
+from .meters import identity_residuals, monotonicity_report
 from .presets import PRESETS, catalog_text, preset_config
 from .reporting import experiment_dir, write_csv, write_json
 
@@ -167,15 +166,14 @@ def parse_config(cfg):
 
 # ---------------------------------------------------------------------------
 # Runners: each parses the config dict, writes its CSV artifacts and returns
-# an exit code with the summary fields, which run_experiment writes
+# an exit code with the summary fields, which run_experiment writes.  A run
+# returns its trajectory measured, so a runner only reads traj.meters.
 
 
 def _run_diffusion(cfg, outdir):
     _, _, flow_cfg, u0 = parse_config(cfg)
-    model = flow_cfg.model
     traj = run_flow(u0, flow_cfg)
-    measure_trajectory(traj, model)
-    res = identity_residuals(traj, model)
+    res = identity_residuals(traj)
     h, dt = traj.states[0].grid.h, traj.record_dt
     ent = [m.entropy for m in traj.meters]
     fis = [m.fisher_sigma for m in traj.meters]
@@ -261,7 +259,7 @@ def _run_ks(cfg, outdir):
     params, cells = ks_cfg.params, ks_cfg.grid.cells
     s1 = params.linear_sensitivity
     traj = _ks_run_once(ks_cfg, cells)
-    monitors = measure_monitors(traj, params)
+    monitors = traj.meters
     rows = [(m.time,) + tuple(getattr(m, col) for col in _KS_COLUMNS[1:])
             for m in monitors]
     write_csv(os.path.join(outdir, "ks_monitors.csv"), _KS_COLUMNS, rows)
@@ -278,10 +276,10 @@ def _run_ks(cfg, outdir):
         if c >= MIN_CELLS:
             t = traj if c == cells else _ks_run_once(ks_cfg, c)
             try:
-                res = lyapunov_identity_residual(t, params)
+                res = lyapunov_identity_residual(t)
                 row["max_lyap_residual"] = max(abs(r) for r in res)
                 if s1:
-                    lemma, remark = s1_functional_identity(t, params)
+                    lemma, remark = s1_functional_identity(t)
                     row["max_s1_lemma_residual"] = max(abs(r) for r in lemma)
                     row["max_s1_remark_residual"] = max(abs(r) for r in remark)
             except EntroflowError:
@@ -324,10 +322,13 @@ def _run_ks(cfg, outdir):
 def _run_plaplace(cfg, outdir):
     _, _, pl_cfg, u0 = parse_config(cfg)
     traj = pl_mod.run(u0, pl_cfg)
-    pl_mod.measure_trajectory(traj, pl_cfg.p, pl_cfg.delta)
     report = pl_mod.monotonicity_report(traj, pl_cfg)
-    residuals = pl_mod.rate_residuals(traj, pl_cfg.p, pl_cfg.delta)
-    dt, I = traj.record_dt, report.I_values
+    dt, I = traj.record_dt, [m.I for m in traj.meters]
+    # for p < 3/2 the record holds no rate source: the column stays empty
+    if traj.meters[0].rate_source is None:
+        residuals = [""] * (len(I) - 1)
+    else:
+        residuals = pl_mod.rate_residuals(traj)
     rows = [(traj.times[0], I[0], "", "")] + [
         (t, i1, (i1 - i0) / dt, r)
         for t, i0, i1, r in zip(traj.times[1:], I, I[1:], residuals)
@@ -342,8 +343,8 @@ def _run_plaplace(cfg, outdir):
         "monotone": report.passed,
         "worst_violation": report.worst_violation,
         "tolerance_scale": report.tolerance_scale,
-        "I_initial": report.I_values[0],
-        "I_final": report.I_values[-1],
+        "I_initial": I[0],
+        "I_final": I[-1],
     }
     return (EXIT_PROPERTY if report.passed is False else EXIT_PASS), results
 

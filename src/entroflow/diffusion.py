@@ -31,7 +31,11 @@ The run contract, shared by ``run``, ``p_laplace.run`` and
   it returns is overwritten two steps later and any other array it
   returns by the next step; ``record`` therefore copies what it keeps,
   since ``Field`` does not.  A stencil or guard called without buffers
-  allocates its own.  Nothing configures the buffers.
+  allocates its own.  Nothing configures the buffers;
+- the run owns the measuring: it returns its trajectory measured by the
+  flow's one measuring pass, one record per snapshot in
+  ``Trajectory.meters``, which residuals, verdicts and the CLI only read;
+  nothing measures on demand, and an abort's trajectory is unmeasured.
 """
 
 import math
@@ -42,6 +46,7 @@ import numpy as np
 from .errors import (ConfigError, ModelError, PositivityLossError,
                      StabilityError, UsageError)
 from .fields import Field, Grid
+from .meters import measure_trajectory
 
 DEFAULT_SAFETY = 0.4
 DEFAULT_FLOOR = 1e-8
@@ -53,7 +58,6 @@ class FlowConfig:
     grid: Grid
     t_end: float
     safety: float = DEFAULT_SAFETY
-    positivity_floor: float = DEFAULT_FLOOR
     record_every: int = 1
 
     def __post_init__(self):
@@ -68,8 +72,8 @@ class Trajectory:
     KSState for the chemotaxis system.  Immutable by convention once
     returned from a run.  ``meters`` holds one record per snapshot from
     the flow's one measuring pass, with the run's own model (or
-    parameters); every residual and verdict reads it, and measures the
-    trajectory only while it is empty.
+    parameters), which the run makes before it returns; every residual
+    and verdict reads it and measures nothing.
     """
 
     times: list
@@ -82,6 +86,12 @@ class Trajectory:
             raise UsageError("snapshot count must match time count")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise UsageError("times must be strictly increasing")
+
+    def measured(self):
+        """The meters; UsageError unless they cover every snapshot."""
+        if len(self.meters) != len(self.times):
+            raise UsageError("the meters do not cover every snapshot")
+        return self.meters
 
     @property
     def record_dt(self):
@@ -98,13 +108,15 @@ class Trajectory:
         if not self.uniform_spacing():
             raise UsageError("snapshot spacing must be uniform")
 
-    def interval_residuals(self, values, sources):
-        """Per recording interval, (values[k+1] - values[k]) / dt plus the
-        midpoint mean of the two sources: the residual of
-        d(value)/dt + source = 0 from per-snapshot series.
+    def interval_residuals(self, value, source):
+        """Per recording interval, the residual of d(value)/dt + source = 0
+        from the meters: the difference quotient of ``value(record)`` plus
+        the midpoint mean of ``source(record)`` at its two ends.
         """
+        meters = self.measured()
         self.require_uniform(3)
         dt = self.record_dt
+        values, sources = [value(m) for m in meters], [source(m) for m in meters]
         return [
             (v1 - v0) / dt + 0.5 * (s0 + s1)
             for v0, v1, s0, s1 in zip(values, values[1:], sources, sources[1:])
@@ -113,13 +125,11 @@ class Trajectory:
 
 def check_run_contract(config):
     """ConfigError unless ``config`` holds a run ``march`` can make: its
-    t_end, safety, positivity_floor and record_every, on a 1D grid."""
+    t_end, safety and record_every, on a 1D grid."""
     if not config.t_end > 0.0:
         raise ConfigError("t_end must be positive")
     if not (0.0 < config.safety <= 1.0):
         raise ConfigError("safety must lie in (0, 1]")
-    if not config.positivity_floor > 0.0:
-        raise ConfigError("positivity floor must be positive")
     if config.grid.dim != 1:
         raise ConfigError("flows are one-dimensional")
     if config.record_every < 1:
@@ -132,11 +142,12 @@ def march(state, config, guard, advance, record, ceiling=math.inf):
     ``state`` is a tuple of raw values whose first entry is the density
     array.  ``guard(state, safety)`` returns the largest stable step,
     ``advance(state, dt)`` the next state and ``record(state)`` the
-    validated snapshot.  ``config`` supplies t_end, safety, record_every
-    and positivity_floor.  The density is tested against ``ceiling``
-    after every step unless the ceiling is infinite.
+    validated snapshot.  ``config`` supplies t_end, safety and
+    record_every; the initial density must lie above ``DEFAULT_FLOOR``.
+    The density is tested against ``ceiling`` after every step unless
+    the ceiling is infinite.
     """
-    if not (state[0].min() > config.positivity_floor):
+    if not (state[0].min() > DEFAULT_FLOOR):
         raise PositivityLossError("initial state below floor", last_time=0.0)
     dt0 = guard(state, config.safety)
     block = config.record_every
@@ -209,7 +220,7 @@ def stable_dt(u, model, h, safety=DEFAULT_SAFETY):
     return safety * h * h / (2.0 * float(a_max))
 
 
-def step(u, model, h, dt, floor=DEFAULT_FLOOR, buf=None):
+def step(u, model, h, dt, buf=None):
     """One conservative explicit Euler step; aborts on positivity loss.
 
     The flux at each interior face is a at the arithmetic-mean face state
@@ -227,21 +238,24 @@ def step(u, model, h, dt, floor=DEFAULT_FLOOR, buf=None):
     np.multiply(a_mid, flux, out=flux)
     np.divide(flux, h, out=flux)
     new = flux_update(u, flux, dt, h, buf.next_state(0, u))
-    if not (np.minimum.reduce(new) >= floor):
+    if not (np.minimum.reduce(new) >= DEFAULT_FLOOR):
         raise PositivityLossError("state dropped below the positivity floor")
     return new
 
 
 def run(u0, config):
-    """Guarded explicit run to t_end with uniformly spaced snapshots."""
-    model, h, floor = config.model, u0.grid.h, config.positivity_floor
+    """Guarded explicit run to t_end with uniformly spaced snapshots,
+    returned measured by ``meters.measure_trajectory``."""
+    model, h = config.model, u0.grid.h
     buf = RunBuffers(u0.grid.cells, faces=2)
-    return march(
+    traj = march(
         (u0.values,), config,
         guard=lambda s, safety: stable_dt(s[0], model, h, safety),
-        advance=lambda s, dt: (step(s[0], model, h, dt, floor, buf),),
+        advance=lambda s, dt: (step(s[0], model, h, dt, buf),),
         record=lambda s: Field(u0.grid, s[0].copy()),
     )
+    measure_trajectory(traj, model)
+    return traj
 
 
 def initial_cosine(grid, mean=1.0, amplitude=0.5, mode=1):

@@ -10,8 +10,8 @@ constitute desk-scale evidence for global existence at (p,q)=(2,1).
 
 ``measure_monitors`` evaluates each snapshot once, into a KSMonitor record
 attached as ``Trajectory.meters``: the monitors and the sources of the
-Lyapunov, entropy-production and L^p residuals.  Every residual reads that
-record, and measures the trajectory only when it has none.
+Lyapunov, entropy-production, L^p and (at q = 0) S(u)=u residuals.
+``run_ks`` attaches it before it returns, and every residual only reads it.
 
 In every functional, v_t is evaluated from the equation (v_xx - v + u),
 never by time differencing: this keeps the dissipation terms pointwise
@@ -24,7 +24,7 @@ import numpy as np
 
 from .coeff_models import KSModel
 from .diffusion import (DEFAULT_FLOOR, DEFAULT_SAFETY, RunBuffers,
-                        check_run_contract, flux_update, march)
+                        check_run_contract, flux_update, initial_cosine, march)
 from .errors import ConfigError, PositivityLossError, UsageError
 from .fields import Field, Grid, central_diff, integrate, second_diff
 
@@ -82,7 +82,6 @@ class KSConfig:
     mass: float = 1.0
     amplitude: float = 0.5
     safety: float = DEFAULT_SAFETY
-    positivity_floor: float = DEFAULT_FLOOR
     ceiling: float = DEFAULT_CEILING
     record_every: int = 1
     strict: bool = False
@@ -98,7 +97,8 @@ class KSConfig:
 @dataclass
 class KSMonitor:
     """The record of one snapshot: the a-priori estimate monitors, which
-    are the CSV columns, then the residual sources no column shows."""
+    are the CSV columns, then the residual sources no column shows; the
+    S(u)=u pieces are None unless q = 0."""
 
     time: float
     mass: float
@@ -119,6 +119,10 @@ class KSMonitor:
     ep_curvature: float  # int (D/S u_x - v_x) D^2 S'' / (2 S) u_x^3
     lp_grad: float       # int u^(p-2) (1+u)^(-p) |u_x|^2
     u_sq: float          # int u^2
+    s1_A: float = None   # the lemma's A = int D^2/u |u_x|^2 / 2
+    s1_B: float = None   # the lemma's B = int u D |d_x(D/u u_x)|^2
+    s1_C: float = None   # the lemma's C = int u D v_xx d_x(D/u u_x)
+    s1_F: float = None   # the remark's F = A - int u int_1^u D
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +155,7 @@ def ks_stable_dt(u, v, model, h, safety=DEFAULT_SAFETY, buf=None):
     return min(dt_diff, dt_adv)
 
 
-def ks_step(u, v, model, h, dt, floor=DEFAULT_FLOOR, buf=None):
+def ks_step(u, v, model, h, dt, buf=None):
     """One conservative explicit step; aborts on positivity loss.
 
     The u flux at each interior face combines a diffusive and an advective
@@ -176,7 +180,7 @@ def ks_step(u, v, model, h, dt, floor=DEFAULT_FLOOR, buf=None):
     np.divide(drift, h, out=drift)
     np.subtract(flux, drift, out=flux)
     u_new = flux_update(u, flux, dt, h, buf.next_state(0, u))
-    if not (np.minimum.reduce(u_new) >= floor):
+    if not (np.minimum.reduce(u_new) >= DEFAULT_FLOOR):
         raise PositivityLossError("cell density lost positivity")
     vt = v_time_derivative(u, v, h, out=buf.cells[0])
     v_new = np.multiply(vt, dt, out=buf.next_state(1, v))
@@ -188,10 +192,8 @@ def ks_step(u, v, model, h, dt, floor=DEFAULT_FLOOR, buf=None):
 
 def cosine_initial_state(grid, mass, amplitude=0.5):
     """Preset u0 = M (1 + amplitude cos(pi x)) / normalizer, v0 = M."""
-    x = grid.axis_centers()
-    u_vals = 1.0 + amplitude * np.cos(np.pi * x)
-    u_vals *= mass / np.mean(u_vals)
-    return KSState(Field(grid, u_vals), Field(grid, np.full(grid.shape, mass)))
+    u0 = initial_cosine(grid, mean=mass, amplitude=amplitude)
+    return KSState(u0, Field(grid, np.full(grid.shape, mass)))
 
 
 def run_ks(config):
@@ -201,12 +203,13 @@ def run_ks(config):
     PositivityLossError / StabilityError (the numerical blow-up
     indicators, the density ceiling included) carrying the trajectory
     built so far.  Each recorded KSState carries the accumulated
-    int_0^t int |v_t|^2.
+    int_0^t int |v_t|^2.  The trajectory is returned measured by
+    ``measure_monitors``.
     """
     state = cosine_initial_state(config.grid, config.mass, config.amplitude)
     model = config.params.model()
     grid = config.grid
-    h, floor = grid.h, config.positivity_floor
+    h = grid.h
     # the guard's two cell arrays are free again once it has returned:
     # the step takes the first for v_t, and the second holds v_t^2
     buf = RunBuffers(grid.cells, faces=3, cells=2, fields=2)
@@ -214,12 +217,12 @@ def run_ks(config):
 
     def advance(s, dt):
         u, v, acc = s
-        u, v, vt = ks_step(u, v, model, h, dt, floor, buf)
+        u, v, vt = ks_step(u, v, model, h, dt, buf)
         # dt times int |v_t|^2 by the midpoint rule of fields.integrate
         np.multiply(vt, vt, out=vt_sq)
         return u, v, acc + dt * (float(np.add.reduce(vt_sq)) * h)
 
-    return march(
+    traj = march(
         (state.u.values, state.v.values, 0.0), config,
         guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety, buf),
         advance=advance,
@@ -227,6 +230,8 @@ def run_ks(config):
                                  Field(grid, s[1].copy()), s[2]),
         ceiling=config.ceiling,
     )
+    measure_monitors(traj, config.params)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +262,12 @@ def measure_monitors(traj, params):
     Per snapshot it forms D(u), S(u), u_x, v_x, v_t and (D/S)(u) u_x once.
     The Fisher-type pair is included for every (p, q); the (p, q)
     hypotheses of the estimates are checked by ``KSConfig(strict=True)``.
+    At q = 0, where S(u) = u bit for bit, the record also holds the S(u)=u
+    pieces A, B, C and F, and A is exactly the first term of ``lyap_F``.
     """
     model = params.model()
     p = params.p
+    s1 = params.linear_sensitivity
     out = []
     for t, state in zip(traj.times, traj.states):
         grid, h = state.u.grid, state.u.grid.h
@@ -275,18 +283,27 @@ def measure_monitors(traj, params):
         vt = v_time_derivative(u, v, h)
         flux_field = np.asarray(model.ratio(u)) * du  # gradient-like: odd mirror
         drift = flux_field - dv
-        bracket = (
-            central_diff(flux_field, 0, h, odd=True)
-            - second_diff(v, 0, h)
-            + 0.5 * (v + vt)
-        )
+        dflux = central_diff(flux_field, 0, h, odd=True)
+        vxx = second_diff(v, 0, h)
+        bracket = dflux - vxx + 0.5 * (v + vt)
         s2 = np.asarray(model.S_second(u), dtype=float)
+        energy = 0.5 * integral(D * D / S * du * du)
+        pieces = {}
+        if s1:
+            # int_1^u D(s) ds in closed form for D = (1+s)^(-p)
+            d_primitive = (
+                np.log((1.0 + u) / 2.0) if abs(p - 1.0) <= 1e-12
+                else ((1.0 + u) ** (1.0 - p) - 2.0 ** (1.0 - p)) / (1.0 - p)
+            )
+            pieces = dict(s1_A=energy, s1_B=integral(S * D * dflux**2),
+                          s1_C=integral(S * D * vxx * dflux),
+                          s1_F=energy - integral(u * d_primitive))
         out.append(
             KSMonitor(
                 time=t,
                 mass=integrate(state.u),
                 lyap_classical=classical_lyapunov(state, params),
-                lyap_F=(0.5 * integral(D * D / S * du * du)
+                lyap_F=(energy
                         - integral(np.asarray(model.psi(u), dtype=float))),
                 dissipation_D=integral(S * D * bracket**2),
                 ep_estimate=integral(du**2 / (u * (1.0 + u) ** (p + 1.0))),
@@ -303,27 +320,24 @@ def measure_monitors(traj, params):
                 ep_curvature=integral(drift * D * D * s2 / (2.0 * S) * du**3),
                 lp_grad=integral(u ** (p - 2.0) * (1.0 + u) ** (-p) * du**2),
                 u_sq=integral(u * u),
+                **pieces,
             )
         )
     traj.meters = out
     return out
 
 
-def lyapunov_identity_residual(traj, params):
+def lyapunov_identity_residual(traj):
     """Residual of d/dt L + int |v_t|^2 + int S |D/S u_x - v_x|^2 = 0."""
-    meters = traj.meters or measure_monitors(traj, params)
-    return traj.interval_residuals(
-        [m.lyap_classical for m in meters],
-        [m.vt_sq + m.drift_sq for m in meters],
-    )
+    return traj.interval_residuals(lambda m: m.lyap_classical,
+                                   lambda m: m.vt_sq + m.drift_sq)
 
 
-def entro_prod_residual(traj, params):
+def entro_prod_residual(traj):
     """Residual of d/dt F + D = quarter-term + curvature-term."""
-    meters = traj.meters or measure_monitors(traj, params)
     return traj.interval_residuals(
-        [m.lyap_F for m in meters],
-        [m.dissipation_D - m.ep_quarter - m.ep_curvature for m in meters],
+        lambda m: m.lyap_F,
+        lambda m: m.dissipation_D - m.ep_quarter - m.ep_curvature,
     )
 
 
@@ -337,7 +351,7 @@ def lp_inequality_residuals(traj, params):
     if len(traj.times) < 2:
         raise UsageError("need at least 2 snapshots")
     dt = traj.record_dt
-    meters = traj.meters or measure_monitors(traj, params)
+    meters = traj.measured()
     c = p * (p - 1.0)
     out = []
     for m0, m1 in zip(meters, meters[1:]):
@@ -353,42 +367,18 @@ def lp_inequality_residuals(traj, params):
 # S(u) = u special case, (p, q) = (p, 0)
 
 
-def _s1_pieces(state, params):
-    """The lemma's A, B, C and the remark's functional F on one snapshot;
-    the remark's G and quarter-term are the record's ``dissipation_D``
-    and ``ep_quarter`` at S(u) = u."""
-    grid, h, u = state.u.grid, state.u.grid.h, state.u.values
-    D = np.asarray(params.model().D(u), dtype=float)
-    du = central_diff(u, 0, h)
-    A = 0.5 * integrate(Field(grid, D * D / u * du * du))
-    flux_field = D / u * du
-    dflux = central_diff(flux_field, 0, h, odd=True)
-    B = integrate(Field(grid, u * D * dflux**2))
-    vxx = second_diff(state.v.values, 0, h)
-    C = integrate(Field(grid, u * D * vxx * dflux))
-    # int_1^u D(s) ds in closed form for D = (1+s)^(-p)
-    p = params.p
-    if abs(p - 1.0) <= 1e-12:
-        d_primitive = np.log((1.0 + u) / 2.0)
-    else:
-        d_primitive = ((1.0 + u) ** (1.0 - p) - 2.0 ** (1.0 - p)) / (1.0 - p)
-    F_s1 = A - integrate(Field(grid, u * d_primitive))
-    return A, B, C, F_s1
-
-
-def s1_functional_identity(traj, params):
+def s1_functional_identity(traj):
     """Residuals of the two S(u)=u identities.
 
     Returns (lemma_series, remark_series): the first checks
     d/dt A + B = C with A the weighted gradient energy, the second checks
-    d/dt F + G = quarter-term.
+    d/dt F + G = quarter-term, G and the quarter-term being the record's
+    ``dissipation_D`` and ``ep_quarter`` at S(u) = u.
     """
-    if not params.linear_sensitivity:
+    if traj.measured()[0].s1_A is None:
         raise UsageError("the S(u)=u identities require q = 0")
-    meters = traj.meters or measure_monitors(traj, params)
-    A, B, C, F = zip(*(_s1_pieces(s, params) for s in traj.states))
-    lemma = traj.interval_residuals(A, [b - c for b, c in zip(B, C)])
+    lemma = traj.interval_residuals(lambda m: m.s1_A, lambda m: m.s1_B - m.s1_C)
     remark = traj.interval_residuals(
-        F, [m.dissipation_D - m.ep_quarter for m in meters]
+        lambda m: m.s1_F, lambda m: m.dissipation_D - m.ep_quarter
     )
     return lemma, remark

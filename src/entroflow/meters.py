@@ -36,7 +36,7 @@ class ResidualSeries:
 
 @dataclass
 class MonotonicityReport:
-    passed: bool
+    passed: object  # True/False, or None for an observation-only run
     worst_violation: float
     tolerance_scale: float
 
@@ -73,8 +73,9 @@ def measure_trajectory(traj, model):
     return traj.meters
 
 
-def identity_residuals(traj, model):
-    """Centered-in-time residuals of the entropy and Fisher identities.
+def identity_residuals(traj):
+    """Centered-in-time residuals of the entropy and Fisher identities,
+    from the meters the run attached.
 
     Per recording interval,
         R1 = d(int H)/dt + mean fisher_sigma,
@@ -82,13 +83,10 @@ def identity_residuals(traj, model):
     with the time difference centered at the interval midpoint, so both
     residuals are O(dt_record^2) + O(h^2) + O(dt).
     """
-    meters = traj.meters or measure_trajectory(traj, model)
-    fisher = [m.fisher_sigma for m in meters]
-    r1 = traj.interval_residuals([m.entropy for m in meters], fisher)
+    r1 = traj.interval_residuals(lambda m: m.entropy, lambda m: m.fisher_sigma)
     # halving is exact, so the halved series differences bit-identically
-    r2 = traj.interval_residuals(
-        [0.5 * f for f in fisher], [m.dissipation for m in meters]
-    )
+    r2 = traj.interval_residuals(lambda m: 0.5 * m.fisher_sigma,
+                                 lambda m: m.dissipation)
     return ResidualSeries(r1, r2, h=traj.states[0].grid.h, dt=traj.record_dt)
 
 

@@ -4,8 +4,8 @@ The monitored quantity is I[u] = int |d_x(u^{p*})|^p with the exponent
 p* = 1 - 1/(2(p-1)); for p = 2 this is exactly one quarter of the
 classical Fisher information of the linear heat flow.  I is non-increasing
 for p >= 2; runs with p in (1, 2) are allowed but report observations
-without a verdict, and p = 3/2 is rejected outright because p* degenerates
-there.
+without a verdict, and p <= 1 and p = 3/2 are rejected outright because p*
+is undefined or degenerates there.
 
 The flux is regularized as (|u_x|^2 + delta^2)^{(p-2)/2} u_x, which makes
 the explicit scheme well-posed where the gradient vanishes; the
@@ -13,8 +13,10 @@ monotonicity tolerance budgets explicitly for the delta-sized bias this
 introduces.
 
 ``measure_trajectory`` evaluates each snapshot once, into a PLMeter record
-(I[u] and the source of its exact rate) attached as ``Trajectory.meters``;
-the monotonicity verdict and the rate residuals both read it.
+(I[u] and the source of its exact rate) that ``run`` attaches as
+``Trajectory.meters``; the monotonicity verdict and the rate residuals only
+read it.  For 1 < p < 3/2, p* < 0 makes the rate's powers of p* complex, so
+the record holds I alone: such a run has no rate residual.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,8 @@ import numpy as np
 from .errors import ConfigError, PositivityLossError, UsageError
 from .diffusion import (DEFAULT_FLOOR, DEFAULT_SAFETY, RunBuffers,
                         check_run_contract, flux_update, march)
-from .fields import Field, Grid, central_diff, integrate, second_diff
+from .fields import (Field, Grid, central_diff, integrate,
+                     require_positive_field, second_diff)
 from .meters import nonincreasing_report
 
 DEFAULT_DELTA = 1e-6
@@ -37,12 +40,11 @@ class PLaplaceConfig:
     t_end: float
     delta: float = DEFAULT_DELTA
     safety: float = DEFAULT_SAFETY
-    positivity_floor: float = DEFAULT_FLOOR
     record_every: int = 1
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ConfigError("p must be >= 1")
+        if not self.p > 1.0:
+            raise ConfigError("p must be > 1 (p* is undefined at p = 1)")
         if abs(self.p - 1.5) < 1e-12:
             raise ConfigError("p = 3/2 is excluded (the exponent p* vanishes)")
         if not (self.delta > 0.0):
@@ -94,21 +96,24 @@ def pl_step(u, config, h, dt, buf=None):
     du, flux = _face_diffusivity(u, config.p, config.delta, h, buf)
     np.multiply(flux, du, out=flux)
     new = flux_update(u, flux, dt, h, buf.next_state(0, u))
-    if not (np.minimum.reduce(new) >= config.positivity_floor):
+    if not (np.minimum.reduce(new) >= DEFAULT_FLOOR):
         raise PositivityLossError("state dropped below the positivity floor")
     return new
 
 
 def run(u0, config):
-    """Guarded run; the run contract is that of ``diffusion.march``."""
+    """Guarded run; the run contract is that of ``diffusion.march``, and
+    the trajectory is returned measured by ``measure_trajectory``."""
     h = u0.grid.h
     buf = RunBuffers(u0.grid.cells, faces=2)
-    return march(
+    traj = march(
         (u0.values,), config,
         guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety, buf),
         advance=lambda s, dt: (pl_step(s[0], config, h, dt, buf),),
         record=lambda s: Field(u0.grid, s[0].copy()),
     )
+    measure_trajectory(traj, config.p, config.delta)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +125,8 @@ class PLMeter:
     """The record of one snapshot."""
 
     I: float            # I[u] = int |d_x(u^{p*})|^p
-    rate_source: float  # minus dI/dt: minus the sum of the three rate terms
-
-
-def lyap_I(u, p):
-    """I[u] = int |d_x(u^{p*})|^p by the mirror stencil and midpoint rule."""
-    return _lyap_parts(u, p)[0]
-
-
-def _lyap_parts(u, p):
-    """I[u], p*, w = u^{p*} and w_x on a positive field."""
-    if u.min() <= 0.0:
-        raise UsageError("u must be positive")
-    ps = p_star(p)
-    w = u.values**ps
-    dw = central_diff(w, 0, u.grid.h)
-    return integrate(Field(u.grid, np.abs(dw) ** p)), ps, w, dw
+    rate_source: float  # minus dI/dt: minus the sum of the three rate terms;
+                        # None for p < 3/2, where p* < 0
 
 
 def measure_trajectory(traj, p, delta=0.0):
@@ -146,11 +137,20 @@ def measure_trajectory(traj, p, delta=0.0):
     w = u^{p*}: a negative square involving d_x(|w_x|^{p-2} w_x), a signed
     cubic-gradient curvature term, and a negative term in |w_x|^{2p};
     delta regularizes the |w_x|^{p-2} weights exactly as the flux does.
+    Their coefficients are powers p*^(2-p), p*^(1-p) and p*^(-p), real
+    only for p* > 0, so for p < 3/2 no rate source is recorded.
     """
+    ps = p_star(p)
     meters = []
     for u in traj.states:
-        I, ps, w, dw = _lyap_parts(u, p)
+        require_positive_field(u)
         grid, h, vals = u.grid, u.grid.h, u.values
+        w = vals**ps
+        dw = central_diff(w, 0, h)
+        I = integrate(Field(grid, np.abs(dw) ** p))
+        if ps < 0.0:
+            meters.append(PLMeter(I, None))
+            continue
         dw_sq = dw * dw + delta * delta
         flux_like = dw_sq ** ((p - 2.0) / 2.0) * dw  # gradient-like: odd mirror
         dflux = central_diff(flux_like, 0, h, odd=True)
@@ -169,24 +169,16 @@ def measure_trajectory(traj, p, delta=0.0):
     return meters
 
 
-def rate_residuals(traj, p, delta=0.0):
-    """Per-interval dI/dt minus the midpoint mean of the three rate terms."""
-    meters = traj.meters or measure_trajectory(traj, p, delta)
-    return traj.interval_residuals(
-        [m.I for m in meters], [m.rate_source for m in meters]
-    )
+def rate_residuals(traj):
+    """Per-interval dI/dt minus the midpoint mean of the three rate terms;
+    UsageError for p < 3/2, whose record holds no rate source."""
+    if traj.measured()[0].rate_source is None:
+        raise UsageError("no rate source is recorded for p < 3/2")
+    return traj.interval_residuals(lambda m: m.I, lambda m: m.rate_source)
 
 
 # ---------------------------------------------------------------------------
 # Monotonicity verdict
-
-
-@dataclass
-class PLMonoReport:
-    passed: object  # True/False for p >= 2, None for observation-only runs
-    worst_violation: float
-    tolerance_scale: float
-    I_values: list
 
 
 def mono_tolerance(h, dt, p, delta):
@@ -194,12 +186,13 @@ def mono_tolerance(h, dt, p, delta):
 
 
 def monotonicity_report(traj, config):
-    """Per-interval Delta I <= tol * |I|; verdict only issued for p >= 2."""
+    """Per-interval Delta I <= tol * |I|; the verdict ``passed`` is issued
+    only for p >= 2 and is None for the observation-only runs."""
     p = config.p
     h = traj.states[0].grid.h
     dt = traj.record_dt if len(traj.times) > 1 else traj.dt
-    meters = traj.meters or measure_trajectory(traj, p, config.delta)
-    I_vals = [m.I for m in meters]
-    rep = nonincreasing_report(I_vals, mono_tolerance(h, dt, p, config.delta))
-    verdict = (rep.passed if p >= 2.0 else None)
-    return PLMonoReport(verdict, rep.worst_violation, rep.tolerance_scale, I_vals)
+    rep = nonincreasing_report([m.I for m in traj.measured()],
+                               mono_tolerance(h, dt, p, config.delta))
+    if p < 2.0:
+        rep.passed = None
+    return rep

@@ -26,17 +26,15 @@ from entroflow.keller_segel import (
     entro_prod_residual,
     lp_inequality_residuals,
     lyapunov_identity_residual,
-    measure_monitors,
     run_ks,
     s1_functional_identity,
 )
 from entroflow.meters import (
     identity_residuals,
-    measure_trajectory,
     monotone_tolerance,
     monotonicity_report,
 )
-from entroflow.p_laplace import PLaplaceConfig, lyap_I, monotonicity_report as pl_mono, run as run_pl
+from entroflow.p_laplace import PLaplaceConfig, monotonicity_report as pl_mono, run as run_pl
 
 
 def _verdict(capsys, name, ok):
@@ -54,7 +52,6 @@ def test_1_linear_heat_sanity(capsys):
     x = grid.axis_centers()
     exact = 1.0 + 0.5 * np.cos(np.pi * x) * np.exp(-np.pi**2 * 0.1)
     err = float(np.max(np.abs(traj.states[-1].values - exact)))
-    measure_trajectory(traj, Linear())
     h, dt = grid.h, traj.record_dt
     mono_e = monotonicity_report([m.entropy for m in traj.meters], h, dt)
     mono_f = monotonicity_report([m.fisher_sigma for m in traj.meters], h, dt)
@@ -70,8 +67,7 @@ def test_2_identity_residual_convergence(capsys):
             initial_cosine(g),
             FlowConfig(model, g, t_end=0.02, record_every=max(1, cells * cells // 800)),
         )
-        measure_trajectory(traj, model)
-        res = identity_residuals(traj, model)
+        res = identity_residuals(traj)
         return (
             max(abs(r) for r in res.r_entropy),
             max(abs(r) for r in res.r_fisher),
@@ -92,7 +88,6 @@ def test_3_st_fisher_monotone(capsys):
         traj = run_flow(
             initial_cosine(g), FlowConfig(model, g, t_end=0.02, record_every=50)
         )
-        measure_trajectory(traj, model)
         rep = monotonicity_report(
             [mm.fisher_st for mm in traj.meters], g.h, traj.record_dt
         )
@@ -128,12 +123,12 @@ def test_5_ks_identity_convergence(capsys):
     ok = True
     p21 = KSParams(2.0, 1.0)
     for fn in (lyapunov_identity_residual, entro_prod_residual):
-        a = max(abs(r) for r in fn(run_at(p21, 48), p21))
-        b = max(abs(r) for r in fn(run_at(p21, 96), p21))
+        a = max(abs(r) for r in fn(run_at(p21, 48)))
+        b = max(abs(r) for r in fn(run_at(p21, 96)))
         ok = ok and math.log2(a / b) >= 1.8
     p10 = KSParams(1.0, 0.0)
-    la, ra = s1_functional_identity(run_at(p10, 48), p10)
-    lb, rb = s1_functional_identity(run_at(p10, 96), p10)
+    la, ra = s1_functional_identity(run_at(p10, 48))
+    lb, rb = s1_functional_identity(run_at(p10, 96))
     ok = ok and math.log2(max(map(abs, la)) / max(map(abs, lb))) >= 1.8
     ok = ok and math.log2(max(map(abs, ra)) / max(map(abs, rb))) >= 1.8
     _verdict(capsys, "ks_identity_convergence", ok)
@@ -145,7 +140,7 @@ def test_6_ks_global_existence_evidence(capsys):
     traj = run_ks(
         KSConfig(params, g, t_end=1.0, mass=20.0, record_every=4000, strict=True)
     )
-    mons = measure_monitors(traj, params)
+    mons = traj.meters
     masses = [m.mass for m in mons]
     drift = max(abs(m - masses[0]) for m in masses) / abs(masses[0])
     finite = all(
@@ -172,10 +167,9 @@ def test_7_plaplace_monotone(capsys):
     cfg = PLaplaceConfig(p=2.0, grid=g, t_end=0.05, record_every=100)
     traj = run_pl(initial_cosine(g), cfg)
     htraj = run_flow(initial_cosine(g), FlowConfig(Linear(), g, 0.05, record_every=100))
-    measure_trajectory(htraj, Linear())
     gap = max(
-        abs(lyap_I(u, 2.0) - 0.25 * m.fisher_sigma)
-        for u, m in zip(traj.states, htraj.meters)
+        abs(m.I - 0.25 * hm.fisher_sigma)
+        for m, hm in zip(traj.meters, htraj.meters)
     )
     ok = ok and gap <= 1e-10
     _verdict(capsys, "plaplace_monotone", ok)

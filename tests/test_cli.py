@@ -266,11 +266,13 @@ def test_ks_run_evaluates_each_snapshot_once(p, q, monkeypatch, tmp_path):
 
 
 def test_plaplace_run_evaluates_each_snapshot_once(monkeypatch, tmp_path):
-    # u^{p*} is formed where p* is: once per snapshot
+    # one measuring pass per run, which forms p* once and u^{p*} once per
+    # snapshot
     from entroflow import cli
 
-    counts = {"p_star": 0}
-    _count_calls(monkeypatch, cli.pl_mod, "p_star", counts)
+    counts = {"p_star": 0, "measure_trajectory": 0}
+    for name in counts:
+        _count_calls(monkeypatch, cli.pl_mod, name, counts)
     trajs = []
     _capture_results(monkeypatch, cli.pl_mod, "run", trajs)
     cfg = {"kind": "plaplace", "name": "pl_counts", "model": {"p": 3.0},
@@ -278,7 +280,33 @@ def test_plaplace_run_evaluates_each_snapshot_once(monkeypatch, tmp_path):
            "run": {"t_end": 0.002, "record_every": 10}}
     assert run_experiment(cfg, str(tmp_path)) == EXIT_PASS
     assert len(trajs) == 1 and len(trajs[0].times) >= 3
-    assert counts["p_star"] == len(trajs[0].times)
+    assert len(trajs[0].meters) == len(trajs[0].times)
+    assert counts == {"p_star": 1, "measure_trajectory": 1}
+
+
+def test_plaplace_p1_is_config_error(outdir, tmp_path, capsys):
+    # p* = 1 - 1/(2(p-1)) is undefined at p = 1
+    argv = ["plaplace", "--p", "1", "--cells", "32", "--t-end", "1e-4",
+            "--record-every", "1"]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    cfg = {"name": "p1", "kind": "plaplace", "model": {"p": 1.0},
+           "grid": {"dim": 1, "cells": 32},
+           "run": {"t_end": 1e-4, "record_every": 1}}
+    assert main(["validate", _write(tmp_path, cfg)]) == EXIT_CONFIG
+
+
+def test_plaplace_below_three_halves_writes_no_rate_residual(outdir):
+    # p* < 0 for p < 3/2: every I row is written, the rate cells are empty
+    code = main(["plaplace", "--p", "1.2", "--cells", "32", "--t-end", "1e-4",
+                 "--record-every", "1"])
+    assert code == EXIT_PASS
+    lines = (outdir / "plaplace_p1.2" / "pl_monitors.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) >= 3
+    for t, I, dI_dt, residual in rows:
+        assert float(I) > 0.0 and residual == ""
+    assert all(math.isfinite(float(row[2])) for row in rows[1:])
 
 
 def test_ks_below_twice_the_grid_minimum_skips_coarse_run(outdir):

@@ -22,6 +22,20 @@ from entroflow.errors import (
     UsageError,
 )
 from entroflow.fields import Field, Grid, constant_field, integrate
+from entroflow.keller_segel import (
+    KSParams,
+    cosine_initial_state,
+    entro_prod_residual,
+    lp_inequality_residuals,
+    lyapunov_identity_residual,
+    s1_functional_identity,
+)
+from entroflow.meters import identity_residuals, measure_trajectory
+from entroflow.p_laplace import (
+    PLaplaceConfig,
+    monotonicity_report as pl_monotonicity_report,
+    rate_residuals,
+)
 
 
 def test_config_validation():
@@ -199,6 +213,43 @@ def test_trajectory_validation():
         Trajectory([0.0], [f, f], 0.1)
 
 
+def test_run_returns_its_trajectory_measured():
+    g = Grid(1, 32)
+    traj = run(initial_cosine(g), FlowConfig(PowerLaw(2.0), g, 0.002,
+                                             record_every=10))
+    assert len(traj.times) >= 3
+    fresh = Trajectory(traj.times, traj.states, traj.dt)
+    assert measure_trajectory(fresh, PowerLaw(2.0)) == traj.meters
+
+
+def test_residuals_refuse_a_trajectory_without_the_runs_meters():
+    # nothing measures on demand: every residual and verdict reads the
+    # meters a run attached, and refuses a hand-built trajectory
+    g = Grid(1, 32)
+    times = [0.0, 1e-3, 2e-3]
+    u0 = initial_cosine(g)
+    flat = Trajectory(times, [u0, u0.copy(), u0.copy()], 1e-3)
+    ks_state = cosine_initial_state(g, mass=2.0)
+    ks = Trajectory(times, [ks_state] * 3, 1e-3)
+    pl_cfg = PLaplaceConfig(p=3.0, grid=g, t_end=2e-3)
+    calls = [
+        lambda: identity_residuals(flat),
+        lambda: rate_residuals(flat),
+        lambda: pl_monotonicity_report(flat, pl_cfg),
+        lambda: lyapunov_identity_residual(ks),
+        lambda: entro_prod_residual(ks),
+        lambda: lp_inequality_residuals(ks, KSParams(2.0, 1.0)),
+        lambda: s1_functional_identity(ks),
+    ]
+    for call in calls:
+        with pytest.raises(UsageError, match="meters"):
+            call()
+    # meters that miss a snapshot are refused as well
+    flat.meters = measure_trajectory(flat, Linear())[:-1]
+    with pytest.raises(UsageError, match="meters"):
+        identity_residuals(flat)
+
+
 # Buffer safety: a run steps in its own buffers (see the run contract in
 # entroflow.diffusion); these pin it against a loop over the public
 # stencil and guard called without buffers.
@@ -214,7 +265,7 @@ def _unbuffered_run(u0, cfg):
     snaps = [u.copy()]
     for k in range(1, n_steps + 1):
         assert dt <= stable_dt(u, cfg.model, h, 1.0)
-        u = step(u, cfg.model, h, dt, cfg.positivity_floor)
+        u = step(u, cfg.model, h, dt)
         if k % block == 0:
             snaps.append(u)
     return dt, snaps

@@ -6,7 +6,7 @@ import pytest
 from entroflow import keller_segel
 from entroflow.diffusion import Trajectory
 from entroflow.errors import ConfigError, PositivityLossError, StabilityError, UsageError
-from entroflow.fields import Field, Grid
+from entroflow.fields import Field, Grid, integrate
 from entroflow.keller_segel import (
     KSConfig,
     KSParams,
@@ -152,7 +152,7 @@ def test_identity_residual_convergence_21(which):
                        record_every=max(1, cells * cells // 600))
         traj = run_ks(cfg)
         fn = lyapunov_identity_residual if which == "lyap" else entro_prod_residual
-        return max(abs(r) for r in fn(traj, P21))
+        return max(abs(r) for r in fn(traj))
 
     a, b = resmax(48), resmax(96)
     assert math.log2(a / b) >= 1.8
@@ -164,7 +164,7 @@ def test_s1_identity_convergence_10():
         cfg = KSConfig(P10, g, t_end=0.02, mass=2.0,
                        record_every=max(1, cells * cells // 600))
         traj = run_ks(cfg)
-        lem, rem = s1_functional_identity(traj, P10)
+        lem, rem = s1_functional_identity(traj)
         return max(abs(r) for r in lem), max(abs(r) for r in rem)
 
     a, b = resmax(48), resmax(96)
@@ -176,7 +176,7 @@ def test_s1_requires_q_zero():
     g = Grid(1, 48)
     traj = run_ks(KSConfig(P21, g, t_end=0.002, mass=1.0, record_every=10))
     with pytest.raises(UsageError):
-        s1_functional_identity(traj, P21)
+        s1_functional_identity(traj)
 
 
 def test_lp_inequality_on_short_run():
@@ -184,34 +184,44 @@ def test_lp_inequality_on_short_run():
     traj = run_ks(KSConfig(P21, g, t_end=0.01, mass=4.0, record_every=50))
     slack = lp_inequality_residuals(traj, P21)
     h = g.h
-    mons = measure_monitors(traj, P21)
+    mons = traj.meters
     tol = 10.0 * (h * h + traj.record_dt) * max(m.lp_norm for m in mons)
     assert max(slack) <= tol
 
 
 @pytest.mark.parametrize("params", [P21, P10, KSParams(2.0, 0.5)])
 def test_residuals_from_meters_equal_fresh_measurement(params):
-    # every residual reads the record measure_monitors attached, and gives
-    # exactly what it gives on a copy of the trajectory without one
+    # the run returns its trajectory measured: its meters equal a fresh
+    # measuring pass of its states bit for bit, and so does every residual
     traj = run_ks(KSConfig(params, Grid(1, 32), t_end=0.004, mass=2.0,
                            record_every=10))
+    assert len(traj.meters) == len(traj.times) >= 3
+    assert (traj.meters[0].s1_A is None) is not params.linear_sensitivity
+    fresh = Trajectory(traj.times, traj.states, traj.dt)
+    assert measure_monitors(fresh, params) == traj.meters
     fns = [lyapunov_identity_residual, entro_prod_residual,
-           lp_inequality_residuals]
+           lambda t: lp_inequality_residuals(t, params)]
     if params.linear_sensitivity:
         fns.append(s1_functional_identity)
-    meters = measure_monitors(traj, params)
-    assert traj.meters is meters and len(meters) == len(traj.times) >= 3
     for fn in fns:
-        fresh = Trajectory(traj.times, traj.states, traj.dt)
-        assert fn(traj, params) == fn(fresh, params)
-        assert len(fresh.meters) == len(traj.times)
-    assert traj.meters is meters
+        assert fn(traj) == fn(fresh)
+
+
+def test_s1_energy_is_the_first_term_of_lyap_F():
+    # at q = 0, S(u) = u bit for bit, so the lemma's A is lyap_F's first
+    # term: F + int Psi(u)
+    m = _monitor(cosine_initial_state(Grid(1, 32), mass=2.0), P10)
+    model = P10.model()
+    state = cosine_initial_state(Grid(1, 32), mass=2.0)
+    assert np.array_equal(model.S(state.u.values), state.u.values)
+    psi = integrate(Field(state.u.grid, model.psi(state.u.values)))
+    assert m.s1_A - psi == m.lyap_F
 
 
 def test_monitor_columns_finite():
     g = Grid(1, 48)
     traj = run_ks(KSConfig(P21, g, t_end=0.005, mass=2.0, record_every=20))
-    mons = measure_monitors(traj, P21)
+    mons = traj.meters
     assert len(mons) == len(traj.times)
     for m in mons:
         for val in (m.mass, m.lyap_classical, m.lyap_F, m.dissipation_D,
@@ -229,8 +239,7 @@ def test_monitor_strict_enforced():
                  strict=True)
     traj = run_ks(KSConfig(KSParams(1.0, 0.0), g, t_end=0.002, mass=1.0,
                            record_every=10))
-    mons = measure_monitors(traj, KSParams(1.0, 0.0))
-    assert math.isfinite(mons[0].lyap_F)
+    assert math.isfinite(traj.meters[0].lyap_F)
 
 
 def test_state_validation():
@@ -261,7 +270,7 @@ def _unbuffered_run(cfg):
     snaps = [(u.copy(), v.copy(), acc)]
     for k in range(1, n_steps + 1):
         assert dt <= ks_stable_dt(u, v, model, h, 1.0)
-        u, v, vt = ks_step(u, v, model, h, dt, cfg.positivity_floor)
+        u, v, vt = ks_step(u, v, model, h, dt)
         acc = acc + dt * (float((vt * vt).sum()) * h)
         if k % block == 0:
             snaps.append((u, v, acc))

@@ -8,6 +8,7 @@ from entroflow.fields import Grid, constant_field, from_function
 from entroflow.meters import (
     identity_residuals,
     measure,
+    measure_trajectory,
     monotone_tolerance,
     monotonicity_report,
 )
@@ -52,7 +53,7 @@ def test_identity_residuals_small_and_balanced():
     g = Grid(1, 64)
     model = Linear()
     traj = run(initial_cosine(g), FlowConfig(model, g, 0.01, record_every=20))
-    res = identity_residuals(traj, model)
+    res = identity_residuals(traj)
     assert len(res.r_entropy) == len(traj.times) - 1
     assert max(abs(r) for r in res.r_entropy) < 1e-2
     assert max(abs(r) for r in res.r_fisher) < 1e-1
@@ -64,8 +65,9 @@ def test_identity_residuals_preconditions():
     u0 = initial_cosine(g)
     # only first and last snapshot recorded
     traj = Trajectory([0.0, 0.001], [u0, u0.copy()], 0.001)
+    measure_trajectory(traj, model)
     with pytest.raises(UsageError):
-        identity_residuals(traj, model)
+        identity_residuals(traj)
 
 
 def test_monotonicity_report():

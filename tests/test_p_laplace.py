@@ -8,10 +8,8 @@ from entroflow.coeff_models import Linear
 from entroflow.diffusion import FlowConfig, Trajectory, initial_cosine, run as run_heat
 from entroflow.errors import ConfigError, PositivityLossError, UsageError
 from entroflow.fields import Field, Grid, constant_field
-from entroflow.meters import measure_trajectory
 from entroflow.p_laplace import (
     PLaplaceConfig,
-    lyap_I,
     mono_tolerance,
     monotonicity_report,
     p_star,
@@ -28,6 +26,8 @@ def test_config_validation():
         PLaplaceConfig(p=1.5, grid=g, t_end=0.01)
     with pytest.raises(ConfigError):
         PLaplaceConfig(p=0.5, grid=g, t_end=0.01)
+    with pytest.raises(ConfigError):
+        PLaplaceConfig(p=1.0, grid=g, t_end=0.01)  # p* = 1 - 1/0
     with pytest.raises(ConfigError):
         PLaplaceConfig(p=2.0, grid=g, t_end=0.01, delta=-1.0)
     with pytest.raises(ConfigError):
@@ -49,8 +49,8 @@ def test_constant_state():
     cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01)
     out = pl_step(u.values, cfg, g.h, 1e-6)
     assert np.array_equal(out, u.values)
-    assert lyap_I(u, 3.0) == 0.0
     traj = run(u, cfg)
+    assert all(m.I == 0.0 for m in traj.meters)
     rep = monotonicity_report(traj, cfg)
     assert rep.passed and rep.worst_violation == 0.0
 
@@ -72,9 +72,8 @@ def test_p2_quarter_fisher_path():
     u0 = initial_cosine(g)
     traj = run(u0, PLaplaceConfig(p=2.0, grid=g, t_end=0.05, record_every=100))
     htraj = run_heat(u0, FlowConfig(Linear(), g, 0.05, record_every=100))
-    measure_trajectory(htraj, Linear())
-    for u, m in zip(traj.states, htraj.meters):
-        assert abs(lyap_I(u, 2.0) - 0.25 * m.fisher_sigma) <= 1e-10
+    for m, hm in zip(traj.meters, htraj.meters):
+        assert abs(m.I - 0.25 * hm.fisher_sigma) <= 1e-10
 
 
 def test_mass_conserved_exactly():
@@ -101,7 +100,20 @@ def test_observation_only_below_2():
     traj = run(initial_cosine(g), cfg)
     rep = monotonicity_report(traj, cfg)
     assert rep.passed is None  # no verdict outside the proven range
-    assert all(I >= 0.0 for I in rep.I_values)
+    assert all(m.I >= 0.0 for m in traj.meters)
+
+
+def test_no_rate_source_below_three_halves():
+    # p* < 0 for p < 3/2: the record holds I alone, never a complex rate
+    g = Grid(1, 32)
+    cfg = PLaplaceConfig(p=1.2, grid=g, t_end=1e-4, record_every=1)
+    traj = run(initial_cosine(g), cfg)
+    assert len(traj.meters) == len(traj.times) >= 3
+    for m in traj.meters:
+        assert isinstance(m.I, float) and m.I > 0.0
+        assert m.rate_source is None
+    with pytest.raises(UsageError):
+        rate_residuals(traj)
 
 
 def test_delta_robustness():
@@ -111,7 +123,7 @@ def test_delta_robustness():
         cfg = PLaplaceConfig(p=2.5, grid=g, t_end=0.01, delta=delta,
                              record_every=100)
         traj = run(initial_cosine(g), cfg)
-        finals.append(lyap_I(traj.states[-1], 2.5))
+        finals.append(traj.meters[-1].I)
     assert abs(finals[0] - finals[1]) < 10.0 * 1e-4 ** min(1.5, 1.0)
 
 
@@ -121,7 +133,7 @@ def test_rate_residual_convergence():
         cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01,
                              record_every=max(1, cells * cells // 800))
         traj = run(initial_cosine(g), cfg)
-        return max(abs(r) for r in rate_residuals(traj, 3.0, cfg.delta))
+        return max(abs(r) for r in rate_residuals(traj))
 
     a, b = resmax(64), resmax(128)
     assert a / b >= 3.0
@@ -129,20 +141,16 @@ def test_rate_residual_convergence():
 
 @pytest.mark.parametrize("p", [2.5, 3.0])
 def test_report_and_residuals_read_the_meters(p):
-    # both reports read the record measure_trajectory attached, and give
-    # exactly what they give on a copy of the trajectory without one
+    # the run returns its trajectory measured: its meters equal a fresh
+    # measuring pass of its states bit for bit, and so do both reports
     g = Grid(1, 32)
     cfg = PLaplaceConfig(p=p, grid=g, t_end=0.002, record_every=10)
     traj = run(initial_cosine(g), cfg)
-    meters = p_laplace.measure_trajectory(traj, p, cfg.delta)
-    assert traj.meters is meters and len(meters) == len(traj.times) >= 3
-    assert [m.I for m in meters] == [lyap_I(u, p) for u in traj.states]
+    assert len(traj.meters) == len(traj.times) >= 3
     fresh = Trajectory(traj.times, traj.states, traj.dt)
-    assert (rate_residuals(traj, p, cfg.delta)
-            == rate_residuals(fresh, p, cfg.delta))
-    fresh = Trajectory(traj.times, traj.states, traj.dt)
+    assert p_laplace.measure_trajectory(fresh, p, cfg.delta) == traj.meters
+    assert rate_residuals(traj) == rate_residuals(fresh)
     assert monotonicity_report(traj, cfg) == monotonicity_report(fresh, cfg)
-    assert traj.meters is meters
 
 
 def test_self_convergence_p3():
@@ -165,7 +173,8 @@ def test_I_against_fine_grid():
         g = Grid(1, cells)
         x = g.axis_centers()
         u = Field(g, 2.0 + np.cos(2.0 * np.pi * x))
-        vals[cells] = lyap_I(u, 3.0)
+        one = Trajectory([0.0], [u], 0.0)
+        vals[cells] = p_laplace.measure_trajectory(one, 3.0)[0].I
     assert abs(vals[128] - vals[1280]) / vals[1280] < 2e-3
 
 
