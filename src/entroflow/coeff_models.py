@@ -9,13 +9,12 @@ Each model evaluates the primitives
 
 in closed form where one exists and by batch Gauss-Legendre quadrature
 over the whole state array otherwise; adaptive Simpson quadrature
-(``primitives_by_quadrature``) is the independent oracle for both.  The
-oracle integrates one state at a time, but its integrands, like the batch
-path's, take node arrays: each bisection level evaluates a(t) once.  The
-lower integration limit is 1 for Lambda, H, Sigma (and for the chemotaxis
-primitives G, Psi) and 0 for F; no re-normalization is applied.  F is
-defined only for models defined down to 0, so a tabulated model, whose
-first knot is positive, has none.
+(``primitives_by_quadrature``) is the independent oracle for both.  Each
+takes all of a model's integrals in one pass that evaluates a(t) once per
+level.  The lower integration limit is 1 for Lambda, H, Sigma (and for
+the chemotaxis primitives G, Psi) and 0 for F; no re-normalization is
+applied.  F is defined only for models defined down to 0, so a tabulated
+model, whose first knot is positive, has none.
 
 Models are immutable after construction and safe to share across workers.
 """
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError
-from .quadrature import adaptive_simpson, gauss_legendre
+from .quadrature import adaptive_simpson, gauss_legendre, integral_rows
 
 # Log-spaced probe grid used for structural checks at construction time.
 _PROBE = np.geomspace(1e-6, 1e6, 61)
@@ -64,61 +63,56 @@ class CoeffModel:
     # -- primitives (batch quadrature; subclasses override with closed
     #    forms where available) ------------------------------------------
 
+    def _integrand(self, x, k):
+        # k = 0, 1, 2: a/t, a and a/sqrt(t) at t = x, the integrands of
+        # Lambda, int_1^s a and Sigma; k = 3: 2 x a(x^2), F's integrand after
+        # t = x^2, which regularizes power singularities of a at 0 up to t^(-1/2).
+        _, int_a, sigma, flux = integral_rows(k, 4)
+        t = x if flux.start == len(x) else np.r_[x[: flux.start], x[flux] * x[flux]]
+        a = self.a(t)
+        y = a / t  # Lambda's rows; the others' are overwritten
+        y[int_a] = a[int_a]
+        y[sigma] = a[sigma] / np.sqrt(t[sigma])
+        y[flux] = 2.0 * x[flux] * a[flux]
+        return y
+
     def lam(self, s):
-        return gauss_legendre(lambda t: self.a(t) / t, 1.0, _require_positive(s))
+        return gauss_legendre(self._integrand, 1.0, _require_positive(s)[None])[0]
 
     def entropy_density(self, s):
-        # Integration by parts, as in _entropy_quad.
+        # Integration by parts: int_1^s Lambda = s Lambda(s) - int_1^s a,
+        # which avoids nesting one quadrature inside another.
         s = _require_positive(s)
-        return s * self.lam(s) - gauss_legendre(self.a, 1.0, s)
+        lam, int_a = gauss_legendre(self._integrand, 1.0, np.stack((s, s)))
+        return s * lam - int_a
 
     def sigma(self, s):
-        return gauss_legendre(
-            lambda t: self.a(t) / np.sqrt(t), 1.0, _require_positive(s)
-        )
+        return gauss_legendre(lambda x, k: self._integrand(x, k + 2), 1.0,
+                              _require_positive(s)[None])[0]
 
     def flux_primitive(self, s):
-        # t = x^2 as in _flux_quad; Gauss-Legendre never evaluates the end 0.
-        return gauss_legendre(
-            lambda x: 2.0 * x * self.a(x * x), 0.0, np.sqrt(_require_positive(s))
-        )
+        # Gauss-Legendre never evaluates the end 0.
+        return gauss_legendre(lambda x, k: self._integrand(x, k + 3), 0.0,
+                              np.sqrt(_require_positive(s))[None])[0]
+
+    def lam_entropy_sigma(self, s):
+        """Lambda, H and Sigma at the states s, from one batch pass."""
+        s = _require_positive(s)
+        lam, int_a, sigma = gauss_legendre(self._integrand, 1.0, np.stack((s, s, s)))
+        return lam, s * lam - int_a, sigma
 
     # -- adaptive Simpson oracle for the closed forms and the batch path --
 
-    def _lam_quad(self, s):
-        return adaptive_simpson(lambda t: self.a(t) / t, 1.0, s)
-
-    def _entropy_quad(self, s, lam=None):
-        # Integration by parts: int_1^s Lambda = s Lambda(s) - int_1^s a,
-        # which avoids nesting one adaptive quadrature inside another.
-        # ``lam`` is _lam_quad(s) when the caller already has it.
-        if lam is None:
-            lam = self._lam_quad(s)
-        return s * lam - adaptive_simpson(self.a, 1.0, s)
-
-    def _sigma_quad(self, s):
-        return adaptive_simpson(lambda t: self.a(t) / np.sqrt(t), 1.0, s)
-
-    def _flux_quad(self, s):
-        # Substituting t = x^2 regularizes integrable power singularities of
-        # a at 0 up to t^(-1/2); the lower limit is nudged off 0 so the
-        # 0 * inf endpoint never gets evaluated (bias < 1e-12 * max a).
-        return adaptive_simpson(
-            lambda x: 2.0 * x * self.a(x * x), 1e-12, math.sqrt(s)
-        )
-
     def primitives_by_quadrature(self, s):
-        """Quadrature-only evaluation, independent of any closed form."""
+        """Quadrature-only evaluation, independent of any closed form: one
+        adaptive Simpson pass for all of the model's integrals."""
         s = float(_require_positive(s))
-        lam = self._lam_quad(s)
-        return Primitives(
-            lam=lam,
-            entropy_density=self._entropy_quad(s, lam),
-            sigma=self._sigma_quad(s),
-            flux_primitive=(
-                None if self.flux_primitive is None else self._flux_quad(s)
-            ),
-        )
+        # F's lower limit is nudged off 0 so the 0 * inf endpoint never gets
+        # evaluated (bias < 1e-12 * max a); a model without F drops it.
+        K = 3 if self.flux_primitive is None else 4
+        ends = [1.0, 1.0, 1.0, 1e-12][:K], [s, s, s, math.sqrt(s)][:K]
+        lam, int_a, sigma, *flux = adaptive_simpson(self._integrand, *ends).tolist()
+        return Primitives(lam, s * lam - int_a, sigma, flux[0] if flux else None)
 
     def _check_positive_coefficient(self):
         vals = np.asarray(self.a(_PROBE), dtype=float)
@@ -149,6 +143,9 @@ class Linear(CoeffModel):
 
     def sigma(self, s):
         return 2.0 * (np.sqrt(_require_positive(s)) - 1.0)
+
+    def lam_entropy_sigma(self, s):  # the closed forms, one by one
+        return self.lam(s), self.entropy_density(s), self.sigma(s)
 
     def flux_primitive(self, s):
         return np.asarray(s, dtype=float) + 0.0
@@ -191,6 +188,8 @@ class PowerLaw(CoeffModel):
         if m == 0.5:
             return 0.5 * np.log(s)
         return m * (s ** (m - 0.5) - 1.0) / (m - 0.5)
+
+    lam_entropy_sigma = Linear.lam_entropy_sigma
 
     def flux_primitive(self, s):
         return np.asarray(s, dtype=float) ** self.m
@@ -236,6 +235,8 @@ class TabulatedModel(CoeffModel):
         a_knots = np.asarray(a_knots, dtype=float)
         if s_knots.ndim != 1 or s_knots.size < 4:
             raise ModelError("table needs at least 4 knots")
+        if not (np.isfinite(s_knots).all() and np.isfinite(a_knots).all()):
+            raise ModelError("table knots and values must be finite")
         if np.any(np.diff(s_knots) <= 0.0):
             raise ModelError("table knots must be strictly increasing")
         if np.any(s_knots <= 0.0):
@@ -304,13 +305,10 @@ def eval_primitives(model, s):
     """The primitive functionals at a positive scalar state (F only for a
     model that has it)."""
     s = float(_require_positive(s))
+    lam, H, sigma = model.lam_entropy_sigma(s)
     F = model.flux_primitive
-    return Primitives(
-        lam=float(model.lam(s)),
-        entropy_density=float(model.entropy_density(s)),
-        sigma=float(model.sigma(s)),
-        flux_primitive=None if F is None else float(F(s)),
-    )
+    return Primitives(float(lam), float(H), float(sigma),
+                      None if F is None else float(F(s)))
 
 
 def model_from_spec(spec):
@@ -403,7 +401,7 @@ class KSModel:
         s = _require_positive(s)
         if self.critical:
             return np.log(2.0 * s / (1.0 + s))
-        return gauss_legendre(self.ratio, 1.0, s)
+        return gauss_legendre(lambda t, k: self.ratio(t), 1.0, s[None])[0]
 
     def G(self, s):
         """Double primitive int_1^s int_1^sigma D/S."""
@@ -414,8 +412,8 @@ class KSModel:
             )
         # By parts: G(s) = s R(s) - int_1^s t D/S dt, with t D/S = (1+t)^(q-p).
         return s * self.ratio_primitive(s) - gauss_legendre(
-            lambda t: (1.0 + t) ** (self.q - self.p), 1.0, s
-        )
+            lambda t, k: (1.0 + t) ** (self.q - self.p), 1.0, s[None]
+        )[0]
 
     def psi(self, s):
         """Psi(s): double primitive from the entropy-production identity."""
@@ -425,16 +423,16 @@ class KSModel:
         if self.critical:
             return self._psi_critical(s)
 
-        def g(t):
-            return t * self.D(t) * self.S_prime(t) / self.S(t)
+        def f(t, k):  # g = t D S'/S, t g and t D
+            rows_g, rows_tg, rows_tD = integral_rows(k, 3)
+            tD = t * self.D(t)
+            g = tD * self.S_prime(t) / self.S(t)
+            return np.concatenate((g[rows_g], t[rows_tg] * g[rows_tg], tD[rows_tD]))
 
-        # Psi(s) = int_1^s (int_1^r g + r D(r)) dr; by parts on the inner
-        # layer, Psi = s int g - int t g + int t D.  Nodes never touch s = 0.
-        return (
-            s * gauss_legendre(g, 1.0, s)
-            - gauss_legendre(lambda t: t * g(t), 1.0, s)
-            + gauss_legendre(lambda t: t * self.D(t), 1.0, s)
-        )
+        # Psi(s) = int_1^s (int_1^r g + r D(r)) dr; by parts on the inner layer,
+        # Psi = s int g - int t g + int t D, in one pass.  Nodes never touch 0.
+        int_g, int_tg, int_tD = gauss_legendre(f, 1.0, np.stack((s, s, s)))
+        return s * int_g - int_tg + int_tD
 
     def _psi_critical(self, s):
         # On p - q = 1 the inner integrand is
@@ -463,9 +461,8 @@ class KSModel:
 
     def sigma_ds(self, s):
         """int_1^s D/sqrt(S), the Fisher coordinate for the pair."""
-        return gauss_legendre(
-            lambda t: self.D(t) / np.sqrt(self.S(t)), 1.0, _require_positive(s)
-        )
+        return gauss_legendre(lambda t, k: self.D(t) / np.sqrt(self.S(t)), 1.0,
+                              _require_positive(s)[None])[0]
 
 
 def eval_ks(p, q, s):

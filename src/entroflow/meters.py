@@ -48,14 +48,13 @@ def measure(u, model):
     h = grid.h
     vals = u.values
     a_vals = np.asarray(model.a(vals), dtype=float)
+    lam, H, sig = (np.asarray(v, dtype=float) for v in model.lam_entropy_sigma(vals))
 
-    entropy = integrate(Field(grid, np.asarray(model.entropy_density(vals))))
+    entropy = integrate(Field(grid, H))
 
-    sig = np.asarray(model.sigma(vals), dtype=float)
     dsig = central_diff(sig, 0, h)
     fisher_sigma = integrate(Field(grid, dsig**2))
 
-    lam = np.asarray(model.lam(vals), dtype=float)
     dlam = central_diff(lam, 0, h)
     fisher_st = integrate(Field(grid, vals * dlam**2))
 

@@ -7,10 +7,12 @@ array at once with fixed Gauss-Legendre rules (Golub & Welsch, Math. Comp.
 independent oracle it is checked against: the adaptive Simpson recursion
 with the 1/15 Richardson correction (Lyness, J. ACM 16, 1969; Gander &
 Gautschi, BIT 40, 2000), run level by level.  Both take an integrand that
-maps an array of nodes to an array of values; a non-finite value is a
-PrecisionError at the level where it appears.  The default tolerance is
-deliberately tight (1e-12): these values feed identity residuals that must
-sit well below any grid discretization error.
+maps an array of nodes to an array of values, and integrate K integrals
+in one pass, each to the value a call for it alone returns, so that all
+of a model's primitives cost one integrand call per level; a non-finite
+value is a PrecisionError at the level where it appears.  The default
+tolerance is deliberately tight (1e-12): these values feed identity
+residuals that must sit well below any grid discretization error.
 """
 
 import functools
@@ -41,58 +43,58 @@ _HALVES = np.array([[0, 3, 1], [1, 4, 2]])
 
 
 def adaptive_simpson(f, a, b, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
-    """Integrate ``f`` over [a, b] to tolerance ``tol``.
+    """Integrate ``f`` over [a, b], or with arrays of K ends ``f(., k)``
+    over [a[k], b[k]] for every k, to tolerance ``tol``.
 
-    ``f`` maps an array of nodes to an array of values (a scalar result is
-    broadcast).  Each bisection level passes the two new quarter points of
-    every still open interval to ``f`` in one call.  An interval whose
-    halves agree with it, |left + right - whole| <= 15 tol, keeps
-    left + right + delta/15; the others split, with tol halved per level.
-    A split interval's value is its left half's plus its right half's, so
-    the result equals the depth-first recursion's bit for bit.  The
-    tolerance is absolute for integrals of magnitude up to 1 and relative
-    beyond that (an absolute 1e-12 on an integral of size 1e5 sits below
-    round-off and can never terminate).  Orientation is respected: a > b
-    yields the negated integral.  Raises PrecisionError (carrying the
-    achieved estimate) for the leftmost interval that still fails after
-    ``max_depth`` bisection levels, when a level would hold more than
-    ``_MAX_OPEN_INTERVALS`` intervals, or, with an infinite estimate, when
-    ``f`` returns a non-finite value.
+    ``f(x)`` or ``f(x, k)`` maps an array of nodes to an array of values
+    (a scalar result is broadcast); see ``integral_rows`` for ``k``.  Each
+    bisection level passes the two new quarter points of every still open
+    interval to ``f`` in one call.  An interval whose halves agree with it,
+    |left + right - whole| <= 15 tol, keeps left + right + delta/15; the
+    others split, with tol halved per level.  A split interval's value is
+    its left half's plus its right half's, so each result equals the
+    depth-first recursion's bit for bit.  Each tolerance is absolute for
+    integrals of magnitude up to 1 and relative beyond that (an absolute
+    1e-12 on an integral of size 1e5 sits below round-off and can never
+    terminate).  a > b yields the negated integral, a = b gives 0.0.
+    Raises PrecisionError (carrying the achieved estimate) for the leftmost
+    interval that still fails after ``max_depth`` bisection levels, when
+    one integral would hold more than ``_MAX_OPEN_INTERVALS`` intervals at
+    a level, or, with an infinite estimate, when ``f`` returns a non-finite
+    value.
     """
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
+    lo, hi = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = lo.shape  # () for one integral of f(x): the K = 1 case
+    sign = np.where(hi < lo, -1.0, 1.0).ravel()
+    lo, hi = np.minimum(lo, hi).ravel(), np.maximum(lo, hi).ravel()
 
-    def sample(x, depth):
-        y = np.asarray(f(x.ravel()), dtype=float)
+    def sample(x, k, depth):
+        y = np.asarray(f(x, k[:, None]) if shape else f(x), dtype=float)
         if not np.isfinite(y).all():
             raise PrecisionError(
                 "adaptive Simpson: integrand is non-finite at depth %d" % depth,
                 achieved=np.inf,
             )
-        if y.shape == (x.size,):
-            return y.reshape(x.shape)
-        return np.broadcast_to(y, x.shape)
+        return y if y.shape == x.shape else np.broadcast_to(y, x.shape)
 
-    # The open intervals, left to right, one row each: nodes a, m, b,
-    # the integrand there and the interval's Simpson estimate.
-    x = np.array([[a, 0.5 * (a + b), b]])
-    fx = sample(x, 0)
-    whole = (b - a) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
-    tol = tol * max(1.0, abs(whole[0]))
+    # The open intervals, one row each, grouped by integral and left to
+    # right within it: nodes a, m, b, the integrand there, the interval's
+    # Simpson estimate and its integral's index k.
+    x = np.stack((lo, 0.5 * (lo + hi), hi), axis=1)
+    k = np.arange(lo.size)
+    fx = sample(x, k, 0)
+    whole = (hi - lo) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
+    tol = tol * np.maximum(1.0, np.abs(whole))
     levels = []
     for depth in itertools.count():
-        lo, hi = x[:, :-1], x[:, 1:]
-        q = 0.5 * (lo + hi)
-        fq = sample(q, depth)
+        left, right = x[:, :-1], x[:, 1:]
+        q = 0.5 * (left + right)
+        fq = sample(q, k, depth)
         # Simpson on the left and right half of every interval.
-        halves = (hi - lo) / 6.0 * (fx[:, :-1] + 4.0 * fq + fx[:, 1:])
+        halves = (right - left) / 6.0 * (fx[:, :-1] + 4.0 * fq + fx[:, 1:])
         both = halves[:, 0] + halves[:, 1]
         delta = both - whole
-        ok = np.abs(delta) <= 15.0 * tol
+        ok = np.abs(delta) <= 15.0 * tol[k]
         levels.append((both + delta / 15.0, ok))
         if ok.all():
             break
@@ -103,16 +105,19 @@ def adaptive_simpson(f, a, b, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
                 "adaptive Simpson failed to converge on [%g, %g]" % (x[i, 0], x[i, 2]),
                 achieved=abs(delta[i]) / 15.0,
             )
-        if 2 * np.count_nonzero(miss) > _MAX_OPEN_INTERVALS:
+        many = 2 * np.count_nonzero(miss) > _MAX_OPEN_INTERVALS  # summed over integrals
+        if many and 2 * np.bincount(k[miss]).max() > _MAX_OPEN_INTERVALS:
             raise PrecisionError(
                 "adaptive Simpson needs more than %d open intervals at depth %d"
                 % (_MAX_OPEN_INTERVALS, depth + 1),
                 achieved=float(np.abs(delta[miss]).max() / 15.0),
             )
         # Each missed interval becomes its two halves, side by side.
-        x = np.concatenate((x[miss], q[miss]), axis=1)[:, _HALVES].reshape(-1, 3)
-        fx = np.concatenate((fx[miss], fq[miss]), axis=1)[:, _HALVES].reshape(-1, 3)
+        split = np.flatnonzero(miss)[:, None, None], _HALVES
+        x = np.concatenate((x, q), axis=1)[split].reshape(-1, 3)
+        fx = np.concatenate((fx, fq), axis=1)[split].reshape(-1, 3)
         whole = halves[miss].ravel()
+        k = np.repeat(k[miss], 2)
         tol = 0.5 * tol
     # Bottom up: a split interval's value is its left half's plus its right half's.
     value = levels.pop()[0]
@@ -120,7 +125,17 @@ def adaptive_simpson(f, a, b, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
         parent, ok = levels.pop()
         parent[~ok] = value[0::2] + value[1::2]
         value = parent
-    return sign * float(value[0])
+    if not shape:
+        return float(sign[0] * value[0])
+    return (sign * value).reshape(shape)
+
+
+def integral_rows(k, count):
+    """The row slices of integrals 0, ..., count - 1.  An integrand's ``k``
+    broadcasts against its nodes and holds each row's integral index, and
+    both routines pass the rows grouped by integral in increasing k."""
+    ends = [0, *np.searchsorted(np.ravel(k), np.arange(1, count)).tolist(), None]
+    return [slice(*pair) for pair in zip(ends, ends[1:])]
 
 
 @functools.cache
@@ -130,36 +145,42 @@ def _rule(n):
 
 
 def gauss_legendre(f, a, b):
-    """Integrate the vectorized ``f`` from a[i] to b[i] for every state i.
+    """Integrate the vectorized ``f(., k)`` from a[k, i] to b[k, i] for
+    every integral k and state i; a, b and the result have shape (K,) +
+    the state shape, and see ``integral_rows`` for ``k``.
 
-    Each state starts as one panel.  A panel passes when the 20- and
-    40-point rules agree within its width's share of the state's budget
-    ``DEFAULT_TOL * max(1, |value|)``, and is bisected otherwise.  A
-    state's value depends on its own panels only, so a scalar call returns
-    the same number as that state inside a vector call.  Raises
-    PrecisionError (carrying the largest missed estimate) when
-    ``DEFAULT_MAX_DEPTH`` levels do not suffice or a state misses on too
-    many panels at once, and, with an infinite estimate, when ``f``
-    returns a non-finite value.  Like any sampled rule it assumes no
-    jumps: a jump between a panel's end and its outermost node goes
-    unseen.
+    Each integral at each state starts as one panel.  A panel passes when
+    the 20- and 40-point rules agree within its width's share of that
+    value's budget ``DEFAULT_TOL * max(1, |value|)``, and is bisected
+    otherwise.  A value depends on its own panels only, so a scalar call
+    returns the same number as that state inside a vector call, and so
+    does one integral of K.  Raises PrecisionError (carrying the largest
+    missed estimate) when ``DEFAULT_MAX_DEPTH`` levels do not suffice or a
+    value misses on too many panels at once, and, with an infinite
+    estimate, when ``f`` returns a non-finite value.  Like any sampled rule
+    it assumes no jumps: a jump between a panel's end and its outermost
+    node goes unseen.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    (xc, wc), (xf, wf) = _rule(_COARSE_NODES), _rule(_FINE_NODES)
+    nodes = np.r_[xc, xf]
 
     # Children share their parent's midpoint, so panels tile [a, b] exactly:
     # an edge rounded off next to a near-singular end costs more than the tolerance.
     lo, hi = a.ravel(), b.ravel()
-    state = np.arange(lo.size)
+    states = lo.size // a.shape[0]
+    state = np.arange(lo.size)  # integral k at state i is state k * states + i
     total = np.zeros(lo.size)
     for depth in range(DEFAULT_MAX_DEPTH + 1):
         center, hw = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
-        (xc, wc), (xf, wf) = _rule(_COARSE_NODES), _rule(_FINE_NODES)
-        fc, ff = f(center + hw * xc), f(center + hw * xf)
-        if not (np.isfinite(fc).all() and np.isfinite(ff).all()):
+        # Both rules' nodes in one call: a(t) is evaluated once per level.
+        y = f(center + hw * nodes, (state // states)[:, None])
+        if not np.isfinite(y).all():
             raise PrecisionError(
                 "Gauss-Legendre: integrand is non-finite at depth %d" % depth,
                 achieved=np.inf,
             )
+        fc, ff = y[:, :_COARSE_NODES], y[:, _COARSE_NODES:]
         coarse = np.sum(hw * wc * fc, axis=1)
         terms = hw * wf * ff
         fine = np.sum(terms, axis=1)
@@ -171,7 +192,7 @@ def gauss_legendre(f, a, b):
         total += np.bincount(state[ok], weights=fine[ok], minlength=total.size)
         miss = ~ok
         if not miss.any():
-            return total.reshape(a.shape)[()]
+            return total.reshape(a.shape)
         crowded = np.bincount(state[miss]).max() > _MAX_PANELS_PER_STATE
         if depth == DEFAULT_MAX_DEPTH or crowded:
             raise PrecisionError(
@@ -181,3 +202,6 @@ def gauss_legendre(f, a, b):
         lo, hi, state = lo[miss], hi[miss], state[miss]
         mid = 0.5 * (lo + hi)
         lo, hi, state = np.r_[lo, mid], np.r_[mid, hi], np.r_[state, state]
+        # Stable: a value sums its left halves, then its right halves.
+        order = np.argsort(state, kind="stable")
+        lo, hi, state = lo[order], hi[order], state[order]

@@ -2,13 +2,15 @@
 
 ``bench/spans.py`` wraps entroflow functions and methods by name, and some
 wrappers read the shape of their arguments.  A rename would break only the
-traced benchmark run, so this installs the tracer, makes a tiny KS and
-diffusion experiment under it, and checks that every patch comes off.
+traced benchmark run, so this installs the tracer, makes a tiny KS, heat
+and quadrature-backed diffusion experiment and the scalar primitive calls
+under it, and checks that every patch comes off.
 """
 
 import importlib.util
 import os
 
+from entroflow import coeff_models
 from entroflow.cli import EXIT_PASS, run_experiment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -41,8 +43,15 @@ def test_span_tracer_wraps_and_restores_every_attribute(tmp_path):
         heat = {"kind": "diffusion", "name": "heat_traced",
                 "model": {"family": "linear"}, "grid": {"dim": 1, "cells": 32},
                 "run": {"t_end": 0.002, "record_every": 10}}
-        for cfg in (ks, heat):
+        shifted = {"kind": "diffusion", "name": "shifted_traced",
+                   "model": {"family": "shifted_power_law", "m": 2.0},
+                   "grid": {"dim": 1, "cells": 32},
+                   "run": {"t_end": 0.001, "record_every": 10}}
+        for cfg in (ks, heat, shifted):
             assert run_experiment(cfg, str(tmp_path)) == EXIT_PASS
+        model = coeff_models.ShiftedPowerLaw(2.0)
+        coeff_models.eval_primitives(model, 2.5)
+        model.primitives_by_quadrature(2.5)
     finally:
         tracer.uninstall()
     for target, attr, old in patches:
@@ -53,3 +62,7 @@ def test_span_tracer_wraps_and_restores_every_attribute(tmp_path):
     assert tracer.count("cli.ks_coarse_run") == 1
     assert tracer.items("keller_segel.measure_monitors") > 0
     assert tracer.count("meters.measure[closed]") > 0
+    assert tracer.count("meters.measure[quad]") > 0
+    assert tracer.count("coeff_models.eval_primitives") == 1
+    assert tracer.count("coeff_models.primitives_by_quadrature") == 1
+    assert tracer.count("quadrature.adaptive_simpson") == 1

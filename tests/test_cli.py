@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -294,6 +296,28 @@ def test_plaplace_p1_is_config_error(outdir, tmp_path, capsys):
            "grid": {"dim": 1, "cells": 32},
            "run": {"t_end": 1e-4, "record_every": 1}}
     assert main(["validate", _write(tmp_path, cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("row", ["nan,2.0", "2.5,inf"], ids=["nan-knot", "inf-value"])
+def test_non_finite_table_entry_is_config_error(row, outdir, tmp_path):
+    # float() parses nan and inf, and no ordering or sign check is ever
+    # true of a NaN: the table is refused before it reaches the interpolator
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(["s,a", "1,2", "2,3", row, "3,4", "4,5"]) + "\n")
+    cfg = {"kind": "diffusion", "name": "nan_table",
+           "model": {"family": "custom", "table": str(table)},
+           "grid": {"dim": 1, "cells": 32},
+           "run": {"t_end": 0.002, "record_every": 10}}
+    path = _write(tmp_path, cfg)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for command in ("run", "validate"):
+        proc = subprocess.run([sys.executable, "-m", "entroflow.cli", command, path],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
+    assert not outdir.exists()
 
 
 def test_plaplace_below_three_halves_writes_no_rate_residual(outdir):

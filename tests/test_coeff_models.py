@@ -159,10 +159,10 @@ def test_tabulated_primitives_match_own_quadrature():
     knots = np.geomspace(0.1, 10.0, 40)
     tab = TabulatedModel(knots, src.a(knots))
     for s in (0.15, 0.7, 1.0, 3.3, 9.5):
-        for batch, oracle in ((tab.lam, tab._lam_quad),
-                              (tab.entropy_density, tab._entropy_quad),
-                              (tab.sigma, tab._sigma_quad)):
-            want = oracle(s)
+        oracle = tab.primitives_by_quadrature(s)
+        for batch, want in ((tab.lam, oracle.lam),
+                            (tab.entropy_density, oracle.entropy_density),
+                            (tab.sigma, oracle.sigma)):
             assert float(batch(s)) == pytest.approx(want, abs=1e-9, rel=1e-9)
 
 
@@ -172,13 +172,13 @@ def test_tabulated_model_has_no_flux_primitive():
     src = ShiftedPowerLaw(2.0)
     knots = np.geomspace(0.1, 10.0, 40)
     tab = TabulatedModel(knots, src.a(knots))
-    for prims in (eval_primitives(tab, 2.0), tab.primitives_by_quadrature(2.0)):
-        assert prims.flux_primitive is None
-        assert prims.lam == pytest.approx(tab._lam_quad(2.0), rel=1e-9)
-        assert prims.entropy_density == pytest.approx(
-            tab._entropy_quad(2.0), rel=1e-9
-        )
-        assert prims.sigma == pytest.approx(tab._sigma_quad(2.0), rel=1e-9)
+    oracle = tab.primitives_by_quadrature(2.0)
+    assert oracle.flux_primitive is None
+    prims = eval_primitives(tab, 2.0)
+    assert prims.flux_primitive is None
+    assert prims.lam == pytest.approx(oracle.lam, rel=1e-9)
+    assert prims.entropy_density == pytest.approx(oracle.entropy_density, rel=1e-9)
+    assert prims.sigma == pytest.approx(oracle.sigma, rel=1e-9)
 
 
 def test_vector_call_matches_scalar_calls():
@@ -189,7 +189,24 @@ def test_vector_call_matches_scalar_calls():
         vector = fn(states)
         scalar = np.array([float(fn(float(s))) for s in states])
         assert vector.shape == states.shape
-        np.testing.assert_allclose(vector, scalar, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(vector, scalar)
+
+
+@pytest.mark.parametrize("model", [ShiftedPowerLaw(2.0), ShiftedPowerLaw(0.7)],
+                         ids=["m2", "m0.7"])
+def test_one_pass_matches_each_primitive_and_scalar_state(model):
+    # Lambda, H and Sigma from one batch pass over a 128-state array equal
+    # the separate batch methods and each state's own pass, bit for bit.
+    states = np.random.default_rng(7).uniform(0.25, 4.0, 128)
+    lam, H, sigma = model.lam_entropy_sigma(states)
+    np.testing.assert_array_equal(lam, model.lam(states))
+    np.testing.assert_array_equal(H, model.entropy_density(states))
+    np.testing.assert_array_equal(sigma, model.sigma(states))
+    for i, s in enumerate(states):
+        assert tuple(map(float, model.lam_entropy_sigma(float(s)))) == (
+            lam[i], H[i], sigma[i])
+        prims = eval_primitives(model, float(s))
+        assert (prims.lam, prims.entropy_density, prims.sigma) == (lam[i], H[i], sigma[i])
 
 
 def test_tabulated_rejects_three_column_table(tmp_path):
@@ -211,6 +228,12 @@ def test_tabulated_rejects_bad_tables():
         TabulatedModel([1.0, 3.0, 2.0, 4.0], [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ModelError):
         TabulatedModel([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 1.0, 1.0])
+    for s_knots, a_knots in (([1.0, 2.0, np.nan, 4.0], [1.0, 1.0, 1.0, 1.0]),
+                             ([1.0, 2.0, 3.0, np.inf], [1.0, 1.0, 1.0, 1.0]),
+                             ([1.0, 2.0, 3.0, 4.0], [1.0, np.inf, 1.0, 1.0]),
+                             ([1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 1.0, 1.0])):
+        with pytest.raises(ModelError, match="finite"):
+            TabulatedModel(s_knots, a_knots)
 
 
 def test_tabulated_from_csv(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from entroflow import coeff_models
 from entroflow.coeff_models import Linear, PowerLaw, ShiftedPowerLaw, TabulatedModel
 from entroflow.errors import PrecisionError
-from entroflow.quadrature import adaptive_simpson, gauss_legendre
+from entroflow.quadrature import adaptive_simpson, gauss_legendre, integral_rows
 
 
 def test_polynomial_exact():
@@ -54,7 +54,7 @@ def test_precision_error_carries_estimate():
 )
 def test_batch_precision_error_instead_of_a_value(f):
     with pytest.raises(PrecisionError) as info:
-        gauss_legendre(f, np.array([0.01, 0.2]), 1.0)
+        gauss_legendre(lambda t, k: f(t), np.array([[0.01, 0.2]]), 1.0)
     assert info.value.achieved > 0.0
 
 
@@ -138,24 +138,95 @@ def test_levelwise_equals_recursion(f, a, b):
 
 
 def test_oracle_integrands_equal_recursion(monkeypatch):
-    # Every integral primitives_by_quadrature asks for, through the module
-    # global the models call, against the recursion on the same integrand.
-    pairs = []
+    # Every integral of primitives_by_quadrature's one pass, through the
+    # module global the models call, against the recursion on its own
+    # integrand, one scalar node per call.
+    passes = []
 
-    def both(f, a, b):
-        value = adaptive_simpson(f, a, b)
-        pairs.append((value, reference_simpson(f, a, b)))
-        return value
+    def spy(f, a, b):
+        values = adaptive_simpson(f, a, b)
+        passes.append((f, a, b, values))
+        return values
 
-    monkeypatch.setattr(coeff_models, "adaptive_simpson", both)
+    monkeypatch.setattr(coeff_models, "adaptive_simpson", spy)
     knots = np.geomspace(0.1, 10.0, 40)
     table = TabulatedModel(knots, ShiftedPowerLaw(2.0).a(knots))
+    checked = 0
     for model in (Linear(), PowerLaw(0.5), ShiftedPowerLaw(2.0), table):
         for s in (0.15, 0.7, 1.0, 2.5, 9.5):
-            model.primitives_by_quadrature(s)
-    # Lambda, H, Sigma and F at five states; the table has no F.
-    assert len(pairs) == 3 * 5 * 4 + 5 * 3
-    assert all(new == ref for new, ref in pairs)
+            passes.clear()
+            prims = model.primitives_by_quadrature(s)
+            ((f, a, b, values),) = passes  # one pass per state
+            for j, value in enumerate(values):
+                def fj(x, j=j):
+                    return f(np.array([[x]]), np.array([[j]]))[0, 0]
+
+                assert value == reference_simpson(fj, a[j], b[j])
+                checked += 1
+            assert prims.lam == values[0]
+            assert prims.entropy_density == s * values[0] - values[1]
+            assert prims.sigma == values[2]
+            assert prims.flux_primitive == (values[3] if len(values) == 4 else None)
+    # Lambda, int a, Sigma and F at five states; the table has no F.
+    assert checked == 3 * 5 * 4 + 5 * 3
+
+
+def _smooth(x, k):
+    # one integrand per row group: k = 0, 1, 2, 3
+    rows = integral_rows(k, 4)
+    return np.concatenate((np.cos(40.0 * x[rows[0]]), np.exp(np.sin(7.0 * x[rows[1]])),
+                           x[rows[2]] ** 2, 1.0 - 3.0 * x[rows[3]] + x[rows[3]] ** 4))
+
+
+def _alone(j):
+    return lambda x, k=None: _smooth(x, np.full((len(x), 1), j))
+
+
+def test_k_integrals_in_one_pass_equal_single_calls():
+    # An oscillatory, a reversed, a zero-length and a polynomial integral.
+    a, b = np.array([0.0, 3.0, 1.0, -1.5]), np.array([1.0, -1.0, 1.0, 2.0])
+    together = adaptive_simpson(_smooth, a, b)
+    alone = [adaptive_simpson(_alone(j), a[j], b[j]) for j in range(4)]
+    assert together.tolist() == alone
+    assert alone[2] == 0.0
+    assert alone[1] == reference_simpson(lambda x: np.exp(np.sin(7.0 * x)), 3.0, -1.0)
+
+
+def test_k_integrals_over_states_equal_single_calls():
+    # Every integral at every state, in one pass, against one integral at a
+    # time and one state at a time.  s = 1 is a zero-length interval, and
+    # states below 1 are reversed ones.
+    states = np.r_[np.geomspace(0.05, 20.0, 29), 1.0]
+    ends = np.broadcast_to(states, (4, states.size))
+    together = gauss_legendre(_smooth, 1.0, ends)
+    assert together.shape == (4, states.size)
+    for j in range(4):
+        alone = gauss_legendre(_alone(j), 1.0, states[None])[0]
+        np.testing.assert_array_equal(together[j], alone)
+        for i, s in enumerate(states):
+            assert gauss_legendre(_alone(j), 1.0, [s])[0] == together[j, i]
+    assert (together[:, -1] == 0.0).all()
+
+
+def test_crowding_bound_counts_per_integral():
+    # Smooth integrals that need many intervals each pass together, though
+    # their sum of open intervals (panels) is over the bound; a rough one
+    # next to them still fails.
+    k_many = 30
+    values = adaptive_simpson(lambda x, k: np.cos(40.0 * x), np.zeros(k_many),
+                              np.ones(k_many))
+    assert (values == adaptive_simpson(lambda x: np.cos(40.0 * x), 0.0, 1.0)).all()
+    panels = gauss_legendre(lambda x, k: np.cos(4e4 * x), np.zeros((3, 1)), 1.0)
+    assert (panels == gauss_legendre(lambda x, k: np.cos(4e4 * x), [[0.0]], 1.0)).all()
+
+    def rough_first(x, k):
+        rough, smooth = integral_rows(k, 2)
+        return np.concatenate((np.sign(np.sin(1e4 / x[rough])), np.cos(40.0 * x[smooth])))
+
+    with pytest.raises(PrecisionError, match="open intervals"):
+        adaptive_simpson(rough_first, [0.01, 0.0, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(PrecisionError, match="failed to converge"):
+        gauss_legendre(rough_first, [[0.01], [0.0], [0.0]], 1.0)
 
 
 def test_depth_limit_error_equals_recursion():
@@ -182,14 +253,31 @@ def test_rough_integrand_fails_fast():
     assert "open intervals" in str(info.value)
 
 
+def _middle_of_three(quad):
+    # Three integrals in one pass; only the middle one's integrand is non-finite.
+    def call(f, a, b):
+        return quad(lambda t, k: np.where(k == 1, f(t), t), np.full(3, a), np.full(3, b))
+
+    return call
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("quad", [adaptive_simpson, gauss_legendre])
+@pytest.mark.parametrize("quad", [
+    adaptive_simpson,
+    gauss_legendre,
+    pytest.param(_middle_of_three(adaptive_simpson), id="adaptive_simpson_k3"),
+    pytest.param(_middle_of_three(gauss_legendre), id="gauss_legendre_k3"),
+])
 def test_non_finite_integrand_fails_at_once(quad, bad):
     calls = []
 
     def f(t):
         calls.append(1)
         return np.where(t > 0.5, bad, t)
+
+    if quad is gauss_legendre:  # one integral: the integrand gets k, the ends an axis
+        def quad(f, a, b):
+            return gauss_legendre(lambda t, k: f(t), [a], [b])
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
