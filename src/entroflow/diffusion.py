@@ -11,27 +11,28 @@ The run contract, shared by ``run``, ``p_laplace.run`` and
 
 - a flow supplies only its stencil (``step``, ``pl_step``, ``ks_step``)
   and its stability guard (``stable_dt``, ``pl_stable_dt``,
-  ``ks_stable_dt``), both on raw ndarrays; a stencil raises
-  PositivityLossError when the new state leaves the admissible set,
-  non-finite values included;
+  ``ks_stable_dt``), both on raw ndarrays and sharing one bound on the
+  face coefficients the stencil steps with; a stencil raises
+  StabilityError, before it writes, when dt exceeds that bound at
+  safety 1, and PositivityLossError when the new state leaves the
+  admissible set, non-finite values included;
 - the loop owns dt: it is fixed once from the guard at the configured
   safety on the initial state, then shrunk so that t_end is a whole
-  number of ``record_every``-step blocks; every step re-checks the guard
-  at safety 1 on the current state;
+  number of ``record_every``-step blocks; the guard runs once per run;
 - the loop owns the aborts: an initial density at or below the
-  positivity floor, a guard violation, a stencil's positivity loss and
-  a density above the run's ceiling all raise with ``last_time``, the
-  time of the last valid state, and the trajectory recorded so far;
+  positivity floor, a stencil's abort and a density above the run's
+  ceiling all raise with ``last_time``, the time of the last valid
+  state, and the trajectory recorded so far;
 - the loop owns the snapshots: only the recorded states, at t = 0 and
   after every ``record_every`` steps, are wrapped in validated fields;
 - the run owns its buffers: it allocates its face- and cell-sized
   arrays once (``RunBuffers``), shares them with no other run, and its
-  stencil and guard write into them every step.  A stencil writes the
+  stencil writes into them every step.  A stencil writes the
   next state into the state slot its input does not occupy, so a state
   it returns is overwritten two steps later and any other array it
   returns by the next step; ``record`` therefore copies what it keeps,
-  since ``Field`` does not.  A stencil or guard called without buffers
-  allocates its own.  Nothing configures the buffers;
+  since ``Field`` does not.  A guard, and a stencil called without
+  buffers, allocates its own.  Nothing configures the buffers;
 - the run owns the measuring: it returns its trajectory measured by the
   flow's one measuring pass, one record per snapshot in
   ``Trajectory.meters``, which residuals, verdicts and the CLI only read;
@@ -140,12 +141,12 @@ def march(state, config, guard, advance, record, ceiling=math.inf):
     """The guarded explicit loop of every flow; returns a Trajectory.
 
     ``state`` is a tuple of raw values whose first entry is the density
-    array.  ``guard(state, safety)`` returns the largest stable step,
-    ``advance(state, dt)`` the next state and ``record(state)`` the
-    validated snapshot.  ``config`` supplies t_end, safety and
-    record_every; the initial density must lie above ``DEFAULT_FLOOR``.
-    The density is tested against ``ceiling`` after every step unless
-    the ceiling is infinite.
+    array.  ``guard(state, safety)``, called once, returns the largest
+    stable step, ``advance(state, dt)`` the next state or an abort, and
+    ``record(state)`` the validated snapshot.  ``config`` supplies t_end,
+    safety and record_every; the initial density must lie above
+    ``DEFAULT_FLOOR``.  The density is tested against ``ceiling`` after
+    every step unless the ceiling is infinite.
     """
     if not (state[0].min() > DEFAULT_FLOOR):
         raise PositivityLossError("initial state below floor", last_time=0.0)
@@ -154,19 +155,14 @@ def march(state, config, guard, advance, record, ceiling=math.inf):
     n_steps = max(block, block * math.ceil(config.t_end / (dt0 * block)))
     dt = config.t_end / n_steps
 
-    times = [0.0]
-    snaps = [record(state)]
-    t = 0.0
+    times, snaps, t = [0.0], [record(state)], 0.0
     check_ceiling = ceiling < math.inf
     for k in range(1, n_steps + 1):
         try:
-            if dt > guard(state, 1.0):
-                raise StabilityError("fixed step exceeds the stability bound")
             state = advance(state, dt)
             if check_ceiling and np.maximum.reduce(state[0]) > ceiling:
-                raise StabilityError(
-                    "density exceeded the blow-up suspicion ceiling"
-                )
+                raise StabilityError("density exceeded the blow-up "
+                                     "suspicion ceiling")
         except (PositivityLossError, StabilityError) as err:
             err.last_time = t
             err.trajectory = Trajectory(times, snaps, dt)
@@ -210,18 +206,27 @@ def flux_update(u, flux, dt, h, out):
     return np.add(u, out, out=out)
 
 
-def stable_dt(u, model, h, safety=DEFAULT_SAFETY):
-    """safety * h^2 / (2 max a(u)): the explicit-scheme stability guard."""
-    a_vals = np.asarray(model.a(u), dtype=float)
-    a_max = np.maximum.reduce(a_vals)
+def _face_bound(u, model, h, safety, buf):
+    """a at the face states (the means of adjacent cells, put in the first
+    face array of ``buf``) and safety * h^2 / (2 max a), which at safety 1
+    is the scheme's positivity condition dt (a_{i-1/2} + a_{i+1/2}) <= h^2."""
+    mid = np.add(u[1:], u[:-1], out=buf.faces[0])
+    np.multiply(mid, 0.5, out=mid)
+    a_mid = np.asarray(model.a(mid), dtype=float)
+    a_max = np.maximum.reduce(a_mid)
     # a NaN reaches both extremes, and an infinity one of them
-    if not (math.isfinite(a_max) and math.isfinite(np.minimum.reduce(a_vals))):
+    if not (math.isfinite(a_max) and math.isfinite(np.minimum.reduce(a_mid))):
         raise ModelError("coefficient evaluated non-finite on the state")
-    return safety * h * h / (2.0 * float(a_max))
+    return a_mid, safety * h * h / (2.0 * float(a_max))
+
+
+def stable_dt(u, model, h, safety=DEFAULT_SAFETY):
+    """The explicit-scheme stability guard: the bound of ``step``'s faces."""
+    return _face_bound(u, model, h, safety, RunBuffers(u.size, faces=1))[1]
 
 
 def step(u, model, h, dt, buf=None):
-    """One conservative explicit Euler step; aborts on positivity loss.
+    """One conservative explicit Euler step; aborts as the run contract says.
 
     The flux at each interior face is a at the arithmetic-mean face state
     times the face difference.  ``buf`` lends it two face arrays and the
@@ -230,11 +235,10 @@ def step(u, model, h, dt, buf=None):
     """
     if buf is None:
         buf = RunBuffers(u.size, faces=2)
-    mid, flux = buf.faces[:2]
-    np.add(u[1:], u[:-1], out=mid)
-    np.multiply(mid, 0.5, out=mid)
-    a_mid = np.asarray(model.a(mid), dtype=float)
-    np.subtract(u[1:], u[:-1], out=flux)
+    a_mid, bound = _face_bound(u, model, h, 1.0, buf)
+    if dt > bound:
+        raise StabilityError("fixed step exceeds the stability bound")
+    flux = np.subtract(u[1:], u[:-1], out=buf.faces[1])
     np.multiply(a_mid, flux, out=flux)
     np.divide(flux, h, out=flux)
     new = flux_update(u, flux, dt, h, buf.next_state(0, u))

@@ -37,7 +37,7 @@ class PositivityLossError(EntroflowError):
 
 
 class StabilityError(EntroflowError):
-    """The fixed step size violated the stability guard mid-run."""
+    """A step exceeded its stability bound, or the density the run's ceiling."""
 
     def __init__(self, message, last_time=None, trajectory=None):
         super().__init__(message)

@@ -25,7 +25,7 @@ import numpy as np
 from .coeff_models import KSModel
 from .diffusion import (DEFAULT_FLOOR, DEFAULT_SAFETY, RunBuffers,
                         check_run_contract, flux_update, initial_cosine, march)
-from .errors import ConfigError, PositivityLossError, UsageError
+from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from .fields import Field, Grid, central_diff, integrate, second_diff
 
 DEFAULT_CEILING = 1e6
@@ -137,26 +137,31 @@ def v_time_derivative(u, v, h, out=None):
     return np.add(vt, u, out=vt)
 
 
-def ks_stable_dt(u, v, model, h, safety=DEFAULT_SAFETY, buf=None):
-    """Diffusive guard for both equations plus an advective guard.
+def _face_bound(u, v, model, h, safety, buf):
+    """D at the face states (means of adjacent cells) and the drift
+    S (v_{i+1} - v_i) / h there, into the second and third face arrays of
+    ``buf``, and min(safety h^2 / (2 max(max D, 1)), safety h / max |drift|)."""
+    mid, coeff, drift = buf.faces[:3]
+    np.add(u[1:], u[:-1], out=mid)
+    np.multiply(mid, 0.5, out=mid)
+    diff_coeff = max(float(np.maximum.reduce(model.D(mid, out=coeff))), 1.0)
+    model.S(mid, out=drift)
+    np.subtract(v[1:], v[:-1], out=mid)
+    np.multiply(drift, mid, out=drift)
+    np.divide(drift, h, out=drift)
+    adv = max(float(np.maximum.reduce(drift)), -float(np.minimum.reduce(drift)))
+    return coeff, drift, min(safety * h * h / (2.0 * diff_coeff),
+                             safety * h / (adv + 1e-14))
 
-    ``buf`` lends it two cell arrays; without it the guard allocates its
-    own.
-    """
-    if buf is None:
-        buf = RunBuffers(u.size, cells=2)
-    coeff, dv = buf.cells[:2]
-    diff_coeff = max(float(np.maximum.reduce(model.D(u, out=coeff))), 1.0)
-    dt_diff = safety * h * h / (2.0 * diff_coeff)
-    central_diff(v, 0, h, out=dv)
-    np.multiply(model.S(u, out=coeff), dv, out=coeff)
-    adv = float(np.maximum.reduce(np.abs(coeff, out=coeff)))
-    dt_adv = safety * h / (adv + 1e-14)
-    return min(dt_diff, dt_adv)
+
+def ks_stable_dt(u, v, model, h, safety=DEFAULT_SAFETY):
+    """The smaller of a diffusive (both equations) and an advective guard, on
+    the face coefficients of ``ks_step``, which checks dt against it at safety 1."""
+    return _face_bound(u, v, model, h, safety, RunBuffers(u.size, faces=3))[2]
 
 
 def ks_step(u, v, model, h, dt, buf=None):
-    """One conservative explicit step; aborts on positivity loss.
+    """One conservative explicit step; aborts as the run contract says.
 
     The u flux at each interior face combines a diffusive and an advective
     part, both with coefficients at the arithmetic-mean face state; the
@@ -168,16 +173,11 @@ def ks_step(u, v, model, h, dt, buf=None):
     """
     if buf is None:
         buf = RunBuffers(u.size, faces=3, cells=1, fields=2)
-    mid, flux, drift = buf.faces[:3]
-    np.add(u[1:], u[:-1], out=mid)
-    np.multiply(mid, 0.5, out=mid)
-    np.subtract(u[1:], u[:-1], out=drift)
-    np.multiply(model.D(mid, out=flux), drift, out=flux)
+    flux, drift, bound = _face_bound(u, v, model, h, 1.0, buf)
+    if dt > bound:
+        raise StabilityError("fixed step exceeds the stability bound")
+    np.multiply(flux, np.subtract(u[1:], u[:-1], out=buf.faces[0]), out=flux)
     np.divide(flux, h, out=flux)
-    model.S(mid, out=drift)
-    np.subtract(v[1:], v[:-1], out=mid)
-    np.multiply(drift, mid, out=drift)
-    np.divide(drift, h, out=drift)
     np.subtract(flux, drift, out=flux)
     u_new = flux_update(u, flux, dt, h, buf.next_state(0, u))
     if not (np.minimum.reduce(u_new) >= DEFAULT_FLOOR):
@@ -207,11 +207,8 @@ def run_ks(config):
     ``measure_monitors``.
     """
     state = cosine_initial_state(config.grid, config.mass, config.amplitude)
-    model = config.params.model()
-    grid = config.grid
-    h = grid.h
-    # the guard's two cell arrays are free again once it has returned:
-    # the step takes the first for v_t, and the second holds v_t^2
+    model, grid, h = config.params.model(), config.grid, config.grid.h
+    # the step takes the first cell array for v_t, and the second holds v_t^2
     buf = RunBuffers(grid.cells, faces=3, cells=2, fields=2)
     vt_sq = buf.cells[1]
 
@@ -224,7 +221,7 @@ def run_ks(config):
 
     traj = march(
         (state.u.values, state.v.values, 0.0), config,
-        guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety, buf),
+        guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety),
         advance=advance,
         record=lambda s: KSState(Field(grid, s[0].copy()),
                                  Field(grid, s[1].copy()), s[2]),

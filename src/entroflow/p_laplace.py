@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PositivityLossError, UsageError
+from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from .diffusion import (DEFAULT_FLOOR, DEFAULT_SAFETY, RunBuffers,
                         check_run_contract, flux_update, march)
 from .fields import (Field, Grid, central_diff, integrate,
@@ -62,38 +62,37 @@ def p_star(p):
     return 1.0 - 1.0 / (2.0 * (p - 1.0))
 
 
-def _face_diffusivity(u, p, delta, h, buf):
+def _face_diffusivity(u, p, delta, h, safety, buf):
     """Face gradients u_x and the coefficient (u_x^2 + delta^2)^((p-2)/2),
-    written into the first two face arrays of ``buf``."""
+    written into the first two face arrays of ``buf``, and the bound
+    safety * h^2 / (2 max coefficient)."""
     du, coeff = buf.faces[:2]
     np.subtract(u[1:], u[:-1], out=du)
     np.divide(du, h, out=du)
     np.multiply(du, du, out=coeff)
     np.add(coeff, delta**2, out=coeff)
     coeff **= (p - 2.0) / 2.0
-    return du, coeff
+    return du, coeff, safety * h * h / (2.0 * float(np.maximum.reduce(coeff)))
 
 
-def pl_stable_dt(u, config, h, safety=None, buf=None):
-    """safety * h^2 / (2 max face coefficient); ``buf`` lends it two face
-    arrays, and without it the guard allocates its own."""
-    if safety is None:
-        safety = config.safety
-    if buf is None:
-        buf = RunBuffers(u.size, faces=2)
-    _, coeff = _face_diffusivity(u, config.p, config.delta, h, buf)
-    return safety * h * h / (2.0 * float(np.maximum.reduce(coeff)))
+def pl_stable_dt(u, config, h, safety=None):
+    """safety * h^2 / (2 max face coefficient); safety defaults to the config's."""
+    return _face_diffusivity(u, config.p, config.delta, h,
+                             config.safety if safety is None else safety,
+                             RunBuffers(u.size, faces=2))[2]
 
 
 def pl_step(u, config, h, dt, buf=None):
-    """One conservative explicit step of the regularized flow.
+    """One conservative explicit step; aborts as the run contract says.
 
     ``buf`` lends it two face arrays and the state slot the new state is
     written into; without it the step allocates its own.
     """
     if buf is None:
         buf = RunBuffers(u.size, faces=2)
-    du, flux = _face_diffusivity(u, config.p, config.delta, h, buf)
+    du, flux, bound = _face_diffusivity(u, config.p, config.delta, h, 1.0, buf)
+    if dt > bound:
+        raise StabilityError("fixed step exceeds the stability bound")
     np.multiply(flux, du, out=flux)
     new = flux_update(u, flux, dt, h, buf.next_state(0, u))
     if not (np.minimum.reduce(new) >= DEFAULT_FLOOR):
@@ -108,7 +107,7 @@ def run(u0, config):
     buf = RunBuffers(u0.grid.cells, faces=2)
     traj = march(
         (u0.values,), config,
-        guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety, buf),
+        guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety),
         advance=lambda s, dt: (pl_step(s[0], config, h, dt, buf),),
         record=lambda s: Field(u0.grid, s[0].copy()),
     )

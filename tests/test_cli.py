@@ -515,3 +515,39 @@ def test_no_config_escapes_run_experiment(name, mutations):
         summaries = [f for _, _, files in os.walk(root) for f in files
                      if f.endswith("summary.json")]
         assert bool(summaries) == (code != EXIT_CONFIG)
+
+
+# Each flow preset's dt and step count, from its guard on the initial state
+# (the KS presets at their grid and the paired coarse grid); every output
+# of a preset rests on these.
+_PRESET_STEPS = {"heat_sanity": (8200,), "pme_m2": (12300,),
+                 "plaplace_mono": (6500,), "ks_critical_21": (328000, 82000),
+                 "ks_s1_10": (4200, 1200)}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_STEPS))
+def test_preset_step_counts(name):
+    from dataclasses import replace
+
+    from entroflow.diffusion import stable_dt
+    from entroflow.fields import Grid
+    from entroflow.keller_segel import cosine_initial_state, ks_stable_dt
+    from entroflow.p_laplace import pl_stable_dt
+
+    kind, _, cfg, u0 = parse_config(preset_config(name))
+    if kind == "diffusion":
+        dts = [stable_dt(u0.values, cfg.model, u0.grid.h, cfg.safety)]
+    elif kind == "plaplace":
+        dts = [pl_stable_dt(u0.values, cfg, u0.grid.h)]
+    else:
+        dts = []
+        for cells in (cfg.grid.cells, cfg.grid.cells // 2):
+            c = replace(cfg, grid=Grid(1, cells))
+            st = cosine_initial_state(c.grid, c.mass, c.amplitude)
+            dts.append(ks_stable_dt(st.u.values, st.v.values, c.params.model(),
+                                    c.grid.h, c.safety))
+    block = cfg.record_every
+    counts = tuple(block * math.ceil(cfg.t_end / (dt0 * block)) for dt0 in dts)
+    assert counts == _PRESET_STEPS[name]
+    for n, dt0 in zip(counts, dts):
+        assert cfg.t_end / n <= dt0

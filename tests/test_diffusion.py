@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from entroflow import diffusion
+from entroflow import diffusion, keller_segel, p_laplace
 from entroflow.coeff_models import Linear, PowerLaw
 from entroflow.diffusion import (
     FlowConfig,
     Trajectory,
+    flux_update,
     initial_cosine,
     march,
     run,
@@ -16,13 +17,13 @@ from entroflow.diffusion import (
 )
 from entroflow.errors import (
     ConfigError,
-    ConstructionError,
     PositivityLossError,
     StabilityError,
     UsageError,
 )
 from entroflow.fields import Field, Grid, constant_field, integrate
 from entroflow.keller_segel import (
+    KSConfig,
     KSParams,
     cosine_initial_state,
     entro_prod_residual,
@@ -115,7 +116,8 @@ def test_self_convergence_order(model):
 
 
 def test_instability_oracle():
-    """dt below the bound stays bounded for 100 steps; 1.5x above blows up."""
+    """dt below the bound stays bounded for 100 steps; 1.5x above, the step
+    refuses, and the flux update it guards blows up."""
     g = Grid(1, 32)
     u0 = initial_cosine(g)
     dt_crit = g.h**2 / 2.0
@@ -125,15 +127,18 @@ def test_instability_oracle():
         u = step(u, Linear(), g.h, 0.9 * dt_crit)
     assert u.max() < 2.0
 
-    u = u0.values
-    grew = False
-    try:
+    before = u0.values.copy()
+    with pytest.raises(StabilityError, match="stability bound"):
+        step(u0.values, Linear(), g.h, 1.5 * dt_crit)
+    assert np.array_equal(u0.values, before)
+
+    # the same update with the unit face coefficient, unguarded
+    u = u0.values.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(100):
-            u = step(u, Linear(), g.h, 1.5 * dt_crit)
-        grew = u.max() > 10.0 or not np.all(np.isfinite(u))
-    except (PositivityLossError, ConstructionError):
-        grew = True  # oscillation drove the state negative or non-finite
-    assert grew
+            u = flux_update(u, np.diff(u) / g.h, 1.5 * dt_crit, g.h,
+                            np.empty_like(u))
+    assert not np.max(np.abs(u)) < 10.0  # grew, or went non-finite
 
 
 def test_run_rechecks_stability():
@@ -169,15 +174,16 @@ def test_stability_error_carries_partial_trajectory():
     steps = []
 
     def advance(state, dt):
+        # from the second step on, the coefficient reaches ~3 and the
+        # stencil refuses the fixed dt, set by a = 1
+        new = step(state[0], PowerLaw(2.0) if steps else Linear(), g.h, dt)
         steps.append(dt)
-        return (step(state[0], Linear(), g.h, dt),)
+        return (new,)
 
     def guard(state, safety):
-        # the stability bound halves once the first step is taken
-        bound = stable_dt(state[0], Linear(), g.h, safety)
-        return 0.5 * bound if steps else bound
+        return stable_dt(state[0], Linear(), g.h, safety)
 
-    with pytest.raises(StabilityError) as info:
+    with pytest.raises(StabilityError, match="stability bound") as info:
         march((u0.values.copy(),), cfg, guard, advance,
               record=lambda state: Field(g, state[0]))
     (dt,) = steps
@@ -313,3 +319,84 @@ def test_interleaved_runs_match_runs_alone(run_interleaved):
         assert [f.values.tobytes() for f in got.states] == [
             f.values.tobytes() for f in want.states
         ]
+
+
+# The dt check (see the run contract): each stencil checks dt against the
+# bound its guard computes on the face coefficients it steps with.
+
+
+def _bound_case(flow):
+    """(bound, stencil(dt), inputs, cell bound) on 32 cells: the face bound
+    at safety 1, the stencil at that state, the arrays it reads, and the
+    bound the same formula gives at cell values, which differs."""
+    g = Grid(1, 32)
+    h, x = g.h, g.axis_centers()
+    u = initial_cosine(g).values
+    if flow == "diffusion":
+        model = PowerLaw(2.0)
+        return (stable_dt(u, model, h, 1.0), lambda dt: step(u, model, h, dt),
+                (u,), h * h / (2.0 * model.a(u).max()))
+    if flow == "p_laplace":
+        cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01)
+        du = np.gradient(u, h)  # cell gradients
+        cell = h * h / (2.0 * np.sqrt(du**2 + cfg.delta**2).max())
+        return (p_laplace.pl_stable_dt(u, cfg, h, 1.0),
+                lambda dt: p_laplace.pl_step(u, cfg, h, dt), (u,), cell)
+    # a steep v, so that the advective bound binds
+    u = cosine_initial_state(g, mass=2.0).u.values
+    v = 80.0 * (1.0 + 0.5 * np.cos(np.pi * x))
+    model = KSParams(2.0, 1.0).model()
+    bound = keller_segel.ks_stable_dt(u, v, model, h, 1.0)
+    assert bound < h * h / 2.0
+    cell = h / np.max(np.abs(model.S(u) * np.gradient(v, h)))
+    return (bound, lambda dt: keller_segel.ks_step(u, v, model, h, dt),
+            (u, v), cell)
+
+
+@pytest.mark.parametrize("flow", ["diffusion", "p_laplace", "keller_segel"])
+def test_stencil_checks_dt_against_its_face_bound(flow):
+    bound, stencil, inputs, cell = _bound_case(flow)
+    assert bound != cell
+    before = [a.copy() for a in inputs]
+    stencil(bound)
+    with pytest.raises(StabilityError, match="stability bound"):
+        stencil(bound * (1.0 + 1e-9))
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_guard_runs_once_per_run(monkeypatch):
+    g = Grid(1, 32)
+    u0 = initial_cosine(g)
+    runs = [
+        (diffusion, "stable_dt", "step",
+         lambda: run(u0, FlowConfig(PowerLaw(2.0), g, 0.002, record_every=5))),
+        (p_laplace, "pl_stable_dt", "pl_step",
+         lambda: p_laplace.run(u0, PLaplaceConfig(p=3.0, grid=g, t_end=0.002,
+                                                  record_every=5))),
+        (keller_segel, "ks_stable_dt", "ks_step",
+         lambda: keller_segel.run_ks(KSConfig(KSParams(2.0, 1.0), g, 0.002,
+                                              mass=2.0, record_every=5))),
+    ]
+    for module, guard, stencil, go in runs:
+        guards = _count_calls(monkeypatch, module, guard)
+        steps = _count_calls(monkeypatch, module, stencil)
+        traj = go()
+        assert len(guards) == 1
+        assert len(steps) == round(traj.times[-1] / traj.dt) > 1
+    # the p-Laplace face coefficient: once for dt, then once per step
+    coeffs = _count_calls(monkeypatch, p_laplace, "_face_diffusivity")
+    traj = runs[1][3]()
+    assert len(coeffs) == round(traj.times[-1] / traj.dt) + 1

@@ -125,8 +125,8 @@ def test_ceiling_abort_carries_trajectory():
 
 def test_guard_recheck_aborts_mid_run():
     # v starts flat, so the fixed dt comes from the diffusive guard alone;
-    # the advective guard S(u)|v_x| tightens as v_x grows until the
-    # per-step re-check at safety 1 fires
+    # the advective bound S(u)|v_x| tightens as v_x grows until the
+    # stencil's check of the fixed dt at safety 1 fires
     g = Grid(1, 16)
     cfg = KSConfig(P10, g, t_end=0.05, mass=50.0, safety=1.0, record_every=1)
     with pytest.raises(StabilityError, match="stability bound") as info:
