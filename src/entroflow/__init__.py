@@ -45,7 +45,6 @@ from .inequalities import (
 )
 from .keller_segel import (
     KSConfig,
-    KSParams,
     KSState,
     classical_lyapunov,
     run_ks,

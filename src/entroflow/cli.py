@@ -23,20 +23,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import p_laplace as pl_mod
-from .coeff_models import model_from_spec
+from .coeff_models import KSModel, model_from_spec
 from .diffusion import FlowConfig, initial_cosine, run as run_flow
 from .errors import ConfigError, EntroflowError
-from .fields import MIN_CELLS, Grid, build_test_function
+from .fields import MIN_CELLS, Grid, build_test_function, integrate
 from .inequalities import cmkm_ratio, sample_spec, worst_ratio_search
 from .keller_segel import (
     KSConfig,
-    KSParams,
     lp_inequality_residuals,
     lyapunov_identity_residual,
     run_ks,
     s1_functional_identity,
 )
-from .meters import identity_residuals, monotonicity_report
+from .meters import identity_residuals, monotone_tolerance, monotonicity_report
 from .presets import PRESETS, catalog_text, preset_config
 from .reporting import experiment_dir, write_csv, write_json
 
@@ -148,8 +147,8 @@ def parse_config(cfg):
         stepping = {"t_end": run.take("t_end", float),
                     **run.options(safety=float, record_every=int)}
     if kind == "ks":
-        params = KSParams(model.take("p", float), model.take("q", float))
-        config = KSConfig(params, grid_, **stepping, **model.options(strict=bool),
+        ks_model = KSModel(model.take("p", float), model.take("q", float))
+        config = KSConfig(ks_model, grid_, **stepping, **model.options(strict=bool),
                           **run.options(mass=float, amplitude=float))
     elif kind == "diffusion":
         config = FlowConfig(coeff, grid_, **stepping)
@@ -191,7 +190,7 @@ def _run_diffusion(cfg, outdir):
          "r_entropy", "r_fisher"],
         rows,
     )
-    masses = [float(np.sum(f.values)) * h for f in traj.states]
+    masses = [integrate(f.values, h) for f in traj.states]
     results = {
         "dt": traj.dt,
         "snapshots": len(traj.times),
@@ -256,8 +255,8 @@ def _ks_run_once(ks_cfg, cells):
 
 def _run_ks(cfg, outdir):
     ks_cfg = parse_config(cfg).config
-    params, cells = ks_cfg.params, ks_cfg.grid.cells
-    s1 = params.linear_sensitivity
+    model, cells = ks_cfg.model, ks_cfg.grid.cells
+    s1 = model.linear_sensitivity
     traj = _ks_run_once(ks_cfg, cells)
     monitors = traj.meters
     rows = [(m.time,) + tuple(getattr(m, col) for col in _KS_COLUMNS[1:])
@@ -304,11 +303,10 @@ def _run_ks(cfg, outdir):
     }
 
     code = EXIT_PASS
-    if params.model().critical:
-        slack = lp_inequality_residuals(traj, params)
-        h = 1.0 / cells
+    if model.critical:
+        slack = lp_inequality_residuals(traj, model)
         scale = max(abs(m.lp_norm) for m in monitors)
-        tol = 10.0 * (h * h + traj.record_dt) * max(scale, 1.0)
+        tol = monotone_tolerance(1.0 / cells, traj.record_dt) * max(scale, 1.0)
         results["lp_inequality"] = {
             "worst_slack": max(slack),
             "tol": tol,

@@ -367,6 +367,11 @@ class KSModel:
     def critical(self):
         return abs(self.p - self.q - 1.0) <= self._CRIT_TOL
 
+    @property
+    def linear_sensitivity(self):
+        """S(u) = u, the q = 0 case of the special-case identities."""
+        return abs(self.q) <= 1e-12
+
     # D and S write into ``out`` when given: the explicit chemotaxis step
     # evaluates them on its own face arrays every step.
 
@@ -410,10 +415,14 @@ class KSModel:
             return (
                 s * np.log(2.0 * s) - (1.0 + s) * np.log(1.0 + s) + math.log(2.0)
             )
-        # By parts: G(s) = s R(s) - int_1^s t D/S dt, with t D/S = (1+t)^(q-p).
-        return s * self.ratio_primitive(s) - gauss_legendre(
-            lambda t, k: (1.0 + t) ** (self.q - self.p), 1.0, s[None]
-        )[0]
+        def f(t, k):  # D/S and t D/S = (1+t)^(q-p)
+            rows_r, rows_tr = integral_rows(k, 2)
+            return np.concatenate((self.ratio(t[rows_r]),
+                                   (1.0 + t[rows_tr]) ** (self.q - self.p)))
+
+        # By parts: G(s) = s R(s) - int_1^s t D/S dt, in one pass.
+        int_r, int_tr = gauss_legendre(f, 1.0, np.stack((s, s)))
+        return s * int_r - int_tr
 
     def psi(self, s):
         """Psi(s): double primitive from the entropy-production identity."""

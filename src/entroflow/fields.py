@@ -11,6 +11,11 @@ flips sign; with that pairing the discrete summation-by-parts identity
 holds bit-exactly, which is what every integration-by-parts based check
 in this package relies on.
 
+A ``Field`` is a validated snapshot: a run's recorded states, initial data
+and sampled test functions.  The calculus acts on raw arrays: the
+stencils difference them, and ``integrate(values, h)`` is the one
+midpoint rule behind every integral the package reports.
+
 The difference stencils write into a caller-given ``out`` array.  The
 nD inequality checks take theirs from a scratch workspace (``scratch``),
 under one rule: the workspace caches the arrays of a single grid shape
@@ -225,9 +230,11 @@ def require_finite(values):
 # Calculus operations
 
 
-def integrate(f):
-    """Midpoint rule: h^n times the sum of cell values; exact on constants."""
-    return float(f.values.sum()) * f.grid.h**f.grid.dim
+def integrate(values, h):
+    """Midpoint rule on raw cell values: h^n times their sum, n being
+    values.ndim; exact on constants.  Raises ConstructionError, as Field
+    does, unless the values are all finite."""
+    return float(require_finite(values).sum()) * h**values.ndim
 
 
 def neumann_gradient(f):

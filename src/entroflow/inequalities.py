@@ -21,6 +21,7 @@ from .fields import (
     TestFunctionSpec,
     build_test_function,
     central_diff,
+    integrate,
     require_finite,
     require_positive_field,
     scratch,
@@ -68,22 +69,19 @@ def fisher_constant(n, lam):
 
 
 # The checks below work on raw arrays taken from fields.scratch and return
-# plain floats.  Each intermediate that is a field in the continuum formula
-# (a gradient, a matrix entry, a pointwise norm, an integrand) is checked
-# finite as it is formed.  Squared entries are summed one at a time in
-# row-major (i, j) order, the order of a sum over a matrix of fields, so
-# every integral is bit-for-bit that of the field-by-field formula.
+# plain floats; like all of the package's calculus, they integrate with
+# fields.integrate on raw values.  Each intermediate that is a field in the
+# continuum formula (a gradient, a matrix entry, a pointwise norm, an
+# integrand) is checked finite as it is formed; integrate checks the
+# integrand.  Squared entries are summed one at a time in row-major (i, j)
+# order, the order of a sum over a matrix of fields, so every integral is
+# bit-for-bit that of the field-by-field formula.
 #
 # Each check is its own left-hand side plus the shared dissipation
 # integral, and both the Fisher lhs and the dissipation integral start
 # from grad Sigma(f).  The public checks and worst_ratio_search compose
 # the same helpers; the search evaluates a(f), Sigma(f), grad Sigma(f)
 # and the dissipation integral once per sampled field for both checks.
-
-
-def _integral(values, h):
-    """Midpoint rule on raw values: the arithmetic of fields.integrate."""
-    return float(values.sum()) * h**values.ndim
 
 
 def _add_square(acc, entry):
@@ -118,7 +116,7 @@ def _hessian_sq(values, h, acc, entry, firsts):
             else:
                 central_diff(firsts[j], i, h, out=entry)
             _add_square(acc, entry)
-    return require_finite(acc)
+    return acc
 
 
 def _a_on_range(model, lo, hi):
@@ -147,7 +145,7 @@ def _bernis_lhs(f, a_vals):
     require_finite(grad_sq)
     np.divide(np.power(a_vals, 3, out=work), np.power(vals, 3, out=cubes), out=work)
     integrand = np.multiply(work, np.square(grad_sq, out=grad_sq), out=work)
-    return _integral(require_finite(integrand), h)
+    return integrate(integrand, h)
 
 
 def _grad_sigma(f, model):
@@ -170,7 +168,7 @@ def _grad_sigma(f, model):
 def _fisher_lhs(sig, h, work):
     """int |D^2 Sigma(f)|^2; the mixed entries compose grad Sigma."""
     grads, acc, entry = work
-    return _integral(_hessian_sq(sig, h, acc, entry, grads), h)
+    return integrate(_hessian_sq(sig, h, acc, entry, grads), h)
 
 
 def _dissipation(f, a_vals, work):
@@ -187,19 +185,7 @@ def _dissipation(f, a_vals, work):
             _add_square(acc, central_diff(grads[j], i, h, odd=(i == j), out=entry))
     require_finite(acc)
     integrand = np.multiply(np.multiply(vals, a_vals, out=entry), acc, out=entry)
-    return _integral(require_finite(integrand), h)
-
-
-def dissipation_rhs(f, model):
-    """int f a(f) |grad(f^{-1/2} grad Sigma(f))|^2, the canonical rhs.
-
-    The matrix field is formed by differentiating the vector field
-    f^{-1/2} grad Sigma(f) componentwise with mirror ghosts (odd across
-    the component's own axis).  Every check and the search form it with
-    the same helpers, from the same grad Sigma(f).
-    """
-    a_vals = np.asarray(model.a(f.values), dtype=float)
-    return _dissipation(f, a_vals, _grad_sigma(f, model)[1])
+    return integrate(integrand, h)
 
 
 def _make_report(lhs, rhs, constant, tol):
@@ -245,10 +231,10 @@ def cmkm_ratio(f):
     require_finite(np.sqrt(vals, out=root))
     require_finite(np.log(vals, out=log))
     _mixed_firsts(root, h, firsts)
-    num = _integral(_hessian_sq(root, h, acc, entry, firsts), h)
+    num = integrate(_hessian_sq(root, h, acc, entry, firsts), h)
     _mixed_firsts(log, h, firsts)
     weighted = np.multiply(vals, _hessian_sq(log, h, acc, entry, firsts), out=entry)
-    den = _integral(require_finite(weighted), h)
+    den = integrate(weighted, h)
     if num <= _TINY and den <= _TINY:
         return 0.0
     return num / den

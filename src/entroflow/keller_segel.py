@@ -32,32 +32,6 @@ DEFAULT_CEILING = 1e6
 _V_NEG_TOL = -1e-14
 
 
-@dataclass(frozen=True)
-class KSParams:
-    p: float
-    q: float
-
-    def model(self):
-        return KSModel(self.p, self.q)
-
-    @property
-    def linear_sensitivity(self):
-        """S(u) = u, the q = 0 case of the special-case identities."""
-        return abs(self.q) <= 1e-12
-
-    def check_strict(self):
-        """Hypotheses of the entropy-production estimates: p-q=1, q in (1/2,1]."""
-        if abs(self.p - self.q - 1.0) > 1e-12:
-            raise ConfigError(
-                "strict mode requires the critical line p - q = 1, got "
-                "p=%g, q=%g" % (self.p, self.q)
-            )
-        if not (0.5 < self.q <= 1.0):
-            raise ConfigError(
-                "strict mode requires q in (1/2, 1], got q=%g" % self.q
-            )
-
-
 @dataclass
 class KSState:
     """A validated (u, v) pair; along a run, ``vt_accum`` is the cumulative
@@ -76,7 +50,7 @@ class KSState:
 
 @dataclass
 class KSConfig:
-    params: KSParams
+    model: KSModel
     grid: Grid
     t_end: float
     mass: float = 1.0
@@ -90,8 +64,13 @@ class KSConfig:
         if not self.mass > 0.0:
             raise ConfigError("mass must be positive")
         check_run_contract(self)
-        if self.strict:
-            self.params.check_strict()
+        # strict: the hypotheses of the entropy-production estimates
+        p, q = self.model.p, self.model.q
+        if self.strict and not self.model.critical:
+            raise ConfigError("strict mode requires the critical line p - q = 1, "
+                              "got p=%g, q=%g" % (p, q))
+        if self.strict and not 0.5 < q <= 1.0:
+            raise ConfigError("strict mode requires q in (1/2, 1], got q=%g" % q)
 
 
 @dataclass
@@ -207,7 +186,7 @@ def run_ks(config):
     ``measure_monitors``.
     """
     state = cosine_initial_state(config.grid, config.mass, config.amplitude)
-    model, grid, h = config.params.model(), config.grid, config.grid.h
+    model, grid, h = config.model, config.grid, config.grid.h
     # the step takes the first cell array for v_t, and the second holds v_t^2
     buf = RunBuffers(grid.cells, faces=3, cells=2, fields=2)
     vt_sq = buf.cells[1]
@@ -215,7 +194,8 @@ def run_ks(config):
     def advance(s, dt):
         u, v, acc = s
         u, v, vt = ks_step(u, v, model, h, dt, buf)
-        # dt times int |v_t|^2 by the midpoint rule of fields.integrate
+        # dt times int |v_t|^2 by the midpoint rule of fields.integrate,
+        # without its finiteness check: this runs every step
         np.multiply(vt, vt, out=vt_sq)
         return u, v, acc + dt * (float(np.add.reduce(vt_sq)) * h)
 
@@ -227,7 +207,7 @@ def run_ks(config):
                                  Field(grid, s[1].copy()), s[2]),
         ceiling=config.ceiling,
     )
-    measure_monitors(traj, config.params)
+    measure_monitors(traj, model)
     return traj
 
 
@@ -235,24 +215,23 @@ def run_ks(config):
 # Functionals
 
 
-def classical_lyapunov(state, params):
+def classical_lyapunov(state, model):
     """int G(u) - int u v + (1/2) ||v||_H1^2."""
-    model = params.model()
-    grid = state.u.grid
+    h = state.u.grid.h
     u = state.u.values
     v = state.v.values
-    g_term = integrate(Field(grid, np.asarray(model.G(u), dtype=float)))
-    uv = integrate(Field(grid, u * v))
-    dv = central_diff(v, 0, grid.h)
-    h1 = integrate(Field(grid, v * v + dv * dv))
+    g_term = integrate(np.asarray(model.G(u), dtype=float), h)
+    uv = integrate(u * v, h)
+    dv = central_diff(v, 0, h)
+    h1 = integrate(v * v + dv * dv, h)
     return g_term - uv + 0.5 * h1
 
 
-def _lp(vals, grid, r):
-    return integrate(Field(grid, np.abs(vals) ** r)) ** (1.0 / r)
+def _lp(vals, h, r):
+    return integrate(np.abs(vals) ** r, h) ** (1.0 / r)
 
 
-def measure_monitors(traj, params):
+def measure_monitors(traj, model):
     """The one evaluation of a trajectory: a KSMonitor per snapshot,
     attached as ``traj.meters`` and returned.
 
@@ -262,17 +241,12 @@ def measure_monitors(traj, params):
     At q = 0, where S(u) = u bit for bit, the record also holds the S(u)=u
     pieces A, B, C and F, and A is exactly the first term of ``lyap_F``.
     """
-    model = params.model()
-    p = params.p
-    s1 = params.linear_sensitivity
+    p = model.p
+    s1 = model.linear_sensitivity
     out = []
     for t, state in zip(traj.times, traj.states):
-        grid, h = state.u.grid, state.u.grid.h
+        h = state.u.grid.h
         u, v = state.u.values, state.v.values
-
-        def integral(vals):
-            return integrate(Field(grid, vals))
-
         D = np.asarray(model.D(u), dtype=float)
         S = np.asarray(model.S(u), dtype=float)
         du = central_diff(u, 0, h)
@@ -284,7 +258,7 @@ def measure_monitors(traj, params):
         vxx = second_diff(v, 0, h)
         bracket = dflux - vxx + 0.5 * (v + vt)
         s2 = np.asarray(model.S_second(u), dtype=float)
-        energy = 0.5 * integral(D * D / S * du * du)
+        energy = 0.5 * integrate(D * D / S * du * du, h)
         pieces = {}
         if s1:
             # int_1^u D(s) ds in closed form for D = (1+s)^(-p)
@@ -292,31 +266,31 @@ def measure_monitors(traj, params):
                 np.log((1.0 + u) / 2.0) if abs(p - 1.0) <= 1e-12
                 else ((1.0 + u) ** (1.0 - p) - 2.0 ** (1.0 - p)) / (1.0 - p)
             )
-            pieces = dict(s1_A=energy, s1_B=integral(S * D * dflux**2),
-                          s1_C=integral(S * D * vxx * dflux),
-                          s1_F=energy - integral(u * d_primitive))
+            pieces = dict(s1_A=energy, s1_B=integrate(S * D * dflux**2, h),
+                          s1_C=integrate(S * D * vxx * dflux, h),
+                          s1_F=energy - integrate(u * d_primitive, h))
         out.append(
             KSMonitor(
                 time=t,
-                mass=integrate(state.u),
-                lyap_classical=classical_lyapunov(state, params),
+                mass=integrate(u, h),
+                lyap_classical=classical_lyapunov(state, model),
                 lyap_F=(energy
-                        - integral(np.asarray(model.psi(u), dtype=float))),
-                dissipation_D=integral(S * D * bracket**2),
-                ep_estimate=integral(du**2 / (u * (1.0 + u) ** (p + 1.0))),
-                lp_norm=integral(u**p),
+                        - integrate(np.asarray(model.psi(u), dtype=float), h)),
+                dissipation_D=integrate(S * D * bracket**2, h),
+                ep_estimate=integrate(du**2 / (u * (1.0 + u) ** (p + 1.0)), h),
+                lp_norm=integrate(u**p, h),
                 log_bound=float(np.max(np.abs(np.log1p(u)))),
                 vt_accum=state.vt_accum,
-                v_l2=_lp(v, grid, 2.0),
-                v_l4=_lp(v, grid, 4.0),
-                dv_l2=_lp(dv, grid, 2.0),
-                dv_l4=_lp(dv, grid, 4.0),
-                vt_sq=integral(vt * vt),
-                drift_sq=integral(S * drift**2),
-                ep_quarter=integral(S * D * (v + vt) ** 2 / 4.0),
-                ep_curvature=integral(drift * D * D * s2 / (2.0 * S) * du**3),
-                lp_grad=integral(u ** (p - 2.0) * (1.0 + u) ** (-p) * du**2),
-                u_sq=integral(u * u),
+                v_l2=_lp(v, h, 2.0),
+                v_l4=_lp(v, h, 4.0),
+                dv_l2=_lp(dv, h, 2.0),
+                dv_l4=_lp(dv, h, 4.0),
+                vt_sq=integrate(vt * vt, h),
+                drift_sq=integrate(S * drift**2, h),
+                ep_quarter=integrate(S * D * (v + vt) ** 2 / 4.0, h),
+                ep_curvature=integrate(drift * D * D * s2 / (2.0 * S) * du**3, h),
+                lp_grad=integrate(u ** (p - 2.0) * (1.0 + u) ** (-p) * du**2, h),
+                u_sq=integrate(u * u, h),
                 **pieces,
             )
         )
@@ -338,13 +312,13 @@ def entro_prod_residual(traj):
     )
 
 
-def lp_inequality_residuals(traj, params):
+def lp_inequality_residuals(traj, model):
     """Per-interval slack of the discrete L^p differential inequality.
 
     Nonpositive entries mean the inequality holds on that interval; the
     tolerance for a verdict is left to the caller.
     """
-    p = params.p
+    p = model.p
     if len(traj.times) < 2:
         raise UsageError("need at least 2 snapshots")
     dt = traj.record_dt

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, central_diff, integrate, require_positive_field
+from .fields import central_diff, integrate, require_positive_field
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,23 @@ class MonotonicityReport:
 def measure(u, model):
     """Evaluate all four functionals on a positive field."""
     require_positive_field(u)
-    grid = u.grid
-    h = grid.h
+    h = u.grid.h
     vals = u.values
     a_vals = np.asarray(model.a(vals), dtype=float)
     lam, H, sig = (np.asarray(v, dtype=float) for v in model.lam_entropy_sigma(vals))
 
-    entropy = integrate(Field(grid, H))
+    entropy = integrate(H, h)
 
     dsig = central_diff(sig, 0, h)
-    fisher_sigma = integrate(Field(grid, dsig**2))
+    fisher_sigma = integrate(dsig**2, h)
 
     dlam = central_diff(lam, 0, h)
-    fisher_st = integrate(Field(grid, vals * dlam**2))
+    fisher_st = integrate(vals * dlam**2, h)
 
     # inner field u^{-1/2} d_x Sigma(u) is gradient-like: odd mirror
     inner = dsig / np.sqrt(vals)
     dinner = central_diff(inner, 0, h, odd=True)
-    dissipation = integrate(Field(grid, vals * a_vals * dinner**2))
+    dissipation = integrate(vals * a_vals * dinner**2, h)
 
     return MeterRecord(entropy, fisher_sigma, fisher_st, dissipation)
 

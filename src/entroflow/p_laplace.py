@@ -143,10 +143,10 @@ def measure_trajectory(traj, p, delta=0.0):
     meters = []
     for u in traj.states:
         require_positive_field(u)
-        grid, h, vals = u.grid, u.grid.h, u.values
+        h, vals = u.grid.h, u.values
         w = vals**ps
         dw = central_diff(w, 0, h)
-        I = integrate(Field(grid, np.abs(dw) ** p))
+        I = integrate(np.abs(dw) ** p, h)
         if ps < 0.0:
             meters.append(PLMeter(I, None))
             continue
@@ -154,15 +154,12 @@ def measure_trajectory(traj, p, delta=0.0):
         flux_like = dw_sq ** ((p - 2.0) / 2.0) * dw  # gradient-like: odd mirror
         dflux = central_diff(flux_like, 0, h, odd=True)
         t1 = -p * ps ** (2.0 - p) * integrate(
-            Field(grid, vals ** (0.5 - 0.5 / (p - 1.0)) * dflux**2)
-        )
+            vals ** (0.5 - 0.5 / (p - 1.0)) * dflux**2, h)
         d2w = second_diff(w, 0, h)
         t2 = 0.5 * p * p * ps ** (1.0 - p) * integrate(
-            Field(grid, vals ** (-0.5) * dw_sq ** (p - 2.0) * dw * dw * d2w)
-        )
+            vals ** (-0.5) * dw_sq ** (p - 2.0) * dw * dw * d2w, h)
         t3 = -0.25 * p * ps ** (-p) * integrate(
-            Field(grid, dw_sq**p * vals ** (-1.5 + 0.5 / (p - 1.0)))
-        )
+            dw_sq**p * vals ** (-1.5 + 0.5 / (p - 1.0)), h)
         meters.append(PLMeter(I, -(t1 + t2 + t3)))
     traj.meters = meters
     return meters

@@ -22,7 +22,6 @@ from entroflow.fields import Field, Grid
 from entroflow.inequalities import bernis_constant, fisher_constant, worst_ratio_search
 from entroflow.keller_segel import (
     KSConfig,
-    KSParams,
     entro_prod_residual,
     lp_inequality_residuals,
     lyapunov_identity_residual,
@@ -121,12 +120,12 @@ def test_5_ks_identity_convergence(capsys):
         )
 
     ok = True
-    p21 = KSParams(2.0, 1.0)
+    p21 = KSModel(2.0, 1.0)
     for fn in (lyapunov_identity_residual, entro_prod_residual):
         a = max(abs(r) for r in fn(run_at(p21, 48)))
         b = max(abs(r) for r in fn(run_at(p21, 96)))
         ok = ok and math.log2(a / b) >= 1.8
-    p10 = KSParams(1.0, 0.0)
+    p10 = KSModel(1.0, 0.0)
     la, ra = s1_functional_identity(run_at(p10, 48))
     lb, rb = s1_functional_identity(run_at(p10, 96))
     ok = ok and math.log2(max(map(abs, la)) / max(map(abs, lb))) >= 1.8
@@ -135,10 +134,10 @@ def test_5_ks_identity_convergence(capsys):
 
 
 def test_6_ks_global_existence_evidence(capsys):
-    params = KSParams(2.0, 1.0)
+    model = KSModel(2.0, 1.0)
     g = Grid(1, 256)
     traj = run_ks(
-        KSConfig(params, g, t_end=1.0, mass=20.0, record_every=4000, strict=True)
+        KSConfig(model, g, t_end=1.0, mass=20.0, record_every=4000, strict=True)
     )
     mons = traj.meters
     masses = [m.mass for m in mons]
@@ -147,7 +146,7 @@ def test_6_ks_global_existence_evidence(capsys):
         np.isfinite([m.log_bound, m.lp_norm, m.ep_estimate, m.vt_accum]).all()
         for m in mons
     )
-    slack = lp_inequality_residuals(traj, params)
+    slack = lp_inequality_residuals(traj, model)
     tol = 10.0 * (g.h**2 + traj.record_dt) * max(m.lp_norm for m in mons)
     ok = drift < 1e-12 and finite and max(slack) <= tol
     _verdict(capsys, "ks_global_evidence", ok)

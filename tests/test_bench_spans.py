@@ -66,3 +66,5 @@ def test_span_tracer_wraps_and_restores_every_attribute(tmp_path):
     assert tracer.count("coeff_models.eval_primitives") == 1
     assert tracer.count("coeff_models.primitives_by_quadrature") == 1
     assert tracer.count("quadrature.adaptive_simpson") == 1
+    # the measuring passes integrate through the spanned function
+    assert tracer.count("fields.integrate") > 0

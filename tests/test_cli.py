@@ -544,7 +544,7 @@ def test_preset_step_counts(name):
         for cells in (cfg.grid.cells, cfg.grid.cells // 2):
             c = replace(cfg, grid=Grid(1, cells))
             st = cosine_initial_state(c.grid, c.mass, c.amplitude)
-            dts.append(ks_stable_dt(st.u.values, st.v.values, c.params.model(),
+            dts.append(ks_stable_dt(st.u.values, st.v.values, c.model,
                                     c.grid.h, c.safety))
     block = cfg.record_every
     counts = tuple(block * math.ceil(cfg.t_end / (dt0 * block)) for dt0 in dts)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from entroflow import coeff_models
 from entroflow.coeff_models import (
     KSModel,
     Linear,
@@ -129,6 +130,19 @@ def test_ks_critical_detection():
     assert KSModel(2.0, 1.0).critical
     assert KSModel(1.0, 0.0).critical
     assert not KSModel(2.0, 0.5).critical
+
+
+def test_eval_ks_off_critical_makes_four_quadrature_passes(monkeypatch):
+    # R, G, Psi and sigma_ds: G takes R and its by-parts integral in one pass
+    original, passes = coeff_models.gauss_legendre, []
+
+    def spy(f, a, b):
+        passes.append(1)
+        return original(f, a, b)
+
+    monkeypatch.setattr(coeff_models, "gauss_legendre", spy)
+    eval_ks(2.0, 0.5, 1.5)
+    assert len(passes) == 4
 
 
 def test_domain_errors():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entroflow import diffusion, keller_segel, p_laplace
-from entroflow.coeff_models import Linear, PowerLaw
+from entroflow.coeff_models import KSModel, Linear, PowerLaw
 from entroflow.diffusion import (
     FlowConfig,
     Trajectory,
@@ -24,7 +24,6 @@ from entroflow.errors import (
 from entroflow.fields import Field, Grid, constant_field, integrate
 from entroflow.keller_segel import (
     KSConfig,
-    KSParams,
     cosine_initial_state,
     entro_prod_residual,
     lp_inequality_residuals,
@@ -207,7 +206,7 @@ def test_snapshot_contract():
 def test_initial_cosine_mass_exact():
     g = Grid(1, 64)
     u = initial_cosine(g, mean=2.0, amplitude=0.4, mode=3)
-    assert integrate(u) == pytest.approx(2.0, abs=1e-13)
+    assert integrate(u.values, g.h) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_trajectory_validation():
@@ -244,7 +243,7 @@ def test_residuals_refuse_a_trajectory_without_the_runs_meters():
         lambda: pl_monotonicity_report(flat, pl_cfg),
         lambda: lyapunov_identity_residual(ks),
         lambda: entro_prod_residual(ks),
-        lambda: lp_inequality_residuals(ks, KSParams(2.0, 1.0)),
+        lambda: lp_inequality_residuals(ks, KSModel(2.0, 1.0)),
         lambda: s1_functional_identity(ks),
     ]
     for call in calls:
@@ -345,7 +344,7 @@ def _bound_case(flow):
     # a steep v, so that the advective bound binds
     u = cosine_initial_state(g, mass=2.0).u.values
     v = 80.0 * (1.0 + 0.5 * np.cos(np.pi * x))
-    model = KSParams(2.0, 1.0).model()
+    model = KSModel(2.0, 1.0)
     bound = keller_segel.ks_stable_dt(u, v, model, h, 1.0)
     assert bound < h * h / 2.0
     cell = h / np.max(np.abs(model.S(u) * np.gradient(v, h)))
@@ -387,7 +386,7 @@ def test_guard_runs_once_per_run(monkeypatch):
          lambda: p_laplace.run(u0, PLaplaceConfig(p=3.0, grid=g, t_end=0.002,
                                                   record_every=5))),
         (keller_segel, "ks_stable_dt", "ks_step",
-         lambda: keller_segel.run_ks(KSConfig(KSParams(2.0, 1.0), g, 0.002,
+         lambda: keller_segel.run_ks(KSConfig(KSModel(2.0, 1.0), g, 0.002,
                                               mass=2.0, record_every=5))),
     ]
     for module, guard, stencil, go in runs:

@@ -44,13 +44,23 @@ def test_field_validation():
 def test_integrate_constant_exact():
     for dim in (1, 2, 3):
         g = Grid(dim, 8)
-        assert integrate(constant_field(g, 3.5)) == pytest.approx(3.5, abs=1e-14)
+        assert integrate(constant_field(g, 3.5).values, g.h) == pytest.approx(
+            3.5, abs=1e-14)
+
+
+def test_integrate_refuses_nonfinite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        for dim in (1, 2):
+            vals = np.ones((8,) * dim)
+            vals.flat[3] = bad
+            with pytest.raises(ConstructionError, match="must be finite"):
+                integrate(vals, 1.0 / 8)
 
 
 def test_integrate_quadratic():
     g = Grid(1, 64)
     f = from_function(g, lambda x: x * x)
-    assert abs(integrate(f) - 1.0 / 3.0) < g.h**2 / 10.0
+    assert abs(integrate(f.values, g.h) - 1.0 / 3.0) < g.h**2 / 10.0
 
 
 def test_gradient_second_order_convergence():
@@ -194,7 +204,7 @@ def test_built_function_positive_and_mass_correct(c0, raw):
     f = build_test_function(g, spec)
     assert f.min() > 0.0
     # cosine modes integrate to zero on symmetric cell centers
-    assert integrate(f) == pytest.approx(c0, abs=1e-12 * max(1.0, c0))
+    assert integrate(f.values, g.h) == pytest.approx(c0, abs=1e-12 * max(1.0, c0))
 
 
 def test_require_positive_field():

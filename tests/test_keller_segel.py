@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from entroflow import keller_segel
+from entroflow.coeff_models import KSModel
 from entroflow.diffusion import Trajectory
 from entroflow.errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from entroflow.fields import Field, Grid, integrate
 from entroflow.keller_segel import (
     KSConfig,
-    KSParams,
     KSState,
     classical_lyapunov,
     cosine_initial_state,
@@ -24,8 +24,8 @@ from entroflow.keller_segel import (
     v_time_derivative,
 )
 
-P21 = KSParams(2.0, 1.0)
-P10 = KSParams(1.0, 0.0)
+P21 = KSModel(2.0, 1.0)
+P10 = KSModel(1.0, 0.0)
 
 
 def _uniform_state(grid, u_val, v_val):
@@ -35,19 +35,20 @@ def _uniform_state(grid, u_val, v_val):
     )
 
 
-def _monitor(state, params):
+def _monitor(state, model):
     """The record ``measure_monitors`` makes of a one-snapshot trajectory."""
-    return measure_monitors(Trajectory([0.0], [state], 0.0), params)[0]
+    return measure_monitors(Trajectory([0.0], [state], 0.0), model)[0]
 
 
 def test_strict_hypotheses():
-    P21.check_strict()
-    with pytest.raises(ConfigError):
-        KSParams(2.5, 1.5).check_strict()  # q outside (1/2, 1]
-    with pytest.raises(ConfigError):
-        KSParams(2.0, 0.9).check_strict()  # off the critical line
-    with pytest.raises(ConfigError):
-        KSConfig(KSParams(2.5, 1.5), Grid(1, 16), t_end=0.1, strict=True)
+    def strict(p, q):
+        return KSConfig(KSModel(p, q), Grid(1, 16), t_end=0.1, strict=True)
+
+    assert strict(2.0, 1.0).strict
+    with pytest.raises(ConfigError, match="q in"):
+        strict(2.5, 1.5)  # q outside (1/2, 1]
+    with pytest.raises(ConfigError, match="critical line"):
+        strict(2.0, 0.9)  # off the critical line
 
 
 def test_dissipation_anchor():
@@ -72,7 +73,7 @@ def test_classical_lyapunov_anchor():
 def test_equilibrium_is_steady():
     g = Grid(1, 32)
     st = _uniform_state(g, 2.0, 2.0)
-    u, v, vt = ks_step(st.u.values, st.v.values, P21.model(), g.h, 1e-5)
+    u, v, vt = ks_step(st.u.values, st.v.values, P21, g.h, 1e-5)
     assert np.array_equal(u, st.u.values)
     assert np.array_equal(v, st.v.values)
     assert np.all(vt == 0.0)
@@ -108,7 +109,7 @@ def test_stable_dt_guards():
     g = Grid(1, 64)
     st = _uniform_state(g, 1.0, 1.0)
     # max D = 1/4 < 1, so the diffusive guard uses the floor coefficient 1
-    assert ks_stable_dt(st.u.values, st.v.values, P21.model(), g.h, 0.4) == (
+    assert ks_stable_dt(st.u.values, st.v.values, P21, g.h, 0.4) == (
         pytest.approx(0.4 * g.h**2 / 2.0)
     )
 
@@ -141,7 +142,7 @@ def test_nan_state_is_a_positivity_abort():
     u = st.u.values.copy()
     u[5] = np.nan
     with pytest.raises(PositivityLossError):
-        ks_step(u, st.v.values, P21.model(), g.h, 1e-5)
+        ks_step(u, st.v.values, P21, g.h, 1e-5)
 
 
 @pytest.mark.parametrize("which", ["lyap", "ep"])
@@ -189,7 +190,7 @@ def test_lp_inequality_on_short_run():
     assert max(slack) <= tol
 
 
-@pytest.mark.parametrize("params", [P21, P10, KSParams(2.0, 0.5)])
+@pytest.mark.parametrize("params", [P21, P10, KSModel(2.0, 0.5)])
 def test_residuals_from_meters_equal_fresh_measurement(params):
     # the run returns its trajectory measured: its meters equal a fresh
     # measuring pass of its states bit for bit, and so does every residual
@@ -211,10 +212,9 @@ def test_s1_energy_is_the_first_term_of_lyap_F():
     # at q = 0, S(u) = u bit for bit, so the lemma's A is lyap_F's first
     # term: F + int Psi(u)
     m = _monitor(cosine_initial_state(Grid(1, 32), mass=2.0), P10)
-    model = P10.model()
     state = cosine_initial_state(Grid(1, 32), mass=2.0)
-    assert np.array_equal(model.S(state.u.values), state.u.values)
-    psi = integrate(Field(state.u.grid, model.psi(state.u.values)))
+    assert np.array_equal(P10.S(state.u.values), state.u.values)
+    psi = integrate(P10.psi(state.u.values), state.u.grid.h)
     assert m.s1_A - psi == m.lyap_F
 
 
@@ -235,9 +235,8 @@ def test_monitor_columns_finite():
 def test_monitor_strict_enforced():
     g = Grid(1, 48)
     with pytest.raises(ConfigError):
-        KSConfig(KSParams(1.0, 0.0), g, t_end=0.002, mass=1.0, record_every=10,
-                 strict=True)
-    traj = run_ks(KSConfig(KSParams(1.0, 0.0), g, t_end=0.002, mass=1.0,
+        KSConfig(P10, g, t_end=0.002, mass=1.0, record_every=10, strict=True)
+    traj = run_ks(KSConfig(P10, g, t_end=0.002, mass=1.0,
                            record_every=10))
     assert math.isfinite(traj.meters[0].lyap_F)
 
@@ -262,7 +261,7 @@ def _unbuffered_run(cfg):
     """(dt, recorded (u, v, vt_accum)) of the loop ``run_ks`` makes,
     without buffers."""
     st = cosine_initial_state(cfg.grid, cfg.mass, cfg.amplitude)
-    model, h, block = cfg.params.model(), cfg.grid.h, cfg.record_every
+    model, h, block = cfg.model, cfg.grid.h, cfg.record_every
     u, v, acc = st.u.values, st.v.values, 0.0
     dt0 = ks_stable_dt(u, v, model, h, cfg.safety)
     n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))

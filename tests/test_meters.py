@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from entroflow.coeff_models import Linear, PowerLaw
+from entroflow import keller_segel, p_laplace
+from entroflow.coeff_models import KSModel, Linear, PowerLaw
 from entroflow.diffusion import FlowConfig, Trajectory, initial_cosine, run
-from entroflow.errors import UsageError
-from entroflow.fields import Grid, constant_field, from_function
+from entroflow.errors import ConstructionError, UsageError
+from entroflow.fields import Field, Grid, constant_field, from_function
 from entroflow.meters import (
     identity_residuals,
     measure,
@@ -12,6 +13,26 @@ from entroflow.meters import (
     monotone_tolerance,
     monotonicity_report,
 )
+
+
+def test_overflowing_integrand_is_a_construction_error():
+    # one cell at 1e200 overflows an integrand of every measuring pass;
+    # fields.integrate refuses it as Field refuses non-finite values
+    g = Grid(1, 16)
+    vals = np.ones(16)
+    vals[5] = 1e200
+    u = Field(g, vals)
+    ks_state = keller_segel.KSState(u, constant_field(g, 1.0))
+    passes = [
+        lambda: measure(u, Linear()),
+        lambda: p_laplace.measure_trajectory(Trajectory([0.0], [u], 0.0), 3.0),
+        lambda: keller_segel.measure_monitors(
+            Trajectory([0.0], [ks_state], 0.0), KSModel(2.0, 1.0)),
+    ]
+    for measuring in passes:
+        with np.errstate(all="ignore"), pytest.raises(
+                ConstructionError, match="must be finite"):
+            measuring()
 
 
 def test_constant_field_meters():
