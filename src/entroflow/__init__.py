@@ -21,6 +21,7 @@ from .errors import (
     ModelError,
     PositivityLossError,
     PrecisionError,
+    RunAbort,
     StabilityError,
     UsageError,
 )
@@ -32,7 +33,6 @@ from .fields import (
     constant_field,
     from_function,
     integrate,
-    neumann_gradient,
     neumann_hessian,
 )
 from .inequalities import (

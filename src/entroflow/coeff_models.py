@@ -123,34 +123,6 @@ class CoeffModel:
             )
 
 
-class Linear(CoeffModel):
-    """a(s) = 1: the linear heat equation."""
-
-    family = "linear"
-
-    def __repr__(self):
-        return "Linear()"
-
-    def a(self, s):
-        return np.ones_like(np.asarray(s, dtype=float))
-
-    def lam(self, s):
-        return np.log(_require_positive(s))
-
-    def entropy_density(self, s):
-        s = _require_positive(s)
-        return s * np.log(s) - s + 1.0
-
-    def sigma(self, s):
-        return 2.0 * (np.sqrt(_require_positive(s)) - 1.0)
-
-    def lam_entropy_sigma(self, s):  # the closed forms, one by one
-        return self.lam(s), self.entropy_density(s), self.sigma(s)
-
-    def flux_primitive(self, s):
-        return np.asarray(s, dtype=float) + 0.0
-
-
 class PowerLaw(CoeffModel):
     """a(s) = m s^(m-1), m > 0 (porous-medium / fast-diffusion scale)."""
 
@@ -189,10 +161,23 @@ class PowerLaw(CoeffModel):
             return 0.5 * np.log(s)
         return m * (s ** (m - 0.5) - 1.0) / (m - 0.5)
 
-    lam_entropy_sigma = Linear.lam_entropy_sigma
+    def lam_entropy_sigma(self, s):  # the closed forms, one by one
+        return self.lam(s), self.entropy_density(s), self.sigma(s)
 
     def flux_primitive(self, s):
         return np.asarray(s, dtype=float) ** self.m
+
+
+class Linear(PowerLaw):
+    """a(s) = 1: the linear heat equation, the m = 1 power law."""
+
+    family = "linear"
+
+    def __init__(self):
+        super().__init__(1.0)
+
+    def __repr__(self):
+        return "Linear()"
 
 
 class ShiftedPowerLaw(CoeffModel):
@@ -345,7 +330,6 @@ class KSCoeffs:
     ratio_primitive: float
     double_primitive: float
     psi: float
-    sigma_ds: float
 
 
 class KSModel:
@@ -468,26 +452,19 @@ class KSModel:
         outer_inner = c1 * I(1.0 - p, w) + c2 * I(-p, w) + const * (s - 1.0)
         return outer_inner + rD
 
-    def sigma_ds(self, s):
-        """int_1^s D/sqrt(S), the Fisher coordinate for the pair."""
-        return gauss_legendre(lambda t, k: self.D(t) / np.sqrt(self.S(t)), 1.0,
-                              _require_positive(s)[None])[0]
-
 
 def eval_ks(p, q, s):
     """All chemotaxis coefficient values and primitives at one state.
 
     s = 0 is allowed for the pointwise coefficients but not for the
-    primitives with singular integrands (ratio_primitive, G, sigma_ds).
+    primitives with singular integrands (ratio_primitive, G).
     """
     model = KSModel(p, q)
     s = float(s)
     if s < 0.0:
         raise DomainError("state must be nonnegative")
     if s == 0.0:
-        raise DomainError(
-            "s = 0 not admissible for ratio_primitive / G / sigma_ds"
-        )
+        raise DomainError("s = 0 not admissible for ratio_primitive / G")
     return KSCoeffs(
         p=float(p),
         q=float(q),
@@ -496,5 +473,4 @@ def eval_ks(p, q, s):
         ratio_primitive=float(model.ratio_primitive(s)),
         double_primitive=float(model.G(s)),
         psi=float(model.psi(s)),
-        sigma_ds=float(model.sigma_ds(s)),
     )

@@ -12,17 +12,17 @@ The run contract, shared by ``run``, ``p_laplace.run`` and
 - a flow supplies only its stencil (``step``, ``pl_step``, ``ks_step``)
   and its stability guard (``stable_dt``, ``pl_stable_dt``,
   ``ks_stable_dt``), both on raw ndarrays and sharing one bound on the
-  face coefficients the stencil steps with; a stencil raises
-  StabilityError, before it writes, when dt exceeds that bound at
-  safety 1, and PositivityLossError when the new state leaves the
-  admissible set, non-finite values included;
+  face coefficients the stencil steps with; every stencil ends in
+  ``conservative_step``, which raises StabilityError, before it writes,
+  when dt exceeds that bound at safety 1, and PositivityLossError when
+  the new state leaves the admissible set, non-finite values included;
 - the loop owns dt: it is fixed once from the guard at the configured
   safety on the initial state, then shrunk so that t_end is a whole
   number of ``record_every``-step blocks; the guard runs once per run;
 - the loop owns the aborts: an initial density at or below the
-  positivity floor, a stencil's abort and a density above the run's
-  ceiling all raise with ``last_time``, the time of the last valid
-  state, and the trajectory recorded so far;
+  positivity floor and every RunAbort of a step (a stencil's, or the
+  chemotaxis run's density ceiling) raise with ``last_time``, the time of
+  the last valid state, and the trajectory recorded so far;
 - the loop owns the snapshots: only the recorded states, at t = 0 and
   after every ``record_every`` steps, are wrapped in validated fields;
 - the run owns its buffers: it allocates its face- and cell-sized
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (ConfigError, ModelError, PositivityLossError,
+from .errors import (ConfigError, ModelError, PositivityLossError, RunAbort,
                      StabilityError, UsageError)
 from .fields import Field, Grid
 from .meters import measure_trajectory
@@ -137,16 +137,15 @@ def check_run_contract(config):
         raise ConfigError("record_every must be >= 1")
 
 
-def march(state, config, guard, advance, record, ceiling=math.inf):
+def march(state, config, guard, advance, record):
     """The guarded explicit loop of every flow; returns a Trajectory.
 
     ``state`` is a tuple of raw values whose first entry is the density
     array.  ``guard(state, safety)``, called once, returns the largest
-    stable step, ``advance(state, dt)`` the next state or an abort, and
+    stable step, ``advance(state, dt)`` the next state or a RunAbort, and
     ``record(state)`` the validated snapshot.  ``config`` supplies t_end,
     safety and record_every; the initial density must lie above
-    ``DEFAULT_FLOOR``.  The density is tested against ``ceiling`` after
-    every step unless the ceiling is infinite.
+    ``DEFAULT_FLOOR``.
     """
     if not (state[0].min() > DEFAULT_FLOOR):
         raise PositivityLossError("initial state below floor", last_time=0.0)
@@ -156,14 +155,10 @@ def march(state, config, guard, advance, record, ceiling=math.inf):
     dt = config.t_end / n_steps
 
     times, snaps, t = [0.0], [record(state)], 0.0
-    check_ceiling = ceiling < math.inf
     for k in range(1, n_steps + 1):
         try:
             state = advance(state, dt)
-            if check_ceiling and np.maximum.reduce(state[0]) > ceiling:
-                raise StabilityError("density exceeded the blow-up "
-                                     "suspicion ceiling")
-        except (PositivityLossError, StabilityError) as err:
+        except RunAbort as err:
             err.last_time = t
             err.trajectory = Trajectory(times, snaps, dt)
             raise
@@ -191,19 +186,28 @@ class RunBuffers:
         return second if current is first else first
 
 
-def flux_update(u, flux, dt, h, out):
-    """u + (dt/h) times the divergence of the interior face fluxes, the
-    fluxes through both walls being zero, written into ``out``.
+def conservative_step(u, flux, bound, dt, h, out):
+    """The tail of every stencil: u + (dt/h) times the divergence of the
+    interior face fluxes, the fluxes through both walls being zero,
+    written into ``out``; aborts as the run contract says.
 
-    Each cell gains the flux of its right face and loses that of its left
-    one, so the update telescopes and the discrete mass is conserved to
-    rounding.
+    StabilityError, before anything is written, unless dt <= bound, the
+    stencil's stability bound at safety 1.  Each cell gains the flux of
+    its right face and loses that of its left one, so the update
+    telescopes and the discrete mass is conserved to rounding.
+    PositivityLossError unless the new state lies at or above
+    ``DEFAULT_FLOOR`` everywhere, so a NaN aborts too.
     """
+    if dt > bound:
+        raise StabilityError("fixed step exceeds the stability bound")
     out[0] = flux[0]
     np.subtract(flux[1:], flux[:-1], out=out[1:-1])
     out[-1] = -flux[-1]
     np.multiply(out, dt / h, out=out)
-    return np.add(u, out, out=out)
+    new = np.add(u, out, out=out)
+    if not (np.minimum.reduce(new) >= DEFAULT_FLOOR):
+        raise PositivityLossError("state dropped below the positivity floor")
+    return new
 
 
 def _face_bound(u, model, h, safety, buf):
@@ -236,15 +240,10 @@ def step(u, model, h, dt, buf=None):
     if buf is None:
         buf = RunBuffers(u.size, faces=2)
     a_mid, bound = _face_bound(u, model, h, 1.0, buf)
-    if dt > bound:
-        raise StabilityError("fixed step exceeds the stability bound")
     flux = np.subtract(u[1:], u[:-1], out=buf.faces[1])
     np.multiply(a_mid, flux, out=flux)
     np.divide(flux, h, out=flux)
-    new = flux_update(u, flux, dt, h, buf.next_state(0, u))
-    if not (np.minimum.reduce(new) >= DEFAULT_FLOOR):
-        raise PositivityLossError("state dropped below the positivity floor")
-    return new
+    return conservative_step(u, flux, bound, dt, h, buf.next_state(0, u))
 
 
 def run(u0, config):

@@ -24,10 +24,11 @@ class PrecisionError(EntroflowError):
         self.achieved = achieved
 
 
-class PositivityLossError(EntroflowError):
-    """A time-stepped field dropped below the positivity floor.
+class RunAbort(EntroflowError):
+    """A run stopped before t_end on a numerical abort.
 
-    ``last_time`` is the last time at which the state was still valid.
+    ``last_time`` is the last time at which the state was still valid, and
+    ``trajectory`` holds the snapshots recorded up to it, unmeasured.
     """
 
     def __init__(self, message, last_time=None, trajectory=None):
@@ -36,13 +37,12 @@ class PositivityLossError(EntroflowError):
         self.trajectory = trajectory
 
 
-class StabilityError(EntroflowError):
-    """A step exceeded its stability bound, or the density the run's ceiling."""
+class PositivityLossError(RunAbort):
+    """A time-stepped field dropped below the positivity floor."""
 
-    def __init__(self, message, last_time=None, trajectory=None):
-        super().__init__(message)
-        self.last_time = last_time
-        self.trajectory = trajectory
+
+class StabilityError(RunAbort):
+    """A step exceeded its stability bound, or the density the run's ceiling."""
 
 
 class UsageError(EntroflowError):

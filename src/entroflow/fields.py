@@ -237,12 +237,6 @@ def integrate(values, h):
     return float(require_finite(values).sum()) * h**values.ndim
 
 
-def neumann_gradient(f):
-    """Per-axis central differences with scalar mirror ghosts."""
-    h = f.grid.h
-    return [Field(f.grid, central_diff(f.values, ax, h)) for ax in range(f.grid.dim)]
-
-
 def gradient_of_vector(components):
     """Matrix M[i][j] = d_i w_j for a gradient-like vector field w.
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import KSModel
-from .diffusion import (DEFAULT_FLOOR, DEFAULT_SAFETY, RunBuffers,
-                        check_run_contract, flux_update, initial_cosine, march)
+from .diffusion import (DEFAULT_SAFETY, RunBuffers, check_run_contract,
+                        conservative_step, initial_cosine, march)
 from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from .fields import Field, Grid, central_diff, integrate, second_diff
 
@@ -153,14 +153,10 @@ def ks_step(u, v, model, h, dt, buf=None):
     if buf is None:
         buf = RunBuffers(u.size, faces=3, cells=1, fields=2)
     flux, drift, bound = _face_bound(u, v, model, h, 1.0, buf)
-    if dt > bound:
-        raise StabilityError("fixed step exceeds the stability bound")
     np.multiply(flux, np.subtract(u[1:], u[:-1], out=buf.faces[0]), out=flux)
     np.divide(flux, h, out=flux)
     np.subtract(flux, drift, out=flux)
-    u_new = flux_update(u, flux, dt, h, buf.next_state(0, u))
-    if not (np.minimum.reduce(u_new) >= DEFAULT_FLOOR):
-        raise PositivityLossError("cell density lost positivity")
+    u_new = conservative_step(u, flux, bound, dt, h, buf.next_state(0, u))
     vt = v_time_derivative(u, v, h, out=buf.cells[0])
     v_new = np.multiply(vt, dt, out=buf.next_state(1, v))
     np.add(v, v_new, out=v_new)
@@ -180,10 +176,10 @@ def run_ks(config):
 
     The run contract is that of ``diffusion.march``: aborts raise
     PositivityLossError / StabilityError (the numerical blow-up
-    indicators, the density ceiling included) carrying the trajectory
-    built so far.  Each recorded KSState carries the accumulated
-    int_0^t int |v_t|^2.  The trajectory is returned measured by
-    ``measure_monitors``.
+    indicators) carrying the trajectory built so far; after each step,
+    a density above ``config.ceiling`` is a StabilityError.  Each
+    recorded KSState carries the accumulated int_0^t int |v_t|^2.  The
+    trajectory is returned measured by ``measure_monitors``.
     """
     state = cosine_initial_state(config.grid, config.mass, config.amplitude)
     model, grid, h = config.model, config.grid, config.grid.h
@@ -194,6 +190,8 @@ def run_ks(config):
     def advance(s, dt):
         u, v, acc = s
         u, v, vt = ks_step(u, v, model, h, dt, buf)
+        if np.maximum.reduce(u) > config.ceiling:
+            raise StabilityError("density exceeded the blow-up suspicion ceiling")
         # dt times int |v_t|^2 by the midpoint rule of fields.integrate,
         # without its finiteness check: this runs every step
         np.multiply(vt, vt, out=vt_sq)
@@ -205,7 +203,6 @@ def run_ks(config):
         advance=advance,
         record=lambda s: KSState(Field(grid, s[0].copy()),
                                  Field(grid, s[1].copy()), s[2]),
-        ceiling=config.ceiling,
     )
     measure_monitors(traj, model)
     return traj

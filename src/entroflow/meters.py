@@ -88,9 +88,10 @@ def identity_residuals(traj):
     return ResidualSeries(r1, r2, h=traj.states[0].grid.h, dt=traj.record_dt)
 
 
-def monotone_tolerance(h, dt):
-    """Scale of the acceptable per-interval monotonicity violation."""
-    return 10.0 * (h * h + dt)
+def monotone_tolerance(h, dt, bias=0.0):
+    """Scale of the acceptable per-interval monotonicity violation; ``bias``
+    budgets for a known bias of the scheme, such as a regularization."""
+    return 10.0 * (h * h + dt + bias)
 
 
 def monotonicity_report(series, h, dt):

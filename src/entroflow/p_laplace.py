@@ -23,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
-from .diffusion import (DEFAULT_FLOOR, DEFAULT_SAFETY, RunBuffers,
-                        check_run_contract, flux_update, march)
+from .errors import ConfigError, UsageError
+from .diffusion import (DEFAULT_SAFETY, RunBuffers, check_run_contract,
+                        conservative_step, march)
 from .fields import (Field, Grid, central_diff, integrate,
                      require_positive_field, second_diff)
-from .meters import nonincreasing_report
+from .meters import monotone_tolerance, nonincreasing_report
 
 DEFAULT_DELTA = 1e-6
 
@@ -91,13 +91,8 @@ def pl_step(u, config, h, dt, buf=None):
     if buf is None:
         buf = RunBuffers(u.size, faces=2)
     du, flux, bound = _face_diffusivity(u, config.p, config.delta, h, 1.0, buf)
-    if dt > bound:
-        raise StabilityError("fixed step exceeds the stability bound")
     np.multiply(flux, du, out=flux)
-    new = flux_update(u, flux, dt, h, buf.next_state(0, u))
-    if not (np.minimum.reduce(new) >= DEFAULT_FLOOR):
-        raise PositivityLossError("state dropped below the positivity floor")
-    return new
+    return conservative_step(u, flux, bound, dt, h, buf.next_state(0, u))
 
 
 def run(u0, config):
@@ -177,18 +172,15 @@ def rate_residuals(traj):
 # Monotonicity verdict
 
 
-def mono_tolerance(h, dt, p, delta):
-    return 10.0 * (h * h + dt + delta ** min(p - 1.0, 1.0))
-
-
 def monotonicity_report(traj, config):
     """Per-interval Delta I <= tol * |I|; the verdict ``passed`` is issued
     only for p >= 2 and is None for the observation-only runs."""
     p = config.p
     h = traj.states[0].grid.h
     dt = traj.record_dt if len(traj.times) > 1 else traj.dt
+    bias = config.delta ** min(p - 1.0, 1.0)  # of the regularized flux
     rep = nonincreasing_report([m.I for m in traj.measured()],
-                               mono_tolerance(h, dt, p, config.delta))
+                               monotone_tolerance(h, dt, bias))
     if p < 2.0:
         rep.passed = None
     return rep

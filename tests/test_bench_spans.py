@@ -2,9 +2,10 @@
 
 ``bench/spans.py`` wraps entroflow functions and methods by name, and some
 wrappers read the shape of their arguments.  A rename would break only the
-traced benchmark run, so this installs the tracer, makes a tiny KS, heat
-and quadrature-backed diffusion experiment and the scalar primitive calls
-under it, and checks that every patch comes off.
+traced benchmark run, so this installs the tracer, makes a tiny KS, heat,
+quadrature-backed diffusion and p-Laplace experiment and the scalar
+primitive calls under it, and checks that every patch comes off and that
+each stencil ran through its spanned name.
 """
 
 import importlib.util
@@ -47,7 +48,10 @@ def test_span_tracer_wraps_and_restores_every_attribute(tmp_path):
                    "model": {"family": "shifted_power_law", "m": 2.0},
                    "grid": {"dim": 1, "cells": 32},
                    "run": {"t_end": 0.001, "record_every": 10}}
-        for cfg in (ks, heat, shifted):
+        plaplace = {"kind": "plaplace", "name": "plaplace_traced",
+                    "model": {"p": 3.0}, "grid": {"dim": 1, "cells": 32},
+                    "run": {"t_end": 0.001, "record_every": 2}}
+        for cfg in (ks, heat, shifted, plaplace):
             assert run_experiment(cfg, str(tmp_path)) == EXIT_PASS
         model = coeff_models.ShiftedPowerLaw(2.0)
         coeff_models.eval_primitives(model, 2.5)
@@ -66,5 +70,8 @@ def test_span_tracer_wraps_and_restores_every_attribute(tmp_path):
     assert tracer.count("coeff_models.eval_primitives") == 1
     assert tracer.count("coeff_models.primitives_by_quadrature") == 1
     assert tracer.count("quadrature.adaptive_simpson") == 1
+    # a per-step metric reads 0 if a stencil is reached by another name
+    for name in spans._STEP_SPANS:
+        assert tracer.count(name) > 0, name
     # the measuring passes integrate through the spanned function
     assert tracer.count("fields.integrate") > 0

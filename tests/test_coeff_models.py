@@ -20,7 +20,9 @@ from entroflow.coeff_models import (
     eval_primitives,
     model_from_spec,
 )
+from entroflow.diffusion import initial_cosine, stable_dt, step
 from entroflow.errors import DomainError, ModelError
+from entroflow.fields import Grid
 
 # scipy.integrate.quad oracle values, frozen
 ORACLE_PL2_AT_3 = dict(lam=4.0, entropy_density=4.0,
@@ -31,8 +33,7 @@ ORACLE_SPL2_AT_2 = dict(lam=3.386294361119890, entropy_density=1.772588722239780
                         sigma=4.094757082487300, flux_primitive=8.0)
 ORACLE_KS21_AT_2 = dict(ratio_primitive=0.287682072451781,
                         double_primitive=0.169899036795397,
-                        psi=0.280465108108164,
-                        sigma_ds=0.218779599482357)
+                        psi=0.280465108108164)
 ORACLE_KS21_PSI_AT_03 = -0.1144367622463
 ORACLE_KS21_G_AT_03 = 0.19882594962241
 ORACLE_KS10_PSI_AT_3 = 2.07944154167984
@@ -132,8 +133,8 @@ def test_ks_critical_detection():
     assert not KSModel(2.0, 0.5).critical
 
 
-def test_eval_ks_off_critical_makes_four_quadrature_passes(monkeypatch):
-    # R, G, Psi and sigma_ds: G takes R and its by-parts integral in one pass
+def test_eval_ks_off_critical_makes_three_quadrature_passes(monkeypatch):
+    # R, G and Psi: G takes R and its by-parts integral in one pass
     original, passes = coeff_models.gauss_legendre, []
 
     def spy(f, a, b):
@@ -142,7 +143,7 @@ def test_eval_ks_off_critical_makes_four_quadrature_passes(monkeypatch):
 
     monkeypatch.setattr(coeff_models, "gauss_legendre", spy)
     eval_ks(2.0, 0.5, 1.5)
-    assert len(passes) == 4
+    assert len(passes) == 3
 
 
 def test_domain_errors():
@@ -199,7 +200,7 @@ def test_vector_call_matches_scalar_calls():
     states = np.geomspace(1e-6, 1e6, 128)
     spl, ks = ShiftedPowerLaw(2.0), KSModel(2.0, 0.5)
     for fn in (spl.lam, spl.entropy_density, spl.sigma, spl.flux_primitive,
-               ks.ratio_primitive, ks.G, ks.psi, ks.sigma_ds):
+               ks.ratio_primitive, ks.G, ks.psi):
         vector = fn(states)
         scalar = np.array([float(fn(float(s))) for s in states])
         assert vector.shape == states.shape
@@ -277,6 +278,24 @@ def test_tabulated_from_csv_rejects_unparsable_rows(tmp_path):
     path.write_text("\n".join(good + ["s,a"]) + "\n")
     with pytest.raises(ModelError, match="line 5 "):
         TabulatedModel.from_csv(path)
+
+
+def test_linear_is_the_m1_power_law_bit_for_bit():
+    states = np.geomspace(1e-6, 1e6, 61)
+    linear, power = Linear(), PowerLaw(1.0)
+    for name in ("a", "lam", "entropy_density", "sigma", "flux_primitive",
+                 "lam_entropy_sigma"):
+        got, want = getattr(linear, name)(states), getattr(power, name)(states)
+        assert np.array_equal(got, want), name
+    g = Grid(1, 64)
+    u = initial_cosine(g).values
+    dt = stable_dt(u, linear, g.h)
+    assert dt == stable_dt(u, power, g.h)
+    assert np.array_equal(step(u, linear, g.h, dt), step(u, power, g.h, dt))
+    assert (linear.family, repr(linear)) == ("linear", "Linear()")
+    assert (power.family, repr(power)) == ("power_law", "PowerLaw(m=1)")
+    from_spec = model_from_spec({"family": "linear"})
+    assert (from_spec.family, repr(from_spec)) == ("linear", "Linear()")
 
 
 def test_model_from_spec():

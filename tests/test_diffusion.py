@@ -8,7 +8,7 @@ from entroflow.coeff_models import KSModel, Linear, PowerLaw
 from entroflow.diffusion import (
     FlowConfig,
     Trajectory,
-    flux_update,
+    conservative_step,
     initial_cosine,
     march,
     run,
@@ -18,6 +18,7 @@ from entroflow.diffusion import (
 from entroflow.errors import (
     ConfigError,
     PositivityLossError,
+    RunAbort,
     StabilityError,
     UsageError,
 )
@@ -116,7 +117,7 @@ def test_self_convergence_order(model):
 
 def test_instability_oracle():
     """dt below the bound stays bounded for 100 steps; 1.5x above, the step
-    refuses, and the flux update it guards blows up."""
+    refuses, and the update it guards, given no bound, loses positivity."""
     g = Grid(1, 32)
     u0 = initial_cosine(g)
     dt_crit = g.h**2 / 2.0
@@ -131,13 +132,12 @@ def test_instability_oracle():
         step(u0.values, Linear(), g.h, 1.5 * dt_crit)
     assert np.array_equal(u0.values, before)
 
-    # the same update with the unit face coefficient, unguarded
+    # the same update with the unit face coefficient and an infinite bound
     u = u0.values.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(PositivityLossError):
         for _ in range(100):
-            u = flux_update(u, np.diff(u) / g.h, 1.5 * dt_crit, g.h,
-                            np.empty_like(u))
-    assert not np.max(np.abs(u)) < 10.0  # grew, or went non-finite
+            u = conservative_step(u, np.diff(u) / g.h, np.inf, 1.5 * dt_crit,
+                                  g.h, np.empty_like(u))
 
 
 def test_run_rechecks_stability():
@@ -158,6 +158,7 @@ def test_positivity_guard():
     low = constant_field(g, 1e-9)
     with pytest.raises(PositivityLossError) as info:
         run(low, FlowConfig(Linear(), g, t_end=0.001))
+    assert isinstance(info.value, RunAbort)
     assert info.value.last_time == 0.0
     # a non-finite state is a positivity abort, not a construction error
     nan_state = initial_cosine(g).values

@@ -117,7 +117,7 @@ def test_stable_dt_guards():
 def test_ceiling_abort_carries_trajectory():
     g = Grid(1, 32)
     cfg = KSConfig(P21, g, t_end=0.01, mass=2.0, ceiling=1.5, record_every=10)
-    with pytest.raises(StabilityError) as info:
+    with pytest.raises(StabilityError, match="ceiling") as info:
         run_ks(cfg)
     assert info.value.trajectory is not None
     assert len(info.value.trajectory.times) >= 1

@@ -10,7 +10,6 @@ from entroflow.errors import ConfigError, PositivityLossError, UsageError
 from entroflow.fields import Field, Grid, constant_field
 from entroflow.p_laplace import (
     PLaplaceConfig,
-    mono_tolerance,
     monotonicity_report,
     p_star,
     pl_stable_dt,
@@ -189,10 +188,14 @@ def test_positivity_guard():
 
 
 def test_tolerance_budgets_delta():
-    assert mono_tolerance(0.0, 0.0, 3.0, 1e-6) == pytest.approx(1e-5)
-    assert mono_tolerance(0.0, 0.0, 1.8, 1e-6) == pytest.approx(
-        10.0 * 1e-6**0.8
-    )
+    g = Grid(1, 32)
+    u = initial_cosine(g)
+    traj = Trajectory([0.0, 1e-4], [u, u], 1e-4)
+    for p, bias in ((3.0, 1e-6), (1.8, 1e-6**0.8)):
+        p_laplace.measure_trajectory(traj, p)
+        rep = monotonicity_report(traj, PLaplaceConfig(p=p, grid=g, t_end=1e-4))
+        assert rep.tolerance_scale == pytest.approx(
+            10.0 * (g.h**2 + 1e-4 + bias), rel=1e-12)
 
 
 def test_stable_dt_uses_face_gradients():
