@@ -45,7 +45,6 @@ from .inequalities import (
 )
 from .keller_segel import (
     KSConfig,
-    KSState,
     classical_lyapunov,
     run_ks,
 )

@@ -169,36 +169,38 @@ def parse_config(cfg):
 # returns its trajectory measured, so a runner only reads traj.meters.
 
 
+def _columns(*columns):
+    """CSV rows from columns: length-S arrays, or lists."""
+    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+
+
+def _max_abs(values):
+    return float(np.max(np.abs(values)))
+
+
 def _run_diffusion(cfg, outdir):
     _, _, flow_cfg, u0 = parse_config(cfg)
     traj = run_flow(u0, flow_cfg)
     res = identity_residuals(traj)
-    h, dt = traj.states[0].grid.h, traj.record_dt
-    ent = [m.entropy for m in traj.meters]
-    fis = [m.fisher_sigma for m in traj.meters]
-    mono_e = monotonicity_report(ent, h, dt)
-    mono_f = monotonicity_report(fis, h, dt)
-
-    rows = []
-    for k, (t, m) in enumerate(zip(traj.times, traj.meters)):
-        r1 = res.r_entropy[k] if k < len(res.r_entropy) else ""
-        r2 = res.r_fisher[k] if k < len(res.r_fisher) else ""
-        rows.append((t, m.entropy, m.fisher_sigma, m.fisher_st, m.dissipation, r1, r2))
+    m, h, dt = traj.meters, traj.h, traj.record_dt
+    mono_e = monotonicity_report(m.entropy, h, dt)
+    mono_f = monotonicity_report(m.fisher_sigma, h, dt)
     write_csv(
         os.path.join(outdir, "meters.csv"),
         ["t", "entropy", "fisher_sigma", "fisher_st", "dissipation",
          "r_entropy", "r_fisher"],
-        rows,
+        _columns(traj.times, m.entropy, m.fisher_sigma, m.fisher_st, m.dissipation,
+                 res.r_entropy.tolist() + [""], res.r_fisher.tolist() + [""]),
     )
-    masses = [integrate(f.values, h) for f in traj.states]
+    masses = integrate(traj.u, h, rows=True)
     results = {
         "dt": traj.dt,
         "snapshots": len(traj.times),
-        "mass_drift": max(abs(m - masses[0]) for m in masses),
+        "mass_drift": _max_abs(masses - masses[0]),
         "entropy_monotone": mono_e.passed,
         "fisher_monotone": mono_f.passed,
-        "max_r_entropy": max(abs(r) for r in res.r_entropy),
-        "max_r_fisher": max(abs(r) for r in res.r_fisher),
+        "max_r_entropy": _max_abs(res.r_entropy),
+        "max_r_fisher": _max_abs(res.r_fisher),
     }
     code = EXIT_PASS if (mono_e.passed and mono_f.passed) else EXIT_PROPERTY
     return code, results
@@ -259,9 +261,9 @@ def _run_ks(cfg, outdir):
     s1 = model.linear_sensitivity
     traj = _ks_run_once(ks_cfg, cells)
     monitors = traj.meters
-    rows = [(m.time,) + tuple(getattr(m, col) for col in _KS_COLUMNS[1:])
-            for m in monitors]
-    write_csv(os.path.join(outdir, "ks_monitors.csv"), _KS_COLUMNS, rows)
+    write_csv(os.path.join(outdir, "ks_monitors.csv"), _KS_COLUMNS,
+              _columns(*(getattr(monitors, col)
+                         for col in ["time"] + _KS_COLUMNS[1:])))
 
     # residual convergence table from a paired coarse run; a residual is
     # null when the coarse grid would fall below the grid minimum or a
@@ -275,12 +277,11 @@ def _run_ks(cfg, outdir):
         if c >= MIN_CELLS:
             t = traj if c == cells else _ks_run_once(ks_cfg, c)
             try:
-                res = lyapunov_identity_residual(t)
-                row["max_lyap_residual"] = max(abs(r) for r in res)
+                row["max_lyap_residual"] = _max_abs(lyapunov_identity_residual(t))
                 if s1:
                     lemma, remark = s1_functional_identity(t)
-                    row["max_s1_lemma_residual"] = max(abs(r) for r in lemma)
-                    row["max_s1_remark_residual"] = max(abs(r) for r in remark)
+                    row["max_s1_lemma_residual"] = _max_abs(lemma)
+                    row["max_s1_remark_residual"] = _max_abs(remark)
             except EntroflowError:
                 pass
         table.append(row)
@@ -289,29 +290,24 @@ def _run_ks(cfg, outdir):
     else:
         table_ratio = None
 
-    masses = [m.mass for m in monitors]
+    mass = monitors.mass
     results = {
         "dt": traj.dt,
         "snapshots": len(traj.times),
-        "mass_drift_rel": max(abs(m - masses[0]) for m in masses)
-        / abs(masses[0]),
+        "mass_drift_rel": _max_abs(mass - mass[0]) / abs(float(mass[0])),
         "max_monitors": {
-            col: max(getattr(m, col) for m in monitors)
-            for col in _KS_COLUMNS[1:]
+            col: float(np.max(getattr(monitors, col))) for col in _KS_COLUMNS[1:]
         },
         "residual_convergence": {"table": table, "ratio": table_ratio},
     }
 
     code = EXIT_PASS
     if model.critical:
-        slack = lp_inequality_residuals(traj, model)
-        scale = max(abs(m.lp_norm) for m in monitors)
-        tol = monotone_tolerance(1.0 / cells, traj.record_dt) * max(scale, 1.0)
-        results["lp_inequality"] = {
-            "worst_slack": max(slack),
-            "tol": tol,
-            "passed": max(slack) <= tol,
-        }
+        worst = float(np.max(lp_inequality_residuals(traj, model)))
+        tol = (monotone_tolerance(1.0 / cells, traj.record_dt)
+               * max(_max_abs(monitors.lp_norm), 1.0))
+        results["lp_inequality"] = {"worst_slack": worst, "tol": tol,
+                                    "passed": worst <= tol}
         if not results["lp_inequality"]["passed"]:
             code = EXIT_PROPERTY
     return code, results
@@ -321,28 +317,23 @@ def _run_plaplace(cfg, outdir):
     _, _, pl_cfg, u0 = parse_config(cfg)
     traj = pl_mod.run(u0, pl_cfg)
     report = pl_mod.monotonicity_report(traj, pl_cfg)
-    dt, I = traj.record_dt, [m.I for m in traj.meters]
+    dt, I = traj.record_dt, traj.meters.I
     # for p < 3/2 the record holds no rate source: the column stays empty
-    if traj.meters[0].rate_source is None:
-        residuals = [""] * (len(I) - 1)
-    else:
-        residuals = pl_mod.rate_residuals(traj)
-    rows = [(traj.times[0], I[0], "", "")] + [
-        (t, i1, (i1 - i0) / dt, r)
-        for t, i0, i1, r in zip(traj.times[1:], I, I[1:], residuals)
-    ]
+    residuals = ([""] * (len(I) - 1) if traj.meters.rate_source is None
+                 else pl_mod.rate_residuals(traj).tolist())
     write_csv(
         os.path.join(outdir, "pl_monitors.csv"),
         ["t", "I", "dI_dt", "residual_prop61"],
-        rows,
+        _columns(traj.times, I, [""] + ((I[1:] - I[:-1]) / dt).tolist(),
+                 [""] + residuals),
     )
     results = {
         "dt": traj.dt,
         "monotone": report.passed,
         "worst_violation": report.worst_violation,
         "tolerance_scale": report.tolerance_scale,
-        "I_initial": I[0],
-        "I_final": I[-1],
+        "I_initial": float(I[0]),
+        "I_final": float(I[-1]),
     }
     return (EXIT_PROPERTY if report.passed is False else EXIT_PASS), results
 

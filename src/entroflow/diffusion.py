@@ -23,24 +23,27 @@ The run contract, shared by ``run``, ``p_laplace.run`` and
   positivity floor and every RunAbort of a step (a stencil's, or the
   chemotaxis run's density ceiling) raise with ``last_time``, the time of
   the last valid state, and the trajectory recorded so far;
-- the loop owns the snapshots: only the recorded states, at t = 0 and
-  after every ``record_every`` steps, are wrapped in validated fields;
+- the loop owns the snapshots: before the first step it allocates one
+  (S, N) array per state field (one of S per scalar), or raises
+  ConfigError for a count no float or array holds; row k is the state
+  after step n = k * record_every, at n * dt, and an abort's trajectory
+  is the rows recorded before the failing step;
 - the run owns its buffers: it allocates its face- and cell-sized
   arrays once (``RunBuffers``), shares them with no other run, and its
-  stencil writes into them every step.  A stencil writes the
-  next state into the state slot its input does not occupy, so a state
-  it returns is overwritten two steps later and any other array it
-  returns by the next step; ``record`` therefore copies what it keeps,
-  since ``Field`` does not.  A guard, and a stencil called without
-  buffers, allocates its own.  Nothing configures the buffers;
+  stencil writes into them every step.  A stencil writes the next state
+  into the state slot its input does not occupy, so a state it returns
+  is overwritten two steps later and any other array it returns by the
+  next step; a snapshot row is a copy.  A guard, and a stencil called
+  without buffers, allocates its own.  Nothing configures the buffers;
 - the run owns the measuring: it returns its trajectory measured by the
-  flow's one measuring pass, one record per snapshot in
-  ``Trajectory.meters``, which residuals, verdicts and the CLI only read;
-  nothing measures on demand, and an abort's trajectory is unmeasured.
+  flow's one measuring pass over the snapshot arrays, one record of
+  length-S arrays in ``Trajectory.meters``, which residuals, verdicts and
+  the CLI only read; nothing measures on demand, and an abort's
+  trajectory is unmeasured.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,61 +70,58 @@ class FlowConfig:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots of a run, with per-snapshot meters.
+    """The S snapshots of a run as arrays, with their meters.
 
-    ``states`` holds a Field per snapshot for the scalar flows and a
-    KSState for the chemotaxis system.  Immutable by convention once
-    returned from a run.  ``meters`` holds one record per snapshot from
-    the flow's one measuring pass, with the run's own model (or
-    parameters), which the run makes before it returns; every residual
-    and verdict reads it and measures nothing.
+    Row k of the (S, N) ``u`` (and, for the chemotaxis system, of ``v``
+    and entry k of ``vt_accum``) is the state at ``times[k]``.  Immutable
+    by convention once returned from a run.  ``meters`` is the record of
+    the flow's one measuring pass, one length-S array per functional,
+    which the run makes before it returns; every residual and verdict
+    reads it and measures nothing.
     """
 
-    times: list
-    states: list
+    times: np.ndarray
     dt: float
-    meters: list = dc_field(default_factory=list)
+    u: np.ndarray
+    v: np.ndarray = None
+    vt_accum: np.ndarray = None
+    meters: object = None
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
+        self.times = np.asarray(self.times, dtype=float)
+        if self.u.ndim != 2 or len(self.u) != len(self.times):
             raise UsageError("snapshot count must match time count")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if self.v is not None and self.v.shape != self.u.shape:
+            raise UsageError("u and v must share a grid")
+        if np.any(self.times[1:] <= self.times[:-1]):
             raise UsageError("times must be strictly increasing")
+
+    @property
+    def h(self):  # the cell width
+        return 1.0 / self.u.shape[1]
 
     def measured(self):
         """The meters; UsageError unless they cover every snapshot."""
-        if len(self.meters) != len(self.times):
+        first = None if self.meters is None else next(iter(vars(self.meters).values()))
+        if first is None or len(first) != len(self.times):
             raise UsageError("the meters do not cover every snapshot")
         return self.meters
 
     @property
     def record_dt(self):
-        return self.times[1] - self.times[0]
-
-    def uniform_spacing(self, rtol=1e-9):
-        dts = np.diff(self.times)
-        return bool(np.all(np.abs(dts - dts[0]) <= rtol * dts[0]))
-
-    def require_uniform(self, min_snapshots):
-        """UsageError unless there are enough uniformly spaced snapshots."""
-        if len(self.times) < min_snapshots:
-            raise UsageError("need at least %d snapshots" % min_snapshots)
-        if not self.uniform_spacing():
-            raise UsageError("snapshot spacing must be uniform")
+        return float(self.times[1] - self.times[0])
 
     def interval_residuals(self, value, source):
         """Per recording interval, the residual of d(value)/dt + source = 0
-        from the meters: the difference quotient of ``value(record)`` plus
-        the midpoint mean of ``source(record)`` at its two ends.
+        from the meters: the difference quotient of ``value(meters)`` plus
+        the midpoint mean of ``source(meters)`` at its two ends; UsageError
+        unless there are at least 3 uniformly spaced snapshots.
         """
-        meters = self.measured()
-        self.require_uniform(3)
-        dt = self.record_dt
-        values, sources = [value(m) for m in meters], [source(m) for m in meters]
-        return [
-            (v1 - v0) / dt + 0.5 * (s0 + s1)
-            for v0, v1, s0, s1 in zip(values, values[1:], sources, sources[1:])
-        ]
+        meters, dts = self.measured(), np.diff(self.times)
+        if len(dts) < 2 or not np.all(np.abs(dts - dts[0]) <= 1e-9 * dts[0]):
+            raise UsageError("need at least 3 uniformly spaced snapshots")
+        v, s = value(meters), source(meters)
+        return (v[1:] - v[:-1]) / self.record_dt + 0.5 * (s[:-1] + s[1:])
 
 
 def check_run_contract(config):
@@ -137,36 +137,49 @@ def check_run_contract(config):
         raise ConfigError("record_every must be >= 1")
 
 
-def march(state, config, guard, advance, record):
+def march(state, config, guard, advance):
     """The guarded explicit loop of every flow; returns a Trajectory.
 
-    ``state`` is a tuple of raw values whose first entry is the density
-    array.  ``guard(state, safety)``, called once, returns the largest
-    stable step, ``advance(state, dt)`` the next state or a RunAbort, and
-    ``record(state)`` the validated snapshot.  ``config`` supplies t_end,
-    safety and record_every; the initial density must lie above
-    ``DEFAULT_FLOOR``.
+    ``state`` is a tuple of raw values, the density array first, which
+    become the trajectory's ``u`` (then ``v`` and ``vt_accum``).
+    ``guard(state, safety)``, called once, returns the largest stable
+    step, and ``advance(state, dt)`` the next state or a RunAbort.
+    ``config`` supplies t_end, safety and record_every; the initial
+    density must lie above ``DEFAULT_FLOOR``.
     """
     if not (state[0].min() > DEFAULT_FLOOR):
         raise PositivityLossError("initial state below floor", last_time=0.0)
     dt0 = guard(state, config.safety)
     block = config.record_every
-    n_steps = max(block, block * math.ceil(config.t_end / (dt0 * block)))
+    blocks = config.t_end / (dt0 * block)
+    if not math.isfinite(blocks):
+        raise ConfigError("t_end = %g is not a finite number of steps" % config.t_end)
+    n_steps = block * max(1, math.ceil(blocks))
     dt = config.t_end / n_steps
+    try:
+        rows = [np.empty((n_steps // block + 1,) + np.shape(x)) for x in state]
+    except (MemoryError, ValueError):
+        raise ConfigError("cannot hold %.3g snapshots of %d cells"
+                          % (blocks + 1.0, state[0].size)) from None
 
-    times, snaps, t = [0.0], [record(state)], 0.0
+    def record(j, state):
+        for row, x in zip(rows, state):
+            row[j] = x
+
+    def recorded(count):  # row j is the state after step j * block, at its time
+        return Trajectory(np.arange(count) * block * dt, dt, *(r[:count] for r in rows))
+
+    record(0, state)
     for k in range(1, n_steps + 1):
         try:
             state = advance(state, dt)
         except RunAbort as err:
-            err.last_time = t
-            err.trajectory = Trajectory(times, snaps, dt)
+            err.last_time = (k - 1) * dt
+            err.trajectory = recorded((k - 1) // block + 1)
             raise
-        t = k * dt
         if k % block == 0:
-            times.append(t)
-            snaps.append(record(state))
-    return Trajectory(times, snaps, dt)
+            record(k // block, state)
+    return recorded(len(rows[0]))
 
 
 class RunBuffers:
@@ -251,18 +264,15 @@ def run(u0, config):
     returned measured by ``meters.measure_trajectory``."""
     model, h = config.model, u0.grid.h
     buf = RunBuffers(u0.grid.cells, faces=2)
-    traj = march(
-        (u0.values,), config,
-        guard=lambda s, safety: stable_dt(s[0], model, h, safety),
-        advance=lambda s, dt: (step(s[0], model, h, dt, buf),),
-        record=lambda s: Field(u0.grid, s[0].copy()),
-    )
+    traj = march((u0.values,), config,
+                 guard=lambda s, safety: stable_dt(s[0], model, h, safety),
+                 advance=lambda s, dt: (step(s[0], model, h, dt, buf),))
     measure_trajectory(traj, model)
     return traj
 
 
-def initial_cosine(grid, mean=1.0, amplitude=0.5, mode=1):
-    """Preset initial datum mean * (1 + amplitude cos(mode pi x)), mass-exact.
+def cosine_values(grid, mean=1.0, amplitude=0.5, mode=1):
+    """mean * (1 + amplitude cos(mode pi x)) at the cell centers, mass-exact.
 
     The discrete midpoint sum of cos(k pi x) over symmetric cell centers
     vanishes, so the discrete mass equals ``mean`` exactly.
@@ -270,4 +280,9 @@ def initial_cosine(grid, mean=1.0, amplitude=0.5, mode=1):
     x = grid.axis_centers()
     vals = 1.0 + amplitude * np.cos(mode * np.pi * x)
     vals *= mean / (np.mean(vals))
-    return Field(grid, vals)
+    return vals
+
+
+def initial_cosine(grid, mean=1.0, amplitude=0.5, mode=1):
+    """The preset initial datum, ``cosine_values`` as a Field."""
+    return Field(grid, cosine_values(grid, mean, amplitude, mode))

@@ -11,10 +11,11 @@ flips sign; with that pairing the discrete summation-by-parts identity
 holds bit-exactly, which is what every integration-by-parts based check
 in this package relies on.
 
-A ``Field`` is a validated snapshot: a run's recorded states, initial data
-and sampled test functions.  The calculus acts on raw arrays: the
+A ``Field`` is a validated scalar on a grid: a run's initial data and
+sampled test functions.  The calculus acts on raw arrays: the
 stencils difference them, and ``integrate(values, h)`` is the one
-midpoint rule behind every integral the package reports.
+midpoint rule behind every integral the package reports; with
+``rows=True`` it integrates each row of a run's (S, N) snapshot array.
 
 The difference stencils write into a caller-given ``out`` array.  The
 nD inequality checks take theirs from a scratch workspace (``scratch``),
@@ -81,9 +82,6 @@ class Field:
             )
         if not np.all(np.isfinite(self.values)):
             raise ConstructionError("field values must be finite")
-
-    def copy(self):
-        return Field(self.grid, self.values.copy())
 
     def min(self):
         return float(self.values.min())
@@ -228,13 +226,33 @@ def require_finite(values):
 
 # ---------------------------------------------------------------------------
 # Calculus operations
+#
+# A measuring pass takes a run's snapshot rows at most this many cells at a
+# time: temporaries past ~64 KB cost more per element than the calls saved.
+_BLOCK_CELLS = 8192
 
 
-def integrate(values, h):
+def integrate(values, h, rows=False):
     """Midpoint rule on raw cell values: h^n times their sum, n being
-    values.ndim; exact on constants.  Raises ConstructionError, as Field
-    does, unless the values are all finite."""
+    values.ndim; exact on constants.  With ``rows``, values is an (S, N)
+    array of S snapshots of a 1D grid, and the result is the S integrals
+    of its rows, each summed as the row alone is.  Raises
+    ConstructionError, as Field does, unless the values are all finite."""
+    if rows:
+        return np.ascontiguousarray(require_finite(values)).sum(axis=1) * h
     return float(require_finite(values).sum()) * h**values.ndim
+
+
+def by_row_blocks(fn, *arrays):
+    """``fn(*arrays)``, a record of per-row arrays (or None), made on blocks
+    of at most ``_BLOCK_CELLS`` cells of rows of the arrays, the first of
+    them (S, N), and joined: no temporary outgrows a block."""
+    step = max(1, _BLOCK_CELLS // arrays[0].shape[1])
+    parts = [fn(*(a[i:i + step] for a in arrays))
+             for i in range(0, len(arrays[0]), step)]
+    joined = {k: None if v is None else np.concatenate([vars(p)[k] for p in parts])
+              for k, v in vars(parts[0]).items()}
+    return type(parts[0])(**joined)
 
 
 def gradient_of_vector(components):

@@ -8,9 +8,10 @@ functional, the Fisher-type functional/dissipation pair, the S(u)=u
 special-case identities, and the a-priori estimate monitors that together
 constitute desk-scale evidence for global existence at (p,q)=(2,1).
 
-``measure_monitors`` evaluates each snapshot once, into a KSMonitor record
-attached as ``Trajectory.meters``: the monitors and the sources of the
-Lyapunov, entropy-production, L^p and (at q = 0) S(u)=u residuals.
+``measure_monitors`` evaluates all snapshots in one pass over the (S, N)
+arrays of u and v, into a KSMonitor record of length-S arrays attached as
+``Trajectory.meters``: the monitors and the sources of the Lyapunov,
+entropy-production, L^p and (at q = 0) S(u)=u residuals.
 ``run_ks`` attaches it before it returns, and every residual only reads it.
 
 In every functional, v_t is evaluated from the equation (v_xx - v + u),
@@ -24,28 +25,12 @@ import numpy as np
 
 from .coeff_models import KSModel
 from .diffusion import (DEFAULT_SAFETY, RunBuffers, check_run_contract,
-                        conservative_step, initial_cosine, march)
+                        conservative_step, cosine_values, march)
 from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
-from .fields import Field, Grid, central_diff, integrate, second_diff
+from .fields import Grid, by_row_blocks, central_diff, integrate, second_diff
 
 DEFAULT_CEILING = 1e6
 _V_NEG_TOL = -1e-14
-
-
-@dataclass
-class KSState:
-    """A validated (u, v) pair; along a run, ``vt_accum`` is the cumulative
-    int_0^t int |v_t|^2 up to this snapshot."""
-
-    u: Field
-    v: Field
-    vt_accum: float = 0.0
-
-    def __post_init__(self):
-        if self.u.grid != self.v.grid:
-            raise UsageError("u and v must share a grid")
-        if self.u.grid.dim != 1:
-            raise UsageError("the chemotaxis solver is one-dimensional")
 
 
 @dataclass
@@ -75,33 +60,34 @@ class KSConfig:
 
 @dataclass
 class KSMonitor:
-    """The record of one snapshot: the a-priori estimate monitors, which
-    are the CSV columns, then the residual sources no column shows; the
-    S(u)=u pieces are None unless q = 0."""
+    """The record of a trajectory, one length-S array per field, entry k
+    from snapshot k: the a-priori estimate monitors, which are the CSV
+    columns, then the residual sources no column shows; the S(u)=u pieces
+    are None unless q = 0."""
 
-    time: float
-    mass: float
-    lyap_classical: float
-    lyap_F: float
-    dissipation_D: float
-    ep_estimate: float
-    lp_norm: float
-    log_bound: float
-    vt_accum: float
-    v_l2: float
-    v_l4: float
-    dv_l2: float
-    dv_l4: float
-    vt_sq: float         # int |v_t|^2
-    drift_sq: float      # int S |D/S u_x - v_x|^2
-    ep_quarter: float    # int S D (v + v_t)^2 / 4
-    ep_curvature: float  # int (D/S u_x - v_x) D^2 S'' / (2 S) u_x^3
-    lp_grad: float       # int u^(p-2) (1+u)^(-p) |u_x|^2
-    u_sq: float          # int u^2
-    s1_A: float = None   # the lemma's A = int D^2/u |u_x|^2 / 2
-    s1_B: float = None   # the lemma's B = int u D |d_x(D/u u_x)|^2
-    s1_C: float = None   # the lemma's C = int u D v_xx d_x(D/u u_x)
-    s1_F: float = None   # the remark's F = A - int u int_1^u D
+    time: np.ndarray
+    mass: np.ndarray
+    lyap_classical: np.ndarray
+    lyap_F: np.ndarray
+    dissipation_D: np.ndarray
+    ep_estimate: np.ndarray
+    lp_norm: np.ndarray
+    log_bound: np.ndarray
+    vt_accum: np.ndarray
+    v_l2: np.ndarray
+    v_l4: np.ndarray
+    dv_l2: np.ndarray
+    dv_l4: np.ndarray
+    vt_sq: np.ndarray         # int |v_t|^2
+    drift_sq: np.ndarray      # int S |D/S u_x - v_x|^2
+    ep_quarter: np.ndarray    # int S D (v + v_t)^2 / 4
+    ep_curvature: np.ndarray  # int (D/S u_x - v_x) D^2 S'' / (2 S) u_x^3
+    lp_grad: np.ndarray       # int u^(p-2) (1+u)^(-p) |u_x|^2
+    u_sq: np.ndarray          # int u^2
+    s1_A: np.ndarray = None   # the lemma's A = int D^2/u |u_x|^2 / 2
+    s1_B: np.ndarray = None   # the lemma's B = int u D |d_x(D/u u_x)|^2
+    s1_C: np.ndarray = None   # the lemma's C = int u D v_xx d_x(D/u u_x)
+    s1_F: np.ndarray = None   # the remark's F = A - int u int_1^u D
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +95,9 @@ class KSMonitor:
 
 
 def v_time_derivative(u, v, h, out=None):
-    """v_xx - v + u with the mirror second difference, into ``out`` when
-    given."""
-    vt = second_diff(v, 0, h, out=out)
+    """v_xx - v + u with the mirror second difference along the last axis,
+    into ``out`` when given."""
+    vt = second_diff(v, v.ndim - 1, h, out=out)
     np.subtract(vt, v, out=vt)
     return np.add(vt, u, out=vt)
 
@@ -166,9 +152,10 @@ def ks_step(u, v, model, h, dt, buf=None):
 
 
 def cosine_initial_state(grid, mass, amplitude=0.5):
-    """Preset u0 = M (1 + amplitude cos(pi x)) / normalizer, v0 = M."""
-    u0 = initial_cosine(grid, mean=mass, amplitude=amplitude)
-    return KSState(u0, Field(grid, np.full(grid.shape, mass)))
+    """Preset (u0, v0): u0 = M (1 + amplitude cos(pi x)) / normalizer and
+    v0 = M, as arrays."""
+    return (cosine_values(grid, mean=mass, amplitude=amplitude),
+            np.full(grid.shape, float(mass)))
 
 
 def run_ks(config):
@@ -177,11 +164,11 @@ def run_ks(config):
     The run contract is that of ``diffusion.march``: aborts raise
     PositivityLossError / StabilityError (the numerical blow-up
     indicators) carrying the trajectory built so far; after each step,
-    a density above ``config.ceiling`` is a StabilityError.  Each
-    recorded KSState carries the accumulated int_0^t int |v_t|^2.  The
-    trajectory is returned measured by ``measure_monitors``.
+    a density above ``config.ceiling`` is a StabilityError.  The
+    trajectory's ``vt_accum`` holds the accumulated int_0^t int |v_t|^2
+    at each snapshot.  It is returned measured by ``measure_monitors``.
     """
-    state = cosine_initial_state(config.grid, config.mass, config.amplitude)
+    u0, v0 = cosine_initial_state(config.grid, config.mass, config.amplitude)
     model, grid, h = config.model, config.grid, config.grid.h
     # the step takes the first cell array for v_t, and the second holds v_t^2
     buf = RunBuffers(grid.cells, faces=3, cells=2, fields=2)
@@ -197,13 +184,8 @@ def run_ks(config):
         np.multiply(vt, vt, out=vt_sq)
         return u, v, acc + dt * (float(np.add.reduce(vt_sq)) * h)
 
-    traj = march(
-        (state.u.values, state.v.values, 0.0), config,
-        guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety),
-        advance=advance,
-        record=lambda s: KSState(Field(grid, s[0].copy()),
-                                 Field(grid, s[1].copy()), s[2]),
-    )
+    traj = march((u0, v0, 0.0), config, advance=advance,
+                 guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety))
     measure_monitors(traj, model)
     return traj
 
@@ -212,87 +194,82 @@ def run_ks(config):
 # Functionals
 
 
-def classical_lyapunov(state, model):
-    """int G(u) - int u v + (1/2) ||v||_H1^2."""
-    h = state.u.grid.h
-    u = state.u.values
-    v = state.v.values
-    g_term = integrate(np.asarray(model.G(u), dtype=float), h)
-    uv = integrate(u * v, h)
-    dv = central_diff(v, 0, h)
-    h1 = integrate(v * v + dv * dv, h)
+def classical_lyapunov(u, v, model, h):
+    """int G(u) - int u v + (1/2) ||v||_H1^2 of each row of the (S, N)
+    snapshot arrays u and v."""
+    g_term = integrate(np.asarray(model.G(u), dtype=float), h, rows=True)
+    uv = integrate(u * v, h, rows=True)
+    dv = central_diff(v, 1, h)
+    h1 = integrate(v * v + dv * dv, h, rows=True)
     return g_term - uv + 0.5 * h1
 
 
 def _lp(vals, h, r):
-    return integrate(np.abs(vals) ** r, h) ** (1.0 / r)
+    # Python's pow for each root, as for one snapshot: numpy's rounds otherwise
+    return np.array([x ** (1.0 / r)
+                     for x in integrate(np.abs(vals) ** r, h, rows=True).tolist()])
 
 
 def measure_monitors(traj, model):
-    """The one evaluation of a trajectory: a KSMonitor per snapshot,
-    attached as ``traj.meters`` and returned.
+    """The one evaluation of a trajectory: one pass over its (S, N)
+    snapshot arrays into a KSMonitor, attached as ``traj.meters`` and returned.
 
-    Per snapshot it forms D(u), S(u), u_x, v_x, v_t and (D/S)(u) u_x once.
+    The pass forms D(u), S(u), u_x, v_x, v_t and (D/S)(u) u_x once.
     The Fisher-type pair is included for every (p, q); the (p, q)
     hypotheses of the estimates are checked by ``KSConfig(strict=True)``.
     At q = 0, where S(u) = u bit for bit, the record also holds the S(u)=u
     pieces A, B, C and F, and A is exactly the first term of ``lyap_F``.
     """
+    traj.meters = by_row_blocks(lambda *rows: _monitors(model, traj.h, *rows),
+                                traj.u, traj.v, traj.times, traj.vt_accum)
+    return traj.meters
+
+
+def _monitors(model, h, u, v, times, vt_accum):
     p = model.p
-    s1 = model.linear_sensitivity
-    out = []
-    for t, state in zip(traj.times, traj.states):
-        h = state.u.grid.h
-        u, v = state.u.values, state.v.values
-        D = np.asarray(model.D(u), dtype=float)
-        S = np.asarray(model.S(u), dtype=float)
-        du = central_diff(u, 0, h)
-        dv = central_diff(v, 0, h)
-        vt = v_time_derivative(u, v, h)
-        flux_field = np.asarray(model.ratio(u)) * du  # gradient-like: odd mirror
-        drift = flux_field - dv
-        dflux = central_diff(flux_field, 0, h, odd=True)
-        vxx = second_diff(v, 0, h)
-        bracket = dflux - vxx + 0.5 * (v + vt)
-        s2 = np.asarray(model.S_second(u), dtype=float)
-        energy = 0.5 * integrate(D * D / S * du * du, h)
-        pieces = {}
-        if s1:
-            # int_1^u D(s) ds in closed form for D = (1+s)^(-p)
-            d_primitive = (
-                np.log((1.0 + u) / 2.0) if abs(p - 1.0) <= 1e-12
-                else ((1.0 + u) ** (1.0 - p) - 2.0 ** (1.0 - p)) / (1.0 - p)
-            )
-            pieces = dict(s1_A=energy, s1_B=integrate(S * D * dflux**2, h),
-                          s1_C=integrate(S * D * vxx * dflux, h),
-                          s1_F=energy - integrate(u * d_primitive, h))
-        out.append(
-            KSMonitor(
-                time=t,
-                mass=integrate(u, h),
-                lyap_classical=classical_lyapunov(state, model),
-                lyap_F=(energy
-                        - integrate(np.asarray(model.psi(u), dtype=float), h)),
-                dissipation_D=integrate(S * D * bracket**2, h),
-                ep_estimate=integrate(du**2 / (u * (1.0 + u) ** (p + 1.0)), h),
-                lp_norm=integrate(u**p, h),
-                log_bound=float(np.max(np.abs(np.log1p(u)))),
-                vt_accum=state.vt_accum,
-                v_l2=_lp(v, h, 2.0),
-                v_l4=_lp(v, h, 4.0),
-                dv_l2=_lp(dv, h, 2.0),
-                dv_l4=_lp(dv, h, 4.0),
-                vt_sq=integrate(vt * vt, h),
-                drift_sq=integrate(S * drift**2, h),
-                ep_quarter=integrate(S * D * (v + vt) ** 2 / 4.0, h),
-                ep_curvature=integrate(drift * D * D * s2 / (2.0 * S) * du**3, h),
-                lp_grad=integrate(u ** (p - 2.0) * (1.0 + u) ** (-p) * du**2, h),
-                u_sq=integrate(u * u, h),
-                **pieces,
-            )
+    D = np.asarray(model.D(u), dtype=float)
+    S = np.asarray(model.S(u), dtype=float)
+    du = central_diff(u, 1, h)
+    dv = central_diff(v, 1, h)
+    vt = v_time_derivative(u, v, h)
+    flux_field = np.asarray(model.ratio(u)) * du  # gradient-like: odd mirror
+    drift = flux_field - dv
+    dflux = central_diff(flux_field, 1, h, odd=True)
+    vxx = second_diff(v, 1, h)
+    bracket = dflux - vxx + 0.5 * (v + vt)
+    s2 = np.asarray(model.S_second(u), dtype=float)
+    energy = 0.5 * integrate(D * D / S * du * du, h, rows=True)
+    pieces = {}
+    if model.linear_sensitivity:
+        # int_1^u D(s) ds in closed form for D = (1+s)^(-p)
+        d_primitive = (
+            np.log((1.0 + u) / 2.0) if abs(p - 1.0) <= 1e-12
+            else ((1.0 + u) ** (1.0 - p) - 2.0 ** (1.0 - p)) / (1.0 - p)
         )
-    traj.meters = out
-    return out
+        pieces = dict(s1_A=energy, s1_B=integrate(S * D * dflux**2, h, rows=True),
+                      s1_C=integrate(S * D * vxx * dflux, h, rows=True),
+                      s1_F=energy - integrate(u * d_primitive, h, rows=True))
+    return KSMonitor(
+        time=times,
+        mass=integrate(u, h, rows=True),
+        lyap_classical=classical_lyapunov(u, v, model, h),
+        lyap_F=(energy
+                - integrate(np.asarray(model.psi(u), dtype=float), h, rows=True)),
+        dissipation_D=integrate(S * D * bracket**2, h, rows=True),
+        ep_estimate=integrate(du**2 / (u * (1.0 + u) ** (p + 1.0)), h, rows=True),
+        lp_norm=integrate(u**p, h, rows=True),
+        log_bound=np.max(np.abs(np.log1p(u)), axis=1),
+        vt_accum=vt_accum,
+        v_l2=_lp(v, h, 2.0), v_l4=_lp(v, h, 4.0),
+        dv_l2=_lp(dv, h, 2.0), dv_l4=_lp(dv, h, 4.0),
+        vt_sq=integrate(vt * vt, h, rows=True),
+        drift_sq=integrate(S * drift**2, h, rows=True),
+        ep_quarter=integrate(S * D * (v + vt) ** 2 / 4.0, h, rows=True),
+        ep_curvature=integrate(drift * D * D * s2 / (2.0 * S) * du**3, h, rows=True),
+        lp_grad=integrate(u ** (p - 2.0) * (1.0 + u) ** (-p) * du**2, h, rows=True),
+        u_sq=integrate(u * u, h, rows=True),
+        **pieces,
+    )
 
 
 def lyapunov_identity_residual(traj):
@@ -315,20 +292,14 @@ def lp_inequality_residuals(traj, model):
     Nonpositive entries mean the inequality holds on that interval; the
     tolerance for a verdict is left to the caller.
     """
-    p = model.p
     if len(traj.times) < 2:
         raise UsageError("need at least 2 snapshots")
-    dt = traj.record_dt
-    meters = traj.measured()
-    c = p * (p - 1.0)
-    out = []
-    for m0, m1 in zip(meters, meters[1:]):
-        lhs = ((m1.lp_norm - m0.lp_norm) / dt
-               + c * 0.5 * (m0.lp_grad + m1.lp_grad))
-        rhs = (1.5 * c * 0.5 * (m0.u_sq + m1.u_sq)
-               + 0.5 * c * 0.5 * (m0.vt_sq + m1.vt_sq))
-        out.append(lhs - rhs)
-    return out
+    m, c = traj.measured(), model.p * (model.p - 1.0)
+    lhs = ((m.lp_norm[1:] - m.lp_norm[:-1]) / traj.record_dt
+           + c * 0.5 * (m.lp_grad[:-1] + m.lp_grad[1:]))
+    rhs = (1.5 * c * 0.5 * (m.u_sq[:-1] + m.u_sq[1:])
+           + 0.5 * c * 0.5 * (m.vt_sq[:-1] + m.vt_sq[1:]))
+    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +314,7 @@ def s1_functional_identity(traj):
     d/dt F + G = quarter-term, G and the quarter-term being the record's
     ``dissipation_D`` and ``ep_quarter`` at S(u) = u.
     """
-    if traj.measured()[0].s1_A is None:
+    if traj.measured().s1_A is None:
         raise UsageError("the S(u)=u identities require q = 0")
     lemma = traj.interval_residuals(lambda m: m.s1_A, lambda m: m.s1_B - m.s1_C)
     remark = traj.interval_residuals(

@@ -12,8 +12,9 @@ the explicit scheme well-posed where the gradient vanishes; the
 monotonicity tolerance budgets explicitly for the delta-sized bias this
 introduces.
 
-``measure_trajectory`` evaluates each snapshot once, into a PLMeter record
-(I[u] and the source of its exact rate) that ``run`` attaches as
+``measure_trajectory`` evaluates all snapshots in one pass over the (S, N)
+snapshot array, into a PLMeter record (I[u] and the source of its exact
+rate, one length-S array each) that ``run`` attaches as
 ``Trajectory.meters``; the monotonicity verdict and the rate residuals only
 read it.  For 1 < p < 3/2, p* < 0 makes the rate's powers of p* complex, so
 the record holds I alone: such a run has no rate residual.
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, UsageError
 from .diffusion import (DEFAULT_SAFETY, RunBuffers, check_run_contract,
                         conservative_step, march)
-from .fields import (Field, Grid, central_diff, integrate,
+from .fields import (Grid, by_row_blocks, central_diff, integrate,
                      require_positive_field, second_diff)
 from .meters import monotone_tolerance, nonincreasing_report
 
@@ -50,10 +51,6 @@ class PLaplaceConfig:
         if not (self.delta > 0.0):
             raise ConfigError("delta must be positive")
         check_run_contract(self)
-
-    @property
-    def p_star(self):
-        return p_star(self.p)
 
 
 def p_star(p):
@@ -100,12 +97,9 @@ def run(u0, config):
     the trajectory is returned measured by ``measure_trajectory``."""
     h = u0.grid.h
     buf = RunBuffers(u0.grid.cells, faces=2)
-    traj = march(
-        (u0.values,), config,
-        guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety),
-        advance=lambda s, dt: (pl_step(s[0], config, h, dt, buf),),
-        record=lambda s: Field(u0.grid, s[0].copy()),
-    )
+    traj = march((u0.values,), config,
+                 guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety),
+                 advance=lambda s, dt: (pl_step(s[0], config, h, dt, buf),))
     measure_trajectory(traj, config.p, config.delta)
     return traj
 
@@ -116,16 +110,16 @@ def run(u0, config):
 
 @dataclass(frozen=True)
 class PLMeter:
-    """The record of one snapshot."""
+    """The record of a trajectory, one length-S array per field."""
 
-    I: float            # I[u] = int |d_x(u^{p*})|^p
-    rate_source: float  # minus dI/dt: minus the sum of the three rate terms;
-                        # None for p < 3/2, where p* < 0
+    I: np.ndarray            # I[u] = int |d_x(u^{p*})|^p
+    rate_source: np.ndarray  # minus dI/dt: minus the sum of the three rate
+                             # terms; None for p < 3/2, where p* < 0
 
 
 def measure_trajectory(traj, p, delta=0.0):
-    """The one evaluation of a trajectory: a PLMeter per snapshot, attached
-    as ``traj.meters`` and returned.
+    """The one evaluation of a trajectory: one pass over its (S, N)
+    snapshot array into a PLMeter, attached as ``traj.meters`` and returned.
 
     For smooth positive u, dI/dt is the sum of three integrals in
     w = u^{p*}: a negative square involving d_x(|w_x|^{p-2} w_x), a signed
@@ -134,36 +128,35 @@ def measure_trajectory(traj, p, delta=0.0):
     Their coefficients are powers p*^(2-p), p*^(1-p) and p*^(-p), real
     only for p* > 0, so for p < 3/2 no rate source is recorded.
     """
-    ps = p_star(p)
-    meters = []
-    for u in traj.states:
-        require_positive_field(u)
-        h, vals = u.grid.h, u.values
-        w = vals**ps
-        dw = central_diff(w, 0, h)
-        I = integrate(np.abs(dw) ** p, h)
-        if ps < 0.0:
-            meters.append(PLMeter(I, None))
-            continue
-        dw_sq = dw * dw + delta * delta
-        flux_like = dw_sq ** ((p - 2.0) / 2.0) * dw  # gradient-like: odd mirror
-        dflux = central_diff(flux_like, 0, h, odd=True)
-        t1 = -p * ps ** (2.0 - p) * integrate(
-            vals ** (0.5 - 0.5 / (p - 1.0)) * dflux**2, h)
-        d2w = second_diff(w, 0, h)
-        t2 = 0.5 * p * p * ps ** (1.0 - p) * integrate(
-            vals ** (-0.5) * dw_sq ** (p - 2.0) * dw * dw * d2w, h)
-        t3 = -0.25 * p * ps ** (-p) * integrate(
-            dw_sq**p * vals ** (-1.5 + 0.5 / (p - 1.0)), h)
-        meters.append(PLMeter(I, -(t1 + t2 + t3)))
-    traj.meters = meters
-    return meters
+    ps, h = p_star(p), traj.h
+    require_positive_field(traj.u)
+    traj.meters = by_row_blocks(lambda u: _pl_meter(u, p, ps, delta, h), traj.u)
+    return traj.meters
+
+
+def _pl_meter(u, p, ps, delta, h):
+    w = u**ps
+    dw = central_diff(w, 1, h)
+    I = integrate(np.abs(dw) ** p, h, rows=True)
+    if ps < 0.0:
+        return PLMeter(I, None)
+    dw_sq = dw * dw + delta * delta
+    flux_like = dw_sq ** ((p - 2.0) / 2.0) * dw  # gradient-like: odd mirror
+    dflux = central_diff(flux_like, 1, h, odd=True)
+    t1 = -p * ps ** (2.0 - p) * integrate(
+        u ** (0.5 - 0.5 / (p - 1.0)) * dflux**2, h, rows=True)
+    d2w = second_diff(w, 1, h)
+    t2 = 0.5 * p * p * ps ** (1.0 - p) * integrate(
+        u ** (-0.5) * dw_sq ** (p - 2.0) * dw * dw * d2w, h, rows=True)
+    t3 = -0.25 * p * ps ** (-p) * integrate(
+        dw_sq**p * u ** (-1.5 + 0.5 / (p - 1.0)), h, rows=True)
+    return PLMeter(I, -(t1 + t2 + t3))
 
 
 def rate_residuals(traj):
     """Per-interval dI/dt minus the midpoint mean of the three rate terms;
     UsageError for p < 3/2, whose record holds no rate source."""
-    if traj.measured()[0].rate_source is None:
+    if traj.measured().rate_source is None:
         raise UsageError("no rate source is recorded for p < 3/2")
     return traj.interval_residuals(lambda m: m.I, lambda m: m.rate_source)
 
@@ -176,11 +169,10 @@ def monotonicity_report(traj, config):
     """Per-interval Delta I <= tol * |I|; the verdict ``passed`` is issued
     only for p >= 2 and is None for the observation-only runs."""
     p = config.p
-    h = traj.states[0].grid.h
     dt = traj.record_dt if len(traj.times) > 1 else traj.dt
     bias = config.delta ** min(p - 1.0, 1.0)  # of the regularized flux
-    rep = nonincreasing_report([m.I for m in traj.measured()],
-                               monotone_tolerance(h, dt, bias))
+    rep = nonincreasing_report(traj.measured().I,
+                               monotone_tolerance(traj.h, dt, bias))
     if p < 2.0:
         rep.passed = None
     return rep

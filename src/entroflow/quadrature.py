@@ -30,6 +30,9 @@ _COARSE_NODES, _FINE_NODES = 20, 40
 # A panel also passes when the rules agree to rounding: the budget share
 # of a deeply bisected panel can sit below the rounding of its own sum.
 _ROUNDING = 64.0 * np.finfo(float).eps
+# The most states one Gauss-Legendre level loop takes: temporaries past ~80 KB
+# cost several times more per element than they save in calls.
+_BLOCK_STATES = 128
 # Missing on this many panels at once means a rough integrand, whose work
 # would otherwise double at every level down to the depth limit.
 _MAX_PANELS_PER_STATE = 1024
@@ -154,14 +157,20 @@ def gauss_legendre(f, a, b):
     value's budget ``DEFAULT_TOL * max(1, |value|)``, and is bisected
     otherwise.  A value depends on its own panels only, so a scalar call
     returns the same number as that state inside a vector call, and so
-    does one integral of K.  Raises PrecisionError (carrying the largest
-    missed estimate) when ``DEFAULT_MAX_DEPTH`` levels do not suffice or a
-    value misses on too many panels at once, and, with an infinite
-    estimate, when ``f`` returns a non-finite value.  Like any sampled rule
-    it assumes no jumps: a jump between a panel's end and its outermost
-    node goes unseen.
+    does one integral of K, and the level loop runs on blocks of at most
+    ``_BLOCK_STATES`` flattened states.  Raises PrecisionError (carrying
+    the largest missed estimate) when ``DEFAULT_MAX_DEPTH`` levels do not
+    suffice or a value misses on too many panels at once, and, with an
+    infinite estimate, when ``f`` returns a non-finite value.  Like any
+    sampled rule it assumes no jumps: a jump between a panel's end and
+    its outermost node goes unseen.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if a[0].size > _BLOCK_STATES:
+        lo, hi, step = a.reshape(len(a), -1), b.reshape(len(b), -1), _BLOCK_STATES
+        blocks = [gauss_legendre(f, lo[:, i:i + step], hi[:, i:i + step])
+                  for i in range(0, lo.shape[1], step)]
+        return np.concatenate(blocks, axis=1).reshape(a.shape)
     (xc, wc), (xf, wf) = _rule(_COARSE_NODES), _rule(_FINE_NODES)
     nodes = np.r_[xc, xf]
 

@@ -60,3 +60,20 @@ def run_interleaved(monkeypatch):
         return [first] + results
 
     return go
+
+
+@pytest.fixture
+def assert_same_record():
+    """``assert_same_record(got, want)`` asserts that two meter records of
+    one type hold the same arrays, field by field, bit for bit (a field
+    that is None in one is None in the other)."""
+
+    def check(got, want):
+        assert type(got) is type(want)
+        for name, value in vars(want).items():
+            other = getattr(got, name)
+            assert (other is None) == (value is None), name
+            if value is not None:
+                assert np.array_equal(other, value), name
+
+    return check

@@ -50,10 +50,10 @@ def test_1_linear_heat_sanity(capsys):
     )
     x = grid.axis_centers()
     exact = 1.0 + 0.5 * np.cos(np.pi * x) * np.exp(-np.pi**2 * 0.1)
-    err = float(np.max(np.abs(traj.states[-1].values - exact)))
+    err = float(np.max(np.abs(traj.u[-1] - exact)))
     h, dt = grid.h, traj.record_dt
-    mono_e = monotonicity_report([m.entropy for m in traj.meters], h, dt)
-    mono_f = monotonicity_report([m.fisher_sigma for m in traj.meters], h, dt)
+    mono_e = monotonicity_report(traj.meters.entropy, h, dt)
+    mono_f = monotonicity_report(traj.meters.fisher_sigma, h, dt)
     elapsed = time.perf_counter() - t0
     ok = err < 1e-3 and mono_e.passed and mono_f.passed and elapsed < 5.0
     _verdict(capsys, "linear_heat_sanity", ok)
@@ -87,9 +87,7 @@ def test_3_st_fisher_monotone(capsys):
         traj = run_flow(
             initial_cosine(g), FlowConfig(model, g, t_end=0.02, record_every=50)
         )
-        rep = monotonicity_report(
-            [mm.fisher_st for mm in traj.meters], g.h, traj.record_dt
-        )
+        rep = monotonicity_report(traj.meters.fisher_st, g.h, traj.record_dt)
         ok = ok and rep.passed
     _verdict(capsys, "st_fisher_monotone", ok)
 
@@ -140,14 +138,11 @@ def test_6_ks_global_existence_evidence(capsys):
         KSConfig(model, g, t_end=1.0, mass=20.0, record_every=4000, strict=True)
     )
     mons = traj.meters
-    masses = [m.mass for m in mons]
-    drift = max(abs(m - masses[0]) for m in masses) / abs(masses[0])
-    finite = all(
-        np.isfinite([m.log_bound, m.lp_norm, m.ep_estimate, m.vt_accum]).all()
-        for m in mons
-    )
+    drift = np.max(np.abs(mons.mass - mons.mass[0])) / abs(mons.mass[0])
+    finite = np.isfinite([mons.log_bound, mons.lp_norm, mons.ep_estimate,
+                          mons.vt_accum]).all()
     slack = lp_inequality_residuals(traj, model)
-    tol = 10.0 * (g.h**2 + traj.record_dt) * max(m.lp_norm for m in mons)
+    tol = 10.0 * (g.h**2 + traj.record_dt) * np.max(mons.lp_norm)
     ok = drift < 1e-12 and finite and max(slack) <= tol
     _verdict(capsys, "ks_global_evidence", ok)
 
@@ -166,10 +161,7 @@ def test_7_plaplace_monotone(capsys):
     cfg = PLaplaceConfig(p=2.0, grid=g, t_end=0.05, record_every=100)
     traj = run_pl(initial_cosine(g), cfg)
     htraj = run_flow(initial_cosine(g), FlowConfig(Linear(), g, 0.05, record_every=100))
-    gap = max(
-        abs(m.I - 0.25 * hm.fisher_sigma)
-        for m, hm in zip(traj.meters, htraj.meters)
-    )
+    gap = np.max(np.abs(traj.meters.I - 0.25 * htraj.meters.fisher_sigma))
     ok = ok and gap <= 1e-10
     _verdict(capsys, "plaplace_monotone", ok)
 

@@ -230,13 +230,15 @@ def _capture_results(monkeypatch, owner, name, into):
 
 @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 0.0)])
 def test_ks_run_evaluates_each_snapshot_once(p, q, monkeypatch, tmp_path):
-    # outside the step and its guard, v_t, D/S and S are formed once per
-    # snapshot of the fine and the paired coarse run
+    # the fine and the paired coarse run are measured once each: outside
+    # the step and its guard, v_t, D/S and S are formed once per
+    # trajectory, on all of its snapshots at a time
     from entroflow import cli, keller_segel
     from entroflow.coeff_models import KSModel
 
-    counts = {"v_time_derivative": 0, "ratio": 0, "S": 0}
+    counts = {"measure_monitors": 0, "v_time_derivative": 0, "ratio": 0, "S": 0}
     stepping = [0]
+    measured = []
 
     def in_step(fn):
         def wrapped(*args, **kwargs):
@@ -253,6 +255,8 @@ def test_ks_run_evaluates_each_snapshot_once(p, q, monkeypatch, tmp_path):
                  lambda: stepping[0] > 0)
     for name in ("ratio", "S"):
         _count_calls(monkeypatch, KSModel, name, counts, lambda: stepping[0] > 0)
+    _capture_results(monkeypatch, keller_segel, "measure_monitors", measured)
+    _count_calls(monkeypatch, keller_segel, "measure_monitors", counts)
     trajs = []
     _capture_results(monkeypatch, cli, "_ks_run_once", trajs)
 
@@ -262,14 +266,15 @@ def test_ks_run_evaluates_each_snapshot_once(p, q, monkeypatch, tmp_path):
            "run": {"t_end": 0.004, "mass": 2.0, "record_every": 5}}
     assert run_experiment(cfg, str(tmp_path)) == EXIT_PASS
     assert len(trajs) == 2 and all(len(t.times) >= 3 for t in trajs)
-    snapshots = sum(len(t.times) for t in trajs)
-    assert counts == {"v_time_derivative": snapshots, "ratio": snapshots,
-                      "S": snapshots}
+    assert counts == {name: 2 for name in counts}
+    # each pass recorded every snapshot of its own trajectory
+    assert [m.mass.shape for m in measured] == [t.times.shape for t in trajs]
+    assert all(m is t.meters for m, t in zip(measured, trajs))
 
 
 def test_plaplace_run_evaluates_each_snapshot_once(monkeypatch, tmp_path):
-    # one measuring pass per run, which forms p* once and u^{p*} once per
-    # snapshot
+    # one measuring pass per run, which forms p* once and measures all of
+    # the trajectory's snapshots at a time
     from entroflow import cli
 
     counts = {"p_star": 0, "measure_trajectory": 0}
@@ -282,7 +287,7 @@ def test_plaplace_run_evaluates_each_snapshot_once(monkeypatch, tmp_path):
            "run": {"t_end": 0.002, "record_every": 10}}
     assert run_experiment(cfg, str(tmp_path)) == EXIT_PASS
     assert len(trajs) == 1 and len(trajs[0].times) >= 3
-    assert len(trajs[0].meters) == len(trajs[0].times)
+    assert trajs[0].meters.I.shape == trajs[0].times.shape
     assert counts == {"p_star": 1, "measure_trajectory": 1}
 
 
@@ -361,6 +366,27 @@ def test_abort_still_writes_summary(outdir, tmp_path):
         summary = json.loads((outdir / cfg["name"] / summary_file).read_text())
         assert summary["termination"] == "PositivityLossError"
         assert summary["last_time"] == 0.0
+
+
+@pytest.mark.parametrize("t_end, message", [(1e308, "finite number of steps"),
+                                            (1e300, "cannot hold")])
+@pytest.mark.parametrize("kind, model, summary_file", [
+    ("diffusion", {"family": "linear"}, "summary.json"),
+    ("plaplace", {"p": 3.0}, "pl_summary.json"),
+    ("ks", {"p": 2.0, "q": 1.0}, "ks_summary.json"),
+])
+def test_unholdable_t_end_exits_3_with_a_summary(kind, model, summary_file, t_end,
+                                                 message, outdir, tmp_path):
+    # 1e308 is an infinite count of steps, and 1e300 a count of snapshots
+    # no array can hold: both are refused before the first step
+    cfg = {"name": "huge_" + kind, "kind": kind, "model": model,
+           "grid": {"dim": 1, "cells": 16},
+           "run": {"t_end": t_end, "record_every": 1}}
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_NUMERICS
+    summary = json.loads((outdir / cfg["name"] / summary_file).read_text())
+    assert summary["termination"] == "ConfigError"
+    assert message in summary["message"]
+    assert summary["last_time"] is None
 
 
 def test_plaplace_zero_delta_is_config_error(outdir, tmp_path):
@@ -543,9 +569,8 @@ def test_preset_step_counts(name):
         dts = []
         for cells in (cfg.grid.cells, cfg.grid.cells // 2):
             c = replace(cfg, grid=Grid(1, cells))
-            st = cosine_initial_state(c.grid, c.mass, c.amplitude)
-            dts.append(ks_stable_dt(st.u.values, st.v.values, c.model,
-                                    c.grid.h, c.safety))
+            u, v = cosine_initial_state(c.grid, c.mass, c.amplitude)
+            dts.append(ks_stable_dt(u, v, c.model, c.grid.h, c.safety))
     block = cfg.record_every
     counts = tuple(block * math.ceil(cfg.t_end / (dt0 * block)) for dt0 in dts)
     assert counts == _PRESET_STEPS[name]

@@ -31,7 +31,7 @@ from entroflow.keller_segel import (
     lyapunov_identity_residual,
     s1_functional_identity,
 )
-from entroflow.meters import identity_residuals, measure_trajectory
+from entroflow.meters import MeterRecord, identity_residuals, measure_trajectory
 from entroflow.p_laplace import (
     PLaplaceConfig,
     monotonicity_report as pl_monotonicity_report,
@@ -70,9 +70,9 @@ def test_mass_conserved_exactly():
     g = Grid(1, 64)
     u0 = initial_cosine(g, mean=1.5)
     traj = run(u0, FlowConfig(PowerLaw(2.0), g, t_end=0.01, record_every=50))
-    m0 = float(np.sum(traj.states[0].values))
-    for f in traj.states:
-        assert float(np.sum(f.values)) == pytest.approx(m0, abs=1e-12 * m0)
+    m0 = float(np.sum(traj.u[0]))
+    for row in traj.u:
+        assert float(np.sum(row)) == pytest.approx(m0, abs=1e-12 * m0)
 
 
 def test_spectral_decay_linear():
@@ -81,7 +81,7 @@ def test_spectral_decay_linear():
     traj = run(u0, FlowConfig(Linear(), g, t_end=0.1, record_every=1000))
     x = g.axis_centers()
     exact = 1.0 + 0.5 * np.cos(np.pi * x) * np.exp(-np.pi**2 * 0.1)
-    assert np.max(np.abs(traj.states[-1].values - exact)) < 1e-3
+    assert np.max(np.abs(traj.u[-1] - exact)) < 1e-3
 
 
 def test_comparison_principle():
@@ -92,8 +92,7 @@ def test_comparison_principle():
     cfg = FlowConfig(Linear(), g, t_end=0.02, record_every=100)
     tl = run(lo, cfg)
     th = run(hi, cfg)
-    for a, b in zip(tl.states, th.states):
-        assert np.all(a.values <= b.values + 1e-12)
+    assert np.all(tl.u <= th.u + 1e-12)
 
 
 def _restrict(fine_vals, factor):
@@ -107,7 +106,7 @@ def test_self_convergence_order(model):
     for cells in (32, 64, 256):
         g = Grid(1, cells)
         traj = run(initial_cosine(g), FlowConfig(model, g, t_end, record_every=10))
-        sols[cells] = traj.states[-1].values
+        sols[cells] = traj.u[-1]
     ref = sols[256]
     e32 = np.max(np.abs(sols[32] - _restrict(ref, 8)))
     e64 = np.max(np.abs(sols[64] - _restrict(ref, 4)))
@@ -184,13 +183,13 @@ def test_stability_error_carries_partial_trajectory():
         return stable_dt(state[0], Linear(), g.h, safety)
 
     with pytest.raises(StabilityError, match="stability bound") as info:
-        march((u0.values.copy(),), cfg, guard, advance,
-              record=lambda state: Field(g, state[0]))
+        march((u0.values.copy(),), cfg, guard, advance)
     (dt,) = steps
     assert info.value.last_time == dt
     traj = info.value.trajectory
-    assert traj.times == [0.0, dt]
-    assert len(traj.states) == 2
+    assert traj.times.tolist() == [0.0, dt]
+    assert len(traj.u) == 2 and traj.meters is None
+    assert np.array_equal(traj.u[0], u0.values)
     assert traj.dt == dt
 
 
@@ -199,7 +198,8 @@ def test_snapshot_contract():
     traj = run(initial_cosine(g), FlowConfig(Linear(), g, t_end=0.01, record_every=7))
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.01, rel=1e-12)
-    assert traj.uniform_spacing()
+    # the time of row k is that of step 7 k, exactly
+    assert np.array_equal(traj.times, np.arange(len(traj.times)) * 7 * traj.dt)
     n_steps = round(0.01 / traj.dt)
     assert n_steps % 7 == 0
 
@@ -211,21 +211,22 @@ def test_initial_cosine_mass_exact():
 
 
 def test_trajectory_validation():
-    g = Grid(1, 32)
-    f = constant_field(g, 1.0)
+    rows = np.ones((2, 32))
     with pytest.raises(UsageError):
-        Trajectory([0.0, 0.0], [f, f], 0.1)
+        Trajectory([0.0, 0.0], 0.1, rows)
     with pytest.raises(UsageError):
-        Trajectory([0.0], [f, f], 0.1)
+        Trajectory([0.0], 0.1, rows)
+    with pytest.raises(UsageError):
+        Trajectory([0.0, 0.1], 0.1, np.ones(32))
 
 
-def test_run_returns_its_trajectory_measured():
+def test_run_returns_its_trajectory_measured(assert_same_record):
     g = Grid(1, 32)
     traj = run(initial_cosine(g), FlowConfig(PowerLaw(2.0), g, 0.002,
                                              record_every=10))
     assert len(traj.times) >= 3
-    fresh = Trajectory(traj.times, traj.states, traj.dt)
-    assert measure_trajectory(fresh, PowerLaw(2.0)) == traj.meters
+    fresh = Trajectory(traj.times, traj.dt, traj.u.copy())
+    assert_same_record(measure_trajectory(fresh, PowerLaw(2.0)), traj.meters)
 
 
 def test_residuals_refuse_a_trajectory_without_the_runs_meters():
@@ -233,10 +234,10 @@ def test_residuals_refuse_a_trajectory_without_the_runs_meters():
     # meters a run attached, and refuses a hand-built trajectory
     g = Grid(1, 32)
     times = [0.0, 1e-3, 2e-3]
-    u0 = initial_cosine(g)
-    flat = Trajectory(times, [u0, u0.copy(), u0.copy()], 1e-3)
-    ks_state = cosine_initial_state(g, mass=2.0)
-    ks = Trajectory(times, [ks_state] * 3, 1e-3)
+    flat = Trajectory(times, 1e-3, np.tile(initial_cosine(g).values, (3, 1)))
+    u, v = cosine_initial_state(g, mass=2.0)
+    ks = Trajectory(times, 1e-3, np.tile(u, (3, 1)), np.tile(v, (3, 1)),
+                    np.zeros(3))
     pl_cfg = PLaplaceConfig(p=3.0, grid=g, t_end=2e-3)
     calls = [
         lambda: identity_residuals(flat),
@@ -251,7 +252,8 @@ def test_residuals_refuse_a_trajectory_without_the_runs_meters():
         with pytest.raises(UsageError, match="meters"):
             call()
     # meters that miss a snapshot are refused as well
-    flat.meters = measure_trajectory(flat, Linear())[:-1]
+    whole = measure_trajectory(flat, Linear())
+    flat.meters = MeterRecord(*(a[:-1] for a in vars(whole).values()))
     with pytest.raises(UsageError, match="meters"):
         identity_residuals(flat)
 
@@ -285,9 +287,9 @@ def test_run_equals_unbuffered_stencil_loop(model):
     traj = run(u0, cfg)
     dt, snaps = _unbuffered_run(u0, cfg)
     assert traj.dt == dt
-    assert len(traj.states) == len(snaps)
-    for f, ref in zip(traj.states, snaps):
-        assert np.array_equal(f.values, ref)
+    assert len(traj.u) == len(snaps)
+    for row, ref in zip(traj.u, snaps):
+        assert np.array_equal(row, ref)
 
 
 def test_run_buffers_stay_private(spy_buffers):
@@ -298,12 +300,9 @@ def test_run_buffers_stay_private(spy_buffers):
     live = spy_buffers(diffusion, "step")
     traj = run(u0, cfg)
     assert np.array_equal(u0.values, before)
-    snaps = [f.values for f in traj.states]
     assert len(live) >= 4  # two face arrays and both state slots
-    for i, a in enumerate(snaps):
-        assert not np.shares_memory(a, u0.values)
-        assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
-        assert not any(np.shares_memory(a, b) for b in live.values())
+    assert not np.shares_memory(traj.u, u0.values)
+    assert not any(np.shares_memory(traj.u, b) for b in live.values())
 
 
 def test_interleaved_runs_match_runs_alone(run_interleaved):
@@ -316,9 +315,7 @@ def test_interleaved_runs_match_runs_alone(run_interleaved):
     alone = [r() for r in runs]
     for got, want in zip(run_interleaved(diffusion, "step", *runs), alone):
         assert got.dt == want.dt
-        assert [f.values.tobytes() for f in got.states] == [
-            f.values.tobytes() for f in want.states
-        ]
+        assert got.u.tobytes() == want.u.tobytes()
 
 
 # The dt check (see the run contract): each stencil checks dt against the
@@ -343,7 +340,7 @@ def _bound_case(flow):
         return (p_laplace.pl_stable_dt(u, cfg, h, 1.0),
                 lambda dt: p_laplace.pl_step(u, cfg, h, dt), (u,), cell)
     # a steep v, so that the advective bound binds
-    u = cosine_initial_state(g, mass=2.0).u.values
+    u = cosine_initial_state(g, mass=2.0)[0]
     v = 80.0 * (1.0 + 0.5 * np.cos(np.pi * x))
     model = KSModel(2.0, 1.0)
     bound = keller_segel.ks_stable_dt(u, v, model, h, 1.0)
@@ -400,3 +397,34 @@ def test_guard_runs_once_per_run(monkeypatch):
     coeffs = _count_calls(monkeypatch, p_laplace, "_face_diffusivity")
     traj = runs[1][3]()
     assert len(coeffs) == round(traj.times[-1] / traj.dt) + 1
+
+
+def test_positivity_abort_keeps_the_rows_before_the_failing_step():
+    # the update at 1.5 times the stable step, given no bound, loses
+    # positivity after some steps: the abort carries the time before the
+    # failing step and, unmeasured, exactly the snapshots recorded before it
+    g = Grid(1, 32)
+    u0 = initial_cosine(g)
+    cfg = FlowConfig(Linear(), g, t_end=0.1, record_every=3)
+    steps = []
+
+    def advance(state, dt):
+        u = state[0]
+        new = conservative_step(u, np.diff(u) / g.h, np.inf, 0.75 * g.h**2, g.h,
+                                np.empty_like(u))
+        steps.append(new)
+        return (new,)
+
+    def guard(state, safety):
+        return stable_dt(state[0], Linear(), g.h, safety)
+
+    with pytest.raises(PositivityLossError) as info:
+        march((u0.values,), cfg, guard, advance)
+    traj, block, failing = info.value.trajectory, cfg.record_every, len(steps) + 1
+    dt = traj.dt
+    assert failing > 3 * block and failing * dt < cfg.t_end
+    assert info.value.last_time == (failing - 1) * dt
+    assert traj.meters is None
+    kept = range(block, failing, block)
+    assert traj.times.tolist() == [k * dt for k in range(0, failing, block)]
+    assert np.array_equal(traj.u, np.stack([u0.values] + [steps[k - 1] for k in kept]))

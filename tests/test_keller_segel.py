@@ -1,16 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from entroflow import keller_segel
+from entroflow import fields, keller_segel
 from entroflow.coeff_models import KSModel
 from entroflow.diffusion import Trajectory
 from entroflow.errors import ConfigError, PositivityLossError, StabilityError, UsageError
-from entroflow.fields import Field, Grid, integrate
+from entroflow.fields import Grid, central_diff, integrate, second_diff
 from entroflow.keller_segel import (
     KSConfig,
-    KSState,
     classical_lyapunov,
     cosine_initial_state,
     entro_prod_residual,
@@ -29,15 +29,20 @@ P10 = KSModel(1.0, 0.0)
 
 
 def _uniform_state(grid, u_val, v_val):
-    return KSState(
-        Field(grid, np.full(grid.shape, u_val)),
-        Field(grid, np.full(grid.shape, v_val)),
-    )
+    return np.full(grid.shape, u_val), np.full(grid.shape, v_val)
+
+
+def _one_snapshot(state):
+    u, v = state
+    return Trajectory([0.0], 0.0, u[None], v[None], np.zeros(1))
 
 
 def _monitor(state, model):
-    """The record ``measure_monitors`` makes of a one-snapshot trajectory."""
-    return measure_monitors(Trajectory([0.0], [state], 0.0), model)[0]
+    """The record ``measure_monitors`` makes of a one-snapshot trajectory,
+    each field's one entry as a float."""
+    m = measure_monitors(_one_snapshot(state), model)
+    return SimpleNamespace(**{k: None if a is None else float(a[0])
+                              for k, a in vars(m).items()})
 
 
 def test_strict_hypotheses():
@@ -64,18 +69,20 @@ def test_dissipation_anchor():
 def test_classical_lyapunov_anchor():
     # u = v = 1: G(1) = 0, -int uv = -1, (1/2)||v||_H1^2 = 1/2
     g = Grid(1, 64)
-    st = _uniform_state(g, 1.0, 1.0)
-    assert classical_lyapunov(st, P21) == pytest.approx(-0.5, abs=1e-14)
-    vt = v_time_derivative(st.u.values, st.v.values, g.h)
+    u, v = _uniform_state(g, 1.0, 1.0)
+    lyap = classical_lyapunov(u[None], v[None], P21, g.h)
+    assert lyap.shape == (1,)
+    assert lyap[0] == pytest.approx(-0.5, abs=1e-14)
+    vt = v_time_derivative(u, v, g.h)
     assert np.all(vt == 0.0)
 
 
 def test_equilibrium_is_steady():
     g = Grid(1, 32)
     st = _uniform_state(g, 2.0, 2.0)
-    u, v, vt = ks_step(st.u.values, st.v.values, P21, g.h, 1e-5)
-    assert np.array_equal(u, st.u.values)
-    assert np.array_equal(v, st.v.values)
+    u, v, vt = ks_step(*st, P21, g.h, 1e-5)
+    assert np.array_equal(u, st[0])
+    assert np.array_equal(v, st[1])
     assert np.all(vt == 0.0)
     m = _monitor(st, P21)
     assert m.vt_sq == 0.0 and m.drift_sq == 0.0
@@ -85,31 +92,30 @@ def test_mass_conserved_exactly():
     g = Grid(1, 64)
     cfg = KSConfig(P21, g, t_end=0.005, mass=2.0, record_every=20)
     traj = run_ks(cfg)
-    m0 = float(np.sum(traj.states[0].u.values))
-    for st in traj.states:
-        assert float(np.sum(st.u.values)) == pytest.approx(m0, abs=1e-12 * m0)
+    m0 = float(np.sum(traj.u[0]))
+    for row in traj.u:
+        assert float(np.sum(row)) == pytest.approx(m0, abs=1e-12 * m0)
 
 
 def test_v_stays_nonnegative():
     g = Grid(1, 48)
     traj = run_ks(KSConfig(P21, g, t_end=0.01, mass=3.0, record_every=50))
-    for st in traj.states:
-        assert st.v.min() >= 0.0
-        assert st.u.min() > 0.0
+    assert traj.v.min() >= 0.0
+    assert traj.u.min() > 0.0
 
 
 def test_cosine_initial_state():
     g = Grid(1, 64)
-    st = cosine_initial_state(g, mass=5.0, amplitude=0.3)
-    assert np.mean(st.u.values) == pytest.approx(5.0, abs=1e-12)
-    assert np.all(st.v.values == 5.0)
+    u, v = cosine_initial_state(g, mass=5.0, amplitude=0.3)
+    assert np.mean(u) == pytest.approx(5.0, abs=1e-12)
+    assert np.all(v == 5.0)
 
 
 def test_stable_dt_guards():
     g = Grid(1, 64)
     st = _uniform_state(g, 1.0, 1.0)
     # max D = 1/4 < 1, so the diffusive guard uses the floor coefficient 1
-    assert ks_stable_dt(st.u.values, st.v.values, P21, g.h, 0.4) == (
+    assert ks_stable_dt(*st, P21, g.h, 0.4) == (
         pytest.approx(0.4 * g.h**2 / 2.0)
     )
 
@@ -138,11 +144,10 @@ def test_guard_recheck_aborts_mid_run():
 
 def test_nan_state_is_a_positivity_abort():
     g = Grid(1, 32)
-    st = cosine_initial_state(g, mass=2.0)
-    u = st.u.values.copy()
+    u, v = cosine_initial_state(g, mass=2.0)
     u[5] = np.nan
     with pytest.raises(PositivityLossError):
-        ks_step(u, st.v.values, P21, g.h, 1e-5)
+        ks_step(u, v, P21, g.h, 1e-5)
 
 
 @pytest.mark.parametrize("which", ["lyap", "ep"])
@@ -185,51 +190,51 @@ def test_lp_inequality_on_short_run():
     traj = run_ks(KSConfig(P21, g, t_end=0.01, mass=4.0, record_every=50))
     slack = lp_inequality_residuals(traj, P21)
     h = g.h
-    mons = traj.meters
-    tol = 10.0 * (h * h + traj.record_dt) * max(m.lp_norm for m in mons)
-    assert max(slack) <= tol
+    tol = 10.0 * (h * h + traj.record_dt) * traj.meters.lp_norm.max()
+    assert slack.max() <= tol
 
 
 @pytest.mark.parametrize("params", [P21, P10, KSModel(2.0, 0.5)])
-def test_residuals_from_meters_equal_fresh_measurement(params):
+def test_residuals_from_meters_equal_fresh_measurement(params, assert_same_record):
     # the run returns its trajectory measured: its meters equal a fresh
     # measuring pass of its states bit for bit, and so does every residual
     traj = run_ks(KSConfig(params, Grid(1, 32), t_end=0.004, mass=2.0,
                            record_every=10))
-    assert len(traj.meters) == len(traj.times) >= 3
-    assert (traj.meters[0].s1_A is None) is not params.linear_sensitivity
-    fresh = Trajectory(traj.times, traj.states, traj.dt)
-    assert measure_monitors(fresh, params) == traj.meters
+    assert len(traj.meters.mass) == len(traj.times) >= 3
+    assert (traj.meters.s1_A is None) is not params.linear_sensitivity
+    fresh = Trajectory(traj.times, traj.dt, traj.u.copy(), traj.v.copy(),
+                       traj.vt_accum.copy())
+    assert_same_record(measure_monitors(fresh, params), traj.meters)
     fns = [lyapunov_identity_residual, entro_prod_residual,
            lambda t: lp_inequality_residuals(t, params)]
     if params.linear_sensitivity:
         fns.append(s1_functional_identity)
     for fn in fns:
-        assert fn(traj) == fn(fresh)
+        assert np.array_equal(fn(traj), fn(fresh))
 
 
 def test_s1_energy_is_the_first_term_of_lyap_F():
     # at q = 0, S(u) = u bit for bit, so the lemma's A is lyap_F's first
     # term: F + int Psi(u)
-    m = _monitor(cosine_initial_state(Grid(1, 32), mass=2.0), P10)
-    state = cosine_initial_state(Grid(1, 32), mass=2.0)
-    assert np.array_equal(P10.S(state.u.values), state.u.values)
-    psi = integrate(P10.psi(state.u.values), state.u.grid.h)
+    g = Grid(1, 32)
+    u, v = cosine_initial_state(g, mass=2.0)
+    m = _monitor((u, v), P10)
+    assert np.array_equal(P10.S(u), u)
+    psi = integrate(P10.psi(u), g.h)
     assert m.s1_A - psi == m.lyap_F
 
 
 def test_monitor_columns_finite():
     g = Grid(1, 48)
     traj = run_ks(KSConfig(P21, g, t_end=0.005, mass=2.0, record_every=20))
-    mons = traj.meters
-    assert len(mons) == len(traj.times)
-    for m in mons:
-        for val in (m.mass, m.lyap_classical, m.lyap_F, m.dissipation_D,
-                    m.ep_estimate, m.lp_norm, m.log_bound, m.vt_accum,
-                    m.v_l2, m.v_l4, m.dv_l2, m.dv_l4):
-            assert np.isfinite(val)
-    assert mons[0].vt_accum == 0.0
-    assert all(a.vt_accum <= b.vt_accum for a, b in zip(mons, mons[1:]))
+    m = traj.meters
+    for val in (m.mass, m.lyap_classical, m.lyap_F, m.dissipation_D,
+                m.ep_estimate, m.lp_norm, m.log_bound, m.vt_accum,
+                m.v_l2, m.v_l4, m.dv_l2, m.dv_l4):
+        assert val.shape == traj.times.shape
+        assert np.all(np.isfinite(val))
+    assert m.vt_accum[0] == 0.0
+    assert np.all(np.diff(m.vt_accum) >= 0.0)
 
 
 def test_monitor_strict_enforced():
@@ -238,18 +243,15 @@ def test_monitor_strict_enforced():
         KSConfig(P10, g, t_end=0.002, mass=1.0, record_every=10, strict=True)
     traj = run_ks(KSConfig(P10, g, t_end=0.002, mass=1.0,
                            record_every=10))
-    assert math.isfinite(traj.meters[0].lyap_F)
+    assert math.isfinite(traj.meters.lyap_F[0])
 
 
 def test_state_validation():
-    g = Grid(1, 16)
+    # u and v must share a grid, and a snapshot is a row of a 1D grid
     with pytest.raises(UsageError):
-        KSState(Field(g, np.ones(16)), Field(Grid(1, 32), np.ones(32)))
+        Trajectory([0.0], 0.0, np.ones((1, 16)), np.ones((1, 32)))
     with pytest.raises(UsageError):
-        KSState(
-            Field(Grid(2, 16), np.ones((16, 16))),
-            Field(Grid(2, 16), np.ones((16, 16))),
-        )
+        Trajectory([0.0], 0.0, np.ones((1, 16, 16)), np.ones((1, 16, 16)))
 
 
 # Buffer safety: a run steps in its own buffers (see the run contract in
@@ -260,9 +262,8 @@ def test_state_validation():
 def _unbuffered_run(cfg):
     """(dt, recorded (u, v, vt_accum)) of the loop ``run_ks`` makes,
     without buffers."""
-    st = cosine_initial_state(cfg.grid, cfg.mass, cfg.amplitude)
-    model, h, block = cfg.model, cfg.grid.h, cfg.record_every
-    u, v, acc = st.u.values, st.v.values, 0.0
+    u, v = cosine_initial_state(cfg.grid, cfg.mass, cfg.amplitude)
+    model, h, block, acc = cfg.model, cfg.grid.h, cfg.record_every, 0.0
     dt0 = ks_stable_dt(u, v, model, h, cfg.safety)
     n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
     dt = cfg.t_end / n_steps
@@ -282,21 +283,20 @@ def test_run_equals_unbuffered_stencil_loop(params):
     traj = run_ks(cfg)
     dt, snaps = _unbuffered_run(cfg)
     assert traj.dt == dt
-    assert len(traj.states) == len(snaps)
-    for st, (u, v, acc) in zip(traj.states, snaps):
-        assert np.array_equal(st.u.values, u)
-        assert np.array_equal(st.v.values, v)
-        assert st.vt_accum == acc
+    assert len(traj.u) == len(snaps)
+    for k, (u, v, acc) in enumerate(snaps):
+        assert np.array_equal(traj.u[k], u)
+        assert np.array_equal(traj.v[k], v)
+        assert traj.vt_accum[k] == acc
 
 
 def test_run_buffers_stay_private(spy_buffers):
     cfg = KSConfig(P21, Grid(1, 16), t_end=0.005, mass=4.0, record_every=5)
     live = spy_buffers(keller_segel, "ks_step")
     traj = run_ks(cfg)
-    snaps = [a for st in traj.states for a in (st.u.values, st.v.values)]
     assert len(live) >= 8  # three face arrays, two cell arrays, four slots
-    for i, a in enumerate(snaps):
-        assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
+    assert not np.shares_memory(traj.u, traj.v)
+    for a in (traj.u, traj.v):
         assert not any(np.shares_memory(a, b) for b in live.values())
 
 
@@ -310,8 +310,108 @@ def test_interleaved_runs_match_runs_alone(run_interleaved):
     alone = [r() for r in runs]
     for got, want in zip(run_interleaved(keller_segel, "ks_step", *runs), alone):
         assert got.dt == want.dt
-        assert [(st.u.values.tobytes(), st.v.values.tobytes(), st.vt_accum)
-                for st in got.states] == [
-            (st.u.values.tobytes(), st.v.values.tobytes(), st.vt_accum)
-            for st in want.states
-        ]
+        for name in ("times", "u", "v", "vt_accum"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _monitor_alone(u, v, model, h):
+    """The KSMonitor fields of the one snapshot (u, v), but ``time`` and
+    ``vt_accum``, by the formula applied to that snapshot alone."""
+    p = model.p
+    D, S = model.D(u), model.S(u)
+    du, dv = central_diff(u, 0, h), central_diff(v, 0, h)
+    vt = v_time_derivative(u, v, h)
+    flux = model.ratio(u) * du
+    drift = flux - dv
+    dflux = central_diff(flux, 0, h, odd=True)
+    vxx = second_diff(v, 0, h)
+    bracket = dflux - vxx + 0.5 * (v + vt)
+    energy = 0.5 * integrate(D * D / S * du * du, h)
+
+    def lp(vals, r):
+        return integrate(np.abs(vals) ** r, h) ** (1.0 / r)
+
+    out = dict(
+        mass=integrate(u, h),
+        lyap_classical=(integrate(model.G(u), h) - integrate(u * v, h)
+                        + 0.5 * integrate(v * v + dv * dv, h)),
+        lyap_F=energy - integrate(model.psi(u), h),
+        dissipation_D=integrate(S * D * bracket**2, h),
+        ep_estimate=integrate(du**2 / (u * (1.0 + u) ** (p + 1.0)), h),
+        lp_norm=integrate(u**p, h),
+        log_bound=float(np.max(np.abs(np.log1p(u)))),
+        v_l2=lp(v, 2.0), v_l4=lp(v, 4.0), dv_l2=lp(dv, 2.0), dv_l4=lp(dv, 4.0),
+        vt_sq=integrate(vt * vt, h),
+        drift_sq=integrate(S * drift**2, h),
+        ep_quarter=integrate(S * D * (v + vt) ** 2 / 4.0, h),
+        ep_curvature=integrate(
+            drift * D * D * model.S_second(u) / (2.0 * S) * du**3, h),
+        lp_grad=integrate(u ** (p - 2.0) * (1.0 + u) ** (-p) * du**2, h),
+        u_sq=integrate(u * u, h),
+        s1_A=None, s1_B=None, s1_C=None, s1_F=None,
+    )
+    if model.linear_sensitivity:
+        d_primitive = (np.log((1.0 + u) / 2.0) if p == 1.0
+                       else ((1.0 + u) ** (1.0 - p) - 2.0 ** (1.0 - p)) / (1.0 - p))
+        out.update(s1_A=energy, s1_B=integrate(S * D * dflux**2, h),
+                   s1_C=integrate(S * D * vxx * dflux, h),
+                   s1_F=energy - integrate(u * d_primitive, h))
+    return out
+
+
+@pytest.mark.parametrize("rows_per_block", [2, None])
+@pytest.mark.parametrize("params", [P21, P10, KSModel(2.0, 0.5)])
+def test_one_pass_equals_each_snapshot_alone(params, rows_per_block, monkeypatch):
+    if rows_per_block:
+        monkeypatch.setattr(fields, "_BLOCK_CELLS", rows_per_block * 32)
+    traj = run_ks(KSConfig(params, Grid(1, 32), t_end=0.004, mass=2.0,
+                           record_every=5))
+    m = traj.meters
+    assert len(traj.times) >= 5
+    names = set(vars(m)) - {"time", "vt_accum"}
+    assert np.array_equal(m.time, traj.times)
+    assert np.array_equal(m.vt_accum, traj.vt_accum)
+    for k in range(len(traj.times)):
+        alone = _monitor_alone(traj.u[k], traj.v[k], params, traj.h)
+        assert set(alone) == names
+        for name, value in alone.items():
+            got = getattr(m, name)
+            assert (got is None) if value is None else got[k] == value, name
+
+
+def test_ceiling_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
+    # the density grows past the ceiling mid-run: the abort carries the
+    # time before the failing step and, unmeasured, exactly the snapshots
+    # recorded before it
+    g = Grid(1, 32)
+    cfg = KSConfig(P10, g, t_end=0.05, mass=20.0, ceiling=31.0, record_every=10)
+    steps = []
+    original = keller_segel.ks_step
+
+    def spy(u, v, model, h, dt, buf=None):
+        out = original(u, v, model, h, dt, buf)
+        steps.append((out[0].copy(), out[1].copy(),
+                      float(np.add.reduce(out[2] * out[2]))))
+        return out
+
+    monkeypatch.setattr(keller_segel, "ks_step", spy)
+    with pytest.raises(StabilityError, match="ceiling") as info:
+        run_ks(cfg)
+    traj, block, failing = info.value.trajectory, cfg.record_every, len(steps)
+    dt = traj.dt
+    assert steps[-1][0].max() > cfg.ceiling
+    assert all(u.max() <= cfg.ceiling for u, _, _ in steps[:-1])
+    assert failing > 3 * block
+    assert info.value.last_time == (failing - 1) * dt
+    assert traj.meters is None
+    u0, v0 = cosine_initial_state(g, cfg.mass, cfg.amplitude)
+    kept = range(block, failing, block)
+    assert traj.times.tolist() == [k * dt for k in range(0, failing, block)]
+    assert np.array_equal(traj.u, np.stack([u0] + [steps[k - 1][0] for k in kept]))
+    assert np.array_equal(traj.v, np.stack([v0] + [steps[k - 1][1] for k in kept]))
+    acc, accs = 0.0, [0.0]
+    for k, (_, _, vt_sq) in enumerate(steps[:-1], start=1):
+        acc = acc + dt * (vt_sq * g.h)
+        if k % block == 0:
+            accs.append(acc)
+    assert traj.vt_accum.tolist() == accs

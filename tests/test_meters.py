@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from entroflow import keller_segel, p_laplace
-from entroflow.coeff_models import KSModel, Linear, PowerLaw
+from entroflow import fields, keller_segel, p_laplace
+from entroflow.coeff_models import KSModel, Linear, PowerLaw, ShiftedPowerLaw
 from entroflow.diffusion import FlowConfig, Trajectory, initial_cosine, run
 from entroflow.errors import ConstructionError, UsageError
-from entroflow.fields import Field, Grid, constant_field, from_function
+from entroflow.fields import Grid, central_diff, constant_field, from_function, integrate
 from entroflow.meters import (
+    MeterRecord,
     identity_residuals,
     measure,
     measure_trajectory,
@@ -15,19 +16,24 @@ from entroflow.meters import (
 )
 
 
+def _one(u, model):
+    """The meters of the one snapshot ``u``, each as a float."""
+    m = measure(u.values[None], model, u.grid.h)
+    return MeterRecord(*(float(a[0]) for a in vars(m).values()))
+
+
 def test_overflowing_integrand_is_a_construction_error():
     # one cell at 1e200 overflows an integrand of every measuring pass;
     # fields.integrate refuses it as Field refuses non-finite values
     g = Grid(1, 16)
-    vals = np.ones(16)
-    vals[5] = 1e200
-    u = Field(g, vals)
-    ks_state = keller_segel.KSState(u, constant_field(g, 1.0))
+    u = np.ones((2, 16))
+    u[1, 5] = 1e200
     passes = [
-        lambda: measure(u, Linear()),
-        lambda: p_laplace.measure_trajectory(Trajectory([0.0], [u], 0.0), 3.0),
+        lambda: measure(u, Linear(), g.h),
+        lambda: p_laplace.measure_trajectory(Trajectory([0.0, 1.0], 0.0, u), 3.0),
         lambda: keller_segel.measure_monitors(
-            Trajectory([0.0], [ks_state], 0.0), KSModel(2.0, 1.0)),
+            Trajectory([0.0, 1.0], 0.0, u, np.ones_like(u), np.zeros(2)),
+            KSModel(2.0, 1.0)),
     ]
     for measuring in passes:
         with np.errstate(all="ignore"), pytest.raises(
@@ -38,7 +44,7 @@ def test_overflowing_integrand_is_a_construction_error():
 def test_constant_field_meters():
     g = Grid(1, 32)
     u = constant_field(g, 2.0)
-    m = measure(u, PowerLaw(2.0))
+    m = _one(u, PowerLaw(2.0))
     # H(2) = (4-1) - 2(2-1) = 1 for the m=2 power law
     assert m.entropy == pytest.approx(1.0, abs=1e-13)
     assert m.fisher_sigma == 0.0
@@ -54,7 +60,7 @@ def test_two_fisher_routes_agree_at_second_order():
     for cells in (32, 64):
         g = Grid(1, cells)
         u = from_function(g, lambda x: 1.0 + 0.5 * np.cos(np.pi * x))
-        m = measure(u, PowerLaw(2.0))
+        m = _one(u, PowerLaw(2.0))
         gaps.append(abs(m.fisher_sigma - m.fisher_st))
     assert gaps[0] / gaps[1] >= 3.5
 
@@ -65,7 +71,7 @@ def test_fisher_matches_analytic_linear():
     # offline and frozen): 1.3222762644432742
     g = Grid(1, 256)
     u = from_function(g, lambda x: 1.0 + 0.5 * np.cos(np.pi * x))
-    m = measure(u, Linear())
+    m = _one(u, Linear())
     assert m.fisher_sigma == pytest.approx(1.3222762644432742, abs=5e-4)
     assert m.fisher_st == pytest.approx(1.3222762644432742, abs=5e-4)
 
@@ -76,8 +82,8 @@ def test_identity_residuals_small_and_balanced():
     traj = run(initial_cosine(g), FlowConfig(model, g, 0.01, record_every=20))
     res = identity_residuals(traj)
     assert len(res.r_entropy) == len(traj.times) - 1
-    assert max(abs(r) for r in res.r_entropy) < 1e-2
-    assert max(abs(r) for r in res.r_fisher) < 1e-1
+    assert np.max(np.abs(res.r_entropy)) < 1e-2
+    assert np.max(np.abs(res.r_fisher)) < 1e-1
 
 
 def test_identity_residuals_preconditions():
@@ -85,7 +91,7 @@ def test_identity_residuals_preconditions():
     model = Linear()
     u0 = initial_cosine(g)
     # only first and last snapshot recorded
-    traj = Trajectory([0.0, 0.001], [u0, u0.copy()], 0.001)
+    traj = Trajectory([0.0, 0.001], 0.001, np.stack((u0.values, u0.values)))
     measure_trajectory(traj, model)
     with pytest.raises(UsageError):
         identity_residuals(traj)
@@ -101,3 +107,30 @@ def test_monotonicity_report():
     rep_ok = monotonicity_report([1.0, 1.0 + 0.5 * scale], h=0.1, dt=1e-3)
     assert rep_ok.passed
 
+
+
+def _meters_alone(u, model, h):
+    """The four functionals of the one snapshot ``u``, by the formula
+    applied to that snapshot alone."""
+    a = np.asarray(model.a(u), dtype=float)
+    lam, H, sig = (np.asarray(v, dtype=float) for v in model.lam_entropy_sigma(u))
+    dsig = central_diff(sig, 0, h)
+    dinner = central_diff(dsig / np.sqrt(u), 0, h, odd=True)
+    return (integrate(H, h), integrate(dsig**2, h),
+            integrate(u * central_diff(lam, 0, h) ** 2, h),
+            integrate(u * a * dinner**2, h))
+
+
+@pytest.mark.parametrize("rows_per_block", [2, None])
+@pytest.mark.parametrize("model", [PowerLaw(2.0), ShiftedPowerLaw(2.0)])
+def test_one_pass_equals_each_snapshot_alone(model, rows_per_block, monkeypatch):
+    # 48 cells: the quadrature-backed model's state blocks straddle rows
+    if rows_per_block:
+        monkeypatch.setattr(fields, "_BLOCK_CELLS", rows_per_block * 48)
+    g = Grid(1, 48)
+    traj = run(initial_cosine(g), FlowConfig(model, g, 0.002, record_every=5))
+    m = traj.meters
+    assert len(traj.times) >= 5
+    for k, row in enumerate(traj.u):
+        got = (m.entropy[k], m.fisher_sigma[k], m.fisher_st[k], m.dissipation[k])
+        assert got == _meters_alone(row, model, g.h)

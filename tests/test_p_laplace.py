@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from entroflow import p_laplace
+from entroflow import fields, p_laplace
 from entroflow.coeff_models import Linear
 from entroflow.diffusion import FlowConfig, Trajectory, initial_cosine, run as run_heat
 from entroflow.errors import ConfigError, PositivityLossError, UsageError
-from entroflow.fields import Field, Grid, constant_field
+from entroflow.fields import Grid, central_diff, constant_field, integrate, second_diff
 from entroflow.p_laplace import (
     PLaplaceConfig,
     monotonicity_report,
@@ -32,7 +32,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         PLaplaceConfig(p=3.0, grid=g, t_end=0.01, delta=0.0)
     cfg = PLaplaceConfig(p=2.0, grid=g, t_end=0.01)
-    assert cfg.p_star == 0.5
+    assert p_star(cfg.p) == 0.5
 
 
 def test_p_star_values():
@@ -49,7 +49,7 @@ def test_constant_state():
     out = pl_step(u.values, cfg, g.h, 1e-6)
     assert np.array_equal(out, u.values)
     traj = run(u, cfg)
-    assert all(m.I == 0.0 for m in traj.meters)
+    assert np.all(traj.meters.I == 0.0)
     rep = monotonicity_report(traj, cfg)
     assert rep.passed and rep.worst_violation == 0.0
 
@@ -62,8 +62,7 @@ def test_p2_reduces_to_heat_scheme():
     traj_pl = run(u0, cfg)
     traj_heat = run_heat(u0, FlowConfig(Linear(), g, 0.01, record_every=50))
     assert traj_pl.dt == traj_heat.dt
-    for a, b in zip(traj_pl.states, traj_heat.states):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(traj_pl.u, traj_heat.u)
 
 
 def test_p2_quarter_fisher_path():
@@ -71,17 +70,16 @@ def test_p2_quarter_fisher_path():
     u0 = initial_cosine(g)
     traj = run(u0, PLaplaceConfig(p=2.0, grid=g, t_end=0.05, record_every=100))
     htraj = run_heat(u0, FlowConfig(Linear(), g, 0.05, record_every=100))
-    for m, hm in zip(traj.meters, htraj.meters):
-        assert abs(m.I - 0.25 * hm.fisher_sigma) <= 1e-10
+    assert np.all(np.abs(traj.meters.I - 0.25 * htraj.meters.fisher_sigma) <= 1e-10)
 
 
 def test_mass_conserved_exactly():
     g = Grid(1, 64)
     traj = run(initial_cosine(g), PLaplaceConfig(p=3.0, grid=g, t_end=0.01,
                                                  record_every=50))
-    m0 = float(np.sum(traj.states[0].values))
-    for f in traj.states:
-        assert float(np.sum(f.values)) == pytest.approx(m0, abs=1e-12 * m0)
+    m0 = float(np.sum(traj.u[0]))
+    for row in traj.u:
+        assert float(np.sum(row)) == pytest.approx(m0, abs=1e-12 * m0)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
@@ -99,7 +97,7 @@ def test_observation_only_below_2():
     traj = run(initial_cosine(g), cfg)
     rep = monotonicity_report(traj, cfg)
     assert rep.passed is None  # no verdict outside the proven range
-    assert all(m.I >= 0.0 for m in traj.meters)
+    assert np.all(traj.meters.I >= 0.0)
 
 
 def test_no_rate_source_below_three_halves():
@@ -107,10 +105,9 @@ def test_no_rate_source_below_three_halves():
     g = Grid(1, 32)
     cfg = PLaplaceConfig(p=1.2, grid=g, t_end=1e-4, record_every=1)
     traj = run(initial_cosine(g), cfg)
-    assert len(traj.meters) == len(traj.times) >= 3
-    for m in traj.meters:
-        assert isinstance(m.I, float) and m.I > 0.0
-        assert m.rate_source is None
+    assert len(traj.meters.I) == len(traj.times) >= 3
+    assert np.isrealobj(traj.meters.I) and np.all(traj.meters.I > 0.0)
+    assert traj.meters.rate_source is None
     with pytest.raises(UsageError):
         rate_residuals(traj)
 
@@ -122,7 +119,7 @@ def test_delta_robustness():
         cfg = PLaplaceConfig(p=2.5, grid=g, t_end=0.01, delta=delta,
                              record_every=100)
         traj = run(initial_cosine(g), cfg)
-        finals.append(traj.meters[-1].I)
+        finals.append(traj.meters.I[-1])
     assert abs(finals[0] - finals[1]) < 10.0 * 1e-4 ** min(1.5, 1.0)
 
 
@@ -139,16 +136,17 @@ def test_rate_residual_convergence():
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0])
-def test_report_and_residuals_read_the_meters(p):
+def test_report_and_residuals_read_the_meters(p, assert_same_record):
     # the run returns its trajectory measured: its meters equal a fresh
     # measuring pass of its states bit for bit, and so do both reports
     g = Grid(1, 32)
     cfg = PLaplaceConfig(p=p, grid=g, t_end=0.002, record_every=10)
     traj = run(initial_cosine(g), cfg)
-    assert len(traj.meters) == len(traj.times) >= 3
-    fresh = Trajectory(traj.times, traj.states, traj.dt)
-    assert p_laplace.measure_trajectory(fresh, p, cfg.delta) == traj.meters
-    assert rate_residuals(traj) == rate_residuals(fresh)
+    assert len(traj.meters.I) == len(traj.times) >= 3
+    fresh = Trajectory(traj.times, traj.dt, traj.u.copy())
+    assert_same_record(p_laplace.measure_trajectory(fresh, p, cfg.delta),
+                       traj.meters)
+    assert np.array_equal(rate_residuals(traj), rate_residuals(fresh))
     assert monotonicity_report(traj, cfg) == monotonicity_report(fresh, cfg)
 
 
@@ -159,7 +157,7 @@ def test_self_convergence_p3():
         g = Grid(1, cells)
         traj = run(initial_cosine(g),
                    PLaplaceConfig(p=3.0, grid=g, t_end=t_end, record_every=10))
-        sols[cells] = traj.states[-1].values
+        sols[cells] = traj.u[-1]
     ref = sols[256]
     e32 = np.max(np.abs(sols[32] - ref.reshape(-1, 8).mean(axis=1)))
     e64 = np.max(np.abs(sols[64] - ref.reshape(-1, 4).mean(axis=1)))
@@ -171,9 +169,8 @@ def test_I_against_fine_grid():
     for cells in (128, 1280):
         g = Grid(1, cells)
         x = g.axis_centers()
-        u = Field(g, 2.0 + np.cos(2.0 * np.pi * x))
-        one = Trajectory([0.0], [u], 0.0)
-        vals[cells] = p_laplace.measure_trajectory(one, 3.0)[0].I
+        one = Trajectory([0.0], 0.0, (2.0 + np.cos(2.0 * np.pi * x))[None])
+        vals[cells] = p_laplace.measure_trajectory(one, 3.0).I[0]
     assert abs(vals[128] - vals[1280]) / vals[1280] < 2e-3
 
 
@@ -190,7 +187,7 @@ def test_positivity_guard():
 def test_tolerance_budgets_delta():
     g = Grid(1, 32)
     u = initial_cosine(g)
-    traj = Trajectory([0.0, 1e-4], [u, u], 1e-4)
+    traj = Trajectory([0.0, 1e-4], 1e-4, np.stack((u.values, u.values)))
     for p, bias in ((3.0, 1e-6), (1.8, 1e-6**0.8)):
         p_laplace.measure_trajectory(traj, p)
         rep = monotonicity_report(traj, PLaplaceConfig(p=p, grid=g, t_end=1e-4))
@@ -237,9 +234,9 @@ def test_run_equals_unbuffered_stencil_loop(p):
     traj = run(u0, cfg)
     dt, snaps = _unbuffered_run(u0, cfg)
     assert traj.dt == dt
-    assert len(traj.states) == len(snaps)
-    for f, ref in zip(traj.states, snaps):
-        assert np.array_equal(f.values, ref)
+    assert len(traj.u) == len(snaps)
+    for row, ref in zip(traj.u, snaps):
+        assert np.array_equal(row, ref)
 
 
 def test_run_buffers_stay_private(spy_buffers):
@@ -250,12 +247,9 @@ def test_run_buffers_stay_private(spy_buffers):
     live = spy_buffers(p_laplace, "pl_step")
     traj = run(u0, cfg)
     assert np.array_equal(u0.values, before)
-    snaps = [f.values for f in traj.states]
     assert len(live) >= 4  # two face arrays and both state slots
-    for i, a in enumerate(snaps):
-        assert not np.shares_memory(a, u0.values)
-        assert not any(np.shares_memory(a, b) for b in snaps[i + 1:])
-        assert not any(np.shares_memory(a, b) for b in live.values())
+    assert not np.shares_memory(traj.u, u0.values)
+    assert not any(np.shares_memory(traj.u, b) for b in live.values())
 
 
 def test_interleaved_runs_match_runs_alone(run_interleaved):
@@ -268,6 +262,42 @@ def test_interleaved_runs_match_runs_alone(run_interleaved):
     alone = [r() for r in runs]
     for got, want in zip(run_interleaved(p_laplace, "pl_step", *runs), alone):
         assert got.dt == want.dt
-        assert [f.values.tobytes() for f in got.states] == [
-            f.values.tobytes() for f in want.states
-        ]
+        assert got.u.tobytes() == want.u.tobytes()
+
+
+def _meter_alone(u, p, delta, h):
+    """(I, rate_source) of the one snapshot ``u``, by the formula applied
+    to that snapshot alone; the rate source is None for p < 3/2."""
+    ps = p_star(p)
+    w = u**ps
+    dw = central_diff(w, 0, h)
+    I = integrate(np.abs(dw) ** p, h)
+    if ps < 0.0:
+        return I, None
+    dw_sq = dw * dw + delta * delta
+    dflux = central_diff(dw_sq ** ((p - 2.0) / 2.0) * dw, 0, h, odd=True)
+    t1 = -p * ps ** (2.0 - p) * integrate(
+        u ** (0.5 - 0.5 / (p - 1.0)) * dflux**2, h)
+    t2 = 0.5 * p * p * ps ** (1.0 - p) * integrate(
+        u ** (-0.5) * dw_sq ** (p - 2.0) * dw * dw * second_diff(w, 0, h), h)
+    t3 = -0.25 * p * ps ** (-p) * integrate(
+        dw_sq**p * u ** (-1.5 + 0.5 / (p - 1.0)), h)
+    return I, -(t1 + t2 + t3)
+
+
+@pytest.mark.parametrize("rows_per_block", [2, None])
+@pytest.mark.parametrize("p, t_end, every", [(1.2, 1e-4, 1), (2.5, 0.002, 5),
+                                             (3.0, 0.002, 5)])
+def test_one_pass_equals_each_snapshot_alone(p, t_end, every, rows_per_block,
+                                             monkeypatch):
+    if rows_per_block:
+        monkeypatch.setattr(fields, "_BLOCK_CELLS", rows_per_block * 32)
+    g = Grid(1, 32)
+    cfg = PLaplaceConfig(p=p, grid=g, t_end=t_end, record_every=every)
+    traj = run(initial_cosine(g), cfg)
+    m = traj.meters
+    assert len(traj.times) >= 3
+    for k, row in enumerate(traj.u):
+        I, rate = _meter_alone(row, p, cfg.delta, g.h)
+        assert m.I[k] == I
+        assert (m.rate_source is None) if rate is None else m.rate_source[k] == rate

@@ -208,6 +208,38 @@ def test_k_integrals_over_states_equal_single_calls():
     assert (together[:, -1] == 0.0).all()
 
 
+def test_blocked_level_loop_equals_per_block_and_per_state_calls():
+    # The level loop runs on blocks of at most _BLOCK_STATES flattened
+    # states; a value depends on its own panels only, so 1024 states in one
+    # call, in an (8, 128) array, block by block and state by state are
+    # the same numbers.
+    from entroflow import quadrature
+
+    model = ShiftedPowerLaw(2.0)
+    states = np.random.default_rng(11).uniform(0.25, 4.0, 1024)
+    first_rows = []
+
+    def integrand(x, k):
+        if not first_rows:
+            first_rows.append(len(x))
+        return model._integrand(x, k)
+
+    whole = gauss_legendre(integrand, 1.0, np.stack((states,) * 3))
+    assert first_rows == [3 * quadrature._BLOCK_STATES]
+    assert np.array_equal(np.stack(model.lam_entropy_sigma(states)[::2]),
+                          whole[::2])
+    grid = gauss_legendre(model._integrand, 1.0,
+                          np.stack((states.reshape(8, 128),) * 3))
+    assert np.array_equal(grid.reshape(3, 1024), whole)
+    for start in range(0, 1024, 128):
+        cols = slice(start, start + 128)
+        block = gauss_legendre(model._integrand, 1.0, np.stack((states[cols],) * 3))
+        assert np.array_equal(block, whole[:, cols])
+    for i in range(0, 1024, 7):
+        one = gauss_legendre(model._integrand, 1.0, np.full((3, 1), states[i]))
+        assert np.array_equal(one[:, 0], whole[:, i])
+
+
 def test_crowding_bound_counts_per_integral():
     # Smooth integrals that need many intervals each pass together, though
     # their sum of open intervals (panels) is over the bound; a rough one

@@ -1,0 +1,63 @@
+"""Print the SHA-256 of every file the presets write.
+
+Runs the named presets (all 8 by default) into a temporary directory and
+prints one line per output file, ``<sha256>  <preset>/<file>``, sorted by
+path.  Two source trees write byte-identical outputs exactly when their
+lists are equal:
+
+    python tools/preset_digests.py > change.txt
+    python tools/preset_digests.py --src ../parent/src > parent.txt
+    diff parent.txt change.txt
+
+``--src`` picks the entroflow source tree to import (default: the
+``src`` next to this script).
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def digests(names, out_root):
+    """(path, sha256) of every file the presets ``names`` wrote."""
+    from entroflow.cli import run_experiment
+    from entroflow.presets import preset_config
+
+    for name in names:
+        with contextlib.redirect_stdout(io.StringIO()):
+            run_experiment(preset_config(name), out_root)
+    found = []
+    for folder, _, files in os.walk(out_root):
+        for fname in files:
+            path = os.path.join(folder, fname)
+            with open(path, "rb") as fh:
+                found.append((os.path.relpath(path, out_root),
+                              hashlib.sha256(fh.read()).hexdigest()))
+    return sorted(found)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("presets", nargs="*", help="preset names (default: all)")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="entroflow source tree to import")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    from entroflow.presets import PRESETS
+
+    unknown = sorted(set(args.presets) - set(PRESETS))
+    if unknown:
+        parser.error("unknown preset(s): %s" % ", ".join(unknown))
+    with tempfile.TemporaryDirectory() as out_root:
+        for path, digest in digests(args.presets or sorted(PRESETS), out_root):
+            print("%s  %s" % (digest, path))
+
+
+if __name__ == "__main__":
+    main()
