@@ -70,12 +70,13 @@ def fisher_constant(n, lam):
 
 # The checks below work on raw arrays taken from fields.scratch and return
 # plain floats; like all of the package's calculus, they integrate with
-# fields.integrate on raw values.  Each intermediate that is a field in the
-# continuum formula (a gradient, a matrix entry, a pointwise norm, an
-# integrand) is checked finite as it is formed; integrate checks the
-# integrand.  Squared entries are summed one at a time in row-major (i, j)
-# order, the order of a sum over a matrix of fields, so every integral is
-# bit-for-bit that of the field-by-field formula.
+# fields.integrate on raw values.  Sigma(f), grad Sigma and f^{-1/2} grad
+# Sigma are checked finite as formed.  Every sum of squares and every
+# integrand is checked once, before use, by integrate on the integrand: a
+# sum of squares, and a product with one, is non-finite whenever one of
+# its entries is.  Squared entries are summed in row-major (i, j) order,
+# the first written into the sum, as a sum over a matrix of fields is, so
+# every integral is bit-for-bit that formula's.
 #
 # Each check is its own left-hand side plus the shared dissipation
 # integral, and both the Fisher lhs and the dissipation integral start
@@ -84,10 +85,13 @@ def fisher_constant(n, lam):
 # and the dissipation integral once per sampled field for both checks.
 
 
-def _add_square(acc, entry):
-    """acc += entry**2, once the entry is checked finite; entry is spent."""
-    require_finite(entry)
-    np.add(acc, np.square(entry, out=entry), out=acc)
+def _add_square(acc, entry, first):
+    """acc = entry**2 if first (0 + entry**2 exactly), else acc += entry**2;
+    entry is spent."""
+    if first:
+        np.square(entry, out=acc)
+    else:
+        np.add(acc, np.square(entry, out=entry), out=acc)
 
 
 def _mixed_firsts(values, h, firsts):
@@ -108,14 +112,13 @@ def _hessian_sq(values, h, acc, entry, firsts):
     of values, one array per axis (unused in 1D).
     """
     n = values.ndim
-    acc.fill(0.0)
     for i in range(n):
         for j in range(n):
             if i == j:
                 second_diff(values, i, h, out=entry)
             else:
                 central_diff(firsts[j], i, h, out=entry)
-            _add_square(acc, entry)
+            _add_square(acc, entry, i == j == 0)
     return acc
 
 
@@ -139,10 +142,8 @@ def _bernis_lhs(f, a_vals):
     """int a^3 / f^3 |grad f|^4, from a(f) in a_vals."""
     vals, h = f.values, f.grid.h
     grad_sq, work, cubes = scratch(vals.shape, 3)
-    grad_sq.fill(0.0)
     for k in range(vals.ndim):
-        _add_square(grad_sq, central_diff(vals, k, h, out=work))
-    require_finite(grad_sq)
+        _add_square(grad_sq, central_diff(vals, k, h, out=work), k == 0)
     np.divide(np.power(a_vals, 3, out=work), np.power(vals, 3, out=cubes), out=work)
     integrand = np.multiply(work, np.square(grad_sq, out=grad_sq), out=work)
     return integrate(integrand, h)
@@ -179,11 +180,10 @@ def _dissipation(f, a_vals, work):
     inv_sqrt = np.divide(1.0, np.sqrt(vals, out=entry), out=entry)
     for w in grads:
         require_finite(np.multiply(inv_sqrt, w, out=w))
-    acc.fill(0.0)
     for i in range(n):
         for j in range(n):
-            _add_square(acc, central_diff(grads[j], i, h, odd=(i == j), out=entry))
-    require_finite(acc)
+            _add_square(acc, central_diff(grads[j], i, h, odd=(i == j), out=entry),
+                        i == j == 0)
     integrand = np.multiply(np.multiply(vals, a_vals, out=entry), acc, out=entry)
     return integrate(integrand, h)
 

@@ -165,7 +165,9 @@ def gauss_legendre(f, a, b):
     sampled rule it assumes no jumps: a jump between a panel's end and
     its outermost node goes unseen.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    ends = np.empty((2,) + np.broadcast(a, b).shape)  # cheaper than broadcast_arrays
+    ends[0], ends[1] = a, b
+    a, b = ends
     if a[0].size > _BLOCK_STATES:
         lo, hi, step = a.reshape(len(a), -1), b.reshape(len(b), -1), _BLOCK_STATES
         blocks = [gauss_legendre(f, lo[:, i:i + step], hi[:, i:i + step])

@@ -148,32 +148,49 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _layouts(values):
+    """values as a C-contiguous array, a transposed view and a strided slice."""
+    spread = np.full(tuple(2 * c for c in values.shape), np.nan)
+    spread[(slice(None, None, 2),) * values.ndim] = values
+    return (values.copy(), np.ascontiguousarray(values.T).T,
+            spread[(slice(None, None, 2),) * values.ndim])
+
+
+def _outs(shape):
+    """Fresh NaN-filled out arrays: C-contiguous, transposed and a slice."""
+    wide = np.full(shape[:-1] + (shape[-1] + 3,), np.nan)
+    return np.full(shape, np.nan), np.full(shape[::-1], np.nan).T, wide[..., 1:-2]
+
+
 @pytest.mark.parametrize("cells", [MIN_CELLS, 11])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_stencils_match_padded_ghost_reference(rng, dim, cells):
     # The stencils write the ghost faces in place; the reference
     # differences a ghost-padded copy.  Bit patterns must agree, signed
-    # zeros included, with and without a caller-given output buffer.
+    # zeros included, with and without a caller-given output buffer, for
+    # contiguous and non-contiguous inputs and outputs alike: along the
+    # last axis, central_diff takes contiguous arrays as one flat run.
     h = 1.0 / cells
     vals = rng.standard_normal((cells,) * dim) * 10.0 ** rng.integers(
         -6, 6, (cells,) * dim
     )
     vals.flat[::5] = 0.0
     vals.flat[1::7] = -0.0
-    for axis in range(dim):
-        for odd in (False, True):
-            upper, lower = _padded(vals, axis, -1.0 if odd else 1.0)
-            ref = (upper - lower) / (2.0 * h)
-            assert _same_bits(central_diff(vals, axis, h, odd=odd), ref)
-            out = np.full(vals.shape, np.nan)
-            assert central_diff(vals, axis, h, odd=odd, out=out) is out
-            assert _same_bits(out, ref)
-        upper, lower = _padded(vals, axis, 1.0)
-        ref = (upper - 2.0 * vals + lower) / (h * h)
-        assert _same_bits(second_diff(vals, axis, h), ref)
-        out = np.full(vals.shape, np.nan)
-        assert second_diff(vals, axis, h, out=out) is out
-        assert _same_bits(out, ref)
+    for layout in _layouts(vals):
+        for axis in range(dim):
+            for odd in (False, True):
+                upper, lower = _padded(vals, axis, -1.0 if odd else 1.0)
+                ref = (upper - lower) / (2.0 * h)
+                assert _same_bits(central_diff(layout, axis, h, odd=odd), ref)
+                for out in _outs(vals.shape):
+                    assert central_diff(layout, axis, h, odd=odd, out=out) is out
+                    assert _same_bits(out, ref)
+            upper, lower = _padded(vals, axis, 1.0)
+            ref = (upper - 2.0 * vals + lower) / (h * h)
+            assert _same_bits(second_diff(layout, axis, h), ref)
+            for out in _outs(vals.shape):
+                assert second_diff(layout, axis, h, out=out) is out
+                assert _same_bits(out, ref)
 
 
 def test_spec_margin_enforced():

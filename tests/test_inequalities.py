@@ -17,6 +17,7 @@ from entroflow.fields import (
     gradient_of_vector,
     integrate,
     neumann_hessian,
+    second_diff,
 )
 from entroflow.inequalities import (
     bernis_check,
@@ -306,3 +307,49 @@ def test_nonfinite_sigma_aborts_the_search_as_the_checks(n):
     ):
         with pytest.raises(ConstructionError):
             check()
+
+
+def _poison_stencils(monkeypatch, k, bad):
+    """Patch the stencils so that the k-th difference they return (counting
+    calls of both from 0) holds ``bad`` at its center; returns the list
+    the calls are counted in."""
+    calls = []
+
+    def wrap(name, original):
+        def poisoned(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if len(calls) == k:
+                out[tuple(c // 2 for c in out.shape)] = bad
+            calls.append(name)
+            return out
+
+        monkeypatch.setattr(inequalities, name, poisoned)
+
+    wrap("central_diff", central_diff)
+    wrap("second_diff", second_diff)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nonfinite_difference_aborts_every_check(n, bad, monkeypatch):
+    # Squared entries are not checked one by one: each sum of squares and
+    # each integrand is, once, before use.  So one non-finite value in any
+    # difference a check takes must still end in the error a field gives.
+    model = PowerLaw(2.0)
+    f = build_test_function(Grid(n, 10), sample_spec(np.random.default_rng(3), n))
+    checks = {
+        "bernis": lambda: bernis_check(f, model),
+        "fisher": lambda: fisher_ineq_check(f, model, lam=0.1),
+        "cmkm": lambda: cmkm_ratio(f),
+        "search": lambda: worst_ratio_search(n, model, trials=2, seed=3, cells=10),
+    }
+    for name, check in checks.items():
+        calls = _poison_stencils(monkeypatch, -1, bad)
+        check()
+        total = len(calls)
+        assert total > 0, name
+        for k in range(total):
+            _poison_stencils(monkeypatch, k, bad)
+            with pytest.raises(ConstructionError, match="field values must be finite"):
+                check()

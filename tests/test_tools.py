@@ -1,0 +1,35 @@
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "tools", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_preset_digests_expect_reports_each_mismatch(tmp_path, capsys):
+    tool = _load("preset_digests")
+    assert tool.main(["bernis_n1"]) == 0
+    saved = capsys.readouterr().out
+    lines = saved.splitlines()
+    assert len(lines) >= 2 and all(len(line.split("  ")[0]) == 64 for line in lines)
+    expect = tmp_path / "digests.txt"
+    expect.write_text(saved)
+    assert tool.main(["bernis_n1", "--expect", str(expect)]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+
+    digest, path = lines[0].split("  ")
+    tampered = ["0" * 64 + "  " + path] + lines[1:] + ["0" * 64 + "  gone/x.csv"]
+    expect.write_text("\n".join(tampered) + "\n")
+    assert tool.main(["bernis_n1", "--expect", str(expect)]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert report[:2] == [  # sorted by path
+        "MISMATCH %s: expected %s, got %s" % (path, "0" * 64, digest),
+        "MISMATCH gone/x.csv: expected %s, got no file" % ("0" * 64),
+    ]
+    assert report[2].startswith("2 of %d files differ" % (len(lines) + 1))

@@ -5,12 +5,13 @@ prints one line per output file, ``<sha256>  <preset>/<file>``, sorted by
 path.  Two source trees write byte-identical outputs exactly when their
 lists are equal:
 
-    python tools/preset_digests.py > change.txt
     python tools/preset_digests.py --src ../parent/src > parent.txt
-    diff parent.txt change.txt
+    python tools/preset_digests.py --expect parent.txt
 
 ``--src`` picks the entroflow source tree to import (default: the
-``src`` next to this script).
+``src`` next to this script).  ``--expect FILE`` compares the run with a
+saved list instead of printing it: it prints one line per file whose
+digest differs or that only one side has, and exits 1 if there is any.
 """
 
 import argparse
@@ -47,6 +48,8 @@ def main(argv=None):
     parser.add_argument("presets", nargs="*", help="preset names (default: all)")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="entroflow source tree to import")
+    parser.add_argument("--expect", metavar="FILE",
+                        help="saved digest list to compare the run with")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from entroflow.presets import PRESETS
@@ -55,9 +58,22 @@ def main(argv=None):
     if unknown:
         parser.error("unknown preset(s): %s" % ", ".join(unknown))
     with tempfile.TemporaryDirectory() as out_root:
-        for path, digest in digests(args.presets or sorted(PRESETS), out_root):
+        got = dict(digests(args.presets or sorted(PRESETS), out_root))
+    if args.expect is None:
+        for path, digest in sorted(got.items()):
             print("%s  %s" % (digest, path))
+        return 0
+    with open(args.expect) as fh:
+        want = {path: digest for digest, path in
+                (line.split("  ", 1) for line in fh.read().splitlines() if line)}
+    paths = want.keys() | got.keys()
+    bad = sorted(p for p in paths if want.get(p) != got.get(p))
+    for path in bad:
+        print("MISMATCH %s: expected %s, got %s"
+              % (path, want.get(path, "no file"), got.get(path, "no file")))
+    print("%d of %d files differ from %s" % (len(bad), len(paths), args.expect))
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
