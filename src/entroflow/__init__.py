@@ -30,8 +30,6 @@ from .fields import (
     Grid,
     TestFunctionSpec,
     build_test_function,
-    constant_field,
-    from_function,
     integrate,
     neumann_hessian,
 )

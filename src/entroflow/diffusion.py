@@ -19,6 +19,8 @@ The run contract, shared by ``run``, ``p_laplace.run`` and
 - the loop owns dt: it is fixed once from the guard at the configured
   safety on the initial state, then shrunk so that t_end is a whole
   number of ``record_every``-step blocks; the guard runs once per run;
+- the loop owns the grid: it steps on ``config.grid``, and an initial
+  density on another grid is a ConfigError;
 - the loop owns the aborts: an initial density at or below the
   positivity floor and every RunAbort of a step (a stencil's, or the
   chemotaxis run's density ceiling) raise with ``last_time``, the time of
@@ -144,9 +146,12 @@ def march(state, config, guard, advance):
     become the trajectory's ``u`` (then ``v`` and ``vt_accum``).
     ``guard(state, safety)``, called once, returns the largest stable
     step, and ``advance(state, dt)`` the next state or a RunAbort.
-    ``config`` supplies t_end, safety and record_every; the initial
-    density must lie above ``DEFAULT_FLOOR``.
+    ``config`` supplies the grid, t_end, safety and record_every; the
+    initial density must lie on the grid and above ``DEFAULT_FLOOR``.
     """
+    if state[0].shape != config.grid.shape:
+        raise ConfigError("initial state of shape %s is not on the config's grid %s"
+                          % (state[0].shape, config.grid.shape))
     if not (state[0].min() > DEFAULT_FLOOR):
         raise PositivityLossError("initial state below floor", last_time=0.0)
     dt0 = guard(state, config.safety)
@@ -262,8 +267,8 @@ def step(u, model, h, dt, buf=None):
 def run(u0, config):
     """Guarded explicit run to t_end with uniformly spaced snapshots,
     returned measured by ``meters.measure_trajectory``."""
-    model, h = config.model, u0.grid.h
-    buf = RunBuffers(u0.grid.cells, faces=2)
+    model, h = config.model, config.grid.h
+    buf = RunBuffers(config.grid.cells, faces=2)
     traj = march((u0.values,), config,
                  guard=lambda s, safety: stable_dt(s[0], model, h, safety),
                  advance=lambda s, dt: (step(s[0], model, h, dt, buf),))

@@ -17,6 +17,11 @@ stencils difference them, and ``integrate(values, h)`` is the one
 midpoint rule behind every integral the package reports; with
 ``rows=True`` it integrates each row of a run's (S, N) snapshot array.
 
+Finiteness has one rule: a ``Field`` refuses non-finite values, and each
+integral checks its own sum in ``integrate``, which a non-finite value in
+its integrand, or in a difference, square or product that formed it,
+makes non-finite.  The inequality checks add one check, on Sigma(f).
+
 The difference stencils write into a caller-given ``out`` array.  The
 nD inequality checks take theirs from a scratch workspace (``scratch``),
 under one rule: the workspace caches the arrays of a single grid shape
@@ -26,6 +31,7 @@ to the caller of a check, nor kept past the call that took it; and
 nothing configures the workspace.
 """
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -90,15 +96,6 @@ class Field:
         return float(self.values.max())
 
 
-def constant_field(grid, value):
-    return Field(grid, np.full(grid.shape, float(value)))
-
-
-def from_function(grid, fn):
-    """Sample fn(*coords) at the cell centers."""
-    return Field(grid, np.asarray(fn(*grid.centers()), dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Mirror-ghost difference stencils
 #
@@ -111,8 +108,9 @@ def from_function(grid, fn):
 # without its per-call cost; the explicit flows difference 1D arrays of a
 # few hundred cells every step.  Along the last axis of C-contiguous nD
 # arrays central_diff takes the flattened arrays in one run, whose entries
-# across two lines are the ghost faces.  Stencils check nothing: a caller
-# checks each sum of squares and integrand it forms once, before use.
+# across two lines are the ghost faces.  Stencils check nothing: a
+# non-finite difference reaches the sum of the integral it ends in (see the
+# finiteness rule in the module docstring).
 
 
 def _cuts(axis):
@@ -205,7 +203,6 @@ class _Workspace(threading.local):
         if shape != self.shape:
             self.shape = shape
             self.floats = []
-            self.finite = np.empty(shape, dtype=bool)
         while len(self.floats) < count:
             self.floats.append(np.empty(shape))
         return self.floats[:count]
@@ -220,18 +217,6 @@ def scratch(shape, count):
     return _WORKSPACE.arrays(shape, count)
 
 
-def require_finite(values):
-    """Raise ConstructionError, as Field does, unless values are all finite."""
-    ws = _WORKSPACE
-    if values.shape == ws.shape:
-        finite = np.isfinite(values, out=ws.finite).all()
-    else:
-        finite = np.isfinite(values).all()
-    if not finite:
-        raise ConstructionError("field values must be finite")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # Calculus operations
 #
@@ -244,11 +229,22 @@ def integrate(values, h, rows=False):
     """Midpoint rule on raw cell values: h^n times their sum, n being
     values.ndim; exact on constants.  With ``rows``, values is an (S, N)
     array of S snapshots of a 1D grid, and the result is the S integrals
-    of its rows, each summed as the row alone is.  Raises
-    ConstructionError, as Field does, unless the values are all finite."""
-    if rows:
-        return np.ascontiguousarray(require_finite(values)).sum(axis=1) * h
-    return float(require_finite(values).sum()) * h**values.ndim
+    of its rows, each summed as the row alone is.
+
+    This is each integral's one finiteness check (the module's rule, under
+    which Sigma(f) in the inequality checks is the only other): it raises
+    ConstructionError, as Field does, unless the sum is finite, each row's
+    with ``rows``.  A non-finite value or an overflow makes it so; numpy's
+    warnings for them are silenced, as the error reports them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rows:
+            sums = np.ascontiguousarray(values).sum(axis=1) * h
+        else:
+            sums = float(values.sum()) * h**values.ndim
+    if not (np.isfinite(sums).all() if rows else math.isfinite(sums)):
+        raise ConstructionError("field values must be finite")
+    return sums
 
 
 def by_row_blocks(fn, *arrays):
@@ -270,17 +266,8 @@ def gradient_of_vector(components):
     mirror; along any other axis the tangential component mirrors evenly.
     """
     grid = components[0].grid
-    h = grid.h
-    n = grid.dim
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(
-                Field(grid, central_diff(components[j].values, i, h, odd=(i == j)))
-            )
-        out.append(row)
-    return out
+    return [[Field(grid, central_diff(w.values, i, grid.h, odd=(i == j)))
+             for j, w in enumerate(components)] for i in range(grid.dim)]
 
 
 def neumann_hessian(f):
@@ -290,18 +277,11 @@ def neumann_hessian(f):
     compose two first differences, each with its own mirror, which keeps
     the discrete Hessian symmetric to round-off.
     """
-    grid = f.grid
-    h = grid.h
-    n = grid.dim
-    out = [[None] * n for _ in range(n)]
+    grid, h, n = f.grid, f.grid.h, f.grid.dim
     firsts = [central_diff(f.values, ax, h) for ax in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                out[i][j] = Field(grid, second_diff(f.values, i, h))
-            else:
-                out[i][j] = Field(grid, central_diff(firsts[j], i, h))
-    return out
+    return [[Field(grid, second_diff(f.values, i, h) if i == j
+                   else central_diff(firsts[j], i, h))
+             for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

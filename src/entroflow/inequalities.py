@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, UsageError
+from .errors import ConstructionError, HypothesisError, UsageError
 from .fields import (
     Grid,
     TestFunctionSpec,
     build_test_function,
     central_diff,
     integrate,
-    require_finite,
     require_positive_field,
     scratch,
     second_diff,
@@ -70,13 +69,12 @@ def fisher_constant(n, lam):
 
 # The checks below work on raw arrays taken from fields.scratch and return
 # plain floats; like all of the package's calculus, they integrate with
-# fields.integrate on raw values.  Sigma(f), grad Sigma and f^{-1/2} grad
-# Sigma are checked finite as formed.  Every sum of squares and every
-# integrand is checked once, before use, by integrate on the integrand: a
-# sum of squares, and a product with one, is non-finite whenever one of
-# its entries is.  Squared entries are summed in row-major (i, j) order,
-# the first written into the sum, as a sum over a matrix of fields is, so
-# every integral is bit-for-bit that formula's.
+# fields.integrate on raw values, and so check finiteness under its rule
+# (the fields module docstring): each integral checks its own sum, and
+# Sigma(f), the model's output, is the one array checked here, before the
+# stencils difference it.  Squared entries are summed in row-major (i, j)
+# order, the first written into the sum, as a sum over a matrix of fields
+# is, so every integral is bit-for-bit that formula's.
 #
 # Each check is its own left-hand side plus the shared dissipation
 # integral, and both the Fisher lhs and the dissipation integral start
@@ -150,7 +148,7 @@ def _bernis_lhs(f, a_vals):
 
 
 def _grad_sigma(f, model):
-    """Sigma(f) and grad Sigma(f), each checked finite.
+    """Sigma(f), checked finite, and grad Sigma(f).
 
     Returns Sigma(f) and ``work``, three scratch items: ``grads``, which
     holds grad Sigma, one array per axis, the first differences that the
@@ -159,10 +157,12 @@ def _grad_sigma(f, model):
     scratch taken earlier (as by _bernis_lhs) is overwritten.
     """
     vals = f.values
-    sig = require_finite(np.asarray(model.sigma(vals), dtype=float))
+    sig = np.asarray(model.sigma(vals), dtype=float)
+    if not np.isfinite(sig).all():
+        raise ConstructionError("field values must be finite")
     acc, entry, *grads = scratch(vals.shape, 2 + f.grid.dim)
     for k, out in enumerate(grads):
-        require_finite(central_diff(sig, k, f.grid.h, out=out))
+        central_diff(sig, k, f.grid.h, out=out)
     return sig, (grads, acc, entry)
 
 
@@ -179,7 +179,7 @@ def _dissipation(f, a_vals, work):
     vals, h, n = f.values, f.grid.h, f.grid.dim
     inv_sqrt = np.divide(1.0, np.sqrt(vals, out=entry), out=entry)
     for w in grads:
-        require_finite(np.multiply(inv_sqrt, w, out=w))
+        np.multiply(inv_sqrt, w, out=w)
     for i in range(n):
         for j in range(n):
             _add_square(acc, central_diff(grads[j], i, h, odd=(i == j), out=entry),
@@ -228,8 +228,8 @@ def cmkm_ratio(f):
     vals = f.values
     h, n = f.grid.h, f.grid.dim
     root, log, acc, entry, *firsts = scratch(vals.shape, 4 + n)
-    require_finite(np.sqrt(vals, out=root))
-    require_finite(np.log(vals, out=log))
+    np.sqrt(vals, out=root)
+    np.log(vals, out=log)
     _mixed_firsts(root, h, firsts)
     num = integrate(_hessian_sq(root, h, acc, entry, firsts), h)
     _mixed_firsts(log, h, firsts)

@@ -179,8 +179,8 @@ def run_ks(config):
         u, v, vt = ks_step(u, v, model, h, dt, buf)
         if np.maximum.reduce(u) > config.ceiling:
             raise StabilityError("density exceeded the blow-up suspicion ceiling")
-        # dt times int |v_t|^2 by the midpoint rule of fields.integrate,
-        # without its finiteness check: this runs every step
+        # dt times int |v_t|^2 by fields.integrate's midpoint rule, written
+        # out: this runs every step, and the call costs as much as the sum
         np.multiply(vt, vt, out=vt_sq)
         return u, v, acc + dt * (float(np.add.reduce(vt_sq)) * h)
 

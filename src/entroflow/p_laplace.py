@@ -95,8 +95,8 @@ def pl_step(u, config, h, dt, buf=None):
 def run(u0, config):
     """Guarded run; the run contract is that of ``diffusion.march``, and
     the trajectory is returned measured by ``measure_trajectory``."""
-    h = u0.grid.h
-    buf = RunBuffers(u0.grid.cells, faces=2)
+    h = config.grid.h
+    buf = RunBuffers(config.grid.cells, faces=2)
     traj = march((u0.values,), config,
                  guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety),
                  advance=lambda s, dt: (pl_step(s[0], config, h, dt, buf),))

@@ -22,7 +22,7 @@ from entroflow.errors import (
     StabilityError,
     UsageError,
 )
-from entroflow.fields import Field, Grid, constant_field, integrate
+from entroflow.fields import Field, Grid, integrate
 from entroflow.keller_segel import (
     KSConfig,
     cosine_initial_state,
@@ -49,10 +49,18 @@ def test_config_validation():
         FlowConfig(Linear(), Grid(2, 16), t_end=0.1)
 
 
+@pytest.mark.parametrize("u0_grid", [Grid(1, 16), Grid(2, 16)])
+def test_run_refuses_an_initial_state_off_the_configs_grid(u0_grid):
+    # neither run on the initial state's own grid nor a numpy error
+    u0 = Field(u0_grid, np.full(u0_grid.shape, 1.0))
+    with pytest.raises(ConfigError, match="not on the config's grid"):
+        run(u0, FlowConfig(Linear(), Grid(1, 128), t_end=0.01))
+
+
 def test_stable_dt_anchor():
     # a(3) = 6 for the m=2 power law, so dt = safety h^2 / 12
     g = Grid(1, 64)
-    u = constant_field(g, 3.0)
+    u = Field(g, np.full(g.shape, 3.0))
     assert stable_dt(u.values, PowerLaw(2.0), g.h, 0.4) == pytest.approx(
         0.4 * g.h**2 / 12.0
     )
@@ -61,7 +69,7 @@ def test_stable_dt_anchor():
 
 def test_constant_state_fixed_point():
     g = Grid(1, 32)
-    u = constant_field(g, 2.0)
+    u = Field(g, np.full(g.shape, 2.0))
     out = step(u.values, PowerLaw(2.0), g.h, 1e-5)
     assert np.array_equal(out, u.values)
 
@@ -154,7 +162,7 @@ def test_run_rechecks_stability():
 
 def test_positivity_guard():
     g = Grid(1, 32)
-    low = constant_field(g, 1e-9)
+    low = Field(g, np.full(g.shape, 1e-9))
     with pytest.raises(PositivityLossError) as info:
         run(low, FlowConfig(Linear(), g, t_end=0.001))
     assert isinstance(info.value, RunAbort)

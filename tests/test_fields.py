@@ -12,14 +12,14 @@ from entroflow.fields import (
     TestFunctionSpec,
     build_test_function,
     central_diff,
-    constant_field,
-    from_function,
     gradient_of_vector,
     integrate,
     neumann_hessian,
     require_positive_field,
     second_diff,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_grid_validation():
@@ -43,22 +43,37 @@ def test_field_validation():
 def test_integrate_constant_exact():
     for dim in (1, 2, 3):
         g = Grid(dim, 8)
-        assert integrate(constant_field(g, 3.5).values, g.h) == pytest.approx(
-            3.5, abs=1e-14)
+        assert integrate(np.full(g.shape, 3.5), g.h) == pytest.approx(3.5, abs=1e-14)
 
 
 def test_integrate_refuses_nonfinite_values():
+    # the one finiteness check of an integral is on its sum, taken without
+    # a warning: a non-finite entry, infinities of both signs (whose sum is
+    # NaN), or finite entries whose sum overflows
+    bad_arrays = []
     for bad in (np.nan, np.inf, -np.inf):
         for dim in (1, 2):
             vals = np.ones((8,) * dim)
             vals.flat[3] = bad
-            with pytest.raises(ConstructionError, match="must be finite"):
-                integrate(vals, 1.0 / 8)
+            bad_arrays.append(vals)
+    both = np.ones(8)
+    both[[2, 5]] = np.inf, -np.inf
+    bad_arrays += [both, np.full(8, 1e308), np.full((8, 8), 1e308)]
+    for vals in bad_arrays:
+        with pytest.raises(ConstructionError, match="must be finite"):
+            integrate(vals, 1.0 / 8)
+    # with rows, each bad 1D array as one row among good ones
+    for row in (vals for vals in bad_arrays if vals.ndim == 1):
+        snapshots = np.ones((4, 8))
+        snapshots[2] = row
+        with pytest.raises(ConstructionError, match="must be finite"):
+            integrate(snapshots, 1.0 / 8, rows=True)
 
 
 def test_integrate_quadratic():
     g = Grid(1, 64)
-    f = from_function(g, lambda x: x * x)
+    x = g.axis_centers()
+    f = Field(g, x * x)
     assert abs(integrate(f.values, g.h) - 1.0 / 3.0) < g.h**2 / 10.0
 
 
@@ -66,7 +81,7 @@ def test_gradient_second_order_convergence():
     errs = []
     for cells in (32, 64):
         g = Grid(1, cells)
-        f = from_function(g, lambda x: np.cos(np.pi * x))
+        f = Field(g, np.cos(np.pi * g.axis_centers()))
         exact = -np.pi * np.sin(np.pi * g.axis_centers())
         errs.append(np.max(np.abs(central_diff(f.values, 0, g.h) - exact)))
     assert errs[0] / errs[1] >= 3.5
@@ -127,7 +142,7 @@ def test_second_diff_constant_zero():
 
 def test_gradient_of_vector_shapes():
     g = Grid(3, 8)
-    f = constant_field(g, 1.0)
+    f = Field(g, np.full(g.shape, 1.0))
     grad = [Field(g, central_diff(f.values, ax, g.h)) for ax in range(g.dim)]
     M = gradient_of_vector(grad)
     assert len(M) == 3 and len(M[0]) == 3
@@ -226,5 +241,5 @@ def test_built_function_positive_and_mass_correct(c0, raw):
 def test_require_positive_field():
     g = Grid(1, 8)
     with pytest.raises(DomainError):
-        require_positive_field(constant_field(g, 0.0))
-    require_positive_field(constant_field(g, 0.1))
+        require_positive_field(Field(g, np.full(g.shape, 0.0)))
+    require_positive_field(Field(g, np.full(g.shape, 0.1)))

@@ -5,7 +5,7 @@ from entroflow import fields, keller_segel, p_laplace
 from entroflow.coeff_models import KSModel, Linear, PowerLaw, ShiftedPowerLaw
 from entroflow.diffusion import FlowConfig, Trajectory, initial_cosine, run
 from entroflow.errors import ConstructionError, UsageError
-from entroflow.fields import Grid, central_diff, constant_field, from_function, integrate
+from entroflow.fields import Field, Grid, central_diff, integrate
 from entroflow.meters import (
     MeterRecord,
     identity_residuals,
@@ -14,6 +14,8 @@ from entroflow.meters import (
     monotone_tolerance,
     monotonicity_report,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _one(u, model):
@@ -43,7 +45,7 @@ def test_overflowing_integrand_is_a_construction_error():
 
 def test_constant_field_meters():
     g = Grid(1, 32)
-    u = constant_field(g, 2.0)
+    u = Field(g, np.full(g.shape, 2.0))
     m = _one(u, PowerLaw(2.0))
     # H(2) = (4-1) - 2(2-1) = 1 for the m=2 power law
     assert m.entropy == pytest.approx(1.0, abs=1e-13)
@@ -59,7 +61,7 @@ def test_two_fisher_routes_agree_at_second_order():
     gaps = []
     for cells in (32, 64):
         g = Grid(1, cells)
-        u = from_function(g, lambda x: 1.0 + 0.5 * np.cos(np.pi * x))
+        u = Field(g, 1.0 + 0.5 * np.cos(np.pi * g.axis_centers()))
         m = _one(u, PowerLaw(2.0))
         gaps.append(abs(m.fisher_sigma - m.fisher_st))
     assert gaps[0] / gaps[1] >= 3.5
@@ -70,7 +72,7 @@ def test_fisher_matches_analytic_linear():
     # closed integral of u = 1 + 0.5 cos(pi x) (computed by quadrature
     # offline and frozen): 1.3222762644432742
     g = Grid(1, 256)
-    u = from_function(g, lambda x: 1.0 + 0.5 * np.cos(np.pi * x))
+    u = Field(g, 1.0 + 0.5 * np.cos(np.pi * g.axis_centers()))
     m = _one(u, Linear())
     assert m.fisher_sigma == pytest.approx(1.3222762644432742, abs=5e-4)
     assert m.fisher_st == pytest.approx(1.3222762644432742, abs=5e-4)

@@ -7,7 +7,7 @@ from entroflow import fields, p_laplace
 from entroflow.coeff_models import Linear
 from entroflow.diffusion import FlowConfig, Trajectory, initial_cosine, run as run_heat
 from entroflow.errors import ConfigError, PositivityLossError, UsageError
-from entroflow.fields import Grid, central_diff, constant_field, integrate, second_diff
+from entroflow.fields import Field, Grid, central_diff, integrate, second_diff
 from entroflow.p_laplace import (
     PLaplaceConfig,
     monotonicity_report,
@@ -35,6 +35,14 @@ def test_config_validation():
     assert p_star(cfg.p) == 0.5
 
 
+@pytest.mark.parametrize("u0_grid", [Grid(1, 16), Grid(2, 16)])
+def test_run_refuses_an_initial_state_off_the_configs_grid(u0_grid):
+    # neither run on the initial state's own grid nor a numpy error
+    u0 = Field(u0_grid, np.full(u0_grid.shape, 1.0))
+    with pytest.raises(ConfigError, match="not on the config's grid"):
+        run(u0, PLaplaceConfig(p=2.5, grid=Grid(1, 128), t_end=0.01))
+
+
 def test_p_star_values():
     assert p_star(2.0) == 0.5
     assert p_star(3.0) == pytest.approx(0.75)
@@ -44,7 +52,7 @@ def test_p_star_values():
 
 def test_constant_state():
     g = Grid(1, 32)
-    u = constant_field(g, 2.0)
+    u = Field(g, np.full(g.shape, 2.0))
     cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01)
     out = pl_step(u.values, cfg, g.h, 1e-6)
     assert np.array_equal(out, u.values)
@@ -177,7 +185,8 @@ def test_I_against_fine_grid():
 def test_positivity_guard():
     g = Grid(1, 32)
     with pytest.raises(PositivityLossError):
-        run(constant_field(g, 1e-9), PLaplaceConfig(p=2.0, grid=g, t_end=0.001))
+        run(Field(g, np.full(g.shape, 1e-9)),
+            PLaplaceConfig(p=2.0, grid=g, t_end=0.001))
     nan_state = initial_cosine(g).values
     nan_state[5] = np.nan
     with pytest.raises(PositivityLossError):
