@@ -9,7 +9,6 @@ from .coeff_models import (
     TabulatedModel,
     eval_ks,
     eval_primitives,
-    model_from_spec,
 )
 from .diffusion import FlowConfig, Trajectory, initial_cosine, run, stable_dt, step
 from .errors import (

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import p_laplace as pl_mod
-from .coeff_models import KSModel, model_from_spec
+from .coeff_models import FAMILIES, KSModel
 from .diffusion import FlowConfig, initial_cosine, run as run_flow
 from .errors import ConfigError, EntroflowError
 from .fields import MIN_CELLS, Grid, build_test_function, integrate
@@ -68,14 +68,12 @@ class IneqConfig:
             raise ConfigError("check must be 'both' or 'cmkm', got %r" % self.check)
 
 
-# A parsed config: the run's objects, each range-checked by its own
-# constructor; u0 is the initial Field of diffusion and p-Laplace runs.
+# A parsed config: the run's objects, range-checked by their constructors,
+# and u0, a diffusion or p-Laplace run's initial array, checked by march.
 Experiment = namedtuple("Experiment", "kind name config u0")
 
 _REQUIRED = object()
 _JSON_TYPES = {str: "a string", bool: "a boolean", dict: "an object"}
-_MODEL_KEYS = {"power_law": {"m": float}, "shifted_power_law": {"m": float},
-               "custom": {"table": str}}
 
 
 class _Section:
@@ -138,8 +136,11 @@ def parse_config(cfg):
     u0 = None
     if kind in ("diffusion", "ineq"):
         family = model.take("family", str)
-        coeff = model_from_spec(
-            {"family": family, **model.options(**_MODEL_KEYS.get(family, {}))})
+        if family not in FAMILIES:
+            raise ConfigError("model.family must be one of %s, got %r"
+                              % (sorted(FAMILIES), family))
+        build, arg = FAMILIES[family]
+        coeff = build() if arg is None else build(model.take(*arg))
     if kind == "ineq":
         config = IneqConfig(coeff, grid_, run.take("trials", int),
                             run.take("seed", int), **run.options(check=str))

@@ -7,14 +7,15 @@ Each model evaluates the primitives
     Sigma(s)  = int_1^s a(t)/sqrt(t) dt  (Fisher coordinate)
     F(s)      = int_0^s a(t) dt          (flux primitive)
 
-in closed form where one exists and by batch Gauss-Legendre quadrature
-over the whole state array otherwise; adaptive Simpson quadrature
-(``primitives_by_quadrature``) is the independent oracle for both.  Each
-takes all of a model's integrals in one pass that evaluates a(t) once per
-level.  The lower integration limit is 1 for Lambda, H, Sigma (and for
-the chemotaxis primitives G, Psi) and 0 for F; no re-normalization is
-applied.  F is defined only for models defined down to 0, so a tabulated
-model, whose first knot is positive, has none.
+in closed form where one exists and otherwise by batch Gauss-Legendre
+quadrature over the whole state array: Lambda, H and Sigma in one pass
+(``lam_entropy_sigma``), and Sigma alone for the inequality checks.  F
+exists only in closed form (the power families); ``flux_primitive`` is
+None for a model without it.  Adaptive Simpson quadrature
+(``primitives_by_quadrature``) is the independent oracle for all four.
+Each pass evaluates a(t) once per level for all of its integrals.  The
+lower integration limit is 1 for Lambda, H, Sigma (and for the chemotaxis
+primitives G, Psi) and 0 for F; no re-normalization is applied.
 
 Models are immutable after construction and safe to share across workers.
 """
@@ -53,7 +54,7 @@ def _require_positive(s):
 class CoeffModel:
     """Base class: a positive C^1 diffusion coefficient a(s) on (0, inf)."""
 
-    family = "custom"
+    flux_primitive = None  # F(s), for a model that closes it
 
     # -- coefficient -----------------------------------------------------
 
@@ -77,26 +78,19 @@ class CoeffModel:
         return y
 
     def lam(self, s):
-        return gauss_legendre(self._integrand, 1.0, _require_positive(s)[None])[0]
+        return self.lam_entropy_sigma(s)[0]
 
     def entropy_density(self, s):
-        # Integration by parts: int_1^s Lambda = s Lambda(s) - int_1^s a,
-        # which avoids nesting one quadrature inside another.
-        s = _require_positive(s)
-        lam, int_a = gauss_legendre(self._integrand, 1.0, np.stack((s, s)))
-        return s * lam - int_a
+        return self.lam_entropy_sigma(s)[1]
 
     def sigma(self, s):
         return gauss_legendre(lambda x, k: self._integrand(x, k + 2), 1.0,
                               _require_positive(s)[None])[0]
 
-    def flux_primitive(self, s):
-        # Gauss-Legendre never evaluates the end 0.
-        return gauss_legendre(lambda x, k: self._integrand(x, k + 3), 0.0,
-                              np.sqrt(_require_positive(s))[None])[0]
-
     def lam_entropy_sigma(self, s):
         """Lambda, H and Sigma at the states s, from one batch pass."""
+        # Integration by parts: int_1^s Lambda = s Lambda(s) - int_1^s a,
+        # which avoids nesting one quadrature inside another.
         s = _require_positive(s)
         lam, int_a, sigma = gauss_legendre(self._integrand, 1.0, np.stack((s, s, s)))
         return lam, s * lam - int_a, sigma
@@ -125,8 +119,6 @@ class CoeffModel:
 
 class PowerLaw(CoeffModel):
     """a(s) = m s^(m-1), m > 0 (porous-medium / fast-diffusion scale)."""
-
-    family = "power_law"
 
     def __init__(self, m):
         if m <= 0.0:
@@ -171,8 +163,6 @@ class PowerLaw(CoeffModel):
 class Linear(PowerLaw):
     """a(s) = 1: the linear heat equation, the m = 1 power law."""
 
-    family = "linear"
-
     def __init__(self):
         super().__init__(1.0)
 
@@ -182,8 +172,6 @@ class Linear(PowerLaw):
 
 class ShiftedPowerLaw(CoeffModel):
     """a(s) = m (1+s)^(m-1), m > 0: non-degenerate at s = 0."""
-
-    family = "shifted_power_law"
 
     def __init__(self, m):
         if m <= 0.0:
@@ -208,10 +196,9 @@ class TabulatedModel(CoeffModel):
     """Custom model built from a (s, a(s)) table.
 
     The coefficient is interpolated monotone-cubically.  Evaluation
-    outside the table range is a domain error.
+    outside the table range is a domain error.  A table has no F, which
+    integrates a from 0, below its first knot.
     """
-
-    family = "custom"
 
     def __init__(self, s_knots, a_knots):
         from scipy.interpolate import PchipInterpolator
@@ -278,9 +265,6 @@ class TabulatedModel(CoeffModel):
             raise ModelError("interpolated coefficient is nonpositive")
         return vals
 
-    # F integrates a from 0, below the first knot: a table has no F.
-    flux_primitive = None
-
 
 # ---------------------------------------------------------------------------
 # Spec-level operations
@@ -296,23 +280,14 @@ def eval_primitives(model, s):
                       None if F is None else float(F(s)))
 
 
-def model_from_spec(spec):
-    """Build a model from a config-file block.
-
-    Recognized keys: family in {linear, power_law, shifted_power_law,
-    custom}; ``m`` for the power families; ``table`` path for custom.
-    """
-    family = spec.get("family")
-    if family == "linear":
-        return Linear()
-    if family not in ("power_law", "shifted_power_law", "custom"):
-        raise ModelError("unknown model family %r" % (family,))
-    key = "table" if family == "custom" else "m"
-    if key not in spec:
-        raise ModelError("model family %s needs %r" % (family, key))
-    if family == "custom":
-        return TabulatedModel.from_csv(spec["table"])
-    return (PowerLaw if family == "power_law" else ShiftedPowerLaw)(spec["m"])
+# The model families a config names: family -> (builder, the one (key,
+# type) of the builder's argument, or None for a builder without one).
+FAMILIES = {
+    "linear": (Linear, None),
+    "power_law": (PowerLaw, ("m", float)),
+    "shifted_power_law": (ShiftedPowerLaw, ("m", float)),
+    "custom": (TabulatedModel.from_csv, ("table", str)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ The run contract, shared by ``run``, ``p_laplace.run`` and
   the last valid state, and the trajectory recorded so far;
 - the loop owns the snapshots: before the first step it allocates one
   (S, N) array per state field (one of S per scalar), or raises
-  ConfigError for a count no float or array holds; row k is the state
-  after step n = k * record_every, at n * dt, and an abort's trajectory
-  is the rows recorded before the failing step;
+  ConfigError for a count no float or array holds (a stable step of 0
+  included); row k is the state after step n = k * record_every, at
+  n * dt, and an abort's trajectory is the rows recorded before the
+  failing step;
 - the run owns its buffers: it allocates its face- and cell-sized
   arrays once (``RunBuffers``), shares them with no other run, and its
   stencil writes into them every step.  A stencil writes the next state
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import (ConfigError, ModelError, PositivityLossError, RunAbort,
                      StabilityError, UsageError)
-from .fields import Field, Grid
+from .fields import Grid
 from .meters import measure_trajectory
 
 DEFAULT_SAFETY = 0.4
@@ -156,9 +157,10 @@ def march(state, config, guard, advance):
         raise PositivityLossError("initial state below floor", last_time=0.0)
     dt0 = guard(state, config.safety)
     block = config.record_every
-    blocks = config.t_end / (dt0 * block)
+    blocks = config.t_end / (dt0 * block) if dt0 > 0.0 else math.inf
     if not math.isfinite(blocks):
-        raise ConfigError("t_end = %g is not a finite number of steps" % config.t_end)
+        raise ConfigError("t_end = %g is not a finite number of steps of %g"
+                          % (config.t_end, dt0))
     n_steps = block * max(1, math.ceil(blocks))
     dt = config.t_end / n_steps
     try:
@@ -265,29 +267,26 @@ def step(u, model, h, dt, buf=None):
 
 
 def run(u0, config):
-    """Guarded explicit run to t_end with uniformly spaced snapshots,
-    returned measured by ``meters.measure_trajectory``."""
+    """Guarded explicit run from the array ``u0`` to t_end, checked by
+    ``march`` (a non-finite value ends in its floor check, the guard or the
+    first step); returned measured by ``meters.measure_trajectory``."""
     model, h = config.model, config.grid.h
     buf = RunBuffers(config.grid.cells, faces=2)
-    traj = march((u0.values,), config,
+    traj = march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s, safety: stable_dt(s[0], model, h, safety),
                  advance=lambda s, dt: (step(s[0], model, h, dt, buf),))
     measure_trajectory(traj, model)
     return traj
 
 
-def cosine_values(grid, mean=1.0, amplitude=0.5, mode=1):
-    """mean * (1 + amplitude cos(mode pi x)) at the cell centers, mass-exact.
+def initial_cosine(grid, mean=1.0, amplitude=0.5, mode=1):
+    """The preset initial datum: mean * (1 + amplitude cos(mode pi x)) at
+    the cell centers, as an array, mass-exact.
 
     The discrete midpoint sum of cos(k pi x) over symmetric cell centers
     vanishes, so the discrete mass equals ``mean`` exactly.
     """
-    x = grid.axis_centers()
-    vals = 1.0 + amplitude * np.cos(mode * np.pi * x)
+    vals = grid.full(1.0)
+    vals += amplitude * np.cos(mode * np.pi * grid.axis_centers())
     vals *= mean / (np.mean(vals))
     return vals
-
-
-def initial_cosine(grid, mean=1.0, amplitude=0.5, mode=1):
-    """The preset initial datum, ``cosine_values`` as a Field."""
-    return Field(grid, cosine_values(grid, mean, amplitude, mode))

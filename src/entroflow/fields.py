@@ -11,10 +11,12 @@ flips sign; with that pairing the discrete summation-by-parts identity
 holds bit-exactly, which is what every integration-by-parts based check
 in this package relies on.
 
-A ``Field`` is a validated scalar on a grid: a run's initial data and
-sampled test functions.  The calculus acts on raw arrays: the
-stencils difference them, and ``integrate(values, h)`` is the one
-midpoint rule behind every integral the package reports; with
+A ``Field`` is a validated scalar on a grid: a sampled test function,
+the nD input of the inequality checks.  A flow's initial state is a raw
+array: ``diffusion.march``'s floor check, its guard and the first step
+refuse a non-finite value (the run contract there).  The calculus acts
+on raw arrays: the stencils difference them, and ``integrate(values, h)``
+is the one midpoint rule behind every integral the package reports; with
 ``rows=True`` it integrates each row of a run's (S, N) snapshot array.
 
 Finiteness has one rule: a ``Field`` refuses non-finite values, and each
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConfigError, ConstructionError, DomainError
 
 MIN_CELLS = 8
 
@@ -62,6 +64,14 @@ class Grid:
     @property
     def shape(self):
         return (self.cells,) * self.dim
+
+    def full(self, value):
+        """np.full on the grid; a grid numpy cannot hold is a ConfigError."""
+        try:
+            return np.full(self.shape, value)
+        except (MemoryError, ValueError):
+            raise ConfigError("cannot hold a grid of %d^%d cells"
+                              % (self.cells, self.dim)) from None
 
     def axis_centers(self):
         return (np.arange(self.cells) + 0.5) * self.h
@@ -324,8 +334,8 @@ def build_test_function(grid, spec):
         raise ConstructionError(
             "spec has %d axes, grid has %d" % (len(spec.cosine_coeffs), grid.dim)
         )
+    vals = grid.full(spec.offset)
     x = grid.axis_centers()
-    vals = np.full(grid.shape, spec.offset)
     for ax, coeffs in enumerate(spec.cosine_coeffs):
         axis_vals = np.zeros(grid.cells)
         for k, a_k in enumerate(coeffs, start=1):
@@ -336,9 +346,9 @@ def build_test_function(grid, spec):
     return Field(grid, vals)
 
 
-def require_positive_field(f, floor=0.0):
-    """Raise DomainError unless f > floor everywhere; returns min f."""
+def require_positive_field(f):
+    """Raise DomainError unless f > 0 everywhere; returns min f."""
     lo = f.min()
-    if lo <= floor:
-        raise DomainError("field must be positive (min %g, floor %g)" % (lo, floor))
+    if lo <= 0.0:
+        raise DomainError("field must be positive (min %g)" % lo)
     return lo

@@ -240,10 +240,10 @@ def cmkm_ratio(f):
     return num / den
 
 
-def sample_spec(rng, dim, max_modes=4):
-    """Draw one positive cosine spec; total coefficient mass <= 0.9 c0."""
+def sample_spec(rng, dim):
+    """One positive cosine spec: 1-4 modes per axis, coefficient mass <= 0.9 c0."""
     c0 = float(rng.uniform(1.0, 5.0))
-    modes = [int(rng.integers(1, max_modes + 1)) for _ in range(dim)]
+    modes = [int(rng.integers(1, 5)) for _ in range(dim)]
     total = sum(modes)
     bound = 0.9 * c0 / total
     coeffs = tuple(
@@ -252,7 +252,7 @@ def sample_spec(rng, dim, max_modes=4):
     return TestFunctionSpec(offset=c0, cosine_coeffs=coeffs)
 
 
-def worst_ratio_search(n, model, trials, seed, cells=64, tol=None):
+def worst_ratio_search(n, model, trials, seed, cells=64):
     """Seeded sampling of test functions; reports the worst observed ratios.
 
     Deterministic for a given (seed, grid, model): trial index, not
@@ -265,8 +265,7 @@ def worst_ratio_search(n, model, trials, seed, cells=64, tol=None):
     if trials < 1:
         raise UsageError("need at least one trial")
     grid = Grid(dim=n, cells=cells)
-    if tol is None:
-        tol = default_tol(grid)
+    tol = default_tol(grid)
     rng = np.random.default_rng(seed)
     max_b = -math.inf
     max_f = -math.inf

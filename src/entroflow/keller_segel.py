@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeff_models import KSModel
 from .diffusion import (DEFAULT_SAFETY, RunBuffers, check_run_contract,
-                        conservative_step, cosine_values, march)
+                        conservative_step, initial_cosine, march)
 from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from .fields import Grid, by_row_blocks, central_diff, integrate, second_diff
 
@@ -41,7 +41,6 @@ class KSConfig:
     mass: float = 1.0
     amplitude: float = 0.5
     safety: float = DEFAULT_SAFETY
-    ceiling: float = DEFAULT_CEILING
     record_every: int = 1
     strict: bool = False
 
@@ -154,8 +153,8 @@ def ks_step(u, v, model, h, dt, buf=None):
 def cosine_initial_state(grid, mass, amplitude=0.5):
     """Preset (u0, v0): u0 = M (1 + amplitude cos(pi x)) / normalizer and
     v0 = M, as arrays."""
-    return (cosine_values(grid, mean=mass, amplitude=amplitude),
-            np.full(grid.shape, float(mass)))
+    return (initial_cosine(grid, mean=mass, amplitude=amplitude),
+            grid.full(float(mass)))
 
 
 def run_ks(config):
@@ -164,7 +163,7 @@ def run_ks(config):
     The run contract is that of ``diffusion.march``: aborts raise
     PositivityLossError / StabilityError (the numerical blow-up
     indicators) carrying the trajectory built so far; after each step,
-    a density above ``config.ceiling`` is a StabilityError.  The
+    a density above ``DEFAULT_CEILING`` is a StabilityError.  The
     trajectory's ``vt_accum`` holds the accumulated int_0^t int |v_t|^2
     at each snapshot.  It is returned measured by ``measure_monitors``.
     """
@@ -177,7 +176,7 @@ def run_ks(config):
     def advance(s, dt):
         u, v, acc = s
         u, v, vt = ks_step(u, v, model, h, dt, buf)
-        if np.maximum.reduce(u) > config.ceiling:
+        if np.maximum.reduce(u) > DEFAULT_CEILING:
             raise StabilityError("density exceeded the blow-up suspicion ceiling")
         # dt times int |v_t|^2 by fields.integrate's midpoint rule, written
         # out: this runs every step, and the call costs as much as the sum

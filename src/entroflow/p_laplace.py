@@ -93,11 +93,12 @@ def pl_step(u, config, h, dt, buf=None):
 
 
 def run(u0, config):
-    """Guarded run; the run contract is that of ``diffusion.march``, and
-    the trajectory is returned measured by ``measure_trajectory``."""
+    """Guarded run from the density array ``u0``; the run contract,
+    checks of ``u0`` included, is that of ``diffusion.march``, and the
+    trajectory is returned measured by ``measure_trajectory``."""
     h = config.grid.h
     buf = RunBuffers(config.grid.cells, faces=2)
-    traj = march((u0.values,), config,
+    traj = march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety),
                  advance=lambda s, dt: (pl_step(s[0], config, h, dt, buf),))
     measure_trajectory(traj, config.p, config.delta)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -389,6 +390,64 @@ def test_unholdable_t_end_exits_3_with_a_summary(kind, model, summary_file, t_en
     assert summary["last_time"] is None
 
 
+# Configs the parse accepts and the run refuses before its first step or
+# trial: a stable step of 0 (at mean 1e306 the p-Laplace face coefficient
+# overflows to inf), and grids numpy refuses before allocating
+_UNRUNNABLE = [
+    ("plaplace", {"p": 3.0}, {"cells": 128}, {"t_end": 0.01, "mean": 1e306},
+     "pl_summary.json", "finite number of steps of 0"),
+    ("ks", {"p": 2.0, "q": 1.0}, {"cells": 10**19}, {"t_end": 0.1},
+     "ks_summary.json", "cannot hold"),
+    ("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
+     {"trials": 1, "seed": 1}, "summary.json", "cannot hold"),
+    ("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
+     {"trials": 1, "seed": 1, "check": "cmkm"}, "summary.json", "cannot hold"),
+]
+
+
+@pytest.mark.parametrize("kind, model, grid, run, summary_file, message", _UNRUNNABLE)
+def test_unrunnable_config_exits_3_with_a_summary(kind, model, grid, run, summary_file,
+                                                  message, outdir, tmp_path):
+    cfg = {"name": "unrunnable", "kind": kind, "model": model, "grid": grid,
+           "run": run}
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_NUMERICS
+    summary = json.loads((outdir / "unrunnable" / summary_file).read_text())
+    assert summary["termination"] == "ConfigError"
+    assert message in summary["message"]
+    assert summary["last_time"] is None
+
+
+def test_out_of_memory_grid_exits_3_with_a_summary(monkeypatch, outdir, tmp_path):
+    # numpy's MemoryError for a grid it tries and fails to allocate
+    def no_memory(*args, **kwargs):
+        raise MemoryError("no memory for the test")
+
+    cfg = {"name": "no_memory", "kind": "ineq", "model": {"family": "linear"},
+           "grid": {"dim": 3, "cells": 16}, "run": {"trials": 1, "seed": 1}}
+    monkeypatch.setattr(np, "full", no_memory)
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_NUMERICS
+    summary = json.loads((outdir / "no_memory" / "summary.json").read_text())
+    assert summary["termination"] == "ConfigError"
+    assert "cannot hold a grid of 16^3 cells" in summary["message"]
+
+
+@pytest.mark.parametrize("model, built", [
+    ({"family": "linear"}, "Linear()"),
+    ({"family": "power_law", "m": 3.0}, "PowerLaw(m=3)"),
+    ({"family": "shifted_power_law", "m": 2.0}, "ShiftedPowerLaw(m=2)"),
+    ({"family": "custom", "table": "high.csv"}, "TabulatedModel(4 knots on [2, 5])"),
+])
+def test_parse_config_builds_each_family(model, built, tmp_path):
+    (tmp_path / "high.csv").write_text("s,a\n2,1\n3,1\n4,1\n5,1\n")
+    if "table" in model:
+        model = dict(model, table=str(tmp_path / model["table"]))
+    for kind, run in (("diffusion", {"t_end": 0.01}),
+                      ("ineq", {"trials": 1, "seed": 1})):
+        cfg = {"name": "x", "kind": kind, "model": model, "grid": {"cells": 16},
+               "run": run}
+        assert repr(parse_config(cfg).config.model) == built
+
+
 def test_plaplace_zero_delta_is_config_error(outdir, tmp_path):
     cfg = {
         "name": "flat",
@@ -452,7 +511,16 @@ _PROBES = [
     ("plaplace_mono", {"run.record_every": 5}, EXIT_NUMERICS),
     ("heat_sanity", {"model.family": "custom", "model.table": "high.csv"},
      EXIT_NUMERICS),
+    ("heat_sanity", {"model.family": "mystery"}, EXIT_CONFIG),
+    ("bernis_n1", {"model.family": "custom"}, EXIT_CONFIG),
+    # initial data on a grid numpy refuses: refused in the parse
+    ("heat_sanity", {"grid.cells": 10**19}, EXIT_CONFIG),
+    ("plaplace_mono", {"grid.cells": 10**19}, EXIT_CONFIG),
 ]
+# the rows whose config error names the key at fault, and that key
+_NAMED_KEYS = [({"model.family": "power_law"}, "model.m"),
+               ({"model.family": "mystery"}, "model.family"),
+               ({"model.family": "custom"}, "model.table")]
 
 
 def _probe_config(preset, edits, tmp_path):
@@ -467,13 +535,17 @@ def _probe_config(preset, edits, tmp_path):
 
 
 @pytest.mark.parametrize("preset, edits, code", _PROBES)
-def test_validate_and_run_agree(preset, edits, code, outdir, tmp_path):
+def test_validate_and_run_agree(preset, edits, code, outdir, tmp_path, capsys):
     (tmp_path / "high.csv").write_text("s,a\n2,1\n3,1\n4,1\n5,1\n")
     path = _write(tmp_path, _probe_config(preset, edits, tmp_path))
     assert main(["validate", path]) == (code if code == EXIT_CONFIG else EXIT_PASS)
     assert main(["run", path]) == code
     if code == EXIT_CONFIG:
         assert not outdir.exists()
+        err = capsys.readouterr().err
+        for named_edits, key in _NAMED_KEYS:
+            if edits == named_edits:
+                assert err.count("config error: %s " % key) == 2
         return
     (summary_file,) = (outdir / preset).glob("*summary.json")
     summary = json.loads(summary_file.read_text())
@@ -562,9 +634,9 @@ def test_preset_step_counts(name):
 
     kind, _, cfg, u0 = parse_config(preset_config(name))
     if kind == "diffusion":
-        dts = [stable_dt(u0.values, cfg.model, u0.grid.h, cfg.safety)]
+        dts = [stable_dt(u0, cfg.model, cfg.grid.h, cfg.safety)]
     elif kind == "plaplace":
-        dts = [pl_stable_dt(u0.values, cfg, u0.grid.h)]
+        dts = [pl_stable_dt(u0, cfg, cfg.grid.h)]
     else:
         dts = []
         for cells in (cfg.grid.cells, cfg.grid.cells // 2):

@@ -18,7 +18,6 @@ from entroflow.coeff_models import (
     TabulatedModel,
     eval_ks,
     eval_primitives,
-    model_from_spec,
 )
 from entroflow.diffusion import initial_cosine, stable_dt, step
 from entroflow.errors import DomainError, ModelError
@@ -288,31 +287,8 @@ def test_linear_is_the_m1_power_law_bit_for_bit():
         got, want = getattr(linear, name)(states), getattr(power, name)(states)
         assert np.array_equal(got, want), name
     g = Grid(1, 64)
-    u = initial_cosine(g).values
+    u = initial_cosine(g)
     dt = stable_dt(u, linear, g.h)
     assert dt == stable_dt(u, power, g.h)
     assert np.array_equal(step(u, linear, g.h, dt), step(u, power, g.h, dt))
-    assert (linear.family, repr(linear)) == ("linear", "Linear()")
-    assert (power.family, repr(power)) == ("power_law", "PowerLaw(m=1)")
-    from_spec = model_from_spec({"family": "linear"})
-    assert (from_spec.family, repr(from_spec)) == ("linear", "Linear()")
-
-
-def test_model_from_spec():
-    assert isinstance(model_from_spec({"family": "linear"}), Linear)
-    m = model_from_spec({"family": "power_law", "m": 3.0})
-    assert isinstance(m, PowerLaw) and m.m == 3.0
-    assert isinstance(
-        model_from_spec({"family": "shifted_power_law", "m": 2.0}), ShiftedPowerLaw
-    )
-    with pytest.raises(ModelError):
-        model_from_spec({"family": "mystery"})
-
-
-def test_model_from_spec_missing_parameter_or_table(tmp_path):
-    with pytest.raises(ModelError):
-        model_from_spec({"family": "power_law"})
-    with pytest.raises(ModelError):
-        model_from_spec({"family": "custom"})
-    with pytest.raises(ModelError):
-        model_from_spec({"family": "custom", "table": str(tmp_path / "none.csv")})
+    assert (repr(linear), repr(power)) == ("Linear()", "PowerLaw(m=1)")

@@ -17,12 +17,13 @@ from entroflow.diffusion import (
 )
 from entroflow.errors import (
     ConfigError,
+    EntroflowError,
     PositivityLossError,
     RunAbort,
     StabilityError,
     UsageError,
 )
-from entroflow.fields import Field, Grid, integrate
+from entroflow.fields import Grid, integrate
 from entroflow.keller_segel import (
     KSConfig,
     cosine_initial_state,
@@ -52,7 +53,7 @@ def test_config_validation():
 @pytest.mark.parametrize("u0_grid", [Grid(1, 16), Grid(2, 16)])
 def test_run_refuses_an_initial_state_off_the_configs_grid(u0_grid):
     # neither run on the initial state's own grid nor a numpy error
-    u0 = Field(u0_grid, np.full(u0_grid.shape, 1.0))
+    u0 = np.full(u0_grid.shape, 1.0)
     with pytest.raises(ConfigError, match="not on the config's grid"):
         run(u0, FlowConfig(Linear(), Grid(1, 128), t_end=0.01))
 
@@ -60,18 +61,18 @@ def test_run_refuses_an_initial_state_off_the_configs_grid(u0_grid):
 def test_stable_dt_anchor():
     # a(3) = 6 for the m=2 power law, so dt = safety h^2 / 12
     g = Grid(1, 64)
-    u = Field(g, np.full(g.shape, 3.0))
-    assert stable_dt(u.values, PowerLaw(2.0), g.h, 0.4) == pytest.approx(
+    u = np.full(g.shape, 3.0)
+    assert stable_dt(u, PowerLaw(2.0), g.h, 0.4) == pytest.approx(
         0.4 * g.h**2 / 12.0
     )
-    assert stable_dt(u.values, Linear(), g.h, 1.0) == pytest.approx(g.h**2 / 2.0)
+    assert stable_dt(u, Linear(), g.h, 1.0) == pytest.approx(g.h**2 / 2.0)
 
 
 def test_constant_state_fixed_point():
     g = Grid(1, 32)
-    u = Field(g, np.full(g.shape, 2.0))
-    out = step(u.values, PowerLaw(2.0), g.h, 1e-5)
-    assert np.array_equal(out, u.values)
+    u = np.full(g.shape, 2.0)
+    out = step(u, PowerLaw(2.0), g.h, 1e-5)
+    assert np.array_equal(out, u)
 
 
 def test_mass_conserved_exactly():
@@ -96,7 +97,7 @@ def test_comparison_principle():
     # the explicit scheme is monotone under the stability bound
     g = Grid(1, 48)
     lo = initial_cosine(g, mean=1.0, amplitude=0.3)
-    hi = Field(g, lo.values + 0.2)
+    hi = lo + 0.2
     cfg = FlowConfig(Linear(), g, t_end=0.02, record_every=100)
     tl = run(lo, cfg)
     th = run(hi, cfg)
@@ -129,18 +130,18 @@ def test_instability_oracle():
     u0 = initial_cosine(g)
     dt_crit = g.h**2 / 2.0
 
-    u = u0.values
+    u = u0
     for _ in range(100):
         u = step(u, Linear(), g.h, 0.9 * dt_crit)
     assert u.max() < 2.0
 
-    before = u0.values.copy()
+    before = u0.copy()
     with pytest.raises(StabilityError, match="stability bound"):
-        step(u0.values, Linear(), g.h, 1.5 * dt_crit)
-    assert np.array_equal(u0.values, before)
+        step(u0, Linear(), g.h, 1.5 * dt_crit)
+    assert np.array_equal(u0, before)
 
     # the same update with the unit face coefficient and an infinite bound
-    u = u0.values.copy()
+    u = u0.copy()
     with pytest.raises(PositivityLossError):
         for _ in range(100):
             u = conservative_step(u, np.diff(u) / g.h, np.inf, 1.5 * dt_crit,
@@ -162,16 +163,34 @@ def test_run_rechecks_stability():
 
 def test_positivity_guard():
     g = Grid(1, 32)
-    low = Field(g, np.full(g.shape, 1e-9))
+    low = np.full(g.shape, 1e-9)
     with pytest.raises(PositivityLossError) as info:
         run(low, FlowConfig(Linear(), g, t_end=0.001))
     assert isinstance(info.value, RunAbort)
     assert info.value.last_time == 0.0
     # a non-finite state is a positivity abort, not a construction error
-    nan_state = initial_cosine(g).values
+    nan_state = initial_cosine(g)
     nan_state[5] = np.nan
     with pytest.raises(PositivityLossError):
         step(nan_state, Linear(), g.h, 1e-5)
+
+
+@pytest.mark.parametrize("flow", ["linear", "power_law_2", "p_laplace_3"])
+def test_an_infinite_cell_in_a_raw_initial_state_is_refused(flow):
+    # u0 is a raw array: the floor check passes an infinite cell, and the
+    # guard or the first step refuses it
+    g = Grid(1, 32)
+    u0 = initial_cosine(g)
+    u0[5] = np.inf
+    go = {
+        "linear": lambda: run(u0, FlowConfig(Linear(), g, t_end=0.001)),
+        "power_law_2": lambda: run(u0, FlowConfig(PowerLaw(2.0), g, t_end=0.001)),
+        "p_laplace_3": lambda: p_laplace.run(
+            u0, PLaplaceConfig(p=3.0, grid=g, t_end=0.001)),
+    }[flow]
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(EntroflowError):
+        go()
 
 
 def test_stability_error_carries_partial_trajectory():
@@ -191,13 +210,13 @@ def test_stability_error_carries_partial_trajectory():
         return stable_dt(state[0], Linear(), g.h, safety)
 
     with pytest.raises(StabilityError, match="stability bound") as info:
-        march((u0.values.copy(),), cfg, guard, advance)
+        march((u0.copy(),), cfg, guard, advance)
     (dt,) = steps
     assert info.value.last_time == dt
     traj = info.value.trajectory
     assert traj.times.tolist() == [0.0, dt]
     assert len(traj.u) == 2 and traj.meters is None
-    assert np.array_equal(traj.u[0], u0.values)
+    assert np.array_equal(traj.u[0], u0)
     assert traj.dt == dt
 
 
@@ -215,7 +234,7 @@ def test_snapshot_contract():
 def test_initial_cosine_mass_exact():
     g = Grid(1, 64)
     u = initial_cosine(g, mean=2.0, amplitude=0.4, mode=3)
-    assert integrate(u.values, g.h) == pytest.approx(2.0, abs=1e-13)
+    assert integrate(u, g.h) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_trajectory_validation():
@@ -242,7 +261,7 @@ def test_residuals_refuse_a_trajectory_without_the_runs_meters():
     # meters a run attached, and refuses a hand-built trajectory
     g = Grid(1, 32)
     times = [0.0, 1e-3, 2e-3]
-    flat = Trajectory(times, 1e-3, np.tile(initial_cosine(g).values, (3, 1)))
+    flat = Trajectory(times, 1e-3, np.tile(initial_cosine(g), (3, 1)))
     u, v = cosine_initial_state(g, mass=2.0)
     ks = Trajectory(times, 1e-3, np.tile(u, (3, 1)), np.tile(v, (3, 1)),
                     np.zeros(3))
@@ -273,8 +292,7 @@ def test_residuals_refuse_a_trajectory_without_the_runs_meters():
 
 def _unbuffered_run(u0, cfg):
     """(dt, recorded arrays) of the loop ``run`` makes, without buffers."""
-    h, block = u0.grid.h, cfg.record_every
-    u = u0.values
+    h, block, u = cfg.grid.h, cfg.record_every, u0
     dt0 = stable_dt(u, cfg.model, h, cfg.safety)
     n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
     dt = cfg.t_end / n_steps
@@ -303,13 +321,13 @@ def test_run_equals_unbuffered_stencil_loop(model):
 def test_run_buffers_stay_private(spy_buffers):
     g = Grid(1, 16)
     u0 = initial_cosine(g)
-    before = u0.values.copy()
+    before = u0.copy()
     cfg = FlowConfig(PowerLaw(2.0), g, t_end=0.01, record_every=5)
     live = spy_buffers(diffusion, "step")
     traj = run(u0, cfg)
-    assert np.array_equal(u0.values, before)
+    assert np.array_equal(u0, before)
     assert len(live) >= 4  # two face arrays and both state slots
-    assert not np.shares_memory(traj.u, u0.values)
+    assert not np.shares_memory(traj.u, u0)
     assert not any(np.shares_memory(traj.u, b) for b in live.values())
 
 
@@ -336,7 +354,7 @@ def _bound_case(flow):
     bound the same formula gives at cell values, which differs."""
     g = Grid(1, 32)
     h, x = g.h, g.axis_centers()
-    u = initial_cosine(g).values
+    u = initial_cosine(g)
     if flow == "diffusion":
         model = PowerLaw(2.0)
         return (stable_dt(u, model, h, 1.0), lambda dt: step(u, model, h, dt),
@@ -427,7 +445,7 @@ def test_positivity_abort_keeps_the_rows_before_the_failing_step():
         return stable_dt(state[0], Linear(), g.h, safety)
 
     with pytest.raises(PositivityLossError) as info:
-        march((u0.values,), cfg, guard, advance)
+        march((u0,), cfg, guard, advance)
     traj, block, failing = info.value.trajectory, cfg.record_every, len(steps) + 1
     dt = traj.dt
     assert failing > 3 * block and failing * dt < cfg.t_end
@@ -435,4 +453,4 @@ def test_positivity_abort_keeps_the_rows_before_the_failing_step():
     assert traj.meters is None
     kept = range(block, failing, block)
     assert traj.times.tolist() == [k * dt for k in range(0, failing, block)]
-    assert np.array_equal(traj.u, np.stack([u0.values] + [steps[k - 1] for k in kept]))
+    assert np.array_equal(traj.u, np.stack([u0] + [steps[k - 1] for k in kept]))

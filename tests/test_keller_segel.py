@@ -120,9 +120,10 @@ def test_stable_dt_guards():
     )
 
 
-def test_ceiling_abort_carries_trajectory():
+def test_ceiling_abort_carries_trajectory(monkeypatch):
     g = Grid(1, 32)
-    cfg = KSConfig(P21, g, t_end=0.01, mass=2.0, ceiling=1.5, record_every=10)
+    monkeypatch.setattr(keller_segel, "DEFAULT_CEILING", 1.5)
+    cfg = KSConfig(P21, g, t_end=0.01, mass=2.0, record_every=10)
     with pytest.raises(StabilityError, match="ceiling") as info:
         run_ks(cfg)
     assert info.value.trajectory is not None
@@ -384,7 +385,8 @@ def test_ceiling_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
     # time before the failing step and, unmeasured, exactly the snapshots
     # recorded before it
     g = Grid(1, 32)
-    cfg = KSConfig(P10, g, t_end=0.05, mass=20.0, ceiling=31.0, record_every=10)
+    monkeypatch.setattr(keller_segel, "DEFAULT_CEILING", 31.0)
+    cfg = KSConfig(P10, g, t_end=0.05, mass=20.0, record_every=10)
     steps = []
     original = keller_segel.ks_step
 
@@ -399,8 +401,8 @@ def test_ceiling_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
         run_ks(cfg)
     traj, block, failing = info.value.trajectory, cfg.record_every, len(steps)
     dt = traj.dt
-    assert steps[-1][0].max() > cfg.ceiling
-    assert all(u.max() <= cfg.ceiling for u, _, _ in steps[:-1])
+    assert steps[-1][0].max() > 31.0
+    assert all(u.max() <= 31.0 for u, _, _ in steps[:-1])
     assert failing > 3 * block
     assert info.value.last_time == (failing - 1) * dt
     assert traj.meters is None

@@ -93,7 +93,7 @@ def test_identity_residuals_preconditions():
     model = Linear()
     u0 = initial_cosine(g)
     # only first and last snapshot recorded
-    traj = Trajectory([0.0, 0.001], 0.001, np.stack((u0.values, u0.values)))
+    traj = Trajectory([0.0, 0.001], 0.001, np.stack((u0, u0)))
     measure_trajectory(traj, model)
     with pytest.raises(UsageError):
         identity_residuals(traj)

@@ -7,7 +7,7 @@ from entroflow import fields, p_laplace
 from entroflow.coeff_models import Linear
 from entroflow.diffusion import FlowConfig, Trajectory, initial_cosine, run as run_heat
 from entroflow.errors import ConfigError, PositivityLossError, UsageError
-from entroflow.fields import Field, Grid, central_diff, integrate, second_diff
+from entroflow.fields import Grid, central_diff, integrate, second_diff
 from entroflow.p_laplace import (
     PLaplaceConfig,
     monotonicity_report,
@@ -38,7 +38,7 @@ def test_config_validation():
 @pytest.mark.parametrize("u0_grid", [Grid(1, 16), Grid(2, 16)])
 def test_run_refuses_an_initial_state_off_the_configs_grid(u0_grid):
     # neither run on the initial state's own grid nor a numpy error
-    u0 = Field(u0_grid, np.full(u0_grid.shape, 1.0))
+    u0 = np.full(u0_grid.shape, 1.0)
     with pytest.raises(ConfigError, match="not on the config's grid"):
         run(u0, PLaplaceConfig(p=2.5, grid=Grid(1, 128), t_end=0.01))
 
@@ -52,10 +52,10 @@ def test_p_star_values():
 
 def test_constant_state():
     g = Grid(1, 32)
-    u = Field(g, np.full(g.shape, 2.0))
+    u = np.full(g.shape, 2.0)
     cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01)
-    out = pl_step(u.values, cfg, g.h, 1e-6)
-    assert np.array_equal(out, u.values)
+    out = pl_step(u, cfg, g.h, 1e-6)
+    assert np.array_equal(out, u)
     traj = run(u, cfg)
     assert np.all(traj.meters.I == 0.0)
     rep = monotonicity_report(traj, cfg)
@@ -185,9 +185,9 @@ def test_I_against_fine_grid():
 def test_positivity_guard():
     g = Grid(1, 32)
     with pytest.raises(PositivityLossError):
-        run(Field(g, np.full(g.shape, 1e-9)),
+        run(np.full(g.shape, 1e-9),
             PLaplaceConfig(p=2.0, grid=g, t_end=0.001))
-    nan_state = initial_cosine(g).values
+    nan_state = initial_cosine(g)
     nan_state[5] = np.nan
     with pytest.raises(PositivityLossError):
         pl_step(nan_state, PLaplaceConfig(p=3.0, grid=g, t_end=0.001), g.h, 1e-6)
@@ -196,7 +196,7 @@ def test_positivity_guard():
 def test_tolerance_budgets_delta():
     g = Grid(1, 32)
     u = initial_cosine(g)
-    traj = Trajectory([0.0, 1e-4], 1e-4, np.stack((u.values, u.values)))
+    traj = Trajectory([0.0, 1e-4], 1e-4, np.stack((u, u)))
     for p, bias in ((3.0, 1e-6), (1.8, 1e-6**0.8)):
         p_laplace.measure_trajectory(traj, p)
         rep = monotonicity_report(traj, PLaplaceConfig(p=p, grid=g, t_end=1e-4))
@@ -208,8 +208,8 @@ def test_stable_dt_uses_face_gradients():
     g = Grid(1, 64)
     u = initial_cosine(g)
     cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01)
-    dt = pl_stable_dt(u.values, cfg, g.h)
-    du = np.diff(u.values) / g.h
+    dt = pl_stable_dt(u, cfg, g.h)
+    du = np.diff(u) / g.h
     coeff = (du**2 + cfg.delta**2) ** 0.5
     assert dt == pytest.approx(cfg.safety * g.h**2 / (2.0 * coeff.max()))
 
@@ -221,8 +221,7 @@ def test_stable_dt_uses_face_gradients():
 
 def _unbuffered_run(u0, cfg):
     """(dt, recorded arrays) of the loop ``run`` makes, without buffers."""
-    h, block = u0.grid.h, cfg.record_every
-    u = u0.values
+    h, block, u = cfg.grid.h, cfg.record_every, u0
     dt0 = pl_stable_dt(u, cfg, h)
     n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
     dt = cfg.t_end / n_steps
@@ -251,13 +250,13 @@ def test_run_equals_unbuffered_stencil_loop(p):
 def test_run_buffers_stay_private(spy_buffers):
     g = Grid(1, 16)
     u0 = initial_cosine(g)
-    before = u0.values.copy()
+    before = u0.copy()
     cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01, record_every=5)
     live = spy_buffers(p_laplace, "pl_step")
     traj = run(u0, cfg)
-    assert np.array_equal(u0.values, before)
+    assert np.array_equal(u0, before)
     assert len(live) >= 4  # two face arrays and both state slots
-    assert not np.shares_memory(traj.u, u0.values)
+    assert not np.shares_memory(traj.u, u0)
     assert not any(np.shares_memory(traj.u, b) for b in live.values())
 
 

@@ -12,6 +12,14 @@ lists are equal:
 ``src`` next to this script).  ``--expect FILE`` compares the run with a
 saved list instead of printing it: it prints one line per file whose
 digest differs or that only one side has, and exits 1 if there is any.
+
+The list of the current outputs is kept next to this script, so
+
+    python tools/preset_digests.py --expect tools/preset_digests.sha256
+
+checks byte-identity without a second checkout.  A change that alters
+outputs on purpose regenerates it (``python tools/preset_digests.py >
+tools/preset_digests.sha256``) and says so.
 """
 
 import argparse
