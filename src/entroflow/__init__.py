@@ -40,13 +40,9 @@ from .inequalities import (
     fisher_ineq_check,
     worst_ratio_search,
 )
-from .keller_segel import (
-    KSConfig,
-    classical_lyapunov,
-    run_ks,
-)
+from .keller_segel import classical_lyapunov, run_ks
 from .meters import identity_residuals, measure, measure_trajectory
-from .p_laplace import PLaplaceConfig, p_star
+from .p_laplace import PLaplaceModel, p_star
 from .quadrature import adaptive_simpson
 
 __version__ = "0.1.0"

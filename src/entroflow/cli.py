@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,10 @@ from .errors import ConfigError, EntroflowError
 from .fields import MIN_CELLS, Grid, build_test_function, integrate
 from .inequalities import cmkm_ratio, sample_spec, worst_ratio_search
 from .keller_segel import (
-    KSConfig,
+    cosine_initial_state,
     lp_inequality_residuals,
     lyapunov_identity_residual,
+    require_strict_hypotheses,
     run_ks,
     s1_functional_identity,
 )
@@ -68,9 +69,9 @@ class IneqConfig:
             raise ConfigError("check must be 'both' or 'cmkm', got %r" % self.check)
 
 
-# A parsed config: the run's objects, range-checked by their constructors,
-# and u0, a diffusion or p-Laplace run's initial array, checked by march.
-Experiment = namedtuple("Experiment", "kind name config u0")
+# A parsed config: the run's objects, range-checked by their constructors, and
+# state0, a flow's initial arrays (u0,) or (u0, v0), checked by march, or None.
+Experiment = namedtuple("Experiment", "kind name config state0")
 
 _REQUIRED = object()
 _JSON_TYPES = {str: "a string", bool: "a boolean", dict: "an object"}
@@ -133,35 +134,37 @@ def parse_config(cfg):
     )
     top.done()
     grid_ = Grid(dim=grid.take("dim", int, 1), cells=grid.take("cells", int))
-    u0 = None
+    state0 = None
     if kind in ("diffusion", "ineq"):
         family = model.take("family", str)
         if family not in FAMILIES:
             raise ConfigError("model.family must be one of %s, got %r"
                               % (sorted(FAMILIES), family))
         build, arg = FAMILIES[family]
-        coeff = build() if arg is None else build(model.take(*arg))
+        flow_model = build() if arg is None else build(model.take(*arg))
+    elif kind == "ks":
+        flow_model = KSModel(model.take("p", float), model.take("q", float))
+    else:
+        flow_model = pl_mod.PLaplaceModel(model.take("p", float),
+                                          **model.options(delta=float))
     if kind == "ineq":
-        config = IneqConfig(coeff, grid_, run.take("trials", int),
+        config = IneqConfig(flow_model, grid_, run.take("trials", int),
                             run.take("seed", int), **run.options(check=str))
     else:
-        stepping = {"t_end": run.take("t_end", float),
-                    **run.options(safety=float, record_every=int)}
+        config = FlowConfig(flow_model, grid_, run.take("t_end", float),
+                            **run.options(safety=float, record_every=int))
     if kind == "ks":
-        ks_model = KSModel(model.take("p", float), model.take("q", float))
-        config = KSConfig(ks_model, grid_, **stepping, **model.options(strict=bool),
-                          **run.options(mass=float, amplitude=float))
+        if model.take("strict", bool, False):
+            require_strict_hypotheses(flow_model)
+        state0 = cosine_initial_state(grid_, **run.options(mass=float, amplitude=float))
     elif kind == "diffusion":
-        config = FlowConfig(coeff, grid_, **stepping)
-        u0 = initial_cosine(
-            grid_, **run.options(mean=float, amplitude=float, mode=int))
+        state0 = (initial_cosine(
+            grid_, **run.options(mean=float, amplitude=float, mode=int)),)
     elif kind == "plaplace":
-        config = pl_mod.PLaplaceConfig(model.take("p", float), grid_, **stepping,
-                                       **model.options(delta=float))
-        u0 = initial_cosine(grid_, **run.options(mean=float, amplitude=float))
+        state0 = (initial_cosine(grid_, **run.options(mean=float, amplitude=float)),)
     for section in (model, grid, run):
         section.done()
-    return Experiment(kind, name, config, u0)
+    return Experiment(kind, name, config, state0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +183,8 @@ def _max_abs(values):
 
 
 def _run_diffusion(cfg, outdir):
-    _, _, flow_cfg, u0 = parse_config(cfg)
-    traj = run_flow(u0, flow_cfg)
+    exp = parse_config(cfg)
+    traj = run_flow(*exp.state0, exp.config)
     res = identity_residuals(traj)
     m, h, dt = traj.meters, traj.h, traj.record_dt
     mono_e = monotonicity_report(m.entropy, h, dt)
@@ -252,15 +255,17 @@ _KS_COLUMNS = [
 ]
 
 
-def _ks_run_once(ks_cfg, cells):
-    return run_ks(replace(ks_cfg, grid=Grid(1, cells)))
+def _ks_run_once(cfg, cells):
+    """The run of the config dict ``cfg`` parsed on ``cells`` cells."""
+    exp = parse_config(dict(cfg, grid=dict(cfg["grid"], cells=cells)))
+    return run_ks(*exp.state0, exp.config)
 
 
 def _run_ks(cfg, outdir):
     ks_cfg = parse_config(cfg).config
     model, cells = ks_cfg.model, ks_cfg.grid.cells
     s1 = model.linear_sensitivity
-    traj = _ks_run_once(ks_cfg, cells)
+    traj = _ks_run_once(cfg, cells)
     monitors = traj.meters
     write_csv(os.path.join(outdir, "ks_monitors.csv"), _KS_COLUMNS,
               _columns(*(getattr(monitors, col)
@@ -276,7 +281,7 @@ def _run_ks(cfg, outdir):
         if s1:
             row.update(max_s1_lemma_residual=None, max_s1_remark_residual=None)
         if c >= MIN_CELLS:
-            t = traj if c == cells else _ks_run_once(ks_cfg, c)
+            t = traj if c == cells else _ks_run_once(cfg, c)
             try:
                 row["max_lyap_residual"] = _max_abs(lyapunov_identity_residual(t))
                 if s1:
@@ -315,9 +320,9 @@ def _run_ks(cfg, outdir):
 
 
 def _run_plaplace(cfg, outdir):
-    _, _, pl_cfg, u0 = parse_config(cfg)
-    traj = pl_mod.run(u0, pl_cfg)
-    report = pl_mod.monotonicity_report(traj, pl_cfg)
+    exp = parse_config(cfg)
+    traj = pl_mod.run(*exp.state0, exp.config)
+    report = pl_mod.monotonicity_report(traj, exp.config.model)
     dt, I = traj.record_dt, traj.meters.I
     # for p < 3/2 the record holds no rate source: the column stays empty
     residuals = ([""] * (len(I) - 1) if traj.meters.rate_source is None

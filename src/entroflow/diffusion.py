@@ -6,9 +6,12 @@ bit-exact; positivity is enforced by aborting the run rather than
 clamping, since clamping would silently break every identity this
 package exists to verify.
 
-The run contract, shared by ``run``, ``p_laplace.run`` and
-``keller_segel.run_ks`` through ``march``:
+The run contract, shared by ``run(u0, config)``, ``p_laplace.run(u0,
+config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
 
+- a run takes its initial state as arrays and one ``FlowConfig``: the flow's
+  model (a coefficient model, ``PLaplaceModel`` or ``KSModel``), the grid,
+  t_end, safety and record_every, which its constructor checks;
 - a flow supplies only its stencil (``step``, ``pl_step``, ``ks_step``)
   and its stability guard (``stable_dt``, ``pl_stable_dt``,
   ``ks_stable_dt``), both on raw ndarrays and sharing one bound on the
@@ -20,7 +23,7 @@ The run contract, shared by ``run``, ``p_laplace.run`` and
   safety on the initial state, then shrunk so that t_end is a whole
   number of ``record_every``-step blocks; the guard runs once per run;
 - the loop owns the grid: it steps on ``config.grid``, and an initial
-  density on another grid is a ConfigError;
+  state with a field on another grid is a ConfigError;
 - the loop owns the aborts: an initial density at or below the
   positivity floor and every RunAbort of a step (a stencil's, or the
   chemotaxis run's density ceiling) raise with ``last_time``, the time of
@@ -68,7 +71,15 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        check_run_contract(self)
+        """ConfigError unless ``march`` can make the run, on a 1D grid."""
+        if not self.t_end > 0.0:
+            raise ConfigError("t_end must be positive")
+        if not (0.0 < self.safety <= 1.0):
+            raise ConfigError("safety must lie in (0, 1]")
+        if self.grid.dim != 1:
+            raise ConfigError("flows are one-dimensional")
+        if self.record_every < 1:
+            raise ConfigError("record_every must be >= 1")
 
 
 @dataclass
@@ -127,19 +138,6 @@ class Trajectory:
         return (v[1:] - v[:-1]) / self.record_dt + 0.5 * (s[:-1] + s[1:])
 
 
-def check_run_contract(config):
-    """ConfigError unless ``config`` holds a run ``march`` can make: its
-    t_end, safety and record_every, on a 1D grid."""
-    if not config.t_end > 0.0:
-        raise ConfigError("t_end must be positive")
-    if not (0.0 < config.safety <= 1.0):
-        raise ConfigError("safety must lie in (0, 1]")
-    if config.grid.dim != 1:
-        raise ConfigError("flows are one-dimensional")
-    if config.record_every < 1:
-        raise ConfigError("record_every must be >= 1")
-
-
 def march(state, config, guard, advance):
     """The guarded explicit loop of every flow; returns a Trajectory.
 
@@ -147,12 +145,14 @@ def march(state, config, guard, advance):
     become the trajectory's ``u`` (then ``v`` and ``vt_accum``).
     ``guard(state, safety)``, called once, returns the largest stable
     step, and ``advance(state, dt)`` the next state or a RunAbort.
-    ``config`` supplies the grid, t_end, safety and record_every; the
-    initial density must lie on the grid and above ``DEFAULT_FLOOR``.
+    ``config`` supplies the grid, t_end, safety and record_every; each
+    array of the state must lie on the grid, and the density above
+    ``DEFAULT_FLOOR``.
     """
-    if state[0].shape != config.grid.shape:
-        raise ConfigError("initial state of shape %s is not on the config's grid %s"
-                          % (state[0].shape, config.grid.shape))
+    for x in state:  # each array field, u first
+        if np.ndim(x) and x.shape != config.grid.shape:
+            raise ConfigError("initial state of shape %s is not on the config's grid %s"
+                              % (x.shape, config.grid.shape))
     if not (state[0].min() > DEFAULT_FLOOR):
         raise PositivityLossError("initial state below floor", last_time=0.0)
     dt0 = guard(state, config.safety)

@@ -76,11 +76,6 @@ class Grid:
     def axis_centers(self):
         return (np.arange(self.cells) + 0.5) * self.h
 
-    def centers(self):
-        """Meshgrid of cell-center coordinates, one array per axis."""
-        x = self.axis_centers()
-        return np.meshgrid(*([x] * self.dim), indexing="ij")
-
 
 @dataclass
 class Field:

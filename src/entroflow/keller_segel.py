@@ -14,6 +14,9 @@ arrays of u and v, into a KSMonitor record of length-S arrays attached as
 entropy-production, L^p and (at q = 0) S(u)=u residuals.
 ``run_ks`` attaches it before it returns, and every residual only reads it.
 
+``run_ks(u0, v0, config)`` steps the arrays (u0, v0), such as
+``cosine_initial_state``'s, under a ``diffusion.FlowConfig`` of a KSModel.
+
 In every functional, v_t is evaluated from the equation (v_xx - v + u),
 never by time differencing: this keeps the dissipation terms pointwise
 consistent with the identities being checked.
@@ -23,38 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff_models import KSModel
-from .diffusion import (DEFAULT_SAFETY, RunBuffers, check_run_contract,
-                        conservative_step, initial_cosine, march)
+from .diffusion import (DEFAULT_SAFETY, RunBuffers, conservative_step,
+                        initial_cosine, march)
 from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
-from .fields import Grid, by_row_blocks, central_diff, integrate, second_diff
+from .fields import by_row_blocks, central_diff, integrate, second_diff
 
 DEFAULT_CEILING = 1e6
 _V_NEG_TOL = -1e-14
 
 
-@dataclass
-class KSConfig:
-    model: KSModel
-    grid: Grid
-    t_end: float
-    mass: float = 1.0
-    amplitude: float = 0.5
-    safety: float = DEFAULT_SAFETY
-    record_every: int = 1
-    strict: bool = False
-
-    def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ConfigError("mass must be positive")
-        check_run_contract(self)
-        # strict: the hypotheses of the entropy-production estimates
-        p, q = self.model.p, self.model.q
-        if self.strict and not self.model.critical:
-            raise ConfigError("strict mode requires the critical line p - q = 1, "
-                              "got p=%g, q=%g" % (p, q))
-        if self.strict and not 0.5 < q <= 1.0:
-            raise ConfigError("strict mode requires q in (1/2, 1], got q=%g" % q)
+def require_strict_hypotheses(model):
+    """ConfigError unless the estimates' hypotheses p - q = 1, q in (1/2, 1] hold."""
+    if not model.critical:
+        raise ConfigError("strict mode requires the critical line p - q = 1, "
+                          "got p=%g, q=%g" % (model.p, model.q))
+    if not 0.5 < model.q <= 1.0:
+        raise ConfigError("strict mode requires q in (1/2, 1], got q=%g" % model.q)
 
 
 @dataclass
@@ -150,15 +137,17 @@ def ks_step(u, v, model, h, dt, buf=None):
     return u_new, np.maximum(v_new, 0.0, out=v_new), vt
 
 
-def cosine_initial_state(grid, mass, amplitude=0.5):
+def cosine_initial_state(grid, mass=1.0, amplitude=0.5):
     """Preset (u0, v0): u0 = M (1 + amplitude cos(pi x)) / normalizer and
-    v0 = M, as arrays."""
+    v0 = M, as arrays; ConfigError unless the mass M is positive."""
+    if not mass > 0.0:
+        raise ConfigError("mass must be positive")
     return (initial_cosine(grid, mean=mass, amplitude=amplitude),
             grid.full(float(mass)))
 
 
-def run_ks(config):
-    """Guarded run from the cosine initial state to t_end.
+def run_ks(u0, v0, config):
+    """Guarded run from the arrays (``u0``, ``v0``) to t_end.
 
     The run contract is that of ``diffusion.march``: aborts raise
     PositivityLossError / StabilityError (the numerical blow-up
@@ -167,7 +156,6 @@ def run_ks(config):
     trajectory's ``vt_accum`` holds the accumulated int_0^t int |v_t|^2
     at each snapshot.  It is returned measured by ``measure_monitors``.
     """
-    u0, v0 = cosine_initial_state(config.grid, config.mass, config.amplitude)
     model, grid, h = config.model, config.grid, config.grid.h
     # the step takes the first cell array for v_t, and the second holds v_t^2
     buf = RunBuffers(grid.cells, faces=3, cells=2, fields=2)
@@ -183,7 +171,8 @@ def run_ks(config):
         np.multiply(vt, vt, out=vt_sq)
         return u, v, acc + dt * (float(np.add.reduce(vt_sq)) * h)
 
-    traj = march((u0, v0, 0.0), config, advance=advance,
+    state = (np.asarray(u0, dtype=float), np.asarray(v0, dtype=float), 0.0)
+    traj = march(state, config, advance=advance,
                  guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety))
     measure_monitors(traj, model)
     return traj
@@ -215,7 +204,7 @@ def measure_monitors(traj, model):
 
     The pass forms D(u), S(u), u_x, v_x, v_t and (D/S)(u) u_x once.
     The Fisher-type pair is included for every (p, q); the (p, q)
-    hypotheses of the estimates are checked by ``KSConfig(strict=True)``.
+    hypotheses of the estimates are checked by ``require_strict_hypotheses``.
     At q = 0, where S(u) = u bit for bit, the record also holds the S(u)=u
     pieces A, B, C and F, and A is exactly the first term of ``lyap_F``.
     """

@@ -98,17 +98,10 @@ def monotone_tolerance(h, dt, bias=0.0):
     return 10.0 * (h * h + dt + bias)
 
 
-def monotonicity_report(series, h, dt):
-    """Check a functional series is non-increasing within tolerance.
-
-    Each increment must satisfy delta <= 10 (h^2 + dt) |value|; the
-    violation must vanish under refinement, which the tests encode.
-    """
-    return nonincreasing_report(series, monotone_tolerance(h, dt))
-
-
-def nonincreasing_report(series, scale):
-    """Each increment must satisfy delta <= scale * |value| (either end)."""
+def monotonicity_report(series, h, dt, bias=0.0):
+    """Check each increment of a functional series is at most
+    ``monotone_tolerance(h, dt, bias)`` times |value| at either end."""
+    scale = monotone_tolerance(h, dt, bias)
     series = np.asarray(series, dtype=float)
     lo, hi = series[:-1], series[1:]
     tol = scale * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-30)

@@ -10,7 +10,8 @@ is undefined or degenerates there.
 The flux is regularized as (|u_x|^2 + delta^2)^{(p-2)/2} u_x, which makes
 the explicit scheme well-posed where the gradient vanishes; the
 monotonicity tolerance budgets explicitly for the delta-sized bias this
-introduces.
+introduces.  p and delta are the flow's ``PLaplaceModel``: the stencil, guard,
+meter and verdict take it as diffusion's take a coefficient model.
 
 ``measure_trajectory`` evaluates all snapshots in one pass over the (S, N)
 snapshot array, into a PLMeter record (I[u] and the source of its exact
@@ -25,23 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .diffusion import (DEFAULT_SAFETY, RunBuffers, check_run_contract,
-                        conservative_step, march)
-from .fields import (Grid, by_row_blocks, central_diff, integrate,
+from .diffusion import DEFAULT_SAFETY, RunBuffers, conservative_step, march
+from .fields import (by_row_blocks, central_diff, integrate,
                      require_positive_field, second_diff)
-from .meters import monotone_tolerance, nonincreasing_report
+from .meters import monotonicity_report as _monotonicity_report
 
 DEFAULT_DELTA = 1e-6
 
 
-@dataclass
-class PLaplaceConfig:
+@dataclass(frozen=True)
+class PLaplaceModel:
+    """The flow's exponent p and the regularization delta of its flux."""
+
     p: float
-    grid: Grid
-    t_end: float
     delta: float = DEFAULT_DELTA
-    safety: float = DEFAULT_SAFETY
-    record_every: int = 1
 
     def __post_init__(self):
         if not self.p > 1.0:
@@ -50,7 +48,6 @@ class PLaplaceConfig:
             raise ConfigError("p = 3/2 is excluded (the exponent p* vanishes)")
         if not (self.delta > 0.0):
             raise ConfigError("delta must be positive")
-        check_run_contract(self)
 
 
 def p_star(p):
@@ -59,7 +56,7 @@ def p_star(p):
     return 1.0 - 1.0 / (2.0 * (p - 1.0))
 
 
-def _face_diffusivity(u, p, delta, h, safety, buf):
+def _face_diffusivity(u, model, h, safety, buf):
     """Face gradients u_x and the coefficient (u_x^2 + delta^2)^((p-2)/2),
     written into the first two face arrays of ``buf``, and the bound
     safety * h^2 / (2 max coefficient)."""
@@ -67,19 +64,19 @@ def _face_diffusivity(u, p, delta, h, safety, buf):
     np.subtract(u[1:], u[:-1], out=du)
     np.divide(du, h, out=du)
     np.multiply(du, du, out=coeff)
-    np.add(coeff, delta**2, out=coeff)
-    coeff **= (p - 2.0) / 2.0
+    np.add(coeff, model.delta**2, out=coeff)
+    coeff **= (model.p - 2.0) / 2.0
     return du, coeff, safety * h * h / (2.0 * float(np.maximum.reduce(coeff)))
 
 
-def pl_stable_dt(u, config, h, safety=None):
-    """safety * h^2 / (2 max face coefficient); safety defaults to the config's."""
-    return _face_diffusivity(u, config.p, config.delta, h,
-                             config.safety if safety is None else safety,
-                             RunBuffers(u.size, faces=2))[2]
+def pl_stable_dt(u, model, h, safety=DEFAULT_SAFETY):
+    """safety * h^2 / (2 max face coefficient); a squared face gradient that
+    overflows (a bound of 0 for p > 2) is left to ``march``, without a warning."""
+    with np.errstate(over="ignore"):
+        return _face_diffusivity(u, model, h, safety, RunBuffers(u.size, faces=2))[2]
 
 
-def pl_step(u, config, h, dt, buf=None):
+def pl_step(u, model, h, dt, buf=None):
     """One conservative explicit step; aborts as the run contract says.
 
     ``buf`` lends it two face arrays and the state slot the new state is
@@ -87,7 +84,7 @@ def pl_step(u, config, h, dt, buf=None):
     """
     if buf is None:
         buf = RunBuffers(u.size, faces=2)
-    du, flux, bound = _face_diffusivity(u, config.p, config.delta, h, 1.0, buf)
+    du, flux, bound = _face_diffusivity(u, model, h, 1.0, buf)
     np.multiply(flux, du, out=flux)
     return conservative_step(u, flux, bound, dt, h, buf.next_state(0, u))
 
@@ -96,12 +93,12 @@ def run(u0, config):
     """Guarded run from the density array ``u0``; the run contract,
     checks of ``u0`` included, is that of ``diffusion.march``, and the
     trajectory is returned measured by ``measure_trajectory``."""
-    h = config.grid.h
+    model, h = config.model, config.grid.h
     buf = RunBuffers(config.grid.cells, faces=2)
     traj = march((np.asarray(u0, dtype=float),), config,
-                 guard=lambda s, safety: pl_stable_dt(s[0], config, h, safety),
-                 advance=lambda s, dt: (pl_step(s[0], config, h, dt, buf),))
-    measure_trajectory(traj, config.p, config.delta)
+                 guard=lambda s, safety: pl_stable_dt(s[0], model, h, safety),
+                 advance=lambda s, dt: (pl_step(s[0], model, h, dt, buf),))
+    measure_trajectory(traj, model)
     return traj
 
 
@@ -118,7 +115,7 @@ class PLMeter:
                              # terms; None for p < 3/2, where p* < 0
 
 
-def measure_trajectory(traj, p, delta=0.0):
+def measure_trajectory(traj, model):
     """The one evaluation of a trajectory: one pass over its (S, N)
     snapshot array into a PLMeter, attached as ``traj.meters`` and returned.
 
@@ -129,7 +126,7 @@ def measure_trajectory(traj, p, delta=0.0):
     Their coefficients are powers p*^(2-p), p*^(1-p) and p*^(-p), real
     only for p* > 0, so for p < 3/2 no rate source is recorded.
     """
-    ps, h = p_star(p), traj.h
+    p, delta, h, ps = model.p, model.delta, traj.h, p_star(model.p)
     require_positive_field(traj.u)
     traj.meters = by_row_blocks(lambda u: _pl_meter(u, p, ps, delta, h), traj.u)
     return traj.meters
@@ -166,14 +163,13 @@ def rate_residuals(traj):
 # Monotonicity verdict
 
 
-def monotonicity_report(traj, config):
-    """Per-interval Delta I <= tol * |I|; the verdict ``passed`` is issued
-    only for p >= 2 and is None for the observation-only runs."""
-    p = config.p
+def monotonicity_report(traj, model):
+    """Per-interval Delta I <= tol * |I|, the tolerance budgeting for the
+    bias of the regularized flux; the verdict ``passed`` is issued only for
+    p >= 2 and is None for the observation-only runs."""
     dt = traj.record_dt if len(traj.times) > 1 else traj.dt
-    bias = config.delta ** min(p - 1.0, 1.0)  # of the regularized flux
-    rep = nonincreasing_report(traj.measured().I,
-                               monotone_tolerance(traj.h, dt, bias))
-    if p < 2.0:
+    rep = _monotonicity_report(traj.measured().I, traj.h, dt,
+                               bias=model.delta ** min(model.p - 1.0, 1.0))
+    if model.p < 2.0:
         rep.passed = None
     return rep

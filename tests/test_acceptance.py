@@ -21,10 +21,11 @@ from entroflow.diffusion import FlowConfig, initial_cosine, run as run_flow
 from entroflow.fields import Field, Grid
 from entroflow.inequalities import bernis_constant, fisher_constant, worst_ratio_search
 from entroflow.keller_segel import (
-    KSConfig,
+    cosine_initial_state,
     entro_prod_residual,
     lp_inequality_residuals,
     lyapunov_identity_residual,
+    require_strict_hypotheses,
     run_ks,
     s1_functional_identity,
 )
@@ -33,7 +34,7 @@ from entroflow.meters import (
     monotone_tolerance,
     monotonicity_report,
 )
-from entroflow.p_laplace import PLaplaceConfig, monotonicity_report as pl_mono, run as run_pl
+from entroflow.p_laplace import PLaplaceModel, monotonicity_report as pl_mono, run as run_pl
 
 
 def _verdict(capsys, name, ok):
@@ -113,8 +114,8 @@ def test_5_ks_identity_convergence(capsys):
     def run_at(params, cells):
         g = Grid(1, cells)
         return run_ks(
-            KSConfig(params, g, t_end=0.02, mass=2.0,
-                     record_every=max(1, cells * cells // 600))
+            *cosine_initial_state(g, mass=2.0),
+            FlowConfig(params, g, t_end=0.02, record_every=max(1, cells * cells // 600)),
         )
 
     ok = True
@@ -134,9 +135,9 @@ def test_5_ks_identity_convergence(capsys):
 def test_6_ks_global_existence_evidence(capsys):
     model = KSModel(2.0, 1.0)
     g = Grid(1, 256)
-    traj = run_ks(
-        KSConfig(model, g, t_end=1.0, mass=20.0, record_every=4000, strict=True)
-    )
+    require_strict_hypotheses(model)
+    traj = run_ks(*cosine_initial_state(g, mass=20.0),
+                  FlowConfig(model, g, t_end=1.0, record_every=4000))
     mons = traj.meters
     drift = np.max(np.abs(mons.mass - mons.mass[0])) / abs(mons.mass[0])
     finite = np.isfinite([mons.log_bound, mons.lp_norm, mons.ep_estimate,
@@ -152,13 +153,13 @@ def test_7_plaplace_monotone(capsys):
     for p in (2.0, 2.5, 3.0):
         for cells in (128, 256):
             g = Grid(1, cells)
-            cfg = PLaplaceConfig(p=p, grid=g, t_end=0.05, delta=1e-6,
-                                 record_every=200)
+            cfg = FlowConfig(PLaplaceModel(p, delta=1e-6), g, t_end=0.05,
+                             record_every=200)
             traj = run_pl(initial_cosine(g), cfg)
-            ok = ok and pl_mono(traj, cfg).passed is True
+            ok = ok and pl_mono(traj, cfg.model).passed is True
     # p = 2: the I path is exactly a quarter of the linear Fisher path
     g = Grid(1, 128)
-    cfg = PLaplaceConfig(p=2.0, grid=g, t_end=0.05, record_every=100)
+    cfg = FlowConfig(PLaplaceModel(2.0), g, t_end=0.05, record_every=100)
     traj = run_pl(initial_cosine(g), cfg)
     htraj = run_flow(initial_cosine(g), FlowConfig(Linear(), g, 0.05, record_every=100))
     gap = np.max(np.abs(traj.meters.I - 0.25 * htraj.meters.fisher_sigma))

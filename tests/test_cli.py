@@ -392,12 +392,11 @@ def test_unholdable_t_end_exits_3_with_a_summary(kind, model, summary_file, t_en
 
 # Configs the parse accepts and the run refuses before its first step or
 # trial: a stable step of 0 (at mean 1e306 the p-Laplace face coefficient
-# overflows to inf), and grids numpy refuses before allocating
+# overflows to inf), and grids of an inequality check numpy refuses before
+# allocating
 _UNRUNNABLE = [
     ("plaplace", {"p": 3.0}, {"cells": 128}, {"t_end": 0.01, "mean": 1e306},
      "pl_summary.json", "finite number of steps of 0"),
-    ("ks", {"p": 2.0, "q": 1.0}, {"cells": 10**19}, {"t_end": 0.1},
-     "ks_summary.json", "cannot hold"),
     ("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
      {"trials": 1, "seed": 1}, "summary.json", "cannot hold"),
     ("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
@@ -516,6 +515,8 @@ _PROBES = [
     # initial data on a grid numpy refuses: refused in the parse
     ("heat_sanity", {"grid.cells": 10**19}, EXIT_CONFIG),
     ("plaplace_mono", {"grid.cells": 10**19}, EXIT_CONFIG),
+    ("ks_critical_21", {"grid.cells": 10**19}, EXIT_CONFIG),
+    ("ks_critical_21", {"run.mass": 0}, EXIT_CONFIG),
 ]
 # the rows whose config error names the key at fault, and that key
 _NAMED_KEYS = [({"model.family": "power_law"}, "model.m"),
@@ -625,24 +626,21 @@ _PRESET_STEPS = {"heat_sanity": (8200,), "pme_m2": (12300,),
 
 @pytest.mark.parametrize("name", sorted(_PRESET_STEPS))
 def test_preset_step_counts(name):
-    from dataclasses import replace
-
     from entroflow.diffusion import stable_dt
-    from entroflow.fields import Grid
-    from entroflow.keller_segel import cosine_initial_state, ks_stable_dt
+    from entroflow.keller_segel import ks_stable_dt
     from entroflow.p_laplace import pl_stable_dt
 
-    kind, _, cfg, u0 = parse_config(preset_config(name))
-    if kind == "diffusion":
-        dts = [stable_dt(u0, cfg.model, cfg.grid.h, cfg.safety)]
-    elif kind == "plaplace":
-        dts = [pl_stable_dt(u0, cfg, cfg.grid.h)]
-    else:
-        dts = []
-        for cells in (cfg.grid.cells, cfg.grid.cells // 2):
-            c = replace(cfg, grid=Grid(1, cells))
-            u, v = cosine_initial_state(c.grid, c.mass, c.amplitude)
-            dts.append(ks_stable_dt(u, v, c.model, c.grid.h, c.safety))
+    preset = preset_config(name)
+    exp = parse_config(preset)
+    cfg = exp.config
+    if exp.kind == "diffusion":
+        dts = [stable_dt(*exp.state0, cfg.model, cfg.grid.h, cfg.safety)]
+    elif exp.kind == "plaplace":
+        dts = [pl_stable_dt(*exp.state0, cfg.model, cfg.grid.h, cfg.safety)]
+    else:  # the preset, then the preset parsed at half its cells
+        half = dict(preset, grid=dict(preset["grid"], cells=cfg.grid.cells // 2))
+        dts = [ks_stable_dt(*e.state0, e.config.model, e.config.grid.h,
+                            e.config.safety) for e in (exp, parse_config(half))]
     block = cfg.record_every
     counts = tuple(block * math.ceil(cfg.t_end / (dt0 * block)) for dt0 in dts)
     assert counts == _PRESET_STEPS[name]

@@ -25,7 +25,6 @@ from entroflow.errors import (
 )
 from entroflow.fields import Grid, integrate
 from entroflow.keller_segel import (
-    KSConfig,
     cosine_initial_state,
     entro_prod_residual,
     lp_inequality_residuals,
@@ -34,7 +33,7 @@ from entroflow.keller_segel import (
 )
 from entroflow.meters import MeterRecord, identity_residuals, measure_trajectory
 from entroflow.p_laplace import (
-    PLaplaceConfig,
+    PLaplaceModel,
     monotonicity_report as pl_monotonicity_report,
     rate_residuals,
 )
@@ -186,7 +185,7 @@ def test_an_infinite_cell_in_a_raw_initial_state_is_refused(flow):
         "linear": lambda: run(u0, FlowConfig(Linear(), g, t_end=0.001)),
         "power_law_2": lambda: run(u0, FlowConfig(PowerLaw(2.0), g, t_end=0.001)),
         "p_laplace_3": lambda: p_laplace.run(
-            u0, PLaplaceConfig(p=3.0, grid=g, t_end=0.001)),
+            u0, FlowConfig(PLaplaceModel(3.0), g, t_end=0.001)),
     }[flow]
     with np.errstate(invalid="ignore", over="ignore"), \
             pytest.raises(EntroflowError):
@@ -265,11 +264,10 @@ def test_residuals_refuse_a_trajectory_without_the_runs_meters():
     u, v = cosine_initial_state(g, mass=2.0)
     ks = Trajectory(times, 1e-3, np.tile(u, (3, 1)), np.tile(v, (3, 1)),
                     np.zeros(3))
-    pl_cfg = PLaplaceConfig(p=3.0, grid=g, t_end=2e-3)
     calls = [
         lambda: identity_residuals(flat),
         lambda: rate_residuals(flat),
-        lambda: pl_monotonicity_report(flat, pl_cfg),
+        lambda: pl_monotonicity_report(flat, PLaplaceModel(3.0)),
         lambda: lyapunov_identity_residual(ks),
         lambda: entro_prod_residual(ks),
         lambda: lp_inequality_residuals(ks, KSModel(2.0, 1.0)),
@@ -360,11 +358,11 @@ def _bound_case(flow):
         return (stable_dt(u, model, h, 1.0), lambda dt: step(u, model, h, dt),
                 (u,), h * h / (2.0 * model.a(u).max()))
     if flow == "p_laplace":
-        cfg = PLaplaceConfig(p=3.0, grid=g, t_end=0.01)
+        model = PLaplaceModel(3.0)
         du = np.gradient(u, h)  # cell gradients
-        cell = h * h / (2.0 * np.sqrt(du**2 + cfg.delta**2).max())
-        return (p_laplace.pl_stable_dt(u, cfg, h, 1.0),
-                lambda dt: p_laplace.pl_step(u, cfg, h, dt), (u,), cell)
+        cell = h * h / (2.0 * np.sqrt(du**2 + model.delta**2).max())
+        return (p_laplace.pl_stable_dt(u, model, h, 1.0),
+                lambda dt: p_laplace.pl_step(u, model, h, dt), (u,), cell)
     # a steep v, so that the advective bound binds
     u = cosine_initial_state(g, mass=2.0)[0]
     v = 80.0 * (1.0 + 0.5 * np.cos(np.pi * x))
@@ -407,11 +405,12 @@ def test_guard_runs_once_per_run(monkeypatch):
         (diffusion, "stable_dt", "step",
          lambda: run(u0, FlowConfig(PowerLaw(2.0), g, 0.002, record_every=5))),
         (p_laplace, "pl_stable_dt", "pl_step",
-         lambda: p_laplace.run(u0, PLaplaceConfig(p=3.0, grid=g, t_end=0.002,
-                                                  record_every=5))),
+         lambda: p_laplace.run(u0, FlowConfig(PLaplaceModel(3.0), g, 0.002,
+                                              record_every=5))),
         (keller_segel, "ks_stable_dt", "ks_step",
-         lambda: keller_segel.run_ks(KSConfig(KSModel(2.0, 1.0), g, 0.002,
-                                              mass=2.0, record_every=5))),
+         lambda: keller_segel.run_ks(*cosine_initial_state(g, mass=2.0),
+                                     FlowConfig(KSModel(2.0, 1.0), g, 0.002,
+                                                record_every=5))),
     ]
     for module, guard, stencil, go in runs:
         guards = _count_calls(monkeypatch, module, guard)

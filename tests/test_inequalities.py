@@ -29,8 +29,6 @@ from entroflow.inequalities import (
     worst_ratio_search,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_constants_exact_n1():
     assert bernis_constant(1) == 4.0

