@@ -393,14 +393,19 @@ def test_unholdable_t_end_exits_3_with_a_summary(kind, model, summary_file, t_en
 # Configs the parse accepts and the run refuses before its first step or
 # trial: a stable step of 0 (at mean 1e306 the p-Laplace face coefficient
 # overflows to inf), and grids of an inequality check numpy refuses before
-# allocating
+# allocating.  The ids are the ones the rows had while a KS row (a grid
+# numpy refuses, now refused in the parse) stood second, kept so that each
+# row keeps its test id.
 _UNRUNNABLE = [
-    ("plaplace", {"p": 3.0}, {"cells": 128}, {"t_end": 0.01, "mean": 1e306},
-     "pl_summary.json", "finite number of steps of 0"),
-    ("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
-     {"trials": 1, "seed": 1}, "summary.json", "cannot hold"),
-    ("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
-     {"trials": 1, "seed": 1, "check": "cmkm"}, "summary.json", "cannot hold"),
+    pytest.param("plaplace", {"p": 3.0}, {"cells": 128}, {"t_end": 0.01, "mean": 1e306},
+                 "pl_summary.json", "finite number of steps of 0",
+                 id="plaplace-model0-grid0-run0-pl_summary.json-finite number of steps of 0"),
+    pytest.param("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
+                 {"trials": 1, "seed": 1}, "summary.json", "cannot hold",
+                 id="ineq-model2-grid2-run2-summary.json-cannot hold"),
+    pytest.param("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
+                 {"trials": 1, "seed": 1, "check": "cmkm"}, "summary.json", "cannot hold",
+                 id="ineq-model3-grid3-run3-summary.json-cannot hold"),
 ]
 
 
