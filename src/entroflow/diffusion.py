@@ -31,7 +31,7 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
 - the loop owns the snapshots: before the first step it allocates one
   (S, N) array per state field (one of S per scalar), or raises
   ConfigError for a count no float or array holds (a stable step of 0
-  included); row k is the state after step n = k * record_every, at
+  included) and for a stable step of inf, which bounds nothing; row k is the state after step n = k * record_every, at
   n * dt, and an abort's trajectory is the rows recorded before the
   failing step;
 - the run owns its buffers: it allocates its face- and cell-sized
@@ -49,6 +49,7 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,9 +157,13 @@ def march(state, config, guard, advance):
     if not (state[0].min() > DEFAULT_FLOOR):
         raise PositivityLossError("initial state below floor", last_time=0.0)
     dt0 = guard(state, config.safety)
+    if dt0 == math.inf:
+        raise ConfigError("the guard bounds no step on the initial state "
+                          "(a stable step of inf)")
     block = config.record_every
     blocks = config.t_end / (dt0 * block) if dt0 > 0.0 else math.inf
-    if not math.isfinite(blocks):
+    # the step count must be finite and, for dt below, a float
+    if not math.isfinite(blocks) or block * math.ceil(blocks) > sys.float_info.max:
         raise ConfigError("t_end = %g is not a finite number of steps of %g"
                           % (config.t_end, dt0))
     n_steps = block * max(1, math.ceil(blocks))
@@ -174,7 +179,10 @@ def march(state, config, guard, advance):
             row[j] = x
 
     def recorded(count):  # row j is the state after step j * block, at its time
-        return Trajectory(np.arange(count) * block * dt, dt, *(r[:count] for r in rows))
+        # float steps: a block of 2^63 steps or more overflows an integer
+        # arange, and k * block below 2^53 is exact either way
+        return Trajectory(np.arange(count, dtype=float) * block * dt, dt,
+                          *(r[:count] for r in rows))
 
     record(0, state)
     for k in range(1, n_steps + 1):

@@ -106,16 +106,19 @@ class Field:
 #
 # Each stencil writes the interior differences and the two ghost faces of
 # one axis straight into ``out`` (a fresh array when None); ``out`` must
-# not overlap ``values``.  The arithmetic is that of differencing a
-# ghost-padded copy, operation for operation, so results are bit-for-bit
-# those of the padded formula.  In 1D a ghost face is a single cell, and
-# it is computed in scalar arithmetic, which rounds as the ufunc does
-# without its per-call cost; the explicit flows difference 1D arrays of a
-# few hundred cells every step.  Along the last axis of C-contiguous nD
-# arrays central_diff takes the flattened arrays in one run, whose entries
-# across two lines are the ghost faces.  Stencils check nothing: a
-# non-finite difference reaches the sum of the integral it ends in (see the
-# finiteness rule in the module docstring).
+# not overlap ``values``.  Every entry is formed by the operations of
+# differencing a ghost-padded copy and dividing by the step (2h or h^2),
+# except that a power-of-two step (2^k cells) is applied as a product
+# with its exact reciprocal, which rounds to the same bits; so results
+# are bit-for-bit those of the padded formula.  In 1D a ghost face is a
+# single cell, and it is computed in scalar arithmetic, which rounds as
+# the ufunc does without its per-call cost; the explicit flows difference
+# 1D arrays of a few hundred cells every step.  Along the last axis of
+# C-contiguous nD arrays both stencils take the flattened arrays in one
+# run: central_diff's entries across two lines are the ghost faces, and
+# second_diff forms the two ends of every line again after the run.
+# Stencils check nothing: a non-finite difference reaches the sum of the
+# integral it ends in (see the finiteness rule in the module docstring).
 
 
 def _cuts(axis):
@@ -139,6 +142,23 @@ def _cuts(axis):
 _CUTS = tuple(_cuts(axis) for axis in range(3))
 
 
+def _flat_axis(values, axis, out):
+    """Whether ``axis`` is the last axis of C-contiguous nD ``values`` and
+    ``out``, along which a stencil takes the flattened arrays in one run."""
+    return (0 < axis == values.ndim - 1 and values.flags.c_contiguous
+            and out.flags.c_contiguous)
+
+
+def _scaled(out, step):
+    """out / step in place, as the product with 1 / step when step is a
+    power of two: its reciprocal is then exact, so both round the exact
+    quotient once, to the same bits, and a product costs less."""
+    mantissa, exponent = math.frexp(step)
+    if mantissa == 0.5 and exponent >= -1022:  # 1 / step = 2^(1 - exponent) is finite
+        return np.multiply(out, 1.0 / step, out=out)
+    return np.divide(out, step, out=out)
+
+
 def central_diff(values, axis, h, odd=False, out=None):
     """Central difference with mirror ghosts.
 
@@ -149,8 +169,7 @@ def central_diff(values, axis, h, odd=False, out=None):
     ahead, behind, inner, _, _, first, second, penult, last = _CUTS[axis]
     if out is None:
         out = np.empty(values.shape)
-    contiguous = values.flags.c_contiguous and out.flags.c_contiguous
-    if 0 < axis == values.ndim - 1 and contiguous:
+    if _flat_axis(values, axis, out):
         flat = values.reshape(-1)
         np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
     else:
@@ -169,17 +188,28 @@ def central_diff(values, axis, h, odd=False, out=None):
     else:
         np.subtract(values[second], values[first], out=out[first])
         np.subtract(values[last], values[penult], out=out[last])
-    return np.divide(out, 2.0 * h, out=out)
+    return _scaled(out, 2.0 * h)
 
 
 def second_diff(values, axis, h, out=None):
     """On-axis second central difference with scalar mirror ghosts."""
-    _, _, _, tail, head, first, _, _, last = _CUTS[axis]
+    _, _, _, tail, head, first, second, penult, last = _CUTS[axis]
     if out is None:
         out = np.empty(values.shape)
     np.multiply(values, 2.0, out=out)
-    # (v[i+1] - 2 v[i]) + v[i-1], the ghosts being v[-1] and v[0]; both
-    # ghost faces are done before the tail, which overwrites the last one
+    # (v[i+1] - 2 v[i]) + v[i-1], the ghosts being v[-1] and v[0]
+    if _flat_axis(values, axis, out):
+        # The flat run takes the end entries of each line from the
+        # adjacent line; both line ends are formed again afterwards.
+        flat, flat_out = values.reshape(-1), out.reshape(-1)
+        np.subtract(flat[1:], flat_out[:-1], out=flat_out[:-1])
+        np.add(flat_out[1:], flat[:-1], out=flat_out[1:])
+        for end, ahead, behind in ((first, second, first), (last, last, penult)):
+            np.multiply(values[end], 2.0, out=out[end])
+            np.subtract(values[ahead], out[end], out=out[end])
+            np.add(out[end], values[behind], out=out[end])
+        return _scaled(out, h * h)
+    # both ghost faces are done before the tail, which overwrites the last one
     np.subtract(values[tail], out[head], out=out[head])
     if values.ndim == 1:
         out[-1] = values[-1] - out[-1]
@@ -188,7 +218,7 @@ def second_diff(values, axis, h, out=None):
         np.subtract(values[last], out[last], out=out[last])
         np.add(out[first], values[first], out=out[first])
     np.add(out[tail], values[head], out=out[tail])
-    return np.divide(out, h * h, out=out)
+    return _scaled(out, h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +308,19 @@ def gradient_of_vector(components):
 def neumann_hessian(f):
     """Matrix of second derivatives with mirror ghosts.
 
-    On-axis entries use the second central difference; mixed entries
-    compose two first differences, each with its own mirror, which keeps
-    the discrete Hessian symmetric to round-off.
+    On-axis entries use the second central difference.  The mixed entry
+    (i, j), i < j, is D_i(D_j f), two first differences, each with its own
+    mirror, and the matrix holds that same Field at (j, i), so it is
+    exactly symmetric.
     """
     grid, h, n = f.grid, f.grid.h, f.grid.dim
-    firsts = [central_diff(f.values, ax, h) for ax in range(n)]
-    return [[Field(grid, second_diff(f.values, i, h) if i == j
-                   else central_diff(firsts[j], i, h))
+    firsts = [central_diff(f.values, ax, h) for ax in range(1, n)]
+    hess = [[Field(grid, second_diff(f.values, i, h)) if i == j else None
              for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            hess[i][j] = hess[j][i] = Field(grid, central_diff(firsts[j - 1], i, h))
+    return hess
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +371,7 @@ def build_test_function(grid, spec):
             axis_vals += a_k * np.cos(k * np.pi * x)
         shape = [1] * grid.dim
         shape[ax] = grid.cells
-        vals = vals + axis_vals.reshape(shape)
+        vals += axis_vals.reshape(shape)
     return Field(grid, vals)
 
 

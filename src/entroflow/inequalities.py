@@ -93,30 +93,43 @@ def _add_square(acc, entry, first):
 
 
 def _mixed_firsts(values, h, firsts):
-    """First differences along each axis into ``firsts``: what the mixed
-    Hessian entries compose (1D has none)."""
-    if values.ndim > 1:
-        for ax, out in enumerate(firsts):
-            central_diff(values, ax, h, out=out)
+    """First differences along axes 1..n-1 into ``firsts``, one array
+    each: what the mixed Hessian entries compose (1D has none)."""
+    for ax, out in enumerate(firsts, start=1):
+        central_diff(values, ax, h, out=out)
     return firsts
 
 
-def _hessian_sq(values, h, acc, entry, firsts):
+def _hessian_sq(values, h, acc, spare, firsts, reuse=False):
     """|D^2 values|^2 pointwise into acc, with mirror ghosts.
 
-    On-axis entries use the second central difference; mixed entries
-    compose two first differences, each with its own mirror, as
-    fields.neumann_hessian does.  ``firsts`` holds the first differences
-    of values, one array per axis (unused in 1D).
+    On-axis entries use the second central difference.  The mixed entry
+    (i, j), i < j, composes D_i with firsts[j - 1], the first difference
+    of values along j, as fields.neumann_hessian does, and stands at
+    (j, i) too: it is formed once, and its square is held, in one of the
+    ``spare`` arrays, until its second use.  Squares are summed in
+    row-major order.  ``spare`` holds one array in 1D and 2D and two in
+    3D; with ``reuse``, a first difference joins them once its last mixed
+    entry is formed, and one spare array suffices in 3D.
     """
     n = values.ndim
+    free, held = list(spare), {}
     for i in range(n):
         for j in range(n):
+            if j < i:
+                square = held.pop((j, i))
+                np.add(acc, square, out=acc)
+                free.append(square)
+                continue
+            entry = free.pop()
             if i == j:
-                second_diff(values, i, h, out=entry)
+                _add_square(acc, second_diff(values, i, h, out=entry), i == 0)
+                free.append(entry)
             else:
-                central_diff(firsts[j], i, h, out=entry)
-            _add_square(acc, entry, i == j == 0)
+                _add_square(acc, central_diff(firsts[j - 1], i, h, out=entry), False)
+                held[i, j] = entry
+                if reuse and i == j - 1:
+                    free.append(firsts[j - 1])
     return acc
 
 
@@ -167,9 +180,12 @@ def _grad_sigma(f, model):
 
 
 def _fisher_lhs(sig, h, work):
-    """int |D^2 Sigma(f)|^2; the mixed entries compose grad Sigma."""
+    """int |D^2 Sigma(f)|^2; the mixed entries compose grad Sigma, which
+    stays intact for _dissipation, so 3D takes one scratch array more."""
     grads, acc, entry = work
-    return integrate(_hessian_sq(sig, h, acc, entry, grads), h)
+    n = sig.ndim  # in 3D, the one array past the 2 + n of _grad_sigma
+    spare = [entry] if n < 3 else [entry, scratch(sig.shape, 3 + n)[-1]]
+    return integrate(_hessian_sq(sig, h, acc, spare, grads[1:]), h)
 
 
 def _dissipation(f, a_vals, work):
@@ -227,13 +243,14 @@ def cmkm_ratio(f):
     require_positive_field(f)
     vals = f.values
     h, n = f.grid.h, f.grid.dim
-    root, log, acc, entry, *firsts = scratch(vals.shape, 4 + n)
+    root, log, acc, entry, *firsts = scratch(vals.shape, 3 + n)
     np.sqrt(vals, out=root)
     np.log(vals, out=log)
     _mixed_firsts(root, h, firsts)
-    num = integrate(_hessian_sq(root, h, acc, entry, firsts), h)
+    num = integrate(_hessian_sq(root, h, acc, [entry], firsts, reuse=True), h)
     _mixed_firsts(log, h, firsts)
-    weighted = np.multiply(vals, _hessian_sq(log, h, acc, entry, firsts), out=entry)
+    hess_sq = _hessian_sq(log, h, acc, [entry], firsts, reuse=True)
+    weighted = np.multiply(vals, hess_sq, out=entry)
     den = integrate(weighted, h)
     if num <= _TINY and den <= _TINY:
         return 0.0

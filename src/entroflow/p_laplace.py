@@ -21,6 +21,7 @@ read it.  For 1 < p < 3/2, p* < 0 makes the rate's powers of p* complex, so
 the record holds I alone: such a run has no rate residual.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +67,16 @@ def _face_diffusivity(u, model, h, safety, buf):
     np.multiply(du, du, out=coeff)
     np.add(coeff, model.delta**2, out=coeff)
     coeff **= (model.p - 2.0) / 2.0
-    return du, coeff, safety * h * h / (2.0 * float(np.maximum.reduce(coeff)))
+    # for p < 2 a squared face gradient that overflows gives a coefficient
+    # of 0, and 0 on every face bounds no step
+    c_max = float(np.maximum.reduce(coeff))
+    return du, coeff, safety * h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
 
 
 def pl_stable_dt(u, model, h, safety=DEFAULT_SAFETY):
     """safety * h^2 / (2 max face coefficient); a squared face gradient that
-    overflows (a bound of 0 for p > 2) is left to ``march``, without a warning."""
+    overflows (a bound of 0 for p > 2, and of inf for p < 2 when it does so
+    on every face) is left to ``march``, without a warning."""
     with np.errstate(over="ignore"):
         return _face_diffusivity(u, model, h, safety, RunBuffers(u.size, faces=2))[2]
 

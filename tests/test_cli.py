@@ -392,33 +392,54 @@ def test_unholdable_t_end_exits_3_with_a_summary(kind, model, summary_file, t_en
 
 # Configs the parse accepts and the run refuses before its first step or
 # trial: a stable step of 0 (at mean 1e306 the p-Laplace face coefficient
-# overflows to inf), and grids of an inequality check numpy refuses before
-# allocating.  The ids are the ones the rows had while a KS row (a grid
-# numpy refuses, now refused in the parse) stood second, kept so that each
-# row keeps its test id.
+# overflows to inf) or of inf (for p < 2 it underflows to 0 on every face),
+# a step count past the largest float, and grids of an inequality check
+# numpy refuses before allocating; and a run whose first step aborts with
+# a block of 2^63 steps, whose recorded times overflowed an integer arange.
+# The ids of the first three rows are the ones they had while a KS row (a
+# grid numpy refuses, now refused in the parse) stood second, kept so that
+# each row keeps its test id.
 _UNRUNNABLE = [
     pytest.param("plaplace", {"p": 3.0}, {"cells": 128}, {"t_end": 0.01, "mean": 1e306},
-                 "pl_summary.json", "finite number of steps of 0",
+                 "pl_summary.json", "ConfigError", "finite number of steps of 0",
                  id="plaplace-model0-grid0-run0-pl_summary.json-finite number of steps of 0"),
     pytest.param("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
-                 {"trials": 1, "seed": 1}, "summary.json", "cannot hold",
+                 {"trials": 1, "seed": 1}, "summary.json", "ConfigError", "cannot hold",
                  id="ineq-model2-grid2-run2-summary.json-cannot hold"),
     pytest.param("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
-                 {"trials": 1, "seed": 1, "check": "cmkm"}, "summary.json", "cannot hold",
+                 {"trials": 1, "seed": 1, "check": "cmkm"}, "summary.json",
+                 "ConfigError", "cannot hold",
                  id="ineq-model3-grid3-run3-summary.json-cannot hold"),
+    pytest.param("plaplace", {"p": 1.2}, {"cells": 8}, {"t_end": 0.01, "mean": 1e306},
+                 "pl_summary.json", "ConfigError", "a stable step of inf",
+                 id="plaplace-p1.2-stable-step-of-inf"),
+    pytest.param("diffusion", {"family": "linear"}, {"cells": 16},
+                 {"t_end": 1e6, "safety": 1e-300, "record_every": 1000},
+                 "summary.json", "ConfigError", "finite number of steps",
+                 id="diffusion-step-count-past-float-range"),
+    pytest.param("ks", {"p": 1.0, "q": 0.0}, {"cells": 16},
+                 {"t_end": 1e6, "safety": 1e-300, "record_every": 1000},
+                 "ks_summary.json", "ConfigError", "finite number of steps",
+                 id="ks-step-count-past-float-range"),
+    pytest.param("ks", {"p": 1.0, "q": 0.0}, {"cells": 16},
+                 {"t_end": 0.005, "mass": 1e300, "record_every": 2**63},
+                 "ks_summary.json", "StabilityError", "ceiling",
+                 id="ks-record-every-2**63-aborts"),
 ]
 
 
-@pytest.mark.parametrize("kind, model, grid, run, summary_file, message", _UNRUNNABLE)
+@pytest.mark.parametrize("kind, model, grid, run, summary_file, termination, message",
+                         _UNRUNNABLE)
 def test_unrunnable_config_exits_3_with_a_summary(kind, model, grid, run, summary_file,
-                                                  message, outdir, tmp_path):
+                                                  termination, message, outdir, tmp_path):
     cfg = {"name": "unrunnable", "kind": kind, "model": model, "grid": grid,
            "run": run}
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_NUMERICS
     summary = json.loads((outdir / "unrunnable" / summary_file).read_text())
-    assert summary["termination"] == "ConfigError"
+    assert summary["termination"] == termination
     assert message in summary["message"]
-    assert summary["last_time"] is None
+    # a config error is raised before the first step, the abort in it
+    assert summary["last_time"] == (None if termination == "ConfigError" else 0.0)
 
 
 def test_out_of_memory_grid_exits_3_with_a_summary(monkeypatch, outdir, tmp_path):

@@ -23,13 +23,17 @@ def test_preset_digests_expect_reports_each_mismatch(tmp_path, capsys):
     assert tool.main(["bernis_n1", "--expect", str(expect)]) == 0
     assert "MISMATCH" not in capsys.readouterr().out
 
+    # only the named presets' files are compared: the list's line for
+    # another preset is neither run nor reported
     digest, path = lines[0].split("  ")
-    tampered = ["0" * 64 + "  " + path] + lines[1:] + ["0" * 64 + "  gone/x.csv"]
+    tampered = (["0" * 64 + "  " + path] + lines[1:]
+                + ["0" * 64 + "  bernis_n1/gone.csv", "0" * 64 + "  heat_sanity/meters.csv"])
     expect.write_text("\n".join(tampered) + "\n")
     assert tool.main(["bernis_n1", "--expect", str(expect)]) == 1
     report = capsys.readouterr().out.splitlines()
     assert report[:2] == [  # sorted by path
+        "MISMATCH bernis_n1/gone.csv: expected %s, got no file" % ("0" * 64),
         "MISMATCH %s: expected %s, got %s" % (path, "0" * 64, digest),
-        "MISMATCH gone/x.csv: expected %s, got no file" % ("0" * 64),
     ]
     assert report[2].startswith("2 of %d files differ" % (len(lines) + 1))
+    assert len(report) == 3
