@@ -9,7 +9,10 @@ Each model evaluates the primitives
 
 in closed form where one exists and otherwise by batch Gauss-Legendre
 quadrature over the whole state array: Lambda, H and Sigma in one pass
-(``lam_entropy_sigma``), and Sigma alone for the inequality checks.  F
+(``lam_entropy_sigma``), and Sigma alone for the inequality checks.  The
+closed forms of powers (the power law's Lambda, H, Sigma; int_1^u D and
+Psi on the critical line) all use one quotient, ``power_quotient``:
+(x^eps - 1)/eps, and log x at eps = 0, so no exponent is a special case.  F
 exists only in closed form (the power families); ``flux_primitive`` is
 None for a model without it.  Adaptive Simpson quadrature
 (``primitives_by_quadrature``) is the independent oracle for all four.
@@ -49,6 +52,23 @@ def _require_positive(s):
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("state must be positive and finite, got %r" % (s,))
     return arr
+
+
+def power_quotient(eps, x):
+    """(x^eps - 1)/eps elementwise for x > 0, and its limit log x at eps = 0.
+
+    int_1^x t^(eps - 1) dt, the one closed form of every power primitive.
+    For |eps| < 1/8 it is expm1(eps log x)/eps: the difference x^eps - 1
+    cancels there, and near eps = 0 it loses all its digits.  From 1/8 on
+    the division magnifies the difference's rounding at most 8-fold, to
+    about 8 ulp of max(x^eps, 1), and the direct form costs one pow where
+    the expm1 form costs a log and an expm1.
+    """
+    if eps == 0.0:
+        return np.log(x)
+    if abs(eps) < 0.125:
+        return np.expm1(eps * np.log(x)) / eps
+    return (x ** eps - 1.0) / eps
 
 
 class CoeffModel:
@@ -132,29 +152,14 @@ class PowerLaw(CoeffModel):
     def a(self, s):
         return self.m * np.asarray(s, dtype=float) ** (self.m - 1.0)
 
-    def lam(self, s):
-        s = _require_positive(s)
-        m = self.m
-        if m == 1.0:
-            return np.log(s)
-        return m * (s ** (m - 1.0) - 1.0) / (m - 1.0)
-
-    def entropy_density(self, s):
-        s = _require_positive(s)
-        m = self.m
-        if m == 1.0:
-            return s * np.log(s) - s + 1.0
-        return (s**m - 1.0) / (m - 1.0) - m * (s - 1.0) / (m - 1.0)
-
     def sigma(self, s):
-        s = _require_positive(s)
-        m = self.m
-        if m == 0.5:
-            return 0.5 * np.log(s)
-        return m * (s ** (m - 0.5) - 1.0) / (m - 0.5)
+        return self.m * power_quotient(self.m - 0.5, _require_positive(s))
 
-    def lam_entropy_sigma(self, s):  # the closed forms, one by one
-        return self.lam(s), self.entropy_density(s), self.sigma(s)
+    def lam_entropy_sigma(self, s):
+        # with E = power_quotient: Lambda = m E(m-1, s), H = s E(m-1, s) - (s-1)
+        s = _require_positive(s)
+        e = power_quotient(self.m - 1.0, s)
+        return self.m * e, s * e - (s - 1.0), self.sigma(s)
 
     def flux_primitive(self, s):
         return np.asarray(s, dtype=float) ** self.m
@@ -403,29 +408,21 @@ class KSModel:
         return s * int_g - int_tg + int_tD
 
     def _psi_critical(self, s):
-        # On p - q = 1 the inner integrand is
-        #   (1+t)^(-p-1) (1 + (2-p) t) = (2-p)(1+t)^(-p) + (p-1)(1+t)^(-p-1)
-        # so both layers integrate in closed form.
-        p = self.p
-        w = 1.0 + s
+        # Psi(s) = int_2^W (W-w) g + (w-1) D dw: g = t D S'/S, w = 1+t, W = 1+s.
+        # On q = p - 1, with h_a(w) = (a+1) w^(a-1) and b = -p,
+        #   g = (2-p) w^(-p) + (p-1) w^(-p-1) = h_(b+1) - h_b,
+        #   (w-1) D = w^(b+1) - w^b,
+        # so Psi = K(1-p) - K(-p), K(a) = int_2^W (W-w) h_a + w^a dw.  With
+        # T = W/2 and E = power_quotient, int_2^(2x) h_a = 2^a (a+1) E(a, x)
+        # and (a+1) int_1^T E(a, x) dx = T E(a, T) - (T-1), hence
+        # K(a) = 2^(a+1) (T E(a, T) + E(a+1, T) - (T-1)): no pole in p.
+        T = 0.5 * (1.0 + s)
 
-        def I(alpha, x):  # int_1^s (1+r)^alpha dr, elementwise
-            if alpha == -1.0:
-                return np.log(x) - math.log(2.0)
-            return (x ** (alpha + 1.0) - 2.0 ** (alpha + 1.0)) / (alpha + 1.0)
+        def K(a):
+            return 2.0 ** (a + 1.0) * (T * power_quotient(a, T)
+                                       + power_quotient(a + 1.0, T) - (T - 1.0))
 
-        # r D(r) = (1+r)^(1-p) - (1+r)^(-p)
-        rD = I(1.0 - p, w) - I(-p, w)
-        if p == 1.0:
-            # inner(r) reduces to log((1+r)/2)
-            outer_log = w * (np.log(w) - 1.0) - 2.0 * (math.log(2.0) - 1.0)
-            return outer_log - math.log(2.0) * (s - 1.0) + rD
-        # inner(r) = c1 ((1+r)^(1-p) - 2^(1-p)) + c2 ((1+r)^(-p) - 2^(-p))
-        c1 = (2.0 - p) / (1.0 - p)
-        c2 = -(p - 1.0) / p
-        const = -(c1 * 2.0 ** (1.0 - p) + c2 * 2.0 ** (-p))
-        outer_inner = c1 * I(1.0 - p, w) + c2 * I(-p, w) + const * (s - 1.0)
-        return outer_inner + rD
+        return K(1.0 - self.p) - K(-self.p)
 
 
 def eval_ks(p, q, s):

@@ -24,6 +24,10 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   number of ``record_every``-step blocks; the guard runs once per run;
 - the loop owns the grid: it steps on ``config.grid``, and an initial
   state with a field on another grid is a ConfigError;
+- the loop owns overflow: the guard and every step run with numpy's
+  overflow and invalid warnings off, so an overflow ends in the checks
+  that follow it (a non-finite face coefficient, a stable step of 0 or
+  inf, the floor check, which a NaN fails) and never as a warning;
 - the loop owns the aborts: an initial density at or below the
   positivity floor and every RunAbort of a step (a stencil's, or the
   chemotaxis run's density ceiling) raise with ``last_time``, the time of
@@ -139,6 +143,7 @@ class Trajectory:
         return (v[1:] - v[:-1]) / self.record_dt + 0.5 * (s[:-1] + s[1:])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def march(state, config, guard, advance):
     """The guarded explicit loop of every flow; returns a Trajectory.
 

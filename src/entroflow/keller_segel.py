@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coeff_models import power_quotient
 from .diffusion import (DEFAULT_SAFETY, RunBuffers, conservative_step,
                         initial_cosine, march)
 from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
@@ -229,11 +230,8 @@ def _monitors(model, h, u, v, times, vt_accum):
     energy = 0.5 * integrate(D * D / S * du * du, h, rows=True)
     pieces = {}
     if model.linear_sensitivity:
-        # int_1^u D(s) ds in closed form for D = (1+s)^(-p)
-        d_primitive = (
-            np.log((1.0 + u) / 2.0) if abs(p - 1.0) <= 1e-12
-            else ((1.0 + u) ** (1.0 - p) - 2.0 ** (1.0 - p)) / (1.0 - p)
-        )
+        # int_1^u D = int_2^(1+u) w^(-p) dw = 2^(1-p) E(1-p, (1+u)/2)
+        d_primitive = 2.0 ** (1.0 - p) * power_quotient(1.0 - p, 0.5 * (1.0 + u))
         pieces = dict(s1_A=energy, s1_B=integrate(S * D * dflux**2, h, rows=True),
                       s1_C=integrate(S * D * vxx * dflux, h, rows=True),
                       s1_F=energy - integrate(u * d_primitive, h, rows=True))

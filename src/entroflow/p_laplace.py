@@ -76,9 +76,8 @@ def _face_diffusivity(u, model, h, safety, buf):
 def pl_stable_dt(u, model, h, safety=DEFAULT_SAFETY):
     """safety * h^2 / (2 max face coefficient); a squared face gradient that
     overflows (a bound of 0 for p > 2, and of inf for p < 2 when it does so
-    on every face) is left to ``march``, without a warning."""
-    with np.errstate(over="ignore"):
-        return _face_diffusivity(u, model, h, safety, RunBuffers(u.size, faces=2))[2]
+    on every face) is left to ``march``."""
+    return _face_diffusivity(u, model, h, safety, RunBuffers(u.size, faces=2))[2]
 
 
 def pl_step(u, model, h, dt, buf=None):

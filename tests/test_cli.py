@@ -393,53 +393,71 @@ def test_unholdable_t_end_exits_3_with_a_summary(kind, model, summary_file, t_en
 # Configs the parse accepts and the run refuses before its first step or
 # trial: a stable step of 0 (at mean 1e306 the p-Laplace face coefficient
 # overflows to inf) or of inf (for p < 2 it underflows to 0 on every face),
-# a step count past the largest float, and grids of an inequality check
-# numpy refuses before allocating; and a run whose first step aborts with
-# a block of 2^63 steps, whose recorded times overflowed an integer arange.
-# The ids of the first three rows are the ones they had while a KS row (a
-# grid numpy refuses, now refused in the parse) stood second, kept so that
-# each row keeps its test id.
+# a step count past the largest float, grids of an inequality check numpy
+# refuses before allocating, and a coefficient that overflows on the
+# initial state (the power laws' a at m = 3, or the KS diffusivity
+# (1+u)^2, a stable step of 0); and a run whose first step aborts with a
+# block of 2^63 steps, whose recorded times overflowed an integer arange.
+# Each row ends in the time of the last valid state: None when no step was
+# taken.  The ids of the first three rows are the ones they had while a KS
+# row (a grid numpy refuses, now refused in the parse) stood second, kept
+# so that each row keeps its test id.
 _UNRUNNABLE = [
     pytest.param("plaplace", {"p": 3.0}, {"cells": 128}, {"t_end": 0.01, "mean": 1e306},
-                 "pl_summary.json", "ConfigError", "finite number of steps of 0",
+                 "pl_summary.json", "ConfigError", "finite number of steps of 0", None,
                  id="plaplace-model0-grid0-run0-pl_summary.json-finite number of steps of 0"),
     pytest.param("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
                  {"trials": 1, "seed": 1}, "summary.json", "ConfigError", "cannot hold",
+                 None,
                  id="ineq-model2-grid2-run2-summary.json-cannot hold"),
     pytest.param("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
                  {"trials": 1, "seed": 1, "check": "cmkm"}, "summary.json",
-                 "ConfigError", "cannot hold",
+                 "ConfigError", "cannot hold", None,
                  id="ineq-model3-grid3-run3-summary.json-cannot hold"),
     pytest.param("plaplace", {"p": 1.2}, {"cells": 8}, {"t_end": 0.01, "mean": 1e306},
-                 "pl_summary.json", "ConfigError", "a stable step of inf",
+                 "pl_summary.json", "ConfigError", "a stable step of inf", None,
                  id="plaplace-p1.2-stable-step-of-inf"),
     pytest.param("diffusion", {"family": "linear"}, {"cells": 16},
                  {"t_end": 1e6, "safety": 1e-300, "record_every": 1000},
-                 "summary.json", "ConfigError", "finite number of steps",
+                 "summary.json", "ConfigError", "finite number of steps", None,
                  id="diffusion-step-count-past-float-range"),
     pytest.param("ks", {"p": 1.0, "q": 0.0}, {"cells": 16},
                  {"t_end": 1e6, "safety": 1e-300, "record_every": 1000},
-                 "ks_summary.json", "ConfigError", "finite number of steps",
+                 "ks_summary.json", "ConfigError", "finite number of steps", None,
                  id="ks-step-count-past-float-range"),
     pytest.param("ks", {"p": 1.0, "q": 0.0}, {"cells": 16},
                  {"t_end": 0.005, "mass": 1e300, "record_every": 2**63},
-                 "ks_summary.json", "StabilityError", "ceiling",
+                 "ks_summary.json", "StabilityError", "ceiling", 0.0,
                  id="ks-record-every-2**63-aborts"),
+    pytest.param("diffusion", {"family": "power_law", "m": 3.0}, {"cells": 16},
+                 {"t_end": 0.001, "mean": 1e200}, "summary.json", "ModelError",
+                 "coefficient evaluated non-finite", None,
+                 id="diffusion-power-law-coefficient-overflows"),
+    pytest.param("diffusion", {"family": "shifted_power_law", "m": 3.0},
+                 {"cells": 16},
+                 {"t_end": 0.001, "mean": 1e200}, "summary.json", "ModelError",
+                 "coefficient evaluated non-finite", None,
+                 id="diffusion-shifted-power-law-coefficient-overflows"),
+    pytest.param("ks", {"p": -2.0, "q": 1.0}, {"cells": 16},
+                 {"t_end": 0.001, "mass": 1e200}, "ks_summary.json", "ConfigError",
+                 "finite number of steps of 0", None,
+                 id="ks-diffusivity-overflows"),
 ]
 
 
-@pytest.mark.parametrize("kind, model, grid, run, summary_file, termination, message",
-                         _UNRUNNABLE)
+@pytest.mark.parametrize(
+    "kind, model, grid, run, summary_file, termination, message, last_time",
+    _UNRUNNABLE)
 def test_unrunnable_config_exits_3_with_a_summary(kind, model, grid, run, summary_file,
-                                                  termination, message, outdir, tmp_path):
+                                                  termination, message, last_time,
+                                                  outdir, tmp_path):
     cfg = {"name": "unrunnable", "kind": kind, "model": model, "grid": grid,
            "run": run}
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_NUMERICS
     summary = json.loads((outdir / "unrunnable" / summary_file).read_text())
     assert summary["termination"] == termination
     assert message in summary["message"]
-    # a config error is raised before the first step, the abort in it
-    assert summary["last_time"] == (None if termination == "ConfigError" else 0.0)
+    assert summary["last_time"] == last_time
 
 
 def test_out_of_memory_grid_exits_3_with_a_summary(monkeypatch, outdir, tmp_path):
@@ -543,6 +561,12 @@ _PROBES = [
     ("plaplace_mono", {"grid.cells": 10**19}, EXIT_CONFIG),
     ("ks_critical_21", {"grid.cells": 10**19}, EXIT_CONFIG),
     ("ks_critical_21", {"run.mass": 0}, EXIT_CONFIG),
+    # p = 0 on the critical line: Psi has no pole there
+    ("ks_critical_21", {"model.p": 0.0, "model.q": -1.0, "model.strict": False},
+     EXIT_PASS),
+    # some squared face gradients overflow, and their coefficients of 0 step
+    ("plaplace_mono", {"model.p": 1.2, "grid.cells": 64, "run.mean": 1e154},
+     EXIT_PASS),
 ]
 # the rows whose config error names the key at fault, and that key
 _NAMED_KEYS = [({"model.family": "power_law"}, "model.m"),
@@ -576,6 +600,9 @@ def test_validate_and_run_agree(preset, edits, code, outdir, tmp_path, capsys):
         return
     (summary_file,) = (outdir / preset).glob("*summary.json")
     summary = json.loads(summary_file.read_text())
+    if code == EXIT_PASS:
+        assert summary["termination"] == "completed"
+        return
     assert summary["termination"] != "completed"
     assert summary["message"]
     assert "last_time" in summary

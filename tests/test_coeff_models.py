@@ -74,6 +74,35 @@ def test_ks_p1_branch_against_oracle():
     ks = KSModel(1.0, 0.0)
     assert float(ks.psi(3.0)) == pytest.approx(ORACLE_KS10_PSI_AT_3, abs=1e-9)
     assert float(ks.G(3.0)) == pytest.approx(ORACLE_KS10_G_AT_3, abs=1e-9)
+    # p one rounding step or so off 1, as p = 1 + q forms it: no cancellation
+    for p in (1.0 - 1e-13, 1.0 + 1e-13):
+        psi = float(KSModel(p, p - 1.0).psi(3.0))
+        assert psi == pytest.approx(ORACLE_KS10_PSI_AT_3, abs=1e-9)
+
+
+# exponents at and next to 0, 1 and 2, where (x^eps - 1)/eps written out
+# divides by 0 or cancels
+_CRITICAL_P = (0.0, 1e-13, 0.7, 1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1.1, 1.2, 1.5, 2.0,
+               2.0 - 1e-13, 2.0 + 1e-13, 3.0, 5.0)
+
+
+@pytest.mark.parametrize("p", _CRITICAL_P)
+def test_critical_psi_matches_its_single_integral(p):
+    # Psi(s) = int_1^s (s - t) t D S'/S + t D dt, by scipy quad
+    from scipy.integrate import quad
+
+    q = p - 1.0
+    ks = KSModel(p, q)
+    assert ks.critical
+
+    def integrand(t, s):
+        D = (1.0 + t) ** (-p)
+        return (s - t) * D * (1.0 + t - q * t) / (1.0 + t) + t * D
+
+    for s in (0.05, 0.3, 1.0, 2.0, 10.0, 1e2, 1e4):
+        want = quad(integrand, 1.0, s, args=(s,), epsabs=1e-14, epsrel=1e-13,
+                    limit=200)[0]
+        assert float(ks.psi(s)) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_primitives_vanish_at_reference_state():
@@ -89,7 +118,8 @@ def test_primitives_vanish_at_reference_state():
 
 
 @pytest.mark.parametrize(
-    "model", [Linear(), PowerLaw(0.5), PowerLaw(1.0), PowerLaw(2.0), PowerLaw(3.0)]
+    "model", [Linear(), PowerLaw(0.5), PowerLaw(1.0), PowerLaw(2.0), PowerLaw(3.0),
+              PowerLaw(1.0 + 1e-13), PowerLaw(0.5 + 1e-13)]
 )
 def test_closed_forms_match_own_quadrature(model):
     for s in (0.3, 1.0, 2.5, 7.0):

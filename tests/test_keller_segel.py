@@ -236,6 +236,16 @@ def test_s1_energy_is_the_first_term_of_lyap_F():
     assert m.s1_A - psi == m.lyap_F
 
 
+def test_monitors_are_continuous_in_p_at_one():
+    # ((1+u)^(1-p) - 2^(1-p))/(1-p) written out cancels at p = 1 + 1e-13
+    # and moves lyap_F by 1e-4: the monitors' closed forms must not
+    u, v = cosine_initial_state(Grid(1, 32), mass=2.0)
+    at_one = _monitor((u, v), KSModel(1.0, 0.0))
+    off_one = _monitor((u, v), KSModel(1.0 + 1e-13, 0.0))
+    assert off_one.lyap_F == pytest.approx(at_one.lyap_F, rel=1e-12)
+    assert off_one.s1_F == pytest.approx(at_one.s1_F, rel=1e-12)
+
+
 def test_monitor_columns_finite():
     g = Grid(1, 48)
     traj = _cosine_run(P21, g, t_end=0.005, mass=2.0, record_every=20)
