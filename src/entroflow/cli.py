@@ -168,9 +168,10 @@ def parse_config(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Runners: each parses the config dict, writes its CSV artifacts and returns
-# an exit code with the summary fields, which run_experiment writes.  A run
-# returns its trajectory measured, so a runner only reads traj.meters.
+# Runners: each takes the config dict, its parse and the output directory,
+# writes its CSV artifacts and returns an exit code with the summary fields,
+# which run_experiment writes.  A run returns its trajectory measured, so a
+# runner only reads traj.meters.
 
 
 def _columns(*columns):
@@ -182,8 +183,7 @@ def _max_abs(values):
     return float(np.max(np.abs(values)))
 
 
-def _run_diffusion(cfg, outdir):
-    exp = parse_config(cfg)
+def _run_diffusion(cfg, exp, outdir):
     traj = run_flow(*exp.state0, exp.config)
     res = identity_residuals(traj)
     m, h, dt = traj.meters, traj.h, traj.record_dt
@@ -214,8 +214,8 @@ def _spec_as_dict(spec):
     return {"offset": spec.offset, "cosine_coeffs": [list(c) for c in spec.cosine_coeffs]}
 
 
-def _run_ineq(cfg, outdir):
-    ineq = parse_config(cfg).config
+def _run_ineq(cfg, exp, outdir):
+    ineq = exp.config
     n, cells = ineq.grid.dim, ineq.grid.cells
 
     if ineq.check == "cmkm":
@@ -255,17 +255,18 @@ _KS_COLUMNS = [
 ]
 
 
-def _ks_run_once(cfg, cells):
-    """The run of the config dict ``cfg`` parsed on ``cells`` cells."""
-    exp = parse_config(dict(cfg, grid=dict(cfg["grid"], cells=cells)))
+def _ks_run_once(cfg, cells, exp):
+    """The run of ``exp``, the parse of the config dict ``cfg``, on ``cells``
+    cells: on another cell count than its own, of ``cfg`` parsed anew."""
+    if cells != exp.config.grid.cells:
+        exp = parse_config(dict(cfg, grid=dict(cfg["grid"], cells=cells)))
     return run_ks(*exp.state0, exp.config)
 
 
-def _run_ks(cfg, outdir):
-    ks_cfg = parse_config(cfg).config
-    model, cells = ks_cfg.model, ks_cfg.grid.cells
+def _run_ks(cfg, exp, outdir):
+    model, cells = exp.config.model, exp.config.grid.cells
     s1 = model.linear_sensitivity
-    traj = _ks_run_once(cfg, cells)
+    traj = _ks_run_once(cfg, cells, exp)
     monitors = traj.meters
     write_csv(os.path.join(outdir, "ks_monitors.csv"), _KS_COLUMNS,
               _columns(*(getattr(monitors, col)
@@ -281,7 +282,7 @@ def _run_ks(cfg, outdir):
         if s1:
             row.update(max_s1_lemma_residual=None, max_s1_remark_residual=None)
         if c >= MIN_CELLS:
-            t = traj if c == cells else _ks_run_once(cfg, c)
+            t = traj if c == cells else _ks_run_once(cfg, c, exp)
             try:
                 row["max_lyap_residual"] = _max_abs(lyapunov_identity_residual(t))
                 if s1:
@@ -319,8 +320,7 @@ def _run_ks(cfg, outdir):
     return code, results
 
 
-def _run_plaplace(cfg, outdir):
-    exp = parse_config(cfg)
+def _run_plaplace(cfg, exp, outdir):
     traj = pl_mod.run(*exp.state0, exp.config)
     report = pl_mod.monotonicity_report(traj, exp.config.model)
     dt, I = traj.record_dt, traj.meters.I
@@ -371,7 +371,7 @@ def run_experiment(cfg, out_root=None):
     outdir = experiment_dir(exp.name, out_root)
     summary = {"config": cfg, "termination": "completed"}
     try:
-        code, results = _RUNNERS[exp.kind](cfg, outdir)
+        code, results = _RUNNERS[exp.kind](cfg, exp, outdir)
     except EntroflowError as err:
         code = EXIT_NUMERICS
         results = {"termination": type(err).__name__, "message": str(err),

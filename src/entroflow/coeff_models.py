@@ -49,7 +49,7 @@ class Primitives:
 
 def _require_positive(s):
     arr = np.asarray(s, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    if not ((arr > 0.0) & (arr < np.inf)).all():  # NaN fails both
         raise DomainError("state must be positive and finite, got %r" % (s,))
     return arr
 
@@ -89,7 +89,8 @@ class CoeffModel:
         # Lambda, int_1^s a and Sigma; k = 3: 2 x a(x^2), F's integrand after
         # t = x^2, which regularizes power singularities of a at 0 up to t^(-1/2).
         _, int_a, sigma, flux = integral_rows(k, 4)
-        t = x if flux.start == len(x) else np.r_[x[: flux.start], x[flux] * x[flux]]
+        t = (x if flux.start == len(x)
+             else np.concatenate((x[: flux.start], x[flux] * x[flux])))
         a = self.a(t)
         y = a / t  # Lambda's rows; the others' are overwritten
         y[int_a] = a[int_a]

@@ -6,13 +6,15 @@ array at once with fixed Gauss-Legendre rules (Golub & Welsch, Math. Comp.
 23, 1969) on adaptively bisected panels.  ``adaptive_simpson`` is the
 independent oracle it is checked against: the adaptive Simpson recursion
 with the 1/15 Richardson correction (Lyness, J. ACM 16, 1969; Gander &
-Gautschi, BIT 40, 2000), run level by level.  Both take an integrand that
-maps an array of nodes to an array of values, and integrate K integrals
-in one pass, each to the value a call for it alone returns, so that all
-of a model's primitives cost one integrand call per level; a non-finite
-value is a PrecisionError at the level where it appears.  The default
-tolerance is deliberately tight (1e-12): these values feed identity
-residuals that must sit well below any grid discretization error.
+Gautschi, BIT 40, 2000), run level by level on a table of the open
+intervals, one row each, which one gather per level splits.  Both take an
+integrand that maps an array of nodes to an array of values, and
+integrate K integrals in one pass, each to the value a call for it alone
+returns, so that all of a model's primitives cost one integrand call per
+level; a non-finite value is a PrecisionError at the level where it
+appears.  The default tolerance is deliberately tight (1e-12): these
+values feed identity residuals that must sit well below any grid
+discretization error.
 """
 
 import functools
@@ -40,9 +42,11 @@ _MAX_PANELS_PER_STATE = 1024
 # integrands such as cos(40 x) on [0, 1] peak at ~3,200 and the primitive
 # integrands at a few hundred.
 _MAX_OPEN_INTERVALS = 1 << 16
-# Columns [a, m, b, lm, rm] -> an interval's left half [a, lm, m] and right
-# half [m, rm, b].
-_HALVES = np.array([[0, 3, 1], [1, 4, 2]])
+# The oracle's interval table has columns a, m, b, f(a), f(m), f(b) and the
+# Simpson estimate.  With the quarter points lm, rm, their values and the
+# halves' estimates appended (columns 7 to 12), an interval's left half is
+# row 0 of these columns and its right half row 1.
+_HALVES = np.array([[0, 7, 1, 3, 9, 4, 11], [1, 8, 2, 4, 10, 5, 12]])
 
 
 def adaptive_simpson(f, a, b, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
@@ -54,7 +58,10 @@ def adaptive_simpson(f, a, b, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
     bisection level passes the two new quarter points of every still open
     interval to ``f`` in one call.  An interval whose halves agree with it,
     |left + right - whole| <= 15 tol, keeps left + right + delta/15; the
-    others split, with tol halved per level.  A split interval's value is
+    others split, with tol halved per level.  Each open interval is one
+    row of a table, its nodes, the integrand there and its Simpson
+    estimate, so that one gather turns the rows that miss into their
+    halves' rows, each value computed once.  A split interval's value is
     its left half's plus its right half's, so each result equals the
     depth-first recursion's bit for bit.  Each tolerance is absolute for
     integrals of magnitude up to 1 and relative beyond that (an absolute
@@ -80,47 +87,47 @@ def adaptive_simpson(f, a, b, tol=DEFAULT_TOL, max_depth=DEFAULT_MAX_DEPTH):
             )
         return y if y.shape == x.shape else np.broadcast_to(y, x.shape)
 
-    # The open intervals, one row each, grouped by integral and left to
-    # right within it: nodes a, m, b, the integrand there, the interval's
-    # Simpson estimate and its integral's index k.
+    # The open intervals, one row each of the table (see _HALVES), grouped by
+    # integral and left to right within it; k holds each row's integral.
     x = np.stack((lo, 0.5 * (lo + hi), hi), axis=1)
     k = np.arange(lo.size)
     fx = sample(x, k, 0)
     whole = (hi - lo) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
     tol = tol * np.maximum(1.0, np.abs(whole))
+    table = np.concatenate((x, fx, whole[:, None]), axis=1)
     levels = []
     for depth in itertools.count():
-        left, right = x[:, :-1], x[:, 1:]
+        left, right, fx = table[:, 0:2], table[:, 1:3], table[:, 3:6]
         q = 0.5 * (left + right)
         fq = sample(q, k, depth)
         # Simpson on the left and right half of every interval.
         halves = (right - left) / 6.0 * (fx[:, :-1] + 4.0 * fq + fx[:, 1:])
         both = halves[:, 0] + halves[:, 1]
-        delta = both - whole
+        delta = both - table[:, 6]
         ok = np.abs(delta) <= 15.0 * tol[k]
         levels.append((both + delta / 15.0, ok))
         if ok.all():
             break
-        miss = ~ok
+        rows = np.flatnonzero(~ok)
         if depth >= max_depth:
-            i = np.argmax(miss)
+            i = rows[0]
             raise PrecisionError(
-                "adaptive Simpson failed to converge on [%g, %g]" % (x[i, 0], x[i, 2]),
+                "adaptive Simpson failed to converge on [%g, %g]"
+                % (table[i, 0], table[i, 2]),
                 achieved=abs(delta[i]) / 15.0,
             )
-        many = 2 * np.count_nonzero(miss) > _MAX_OPEN_INTERVALS  # summed over integrals
-        if many and 2 * np.bincount(k[miss]).max() > _MAX_OPEN_INTERVALS:
+        k = k[rows]
+        many = 2 * rows.size > _MAX_OPEN_INTERVALS  # summed over integrals
+        if many and 2 * np.bincount(k).max() > _MAX_OPEN_INTERVALS:
             raise PrecisionError(
                 "adaptive Simpson needs more than %d open intervals at depth %d"
                 % (_MAX_OPEN_INTERVALS, depth + 1),
-                achieved=float(np.abs(delta[miss]).max() / 15.0),
+                achieved=float(np.abs(delta[rows]).max() / 15.0),
             )
-        # Each missed interval becomes its two halves, side by side.
-        split = np.flatnonzero(miss)[:, None, None], _HALVES
-        x = np.concatenate((x, q), axis=1)[split].reshape(-1, 3)
-        fx = np.concatenate((fx, fq), axis=1)[split].reshape(-1, 3)
-        whole = halves[miss].ravel()
-        k = np.repeat(k[miss], 2)
+        # Each missed interval becomes its two halves, side by side: one gather.
+        wide = np.concatenate((table, q, fq, halves), axis=1)
+        table = wide[rows[:, None, None], _HALVES].reshape(-1, 7)
+        k = np.repeat(k, 2)
         tol = 0.5 * tol
     # Bottom up: a split interval's value is its left half's plus its right half's.
     value = levels.pop()[0]
@@ -137,14 +144,23 @@ def integral_rows(k, count):
     """The row slices of integrals 0, ..., count - 1.  An integrand's ``k``
     broadcasts against its nodes and holds each row's integral index, and
     both routines pass the rows grouped by integral in increasing k."""
-    ends = [0, *np.searchsorted(np.ravel(k), np.arange(1, count)).tolist(), None]
-    return [slice(*pair) for pair in zip(ends, ends[1:])]
+    ends = k.ravel().searchsorted(_later_integrals(count)).tolist()
+    return list(map(slice, [0, *ends], [*ends, None]))
 
 
 @functools.cache
-def _rule(n):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+def _later_integrals(count):
+    """Integral indices 1, ..., count - 1, whose first rows integral_rows finds."""
+    return np.arange(1, count)
+
+
+@functools.cache
+def _rules():
+    """The coarse and the fine Gauss-Legendre rule on [-1, 1]: both rules'
+    nodes, stacked, and the coarse and the fine weights."""
+    (xc, wc), (xf, wf) = (np.polynomial.legendre.leggauss(n)
+                          for n in (_COARSE_NODES, _FINE_NODES))
+    return np.concatenate((xc, xf)), wc, wf
 
 
 def gauss_legendre(f, a, b):
@@ -173,8 +189,7 @@ def gauss_legendre(f, a, b):
         blocks = [gauss_legendre(f, lo[:, i:i + step], hi[:, i:i + step])
                   for i in range(0, lo.shape[1], step)]
         return np.concatenate(blocks, axis=1).reshape(a.shape)
-    (xc, wc), (xf, wf) = _rule(_COARSE_NODES), _rule(_FINE_NODES)
-    nodes = np.r_[xc, xf]
+    nodes, wc, wf = _rules()
 
     # Children share their parent's midpoint, so panels tile [a, b] exactly:
     # an edge rounded off next to a near-singular end costs more than the tolerance.
@@ -192,13 +207,13 @@ def gauss_legendre(f, a, b):
                 achieved=np.inf,
             )
         fc, ff = y[:, :_COARSE_NODES], y[:, _COARSE_NODES:]
-        coarse = np.sum(hw * wc * fc, axis=1)
+        coarse = np.add.reduce(hw * wc * fc, axis=1)  # np.sum's reduction, less overhead
         terms = hw * wf * ff
-        fine = np.sum(terms, axis=1)
+        fine = np.add.reduce(terms, axis=1)
         if depth == 0:
             budget = DEFAULT_TOL * np.maximum(1.0, np.abs(fine))
         err = np.abs(fine - coarse)
-        rounding = _ROUNDING * np.sum(np.abs(terms), axis=1)
+        rounding = _ROUNDING * np.add.reduce(np.abs(terms), axis=1)
         ok = err <= np.maximum(budget[state] * 0.5**depth, rounding)
         total += np.bincount(state[ok], weights=fine[ok], minlength=total.size)
         miss = ~ok
@@ -212,7 +227,8 @@ def gauss_legendre(f, a, b):
             )
         lo, hi, state = lo[miss], hi[miss], state[miss]
         mid = 0.5 * (lo + hi)
-        lo, hi, state = np.r_[lo, mid], np.r_[mid, hi], np.r_[state, state]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        state = np.concatenate((state, state))
         # Stable: a value sums its left halves, then its right halves.
         order = np.argsort(state, kind="stable")
         lo, hi, state = lo[order], hi[order], state[order]

@@ -188,6 +188,21 @@ def test_domain_errors():
         PowerLaw(-1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_require_positive_rejects_a_nonpositive_or_nonfinite_state(bad):
+    for s in (bad, np.float64(bad), np.array(bad), np.array([2.0, bad, 0.5]),
+              [[1.0], [bad]]):
+        with pytest.raises(DomainError):
+            coeff_models._require_positive(s)
+
+
+def test_require_positive_returns_positive_states_as_floats():
+    assert coeff_models._require_positive(3).dtype == float
+    states = [5e-324, 1.0, 1e308]
+    assert coeff_models._require_positive(states).tolist() == states
+    assert coeff_models._require_positive(np.array([])).shape == (0,)  # vacuously
+
+
 def test_tabulated_matches_source():
     src = PowerLaw(2.0)
     knots = np.geomspace(0.1, 10.0, 40)

@@ -114,6 +114,26 @@ def test_bernis_1d_ratio_exceeds_its_constant_on_a_concentrated_field():
     assert ratios[0] > ratios[1] > 4.4
 
 
+def test_1d_linear_fisher_ratio_is_one_minus_a_twelfth_of_the_bernis_ratio():
+    # For a = 1 and g = log f with g' = 0 at both ends, integration by
+    # parts gives int ((Sigma(f))'')^2 = D - Q/12, with the Bernis lhs
+    # Q = int f g'^4 and D = int f g''^2.  So the Fisher ratio at lambda = 1
+    # is 1 - Q/(12 D), one minus a twelfth of the Bernis ratio, and the
+    # grid misses it by O(h^2).
+    rng = np.random.default_rng(20260824)
+    specs = [sample_spec(rng, 1) for _ in range(20)]
+    worst = []
+    for cells in (256, 1024):
+        deviations = []
+        for spec in specs:
+            f = build_test_function(Grid(1, cells), spec)
+            fisher = fisher_ineq_check(f, Linear(), 1.0).ratio
+            deviations.append(abs(fisher - (1.0 - bernis_check(f, Linear()).ratio / 12.0)))
+        worst.append(max(deviations))
+    assert worst[0] < 2e-3 and worst[1] < 1.5e-4
+    assert worst[0] >= 12.0 * worst[1]  # 16 for order 2
+
+
 def test_checks_keep_the_scratch_workspace_within_3_plus_n_arrays():
     # The mixed Hessian entries reuse spent first differences and held
     # squares: no check asks the workspace for more than 3 + n arrays.

@@ -171,6 +171,23 @@ def test_oracle_integrands_equal_recursion(monkeypatch):
     assert checked == 3 * 5 * 4 + 5 * 3
 
 
+@pytest.mark.parametrize("column", [False, True], ids=["flat", "column"])
+@pytest.mark.parametrize("k, count, expected", [
+    ([0, 0, 0], 1, [(0, None)]),
+    ([1, 1], 2, [(0, 0), (0, None)]),
+    ([0, 2], 3, [(0, 1), (1, 1), (1, None)]),
+    ([0, 0, 2, 2, 2], 4, [(0, 2), (2, 2), (2, 5), (5, None)]),
+    ([0, 1, 1, 2], 4, [(0, 1), (1, 3), (3, 4), (4, None)]),
+])
+def test_integral_rows_slices_every_group_even_an_empty_one(k, count, expected, column):
+    k = np.array(k)[:, None] if column else np.array(k)
+    rows = integral_rows(k, count)
+    assert rows == [slice(*pair) for pair in expected]
+    index = np.arange(len(k))
+    for j, r in enumerate(rows):
+        assert index[r].tolist() == np.flatnonzero(k.ravel() == j).tolist()
+
+
 def _smooth(x, k):
     # one integrand per row group: k = 0, 1, 2, 3
     rows = integral_rows(k, 4)

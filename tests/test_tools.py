@@ -1,5 +1,8 @@
 import importlib.util
+import json
 import os
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -37,3 +40,27 @@ def test_preset_digests_expect_reports_each_mismatch(tmp_path, capsys):
     ]
     assert report[2].startswith("2 of %d files differ" % (len(lines) + 1))
     assert len(report) == 3
+
+
+def test_preset_digests_lists_a_config_file_under_its_name(tmp_path, capsys):
+    # No preset reaches the quadrature-backed primitives; a config file
+    # does, and runs as `entroflow run` runs it: a config without a name
+    # is named after its file.
+    tool = _load("preset_digests")
+    cfg = {"kind": "diffusion", "model": {"family": "shifted_power_law", "m": 2.0},
+           "grid": {"dim": 1, "cells": 16},
+           "run": {"t_end": 0.001, "record_every": 5}}
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(cfg))
+    assert tool.main([str(path)]) == 0
+    saved = capsys.readouterr().out
+    assert [line.split("  ")[1] for line in saved.splitlines()] == [
+        os.path.join("shifted", "meters.csv"), os.path.join("shifted", "summary.json")]
+    expect = tmp_path / "digests.txt"
+    expect.write_text(saved)
+    assert tool.main([str(path), "--expect", str(expect)]) == 0
+    assert capsys.readouterr().out == "0 of 2 files differ from %s\n" % expect
+
+    with pytest.raises(SystemExit):
+        tool.main([str(tmp_path / "missing.json")])
+    assert "missing.json" in capsys.readouterr().err

@@ -2,8 +2,10 @@
 
 Runs the named presets (all 8 by default) into a temporary directory and
 prints one line per output file, ``<sha256>  <preset>/<file>``, sorted by
-path.  Two source trees write byte-identical outputs exactly when their
-lists are equal:
+path.  A JSON config path may stand beside or instead of a preset name:
+it is loaded as ``entroflow run`` loads it and its files are listed under
+its ``name``.  Two source trees write byte-identical outputs exactly when
+their lists are equal:
 
     python tools/preset_digests.py --src ../parent/src > parent.txt
     python tools/preset_digests.py --expect parent.txt
@@ -24,7 +26,13 @@ The list of the current outputs is kept next to this script, so
 
 checks byte-identity without a second checkout.  A change that alters
 outputs on purpose regenerates it (``python tools/preset_digests.py >
-tools/preset_digests.sha256``) and says so.
+tools/preset_digests.sha256``) and says so.  No preset uses a model whose
+primitives come from quadrature, so a change to the quadrature compares
+configs that do, for example a ``shifted_power_law`` diffusion config,
+between two trees:
+
+    python tools/preset_digests.py shifted.json --src ../parent/src > parent.txt
+    python tools/preset_digests.py shifted.json --expect parent.txt
 """
 
 import argparse
@@ -38,14 +46,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def digests(names, out_root):
-    """(path, sha256) of every file the presets ``names`` wrote."""
+def digests(configs, out_root):
+    """(path, sha256) of every file the experiment ``configs`` wrote."""
     from entroflow.cli import run_experiment
-    from entroflow.presets import preset_config
 
-    for name in names:
+    for cfg in configs:
         with contextlib.redirect_stdout(io.StringIO()):
-            run_experiment(preset_config(name), out_root)
+            run_experiment(cfg, out_root)
     found = []
     for folder, _, files in os.walk(out_root):
         for fname in files:
@@ -58,21 +65,26 @@ def digests(names, out_root):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("presets", nargs="*", help="preset names (default: all)")
+    parser.add_argument("runs", nargs="*", metavar="preset|config.json",
+                        help="preset names or JSON config paths (default: all presets)")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="entroflow source tree to import")
     parser.add_argument("--expect", metavar="FILE",
                         help="saved digest list to compare the run with")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    from entroflow.presets import PRESETS
+    from entroflow.cli import _load_config  # the loader of `entroflow run`
+    from entroflow.errors import ConfigError
+    from entroflow.presets import PRESETS, preset_config
 
-    unknown = sorted(set(args.presets) - set(PRESETS))
-    if unknown:
-        parser.error("unknown preset(s): %s" % ", ".join(unknown))
-    names = args.presets or sorted(PRESETS)
+    try:
+        configs = [preset_config(run) if run in PRESETS else _load_config(run)
+                   for run in args.runs or sorted(PRESETS)]
+    except ConfigError as err:
+        parser.error("not a preset, and %s" % err)
+    names = [cfg.get("name") if isinstance(cfg, dict) else None for cfg in configs]
     with tempfile.TemporaryDirectory() as out_root:
-        got = dict(digests(names, out_root))
+        got = dict(digests(configs, out_root))
     if args.expect is None:
         for path, digest in sorted(got.items()):
             print("%s  %s" % (digest, path))
