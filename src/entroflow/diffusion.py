@@ -14,14 +14,15 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   t_end, safety and record_every, which its constructor checks;
 - a flow supplies only its stencil (``step``, ``pl_step``, ``ks_step``)
   and its stability guard (``stable_dt``, ``pl_stable_dt``,
-  ``ks_stable_dt``), both on raw ndarrays and sharing one bound on the
-  face coefficients the stencil steps with; every stencil ends in
-  ``conservative_step``, which raises StabilityError, before it writes,
-  when dt exceeds that bound at safety 1, and PositivityLossError when
-  the new state leaves the admissible set, non-finite values included;
-- the loop owns dt: it is fixed once from the guard at the configured
-  safety on the initial state, then shrunk so that t_end is a whole
-  number of ``record_every``-step blocks; the guard runs once per run;
+  ``ks_stable_dt``), both on raw ndarrays; the guard returns the bound on
+  the face coefficients that the stencil checks every step, and every
+  stencil ends in ``conservative_step``, which raises StabilityError,
+  before it writes, when dt exceeds that bound, and PositivityLossError
+  when the new state leaves the admissible set, non-finite values included;
+- the loop owns dt: it is fixed once as the configured safety times the
+  guard's bound on the initial state, then shrunk so that t_end is a whole
+  number of ``record_every``-step blocks; the guard runs once per run, and
+  nothing else reads the safety;
 - the loop owns the grid: it steps on ``config.grid``, and an initial
   state with a field on another grid is a ConfigError;
 - the loop owns overflow: the guard and every step run with numpy's
@@ -35,16 +36,17 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
 - the loop owns the snapshots: before the first step it allocates one
   (S, N) array per state field (one of S per scalar), or raises
   ConfigError for a count no float or array holds (a stable step of 0
-  included) and for a stable step of inf, which bounds nothing; row k is the state after step n = k * record_every, at
-  n * dt, and an abort's trajectory is the rows recorded before the
-  failing step;
+  included) and for a stable step of inf, which bounds nothing; row k is
+  the state after step n = k * record_every, at n * dt, and an abort's
+  trajectory is the rows recorded before the failing step;
 - the run owns its buffers: it allocates its face- and cell-sized
-  arrays once (``RunBuffers``), shares them with no other run, and its
-  stencil writes into them every step.  A stencil writes the next state
-  into the state slot its input does not occupy, so a state it returns
-  is overwritten two steps later and any other array it returns by the
-  next step; a snapshot row is a copy.  A guard, and a stencil called
-  without buffers, allocates its own.  Nothing configures the buffers;
+  arrays once (``RunBuffers``, one layout for every flow), shares them
+  with no other run, and its stencil writes into the ones it uses every
+  step.  A stencil writes the next state into the state slot its input
+  does not occupy, so a state it returns is overwritten two steps later
+  and any other array it returns by the next step; a snapshot row is a
+  copy.  A guard, and a stencil called without buffers, allocates its
+  own.  Nothing configures the buffers;
 - the run owns the measuring: it returns its trajectory measured by the
   flow's one measuring pass over the snapshot arrays, one record of
   length-S arrays in ``Trajectory.meters``, which residuals, verdicts and
@@ -149,8 +151,9 @@ def march(state, config, guard, advance):
 
     ``state`` is a tuple of raw values, the density array first, which
     become the trajectory's ``u`` (then ``v`` and ``vt_accum``).
-    ``guard(state, safety)``, called once, returns the largest stable
-    step, and ``advance(state, dt)`` the next state or a RunAbort.
+    ``guard(state)``, called once, returns the stencil's stability bound,
+    of which the step is ``config.safety`` times, and ``advance(state,
+    dt)`` the next state or a RunAbort.
     ``config`` supplies the grid, t_end, safety and record_every; each
     array of the state must lie on the grid, and the density above
     ``DEFAULT_FLOOR``.
@@ -161,7 +164,7 @@ def march(state, config, guard, advance):
                               % (x.shape, config.grid.shape))
     if not (state[0].min() > DEFAULT_FLOOR):
         raise PositivityLossError("initial state below floor", last_time=0.0)
-    dt0 = guard(state, config.safety)
+    dt0 = config.safety * guard(state)
     if dt0 == math.inf:
         raise ConfigError("the guard bounds no step on the initial state "
                           "(a stable step of inf)")
@@ -204,14 +207,15 @@ def march(state, config, guard, advance):
 
 class RunBuffers:
     """The arrays one run on ``n`` cells allocates once (see the run
-    contract): ``faces`` scratch arrays of n - 1 entries, ``cells``
-    scratch arrays of n entries, and two state slots per field of the
-    state, which a stencil writes the next state into alternately."""
+    contract): three scratch arrays of n - 1 face entries, two of n cell
+    entries, and two state slots for each of two state fields, which a
+    stencil writes the next state into alternately.  Every flow gets this
+    one layout; only its stencil knows which of the arrays it uses."""
 
-    def __init__(self, n, faces=0, cells=0, fields=1):
-        self.faces = [np.empty(n - 1) for _ in range(faces)]
-        self.cells = [np.empty(n) for _ in range(cells)]
-        self._slots = [(np.empty(n), np.empty(n)) for _ in range(fields)]
+    def __init__(self, n):
+        self.faces = [np.empty(n - 1) for _ in range(3)]
+        self.cells = [np.empty(n) for _ in range(2)]
+        self._slots = [(np.empty(n), np.empty(n)) for _ in range(2)]
 
     def next_state(self, field, current):
         """The slot of state field ``field`` that ``current`` does not occupy."""
@@ -225,9 +229,9 @@ def conservative_step(u, flux, bound, dt, h, out):
     written into ``out``; aborts as the run contract says.
 
     StabilityError, before anything is written, unless dt <= bound, the
-    stencil's stability bound at safety 1.  Each cell gains the flux of
-    its right face and loses that of its left one, so the update
-    telescopes and the discrete mass is conserved to rounding.
+    stencil's stability bound, which its guard returns.  Each cell gains
+    the flux of its right face and loses that of its left one, so the
+    update telescopes and the discrete mass is conserved to rounding.
     PositivityLossError unless the new state lies at or above
     ``DEFAULT_FLOOR`` everywhere, so a NaN aborts too.
     """
@@ -243,10 +247,11 @@ def conservative_step(u, flux, bound, dt, h, out):
     return new
 
 
-def _face_bound(u, model, h, safety, buf):
+def _face_bound(u, model, h, buf):
     """a at the face states (the means of adjacent cells, put in the first
-    face array of ``buf``) and safety * h^2 / (2 max a), which at safety 1
-    is the scheme's positivity condition dt (a_{i-1/2} + a_{i+1/2}) <= h^2."""
+    face array of ``buf``) and the bound h^2 / (2 max a) of the scheme's
+    positivity condition dt (a_{i-1/2} + a_{i+1/2}) <= h^2; a coefficient
+    that is 0 on every face (underflowed) bounds no step, inf."""
     mid = np.add(u[1:], u[:-1], out=buf.faces[0])
     np.multiply(mid, 0.5, out=mid)
     a_mid = np.asarray(model.a(mid), dtype=float)
@@ -254,12 +259,13 @@ def _face_bound(u, model, h, safety, buf):
     # a NaN reaches both extremes, and an infinity one of them
     if not (math.isfinite(a_max) and math.isfinite(np.minimum.reduce(a_mid))):
         raise ModelError("coefficient evaluated non-finite on the state")
-    return a_mid, safety * h * h / (2.0 * float(a_max))
+    return a_mid, h * h / (2.0 * float(a_max)) if a_max > 0.0 else math.inf
 
 
-def stable_dt(u, model, h, safety=DEFAULT_SAFETY):
-    """The explicit-scheme stability guard: the bound of ``step``'s faces."""
-    return _face_bound(u, model, h, safety, RunBuffers(u.size, faces=1))[1]
+def stable_dt(u, model, h):
+    """The explicit-scheme stability guard: the bound on ``step``'s faces
+    that ``step`` checks dt against."""
+    return _face_bound(u, model, h, RunBuffers(u.size))[1]
 
 
 def step(u, model, h, dt, buf=None):
@@ -271,8 +277,8 @@ def step(u, model, h, dt, buf=None):
     allocates its own.
     """
     if buf is None:
-        buf = RunBuffers(u.size, faces=2)
-    a_mid, bound = _face_bound(u, model, h, 1.0, buf)
+        buf = RunBuffers(u.size)
+    a_mid, bound = _face_bound(u, model, h, buf)
     flux = np.subtract(u[1:], u[:-1], out=buf.faces[1])
     np.multiply(a_mid, flux, out=flux)
     np.divide(flux, h, out=flux)
@@ -284,9 +290,9 @@ def run(u0, config):
     ``march`` (a non-finite value ends in its floor check, the guard or the
     first step); returned measured by ``meters.measure_trajectory``."""
     model, h = config.model, config.grid.h
-    buf = RunBuffers(config.grid.cells, faces=2)
+    buf = RunBuffers(config.grid.cells)
     traj = march((np.asarray(u0, dtype=float),), config,
-                 guard=lambda s, safety: stable_dt(s[0], model, h, safety),
+                 guard=lambda s: stable_dt(s[0], model, h),
                  advance=lambda s, dt: (step(s[0], model, h, dt, buf),))
     measure_trajectory(traj, model)
     return traj

@@ -282,10 +282,13 @@ def integrate(values, h, rows=False):
     return sums
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def by_row_blocks(fn, *arrays):
     """``fn(*arrays)``, a record of per-row arrays (or None), made on blocks
     of at most ``_BLOCK_CELLS`` cells of rows of the arrays, the first of
-    them (S, N), and joined: no temporary outgrows a block."""
+    them (S, N), and joined: no temporary outgrows a block.  Numpy's
+    overflow, invalid and divide warnings are off, so a measuring pass that
+    overflows ends in ``integrate``'s finiteness check, never in a warning."""
     step = max(1, _BLOCK_CELLS // arrays[0].shape[1])
     parts = [fn(*(a[i:i + step] for a in arrays))
              for i in range(0, len(arrays[0]), step)]

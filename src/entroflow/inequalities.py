@@ -41,10 +41,6 @@ class IneqReport:
 
 @dataclass
 class SearchSummary:
-    n: int
-    cells: int
-    trials: int
-    seed: int
     tol: float
     max_bernis: float
     max_fisher: float
@@ -309,10 +305,6 @@ def worst_ratio_search(n, model, trials, seed, cells=64):
             max_f, arg_f = rf.ratio, spec
         rows.append((trial, spec.offset, rb.ratio, rf.ratio, lam))
     return SearchSummary(
-        n=n,
-        cells=cells,
-        trials=trials,
-        seed=seed,
         tol=tol,
         max_bernis=max_b,
         max_fisher=max_f,

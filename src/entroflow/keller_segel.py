@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import power_quotient
-from .diffusion import (DEFAULT_SAFETY, RunBuffers, conservative_step,
-                        initial_cosine, march)
+from .diffusion import RunBuffers, conservative_step, initial_cosine, march
 from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from .fields import by_row_blocks, central_diff, integrate, second_diff
 
@@ -89,10 +88,10 @@ def v_time_derivative(u, v, h, out=None):
     return np.add(vt, u, out=vt)
 
 
-def _face_bound(u, v, model, h, safety, buf):
+def _face_bound(u, v, model, h, buf):
     """D at the face states (means of adjacent cells) and the drift
     S (v_{i+1} - v_i) / h there, into the second and third face arrays of
-    ``buf``, and min(safety h^2 / (2 max(max D, 1)), safety h / max |drift|)."""
+    ``buf``, and the bound min(h^2 / (2 max(max D, 1)), h / max |drift|)."""
     mid, coeff, drift = buf.faces[:3]
     np.add(u[1:], u[:-1], out=mid)
     np.multiply(mid, 0.5, out=mid)
@@ -102,14 +101,13 @@ def _face_bound(u, v, model, h, safety, buf):
     np.multiply(drift, mid, out=drift)
     np.divide(drift, h, out=drift)
     adv = max(float(np.maximum.reduce(drift)), -float(np.minimum.reduce(drift)))
-    return coeff, drift, min(safety * h * h / (2.0 * diff_coeff),
-                             safety * h / (adv + 1e-14))
+    return coeff, drift, min(h * h / (2.0 * diff_coeff), h / (adv + 1e-14))
 
 
-def ks_stable_dt(u, v, model, h, safety=DEFAULT_SAFETY):
-    """The smaller of a diffusive (both equations) and an advective guard, on
-    the face coefficients of ``ks_step``, which checks dt against it at safety 1."""
-    return _face_bound(u, v, model, h, safety, RunBuffers(u.size, faces=3))[2]
+def ks_stable_dt(u, v, model, h):
+    """The smaller of a diffusive (both equations) and an advective bound, on
+    the face coefficients of ``ks_step``, which checks dt against it."""
+    return _face_bound(u, v, model, h, RunBuffers(u.size))[2]
 
 
 def ks_step(u, v, model, h, dt, buf=None):
@@ -124,8 +122,8 @@ def ks_step(u, v, model, h, dt, buf=None):
     the step allocates its own.
     """
     if buf is None:
-        buf = RunBuffers(u.size, faces=3, cells=1, fields=2)
-    flux, drift, bound = _face_bound(u, v, model, h, 1.0, buf)
+        buf = RunBuffers(u.size)
+    flux, drift, bound = _face_bound(u, v, model, h, buf)
     np.multiply(flux, np.subtract(u[1:], u[:-1], out=buf.faces[0]), out=flux)
     np.divide(flux, h, out=flux)
     np.subtract(flux, drift, out=flux)
@@ -159,7 +157,7 @@ def run_ks(u0, v0, config):
     """
     model, grid, h = config.model, config.grid, config.grid.h
     # the step takes the first cell array for v_t, and the second holds v_t^2
-    buf = RunBuffers(grid.cells, faces=3, cells=2, fields=2)
+    buf = RunBuffers(grid.cells)
     vt_sq = buf.cells[1]
 
     def advance(s, dt):
@@ -174,7 +172,7 @@ def run_ks(u0, v0, config):
 
     state = (np.asarray(u0, dtype=float), np.asarray(v0, dtype=float), 0.0)
     traj = march(state, config, advance=advance,
-                 guard=lambda s, safety: ks_stable_dt(s[0], s[1], model, h, safety))
+                 guard=lambda s: ks_stable_dt(s[0], s[1], model, h))
     measure_monitors(traj, model)
     return traj
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .diffusion import DEFAULT_SAFETY, RunBuffers, conservative_step, march
+from .diffusion import RunBuffers, conservative_step, march
 from .fields import (by_row_blocks, central_diff, integrate,
                      require_positive_field, second_diff)
 from .meters import monotonicity_report as _monotonicity_report
@@ -57,10 +57,10 @@ def p_star(p):
     return 1.0 - 1.0 / (2.0 * (p - 1.0))
 
 
-def _face_diffusivity(u, model, h, safety, buf):
+def _face_diffusivity(u, model, h, buf):
     """Face gradients u_x and the coefficient (u_x^2 + delta^2)^((p-2)/2),
     written into the first two face arrays of ``buf``, and the bound
-    safety * h^2 / (2 max coefficient)."""
+    h^2 / (2 max coefficient)."""
     du, coeff = buf.faces[:2]
     np.subtract(u[1:], u[:-1], out=du)
     np.divide(du, h, out=du)
@@ -70,14 +70,15 @@ def _face_diffusivity(u, model, h, safety, buf):
     # for p < 2 a squared face gradient that overflows gives a coefficient
     # of 0, and 0 on every face bounds no step
     c_max = float(np.maximum.reduce(coeff))
-    return du, coeff, safety * h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
+    return du, coeff, h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
 
 
-def pl_stable_dt(u, model, h, safety=DEFAULT_SAFETY):
-    """safety * h^2 / (2 max face coefficient); a squared face gradient that
-    overflows (a bound of 0 for p > 2, and of inf for p < 2 when it does so
-    on every face) is left to ``march``."""
-    return _face_diffusivity(u, model, h, safety, RunBuffers(u.size, faces=2))[2]
+def pl_stable_dt(u, model, h):
+    """h^2 / (2 max face coefficient), the bound ``pl_step`` checks dt
+    against; a squared face gradient that overflows (a bound of 0 for
+    p > 2, and of inf for p < 2 when it does so on every face) is left to
+    ``march``."""
+    return _face_diffusivity(u, model, h, RunBuffers(u.size))[2]
 
 
 def pl_step(u, model, h, dt, buf=None):
@@ -87,8 +88,8 @@ def pl_step(u, model, h, dt, buf=None):
     written into; without it the step allocates its own.
     """
     if buf is None:
-        buf = RunBuffers(u.size, faces=2)
-    du, flux, bound = _face_diffusivity(u, model, h, 1.0, buf)
+        buf = RunBuffers(u.size)
+    du, flux, bound = _face_diffusivity(u, model, h, buf)
     np.multiply(flux, du, out=flux)
     return conservative_step(u, flux, bound, dt, h, buf.next_state(0, u))
 
@@ -98,9 +99,9 @@ def run(u0, config):
     checks of ``u0`` included, is that of ``diffusion.march``, and the
     trajectory is returned measured by ``measure_trajectory``."""
     model, h = config.model, config.grid.h
-    buf = RunBuffers(config.grid.cells, faces=2)
+    buf = RunBuffers(config.grid.cells)
     traj = march((np.asarray(u0, dtype=float),), config,
-                 guard=lambda s, safety: pl_stable_dt(s[0], model, h, safety),
+                 guard=lambda s: pl_stable_dt(s[0], model, h),
                  advance=lambda s, dt: (pl_step(s[0], model, h, dt, buf),))
     measure_trajectory(traj, model)
     return traj

@@ -442,6 +442,18 @@ _UNRUNNABLE = [
                  {"t_end": 0.001, "mass": 1e200}, "ks_summary.json", "ConfigError",
                  "finite number of steps of 0", None,
                  id="ks-diffusivity-overflows"),
+    pytest.param("diffusion", {"family": "power_law", "m": 50}, {"cells": 16},
+                 {"t_end": 1e-3, "mean": 1e-7}, "summary.json", "ConfigError",
+                 "a stable step of inf", None,
+                 id="diffusion-power-law-coefficient-underflows"),
+    pytest.param("ks", {"p": 2, "q": 400}, {"cells": 16},
+                 {"t_end": 1e-4, "mass": 1e3}, "ks_summary.json", "ConstructionError",
+                 "field values must be finite", None,
+                 id="ks-monitors-overflow-at-q400"),
+    pytest.param("ks", {"p": 400, "q": 399}, {"cells": 16},
+                 {"t_end": 1e-4, "mass": 1e3}, "ks_summary.json", "ConstructionError",
+                 "field values must be finite", None,
+                 id="ks-monitors-overflow-at-p400"),
 ]
 
 
@@ -687,13 +699,14 @@ def test_preset_step_counts(name):
     exp = parse_config(preset)
     cfg = exp.config
     if exp.kind == "diffusion":
-        dts = [stable_dt(*exp.state0, cfg.model, cfg.grid.h, cfg.safety)]
+        dts = [cfg.safety * stable_dt(*exp.state0, cfg.model, cfg.grid.h)]
     elif exp.kind == "plaplace":
-        dts = [pl_stable_dt(*exp.state0, cfg.model, cfg.grid.h, cfg.safety)]
+        dts = [cfg.safety * pl_stable_dt(*exp.state0, cfg.model, cfg.grid.h)]
     else:  # the preset, then the preset parsed at half its cells
         half = dict(preset, grid=dict(preset["grid"], cells=cfg.grid.cells // 2))
-        dts = [ks_stable_dt(*e.state0, e.config.model, e.config.grid.h,
-                            e.config.safety) for e in (exp, parse_config(half))]
+        dts = [e.config.safety * ks_stable_dt(*e.state0, e.config.model,
+                                              e.config.grid.h)
+               for e in (exp, parse_config(half))]
     block = cfg.record_every
     counts = tuple(block * math.ceil(cfg.t_end / (dt0 * block)) for dt0 in dts)
     assert counts == _PRESET_STEPS[name]

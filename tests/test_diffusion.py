@@ -58,13 +58,17 @@ def test_run_refuses_an_initial_state_off_the_configs_grid(u0_grid):
 
 
 def test_stable_dt_anchor():
-    # a(3) = 6 for the m=2 power law, so dt = safety h^2 / 12
+    # a(3) = 6 for the m=2 power law, so the bound is h^2 / 12, and a run
+    # steps at safety times it
     g = Grid(1, 64)
     u = np.full(g.shape, 3.0)
-    assert stable_dt(u, PowerLaw(2.0), g.h, 0.4) == pytest.approx(
-        0.4 * g.h**2 / 12.0
-    )
-    assert stable_dt(u, Linear(), g.h, 1.0) == pytest.approx(g.h**2 / 2.0)
+    assert stable_dt(u, PowerLaw(2.0), g.h) == pytest.approx(g.h**2 / 12.0)
+    assert stable_dt(u, Linear(), g.h) == pytest.approx(g.h**2 / 2.0)
+    traj = run(u, FlowConfig(PowerLaw(2.0), g, t_end=1e-3, safety=0.4))
+    assert traj.dt == pytest.approx(0.4 * g.h**2 / 12.0, rel=0.01)
+    assert traj.dt <= 0.4 * stable_dt(u, PowerLaw(2.0), g.h)
+    # a coefficient that underflows to 0 on every face bounds no step
+    assert stable_dt(np.full(16, 1e-7), PowerLaw(50.0), 1.0 / 16) == math.inf
 
 
 def test_constant_state_fixed_point():
@@ -205,8 +209,8 @@ def test_stability_error_carries_partial_trajectory():
         steps.append(dt)
         return (new,)
 
-    def guard(state, safety):
-        return stable_dt(state[0], Linear(), g.h, safety)
+    def guard(state):
+        return stable_dt(state[0], Linear(), g.h)
 
     with pytest.raises(StabilityError, match="stability bound") as info:
         march((u0.copy(),), cfg, guard, advance)
@@ -291,12 +295,12 @@ def test_residuals_refuse_a_trajectory_without_the_runs_meters():
 def _unbuffered_run(u0, cfg):
     """(dt, recorded arrays) of the loop ``run`` makes, without buffers."""
     h, block, u = cfg.grid.h, cfg.record_every, u0
-    dt0 = stable_dt(u, cfg.model, h, cfg.safety)
+    dt0 = cfg.safety * stable_dt(u, cfg.model, h)
     n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
     dt = cfg.t_end / n_steps
     snaps = [u.copy()]
     for k in range(1, n_steps + 1):
-        assert dt <= stable_dt(u, cfg.model, h, 1.0)
+        assert dt <= stable_dt(u, cfg.model, h)
         u = step(u, cfg.model, h, dt)
         if k % block == 0:
             snaps.append(u)
@@ -324,7 +328,7 @@ def test_run_buffers_stay_private(spy_buffers):
     live = spy_buffers(diffusion, "step")
     traj = run(u0, cfg)
     assert np.array_equal(u0, before)
-    assert len(live) >= 4  # two face arrays and both state slots
+    assert len(live) >= 7  # three face arrays, two cell arrays, both u slots
     assert not np.shares_memory(traj.u, u0)
     assert not any(np.shares_memory(traj.u, b) for b in live.values())
 
@@ -347,27 +351,27 @@ def test_interleaved_runs_match_runs_alone(run_interleaved):
 
 
 def _bound_case(flow):
-    """(bound, stencil(dt), inputs, cell bound) on 32 cells: the face bound
-    at safety 1, the stencil at that state, the arrays it reads, and the
+    """(bound, stencil(dt), inputs, cell bound) on 32 cells: the guard's
+    face bound, the stencil at that state, the arrays it reads, and the
     bound the same formula gives at cell values, which differs."""
     g = Grid(1, 32)
     h, x = g.h, g.axis_centers()
     u = initial_cosine(g)
     if flow == "diffusion":
         model = PowerLaw(2.0)
-        return (stable_dt(u, model, h, 1.0), lambda dt: step(u, model, h, dt),
+        return (stable_dt(u, model, h), lambda dt: step(u, model, h, dt),
                 (u,), h * h / (2.0 * model.a(u).max()))
     if flow == "p_laplace":
         model = PLaplaceModel(3.0)
         du = np.gradient(u, h)  # cell gradients
         cell = h * h / (2.0 * np.sqrt(du**2 + model.delta**2).max())
-        return (p_laplace.pl_stable_dt(u, model, h, 1.0),
+        return (p_laplace.pl_stable_dt(u, model, h),
                 lambda dt: p_laplace.pl_step(u, model, h, dt), (u,), cell)
     # a steep v, so that the advective bound binds
     u = cosine_initial_state(g, mass=2.0)[0]
     v = 80.0 * (1.0 + 0.5 * np.cos(np.pi * x))
     model = KSModel(2.0, 1.0)
-    bound = keller_segel.ks_stable_dt(u, v, model, h, 1.0)
+    bound = keller_segel.ks_stable_dt(u, v, model, h)
     assert bound < h * h / 2.0
     cell = h / np.max(np.abs(model.S(u) * np.gradient(v, h)))
     return (bound, lambda dt: keller_segel.ks_step(u, v, model, h, dt),
@@ -440,8 +444,8 @@ def test_positivity_abort_keeps_the_rows_before_the_failing_step():
         steps.append(new)
         return (new,)
 
-    def guard(state, safety):
-        return stable_dt(state[0], Linear(), g.h, safety)
+    def guard(state):
+        return stable_dt(state[0], Linear(), g.h)
 
     with pytest.raises(PositivityLossError) as info:
         march((u0,), cfg, guard, advance)

@@ -166,7 +166,7 @@ def test_search_deterministic():
 
 def test_search_summary_fields():
     s = worst_ratio_search(2, PowerLaw(2.0), trials=10, seed=1, cells=32)
-    assert s.n == 2 and s.trials == 10 and len(s.rows) == 10
+    assert [row[0] for row in s.rows] == list(range(10))
     assert s.all_passed
     assert s.max_bernis <= bernis_constant(2) * (1.0 + s.tol)
     with pytest.raises(UsageError):

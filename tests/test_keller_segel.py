@@ -130,10 +130,9 @@ def test_run_refuses_an_initial_state_off_the_configs_grid():
 def test_stable_dt_guards():
     g = Grid(1, 64)
     st = _uniform_state(g, 1.0, 1.0)
-    # max D = 1/4 < 1, so the diffusive guard uses the floor coefficient 1
-    assert ks_stable_dt(*st, P21, g.h, 0.4) == (
-        pytest.approx(0.4 * g.h**2 / 2.0)
-    )
+    # max D = 1/4 < 1, so the diffusive bound uses the floor coefficient 1,
+    # and v is flat, so the advective bound h / 1e-14 does not bind
+    assert ks_stable_dt(*st, P21, g.h) == g.h**2 / 2.0
 
 
 def test_ceiling_abort_carries_trajectory(monkeypatch):
@@ -149,7 +148,7 @@ def test_ceiling_abort_carries_trajectory(monkeypatch):
 def test_guard_recheck_aborts_mid_run():
     # v starts flat, so the fixed dt comes from the diffusive guard alone;
     # the advective bound S(u)|v_x| tightens as v_x grows until the
-    # stencil's check of the fixed dt at safety 1 fires
+    # stencil's check of the fixed dt against that bound fires
     g = Grid(1, 16)
     with pytest.raises(StabilityError, match="stability bound") as info:
         _cosine_run(P10, g, t_end=0.05, mass=50.0, safety=1.0, record_every=1)
@@ -284,12 +283,12 @@ def _unbuffered_run(u, v, cfg):
     """(dt, recorded (u, v, vt_accum)) of the loop ``run_ks`` makes from
     (u, v), without buffers."""
     model, h, block, acc = cfg.model, cfg.grid.h, cfg.record_every, 0.0
-    dt0 = ks_stable_dt(u, v, model, h, cfg.safety)
+    dt0 = cfg.safety * ks_stable_dt(u, v, model, h)
     n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
     dt = cfg.t_end / n_steps
     snaps = [(u.copy(), v.copy(), acc)]
     for k in range(1, n_steps + 1):
-        assert dt <= ks_stable_dt(u, v, model, h, 1.0)
+        assert dt <= ks_stable_dt(u, v, model, h)
         u, v, vt = ks_step(u, v, model, h, dt)
         acc = acc + dt * (float((vt * vt).sum()) * h)
         if k % block == 0:

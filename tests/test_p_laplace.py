@@ -5,7 +5,7 @@ import pytest
 
 from entroflow import fields, p_laplace
 from entroflow.coeff_models import Linear
-from entroflow.diffusion import (DEFAULT_SAFETY, FlowConfig, Trajectory, initial_cosine,
+from entroflow.diffusion import (FlowConfig, Trajectory, initial_cosine,
                                  run as run_heat)
 from entroflow.errors import ConfigError, PositivityLossError, UsageError
 from entroflow.fields import Grid, central_diff, integrate, second_diff
@@ -203,11 +203,12 @@ def test_stable_dt_uses_face_gradients():
     g = Grid(1, 64)
     u = initial_cosine(g)
     model = PLaplaceModel(3.0)
-    dt = pl_stable_dt(u, model, g.h)
     du = np.diff(u) / g.h
     coeff = (du**2 + model.delta**2) ** 0.5
-    assert dt == pytest.approx(DEFAULT_SAFETY * g.h**2 / (2.0 * coeff.max()))
-    assert pl_stable_dt(u, model, g.h, 1.0) == pytest.approx(dt / DEFAULT_SAFETY)
+    bound = pl_stable_dt(u, model, g.h)
+    assert bound == pytest.approx(g.h**2 / (2.0 * coeff.max()))
+    # the cell gradients give another bound
+    assert bound != pytest.approx(g.h**2 / (2.0 * np.abs(np.gradient(u, g.h)).max()))
 
 
 # Buffer safety: a run steps in its own buffers (see the run contract in
@@ -218,12 +219,12 @@ def test_stable_dt_uses_face_gradients():
 def _unbuffered_run(u0, cfg):
     """(dt, recorded arrays) of the loop ``run`` makes, without buffers."""
     model, h, block, u = cfg.model, cfg.grid.h, cfg.record_every, u0
-    dt0 = pl_stable_dt(u, model, h, cfg.safety)
+    dt0 = cfg.safety * pl_stable_dt(u, model, h)
     n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
     dt = cfg.t_end / n_steps
     snaps = [u.copy()]
     for k in range(1, n_steps + 1):
-        assert dt <= pl_stable_dt(u, model, h, 1.0)
+        assert dt <= pl_stable_dt(u, model, h)
         u = pl_step(u, model, h, dt)
         if k % block == 0:
             snaps.append(u)
@@ -251,7 +252,7 @@ def test_run_buffers_stay_private(spy_buffers):
     live = spy_buffers(p_laplace, "pl_step")
     traj = run(u0, cfg)
     assert np.array_equal(u0, before)
-    assert len(live) >= 4  # two face arrays and both state slots
+    assert len(live) >= 7  # three face arrays, two cell arrays, both u slots
     assert not np.shares_memory(traj.u, u0)
     assert not any(np.shares_memory(traj.u, b) for b in live.values())
 
