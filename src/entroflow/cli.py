@@ -25,7 +25,7 @@ import numpy as np
 from . import p_laplace as pl_mod
 from .coeff_models import FAMILIES, KSModel
 from .diffusion import FlowConfig, initial_cosine, run as run_flow
-from .errors import ConfigError, EntroflowError
+from .errors import ConfigError, EntroflowError, RunAbort
 from .fields import MIN_CELLS, Grid, build_test_function, integrate
 from .inequalities import cmkm_ratio, sample_spec, worst_ratio_search
 from .keller_segel import (
@@ -273,22 +273,25 @@ def _run_ks(cfg, exp, outdir):
                          for col in ["time"] + _KS_COLUMNS[1:])))
 
     # residual convergence table from a paired coarse run; a residual is
-    # null when the coarse grid would fall below the grid minimum or a
-    # run records too few snapshots for interval residuals.  At S(u) = u
-    # the rows also hold the two special-case identities.
+    # null when the coarse grid would fall below the grid minimum, a run
+    # records too few snapshots for interval residuals or the coarse run
+    # aborts, which its row, not the summary, names with its last_time.
+    # At S(u) = u the rows also hold the two special-case identities.
     table = []
     for c in (cells // 2, cells):
         row = {"cells": c, "max_lyap_residual": None}
         if s1:
             row.update(max_s1_lemma_residual=None, max_s1_remark_residual=None)
         if c >= MIN_CELLS:
-            t = traj if c == cells else _ks_run_once(cfg, c, exp)
             try:
+                t = traj if c == cells else _ks_run_once(cfg, c, exp)
                 row["max_lyap_residual"] = _max_abs(lyapunov_identity_residual(t))
                 if s1:
                     lemma, remark = s1_functional_identity(t)
                     row["max_s1_lemma_residual"] = _max_abs(lemma)
                     row["max_s1_remark_residual"] = _max_abs(remark)
+            except RunAbort as err:  # only the coarse run steps here
+                row.update(termination=type(err).__name__, last_time=err.last_time)
             except EntroflowError:
                 pass
         table.append(row)

@@ -129,11 +129,12 @@ class CoeffModel:
         lam, int_a, sigma, *flux = adaptive_simpson(self._integrand, *ends).tolist()
         return Primitives(lam, s * lam - int_a, sigma, flux[0] if flux else None)
 
+    @np.errstate(over="ignore", invalid="ignore")  # refused below, not warned of
     def _check_positive_coefficient(self):
         vals = np.asarray(self.a(_PROBE), dtype=float)
         if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
             raise ModelError(
-                "coefficient must be positive on (0, inf); "
+                "coefficient must be positive and finite on (0, inf); "
                 "violated on the probe grid for %s" % self
             )
 

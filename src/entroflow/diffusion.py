@@ -12,13 +12,14 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
 - a run takes its initial state as arrays and one ``FlowConfig``: the flow's
   model (a coefficient model, ``PLaplaceModel`` or ``KSModel``), the grid,
   t_end, safety and record_every, which its constructor checks;
-- a flow supplies only its stencil (``step``, ``pl_step``, ``ks_step``)
-  and its stability guard (``stable_dt``, ``pl_stable_dt``,
-  ``ks_stable_dt``), both on raw ndarrays; the guard returns the bound on
-  the face coefficients that the stencil checks every step, and every
-  stencil ends in ``conservative_step``, which raises StabilityError,
-  before it writes, when dt exceeds that bound, and PositivityLossError
-  when the new state leaves the admissible set, non-finite values included;
+- a flow writes its face flux once, in a private ``_fluxes`` returning
+  the interior face flux and the stability bound on the face coefficients
+  it was formed with: its guard (``stable_dt``, ``pl_stable_dt``,
+  ``ks_stable_dt``) returns that bound, and its stencil (``step``,
+  ``pl_step``, ``ks_step``), both on raw ndarrays, hands both to
+  ``conservative_step``, which raises StabilityError, before it writes,
+  when dt exceeds the bound, and PositivityLossError when the new state
+  leaves the admissible set, non-finite values included;
 - the loop owns dt: it is fixed once as the configured safety times the
   guard's bound on the initial state, then shrunk so that t_end is a whole
   number of ``record_every``-step blocks; the guard runs once per run, and
@@ -39,19 +40,19 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   included) and for a stable step of inf, which bounds nothing; row k is
   the state after step n = k * record_every, at n * dt, and an abort's
   trajectory is the rows recorded before the failing step;
-- the run owns its buffers: it allocates its face- and cell-sized
+- the loop owns the buffers: it allocates a run's face- and cell-sized
   arrays once (``RunBuffers``, one layout for every flow), shares them
-  with no other run, and its stencil writes into the ones it uses every
-  step.  A stencil writes the next state into the state slot its input
-  does not occupy, so a state it returns is overwritten two steps later
-  and any other array it returns by the next step; a snapshot row is a
-  copy.  A guard, and a stencil called without buffers, allocates its
-  own.  Nothing configures the buffers;
-- the run owns the measuring: it returns its trajectory measured by the
-  flow's one measuring pass over the snapshot arrays, one record of
-  length-S arrays in ``Trajectory.meters``, which residuals, verdicts and
-  the CLI only read; nothing measures on demand, and an abort's
-  trajectory is unmeasured.
+  with no other run, and lends them to every step, whose stencil writes
+  into the ones it uses.  A stencil writes the next state into the state
+  slot its input does not occupy, so a state it returns is overwritten
+  two steps later and any other array it returns by the next step; a
+  snapshot row is a copy.  A guard, and a stencil called without
+  buffers, allocates its own.  Nothing configures the buffers;
+- the loop owns the measuring: it returns a completed run's trajectory
+  measured by the flow's one measuring pass over the snapshot arrays, one
+  record of length-S arrays in ``Trajectory.meters``, which residuals,
+  verdicts and the CLI only read; nothing measures on demand, and an
+  abort's trajectory is unmeasured.
 """
 
 import math
@@ -97,7 +98,7 @@ class Trajectory:
     and entry k of ``vt_accum``) is the state at ``times[k]``.  Immutable
     by convention once returned from a run.  ``meters`` is the record of
     the flow's one measuring pass, one length-S array per functional,
-    which the run makes before it returns; every residual and verdict
+    which ``march`` makes before it returns; every residual and verdict
     reads it and measures nothing.
     """
 
@@ -146,14 +147,15 @@ class Trajectory:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def march(state, config, guard, advance):
+def march(state, config, guard, advance, measure):
     """The guarded explicit loop of every flow; returns a Trajectory.
 
     ``state`` is a tuple of raw values, the density array first, which
     become the trajectory's ``u`` (then ``v`` and ``vt_accum``).
     ``guard(state)``, called once, returns the stencil's stability bound,
-    of which the step is ``config.safety`` times, and ``advance(state,
-    dt)`` the next state or a RunAbort.
+    of which the step is ``config.safety`` times, ``advance(state, dt,
+    buf)``, lent the run's ``RunBuffers``, the next state or a RunAbort,
+    and ``measure(traj)`` attaches a completed run's meters.
     ``config`` supplies the grid, t_end, safety and record_every; each
     array of the state must lie on the grid, and the density above
     ``DEFAULT_FLOOR``.
@@ -192,17 +194,20 @@ def march(state, config, guard, advance):
         return Trajectory(np.arange(count, dtype=float) * block * dt, dt,
                           *(r[:count] for r in rows))
 
+    buf = RunBuffers(config.grid.cells)
     record(0, state)
     for k in range(1, n_steps + 1):
         try:
-            state = advance(state, dt)
+            state = advance(state, dt, buf)
         except RunAbort as err:
             err.last_time = (k - 1) * dt
             err.trajectory = recorded((k - 1) // block + 1)
             raise
         if k % block == 0:
             record(k // block, state)
-    return recorded(len(rows[0]))
+    traj = recorded(len(rows[0]))
+    measure(traj)
+    return traj
 
 
 class RunBuffers:
@@ -247,11 +252,12 @@ def conservative_step(u, flux, bound, dt, h, out):
     return new
 
 
-def _face_bound(u, model, h, buf):
-    """a at the face states (the means of adjacent cells, put in the first
-    face array of ``buf``) and the bound h^2 / (2 max a) of the scheme's
-    positivity condition dt (a_{i-1/2} + a_{i+1/2}) <= h^2; a coefficient
-    that is 0 on every face (underflowed) bounds no step, inf."""
+def _fluxes(u, model, h, buf):
+    """The interior face fluxes a(m) (u_{i+1} - u_i) / h, m the face state
+    (the mean of adjacent cells, put in the first face array of ``buf``;
+    the fluxes go in the second), and the bound h^2 / (2 max a) of the
+    scheme's positivity condition dt (a_{i-1/2} + a_{i+1/2}) <= h^2; a
+    coefficient that is 0 on every face (underflowed) bounds no step, inf."""
     mid = np.add(u[1:], u[:-1], out=buf.faces[0])
     np.multiply(mid, 0.5, out=mid)
     a_mid = np.asarray(model.a(mid), dtype=float)
@@ -259,30 +265,26 @@ def _face_bound(u, model, h, buf):
     # a NaN reaches both extremes, and an infinity one of them
     if not (math.isfinite(a_max) and math.isfinite(np.minimum.reduce(a_mid))):
         raise ModelError("coefficient evaluated non-finite on the state")
-    return a_mid, h * h / (2.0 * float(a_max)) if a_max > 0.0 else math.inf
-
-
-def stable_dt(u, model, h):
-    """The explicit-scheme stability guard: the bound on ``step``'s faces
-    that ``step`` checks dt against."""
-    return _face_bound(u, model, h, RunBuffers(u.size))[1]
-
-
-def step(u, model, h, dt, buf=None):
-    """One conservative explicit Euler step; aborts as the run contract says.
-
-    The flux at each interior face is a at the arithmetic-mean face state
-    times the face difference.  ``buf`` lends it two face arrays and the
-    state slot the new state is written into; without it the step
-    allocates its own.
-    """
-    if buf is None:
-        buf = RunBuffers(u.size)
-    a_mid, bound = _face_bound(u, model, h, buf)
     flux = np.subtract(u[1:], u[:-1], out=buf.faces[1])
     np.multiply(a_mid, flux, out=flux)
     np.divide(flux, h, out=flux)
-    return conservative_step(u, flux, bound, dt, h, buf.next_state(0, u))
+    return flux, h * h / (2.0 * float(a_max)) if a_max > 0.0 else math.inf
+
+
+def stable_dt(u, model, h):
+    """The stability guard: the bound of ``_fluxes``, which ``step`` checks."""
+    return _fluxes(u, model, h, RunBuffers(u.size))[1]
+
+
+def step(u, model, h, dt, buf=None):
+    """One conservative explicit Euler step of ``_fluxes``; aborts as the
+    run contract says.  ``buf`` lends it two face arrays and the state slot
+    the new state is written into; without it the step allocates its own.
+    """
+    if buf is None:
+        buf = RunBuffers(u.size)
+    return conservative_step(u, *_fluxes(u, model, h, buf), dt, h,
+                             buf.next_state(0, u))
 
 
 def run(u0, config):
@@ -290,12 +292,10 @@ def run(u0, config):
     ``march`` (a non-finite value ends in its floor check, the guard or the
     first step); returned measured by ``meters.measure_trajectory``."""
     model, h = config.model, config.grid.h
-    buf = RunBuffers(config.grid.cells)
-    traj = march((np.asarray(u0, dtype=float),), config,
+    return march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s: stable_dt(s[0], model, h),
-                 advance=lambda s, dt: (step(s[0], model, h, dt, buf),))
-    measure_trajectory(traj, model)
-    return traj
+                 advance=lambda s, dt, buf: (step(s[0], model, h, dt, buf),),
+                 measure=lambda traj: measure_trajectory(traj, model))
 
 
 def initial_cosine(grid, mean=1.0, amplitude=0.5, mode=1):

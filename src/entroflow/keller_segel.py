@@ -88,34 +88,36 @@ def v_time_derivative(u, v, h, out=None):
     return np.add(vt, u, out=vt)
 
 
-def _face_bound(u, v, model, h, buf):
-    """D at the face states (means of adjacent cells) and the drift
-    S (v_{i+1} - v_i) / h there, into the second and third face arrays of
-    ``buf``, and the bound min(h^2 / (2 max(max D, 1)), h / max |drift|)."""
-    mid, coeff, drift = buf.faces[:3]
+def _fluxes(u, v, model, h, buf):
+    """The interior face fluxes of u, D (u_{i+1} - u_i) / h minus the drift
+    S (v_{i+1} - v_i) / h with D and S at the face states (means of adjacent
+    cells), into the second and third face arrays of ``buf``, and the bound
+    min(h^2 / (2 max(max D, 1)), h / max |drift|)."""
+    mid, flux, drift = buf.faces[:3]
     np.add(u[1:], u[:-1], out=mid)
     np.multiply(mid, 0.5, out=mid)
-    diff_coeff = max(float(np.maximum.reduce(model.D(mid, out=coeff))), 1.0)
+    diff_coeff = max(float(np.maximum.reduce(model.D(mid, out=flux))), 1.0)
     model.S(mid, out=drift)
     np.subtract(v[1:], v[:-1], out=mid)
     np.multiply(drift, mid, out=drift)
     np.divide(drift, h, out=drift)
     adv = max(float(np.maximum.reduce(drift)), -float(np.minimum.reduce(drift)))
-    return coeff, drift, min(h * h / (2.0 * diff_coeff), h / (adv + 1e-14))
+    np.multiply(flux, np.subtract(u[1:], u[:-1], out=mid), out=flux)
+    np.divide(flux, h, out=flux)
+    np.subtract(flux, drift, out=flux)
+    return flux, min(h * h / (2.0 * diff_coeff), h / (adv + 1e-14))
 
 
 def ks_stable_dt(u, v, model, h):
     """The smaller of a diffusive (both equations) and an advective bound, on
     the face coefficients of ``ks_step``, which checks dt against it."""
-    return _face_bound(u, v, model, h, RunBuffers(u.size))[2]
+    return _fluxes(u, v, model, h, RunBuffers(u.size))[1]
 
 
 def ks_step(u, v, model, h, dt, buf=None):
-    """One conservative explicit step; aborts as the run contract says.
+    """One conservative explicit step of ``_fluxes`` for u and of
+    ``v_time_derivative`` for v; aborts as the run contract says.
 
-    The u flux at each interior face combines a diffusive and an advective
-    part, both with coefficients at the arithmetic-mean face state; the
-    boundary fluxes vanish, so the discrete u-mass telescopes exactly.
     Returns the new (u, v) and v_t of the old state, which drove the
     v-update.  ``buf`` lends it three face arrays, one cell array (for
     v_t) and the state slots the new u and v are written into; without it
@@ -123,11 +125,8 @@ def ks_step(u, v, model, h, dt, buf=None):
     """
     if buf is None:
         buf = RunBuffers(u.size)
-    flux, drift, bound = _face_bound(u, v, model, h, buf)
-    np.multiply(flux, np.subtract(u[1:], u[:-1], out=buf.faces[0]), out=flux)
-    np.divide(flux, h, out=flux)
-    np.subtract(flux, drift, out=flux)
-    u_new = conservative_step(u, flux, bound, dt, h, buf.next_state(0, u))
+    u_new = conservative_step(u, *_fluxes(u, v, model, h, buf), dt, h,
+                              buf.next_state(0, u))
     vt = v_time_derivative(u, v, h, out=buf.cells[0])
     v_new = np.multiply(vt, dt, out=buf.next_state(1, v))
     np.add(v, v_new, out=v_new)
@@ -155,26 +154,23 @@ def run_ks(u0, v0, config):
     trajectory's ``vt_accum`` holds the accumulated int_0^t int |v_t|^2
     at each snapshot.  It is returned measured by ``measure_monitors``.
     """
-    model, grid, h = config.model, config.grid, config.grid.h
-    # the step takes the first cell array for v_t, and the second holds v_t^2
-    buf = RunBuffers(grid.cells)
-    vt_sq = buf.cells[1]
+    model, h = config.model, config.grid.h
 
-    def advance(s, dt):
+    def advance(s, dt, buf):
         u, v, acc = s
         u, v, vt = ks_step(u, v, model, h, dt, buf)
         if np.maximum.reduce(u) > DEFAULT_CEILING:
             raise StabilityError("density exceeded the blow-up suspicion ceiling")
         # dt times int |v_t|^2 by fields.integrate's midpoint rule, written
-        # out: this runs every step, and the call costs as much as the sum
-        np.multiply(vt, vt, out=vt_sq)
+        # out: this runs every step, and the call costs as much as the sum;
+        # the step takes the first cell array for v_t, the second holds v_t^2
+        vt_sq = np.multiply(vt, vt, out=buf.cells[1])
         return u, v, acc + dt * (float(np.add.reduce(vt_sq)) * h)
 
     state = (np.asarray(u0, dtype=float), np.asarray(v0, dtype=float), 0.0)
-    traj = march(state, config, advance=advance,
-                 guard=lambda s: ks_stable_dt(s[0], s[1], model, h))
-    measure_monitors(traj, model)
-    return traj
+    return march(state, config, advance=advance,
+                 guard=lambda s: ks_stable_dt(s[0], s[1], model, h),
+                 measure=lambda traj: measure_monitors(traj, model))
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ class PLaplaceModel:
             raise ConfigError("p must be > 1 (p* is undefined at p = 1)")
         if abs(self.p - 1.5) < 1e-12:
             raise ConfigError("p = 3/2 is excluded (the exponent p* vanishes)")
-        if not (self.delta > 0.0):
-            raise ConfigError("delta must be positive")
+        # the flux adds delta^2, which must not overflow
+        if not (self.delta > 0.0 and self.delta * self.delta < math.inf):
+            raise ConfigError("delta must be positive, with a finite square")
 
 
 def p_star(p):
@@ -57,20 +58,21 @@ def p_star(p):
     return 1.0 - 1.0 / (2.0 * (p - 1.0))
 
 
-def _face_diffusivity(u, model, h, buf):
-    """Face gradients u_x and the coefficient (u_x^2 + delta^2)^((p-2)/2),
-    written into the first two face arrays of ``buf``, and the bound
-    h^2 / (2 max coefficient)."""
-    du, coeff = buf.faces[:2]
+def _fluxes(u, model, h, buf):
+    """The interior face fluxes (u_x^2 + delta^2)^((p-2)/2) u_x of the face
+    gradients u_x, and the bound h^2 / (2 max coefficient); the gradients
+    go in the first face array of ``buf``, the fluxes in the second."""
+    du, flux = buf.faces[:2]
     np.subtract(u[1:], u[:-1], out=du)
     np.divide(du, h, out=du)
-    np.multiply(du, du, out=coeff)
-    np.add(coeff, model.delta**2, out=coeff)
-    coeff **= (model.p - 2.0) / 2.0
+    np.multiply(du, du, out=flux)
+    np.add(flux, model.delta**2, out=flux)
+    flux **= (model.p - 2.0) / 2.0
     # for p < 2 a squared face gradient that overflows gives a coefficient
     # of 0, and 0 on every face bounds no step
-    c_max = float(np.maximum.reduce(coeff))
-    return du, coeff, h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
+    c_max = float(np.maximum.reduce(flux))
+    np.multiply(flux, du, out=flux)
+    return flux, h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
 
 
 def pl_stable_dt(u, model, h):
@@ -78,20 +80,18 @@ def pl_stable_dt(u, model, h):
     against; a squared face gradient that overflows (a bound of 0 for
     p > 2, and of inf for p < 2 when it does so on every face) is left to
     ``march``."""
-    return _face_diffusivity(u, model, h, RunBuffers(u.size))[2]
+    return _fluxes(u, model, h, RunBuffers(u.size))[1]
 
 
 def pl_step(u, model, h, dt, buf=None):
-    """One conservative explicit step; aborts as the run contract says.
-
-    ``buf`` lends it two face arrays and the state slot the new state is
-    written into; without it the step allocates its own.
+    """One conservative explicit step of ``_fluxes``; aborts as the run
+    contract says.  ``buf`` lends it two face arrays and the state slot the
+    new state is written into; without it the step allocates its own.
     """
     if buf is None:
         buf = RunBuffers(u.size)
-    du, flux, bound = _face_diffusivity(u, model, h, buf)
-    np.multiply(flux, du, out=flux)
-    return conservative_step(u, flux, bound, dt, h, buf.next_state(0, u))
+    return conservative_step(u, *_fluxes(u, model, h, buf), dt, h,
+                             buf.next_state(0, u))
 
 
 def run(u0, config):
@@ -99,12 +99,10 @@ def run(u0, config):
     checks of ``u0`` included, is that of ``diffusion.march``, and the
     trajectory is returned measured by ``measure_trajectory``."""
     model, h = config.model, config.grid.h
-    buf = RunBuffers(config.grid.cells)
-    traj = march((np.asarray(u0, dtype=float),), config,
+    return march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s: pl_stable_dt(s[0], model, h),
-                 advance=lambda s, dt: (pl_step(s[0], model, h, dt, buf),))
-    measure_trajectory(traj, model)
-    return traj
+                 advance=lambda s, dt, buf: (pl_step(s[0], model, h, dt, buf),),
+                 measure=lambda traj: measure_trajectory(traj, model))
 
 
 # ---------------------------------------------------------------------------

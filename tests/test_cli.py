@@ -349,6 +349,23 @@ def test_ks_below_twice_the_grid_minimum_skips_coarse_run(outdir):
     assert summary["residual_convergence"]["ratio"] is None
 
 
+def test_coarse_ks_abort_stays_in_its_table_row(outdir, tmp_path):
+    # the experiment's own 16-cell run completes; the paired 8-cell run
+    # aborts, which nulls its residual and names the abort in its row only
+    cfg = {"name": "ks_coarse_abort", "kind": "ks", "model": {"p": 2, "q": 0.5},
+           "grid": {"cells": 16},
+           "run": {"t_end": 0.5, "mass": 20, "record_every": 20}}
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_PASS
+    summary = json.loads((outdir / "ks_coarse_abort" / "ks_summary.json").read_text())
+    assert summary["termination"] == "completed" and "last_time" not in summary
+    coarse, fine = summary["residual_convergence"]["table"]
+    assert coarse["cells"] == 8 and coarse["max_lyap_residual"] is None
+    assert coarse["termination"] == "StabilityError"
+    assert 0.0 < coarse["last_time"] < 0.5
+    assert fine["max_lyap_residual"] is not None and "termination" not in fine
+    assert summary["residual_convergence"]["ratio"] is None
+
+
 def test_abort_still_writes_summary(outdir, tmp_path):
     # initial data below the positivity floor: the run aborts with exit 3
     # but the summary is still written with the abort reason and time
@@ -579,6 +596,12 @@ _PROBES = [
     # some squared face gradients overflow, and their coefficients of 0 step
     ("plaplace_mono", {"model.p": 1.2, "grid.cells": 64, "run.mean": 1e154},
      EXIT_PASS),
+    # the flux adds delta^2, which overflows a float
+    ("plaplace_mono", {"model.delta": 1e300}, EXIT_CONFIG),
+    # coefficients that overflow on the construction probe
+    ("heat_sanity", {"model.family": "power_law", "model.m": 60}, EXIT_CONFIG),
+    ("bernis_n1", {"model.family": "shifted_power_law", "model.m": 200},
+     EXIT_CONFIG),
 ]
 # the rows whose config error names the key at fault, and that key
 _NAMED_KEYS = [({"model.family": "power_law"}, "model.m"),

@@ -200,12 +200,12 @@ def test_stability_error_carries_partial_trajectory():
     g = Grid(1, 32)
     u0 = initial_cosine(g)
     cfg = FlowConfig(Linear(), g, t_end=0.01, safety=1.0)
-    steps = []
+    steps, measured = [], []
 
-    def advance(state, dt):
+    def advance(state, dt, buf):
         # from the second step on, the coefficient reaches ~3 and the
         # stencil refuses the fixed dt, set by a = 1
-        new = step(state[0], PowerLaw(2.0) if steps else Linear(), g.h, dt)
+        new = step(state[0], PowerLaw(2.0) if steps else Linear(), g.h, dt, buf)
         steps.append(dt)
         return (new,)
 
@@ -213,8 +213,9 @@ def test_stability_error_carries_partial_trajectory():
         return stable_dt(state[0], Linear(), g.h)
 
     with pytest.raises(StabilityError, match="stability bound") as info:
-        march((u0.copy(),), cfg, guard, advance)
+        march((u0.copy(),), cfg, guard, advance, measured.append)
     (dt,) = steps
+    assert measured == []
     assert info.value.last_time == dt
     traj = info.value.trajectory
     assert traj.times.tolist() == [0.0, dt]
@@ -419,13 +420,12 @@ def test_guard_runs_once_per_run(monkeypatch):
     for module, guard, stencil, go in runs:
         guards = _count_calls(monkeypatch, module, guard)
         steps = _count_calls(monkeypatch, module, stencil)
+        # each flow's one flux function: once for dt, then once per step
+        fluxes = _count_calls(monkeypatch, module, "_fluxes")
         traj = go()
         assert len(guards) == 1
         assert len(steps) == round(traj.times[-1] / traj.dt) > 1
-    # the p-Laplace face coefficient: once for dt, then once per step
-    coeffs = _count_calls(monkeypatch, p_laplace, "_face_diffusivity")
-    traj = runs[1][3]()
-    assert len(coeffs) == round(traj.times[-1] / traj.dt) + 1
+        assert len(fluxes) == len(steps) + 1
 
 
 def test_positivity_abort_keeps_the_rows_before_the_failing_step():
@@ -435,9 +435,9 @@ def test_positivity_abort_keeps_the_rows_before_the_failing_step():
     g = Grid(1, 32)
     u0 = initial_cosine(g)
     cfg = FlowConfig(Linear(), g, t_end=0.1, record_every=3)
-    steps = []
+    steps, measured = [], []
 
-    def advance(state, dt):
+    def advance(state, dt, buf):
         u = state[0]
         new = conservative_step(u, np.diff(u) / g.h, np.inf, 0.75 * g.h**2, g.h,
                                 np.empty_like(u))
@@ -448,12 +448,12 @@ def test_positivity_abort_keeps_the_rows_before_the_failing_step():
         return stable_dt(state[0], Linear(), g.h)
 
     with pytest.raises(PositivityLossError) as info:
-        march((u0,), cfg, guard, advance)
+        march((u0,), cfg, guard, advance, measured.append)
     traj, block, failing = info.value.trajectory, cfg.record_every, len(steps) + 1
     dt = traj.dt
     assert failing > 3 * block and failing * dt < cfg.t_end
     assert info.value.last_time == (failing - 1) * dt
-    assert traj.meters is None
+    assert traj.meters is None and measured == []
     kept = range(block, failing, block)
     assert traj.times.tolist() == [k * dt for k in range(0, failing, block)]
     assert np.array_equal(traj.u, np.stack([u0] + [steps[k - 1] for k in kept]))
