@@ -200,6 +200,7 @@ def _run_diffusion(cfg, exp, outdir):
     results = {
         "dt": traj.dt,
         "snapshots": len(traj.times),
+        "integrator": traj.integrator,
         "mass_drift": _max_abs(masses - masses[0]),
         "entropy_monotone": mono_e.passed,
         "fisher_monotone": mono_f.passed,
@@ -285,13 +286,15 @@ def _run_ks(cfg, exp, outdir):
         if c >= MIN_CELLS:
             try:
                 t = traj if c == cells else _ks_run_once(cfg, c, exp)
+                row["integrator"] = t.integrator
                 row["max_lyap_residual"] = _max_abs(lyapunov_identity_residual(t))
                 if s1:
                     lemma, remark = s1_functional_identity(t)
                     row["max_s1_lemma_residual"] = _max_abs(lemma)
                     row["max_s1_remark_residual"] = _max_abs(remark)
-            except RunAbort as err:  # only the coarse run steps here
-                row.update(termination=type(err).__name__, last_time=err.last_time)
+            except RunAbort as err:  # only the coarse run integrates here
+                row.update(termination=type(err).__name__, last_time=err.last_time,
+                           integrator=err.trajectory.integrator)
             except EntroflowError:
                 pass
         table.append(row)
@@ -304,6 +307,7 @@ def _run_ks(cfg, exp, outdir):
     results = {
         "dt": traj.dt,
         "snapshots": len(traj.times),
+        "integrator": traj.integrator,
         "mass_drift_rel": _max_abs(mass - mass[0]) / abs(float(mass[0])),
         "max_monitors": {
             col: float(np.max(getattr(monitors, col))) for col in _KS_COLUMNS[1:]
@@ -338,6 +342,7 @@ def _run_plaplace(cfg, exp, outdir):
     )
     results = {
         "dt": traj.dt,
+        "integrator": traj.integrator,
         "monotone": report.passed,
         "worst_violation": report.worst_violation,
         "tolerance_scale": report.tolerance_scale,
@@ -379,6 +384,10 @@ def run_experiment(cfg, out_root=None):
         code = EXIT_NUMERICS
         results = {"termination": type(err).__name__, "message": str(err),
                    "last_time": getattr(err, "last_time", None)}
+        # an abort after the integration started says what it cost so far
+        partial = getattr(err, "trajectory", None)
+        if partial is not None:
+            results["integrator"] = partial.integrator
     summary.update(results)
     write_json(os.path.join(outdir, _SUMMARY_FILES[exp.kind]), summary)
     print("%s: exit %d (artifacts in %s)" % (exp.name, code, outdir))

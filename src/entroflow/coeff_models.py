@@ -338,8 +338,8 @@ class KSModel:
         """S(u) = u, the q = 0 case of the special-case identities."""
         return abs(self.q) <= 1e-12
 
-    # D and S write into ``out`` when given: the explicit chemotaxis step
-    # evaluates them on its own face arrays every step.
+    # D and S write into ``out`` when given: the chemotaxis rate evaluates
+    # them on the run's face arrays at every evaluation.
 
     def D(self, s, out=None):
         d = np.add(np.asarray(s, dtype=float), 1.0, out=out)

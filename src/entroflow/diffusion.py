@@ -1,10 +1,11 @@
-"""Explicit conservative time-stepping for u_t = (a(u) u_x)_x on (0,1),
-and the one guarded time loop that every flow of the package runs on.
+"""Conservative method-of-lines flow u_t = (a(u) u_x)_x on (0,1), and
+the one integrator that every flow of the package runs on.
 
-Conservative flux form with zero boundary fluxes keeps the discrete mass
-bit-exact; positivity is enforced by aborting the run rather than
-clamping, since clamping would silently break every identity this
-package exists to verify.
+Conservative flux form with zero boundary fluxes makes the semi-discrete
+rates sum to zero, so the discrete mass is conserved to rounding;
+positivity is enforced by aborting the run rather than clamping, since
+clamping would silently break every identity this package exists to
+verify.
 
 The run contract, shared by ``run(u0, config)``, ``p_laplace.run(u0,
 config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
@@ -13,41 +14,55 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   model (a coefficient model, ``PLaplaceModel`` or ``KSModel``), the grid,
   t_end, safety and record_every, which its constructor checks;
 - a flow writes its face flux once, in a private ``_fluxes`` returning
-  the interior face flux and the stability bound on the face coefficients
-  it was formed with: its guard (``stable_dt``, ``pl_stable_dt``,
-  ``ks_stable_dt``) returns that bound, and its stencil (``step``,
-  ``pl_step``, ``ks_step``), both on raw ndarrays, hands both to
-  ``conservative_step``, which raises StabilityError, before it writes,
-  when dt exceeds the bound, and PositivityLossError when the new state
-  leaves the admissible set, non-finite values included;
-- the loop owns dt: it is fixed once as the configured safety times the
-  guard's bound on the initial state, then shrunk so that t_end is a whole
-  number of ``record_every``-step blocks; the guard runs once per run, and
-  nothing else reads the safety;
-- the loop owns the grid: it steps on ``config.grid``, and an initial
+  the interior face flux and the explicit scheme's stability bound on the
+  face coefficients it was formed with.  Its rate, the semi-discrete time
+  derivative, is ``net_rate`` of that flux (for chemotaxis, with
+  ``v_time_derivative`` for v); its guard (``stable_dt``,
+  ``pl_stable_dt``, ``ks_stable_dt``) returns the bound; and its explicit
+  Euler stencil (``step``, ``pl_step``, ``ks_step``), which no run steps
+  with, is the oracle of a run's time error;
+- the loop owns the integration: scipy's Radau IIA, an implicit
+  fifth-order method that stiffness does not hold to a step bound,
+  integrates the rate from 0 to the last record time at the fixed
+  tolerances ``RTOL`` and ``ATOL``, with a finite-difference Jacobian of
+  the flow's sparsity pattern; it chooses its own steps, and nothing
+  configures it;
+- the loop owns the record grid: dt is fixed once as the configured
+  safety times the guard's bound on the initial state, then shrunk so that
+  t_end is a whole number of ``record_every``-step blocks, and row k is
+  the state at k * record_every * dt.  The guard runs once per run, and
+  nothing else reads the safety; dt sets where the rows are, not the
+  integrator's steps;
+- the loop owns the grid: it integrates on ``config.grid``, and an initial
   state with a field on another grid is a ConfigError;
-- the loop owns overflow: the guard and every step run with numpy's
-  overflow and invalid warnings off, so an overflow ends in the checks
-  that follow it (a non-finite face coefficient, a stable step of 0 or
-  inf, the floor check, which a NaN fails) and never as a warning;
+- the loop owns overflow: the guard and the integration run with numpy's
+  overflow, invalid and divide warnings off, so an overflow ends in the
+  checks that follow it (a non-finite face coefficient, a stable step of 0
+  or inf, the checks of the states, which a NaN fails) and never as a
+  warning;
 - the loop owns the aborts: an initial density at or below the
-  positivity floor and every RunAbort of a step (a stencil's, or the
-  chemotaxis run's density ceiling) raise with ``last_time``, the time of
-  the last valid state, and the trajectory recorded so far;
-- the loop owns the snapshots: before the first step it allocates one
-  (S, N) array per state field (one of S per scalar), or raises
-  ConfigError for a count no float or array holds (a stable step of 0
-  included) and for a stable step of inf, which bounds nothing; row k is
-  the state after step n = k * record_every, at n * dt, and an abort's
-  trajectory is the rows recorded before the failing step;
-- the loop owns the buffers: it allocates a run's face- and cell-sized
-  arrays once (``RunBuffers``, one layout for every flow), shares them
-  with no other run, and lends them to every step, whose stencil writes
-  into the ones it uses.  A stencil writes the next state into the state
-  slot its input does not occupy, so a state it returns is overwritten
-  two steps later and any other array it returns by the next step; a
-  snapshot row is a copy.  A guard, and a stencil called without
-  buffers, allocates its own.  Nothing configures the buffers;
+  positivity floor raises with ``last_time`` 0.  After each accepted step
+  the loop checks the step's end and the rows inside it: a density at or
+  below ``DEFAULT_FLOOR`` (a NaN included) is a PositivityLossError, a
+  density above the flow's ceiling (chemotaxis only) or a value that is
+  not finite a StabilityError, and so is an integrator that cannot take a
+  step (its step falls below the float spacing, or its Newton matrix is
+  singular).  Each raises with ``last_time``, the start of the step, and
+  the trajectory of the rows recorded up to it;
+- the loop owns the snapshots: before the integration it allocates one
+  (S, N) array per state field (and one of S for the chemotaxis
+  ``vt_accum``), or raises ConfigError for a count no float or array
+  holds (a stable step of 0 included) and for a stable step of inf, which
+  bounds nothing.  The rows inside a step come from its dense output, and
+  ``vt_accum`` gains the step's integral of int |v_t|^2 by 4-point
+  Gauss-Legendre on it; the last row is the end of the last step;
+- the loop owns the buffers: a run allocates its face arrays once
+  (``face_arrays``), shares them with no other run, and lends them to
+  every evaluation of its rate, which returns a new array.  A guard and a
+  stencil allocate their own;
+- the loop owns the cost record: ``Trajectory.integrator`` counts the
+  accepted and rejected steps, the rate evaluations and the LU
+  factorizations, an abort's trajectory included;
 - the loop owns the measuring: it returns a completed run's trajectory
   measured by the flow's one measuring pass over the snapshot arrays, one
   record of length-S arrays in ``Trajectory.meters``, which residuals,
@@ -55,19 +70,28 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   abort's trajectory is unmeasured.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, ModelError, PositivityLossError, RunAbort,
-                     StabilityError, UsageError)
+from .errors import (ConfigError, ModelError, PositivityLossError, StabilityError,
+                     UsageError)
 from .fields import Grid
 from .meters import measure_trajectory
 
 DEFAULT_SAFETY = 0.4
 DEFAULT_FLOOR = 1e-8
+# the integrator's relative and absolute tolerance, per state component
+RTOL = 1e-10
+ATOL = 1e-12
+# 4-point Gauss-Legendre on [-1, 1], exact for the square of a cubic; in
+# closed form, since numpy.polynomial is not imported with numpy
+_OUTER, _INNER = (math.sqrt((3.0 + s * 2.0 * math.sqrt(1.2)) / 7.0) for s in (1, -1))
+_GAUSS_NODES = np.array([-_OUTER, -_INNER, _INNER, _OUTER])
+_GAUSS_WEIGHTS = (18.0 + np.array([-1.0, 1.0, 1.0, -1.0]) * math.sqrt(30.0)) / 36.0
 
 
 @dataclass
@@ -99,7 +123,8 @@ class Trajectory:
     by convention once returned from a run.  ``meters`` is the record of
     the flow's one measuring pass, one length-S array per functional,
     which ``march`` makes before it returns; every residual and verdict
-    reads it and measures nothing.
+    reads it and measures nothing.  ``dt`` is the step of the record grid,
+    and ``integrator`` the run's cost record (see the run contract).
     """
 
     times: np.ndarray
@@ -108,6 +133,7 @@ class Trajectory:
     v: np.ndarray = None
     vt_accum: np.ndarray = None
     meters: object = None
+    integrator: dict = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -146,26 +172,10 @@ class Trajectory:
         return (v[1:] - v[:-1]) / self.record_dt + 0.5 * (s[:-1] + s[1:])
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def march(state, config, guard, advance, measure):
-    """The guarded explicit loop of every flow; returns a Trajectory.
-
-    ``state`` is a tuple of raw values, the density array first, which
-    become the trajectory's ``u`` (then ``v`` and ``vt_accum``).
-    ``guard(state)``, called once, returns the stencil's stability bound,
-    of which the step is ``config.safety`` times, ``advance(state, dt,
-    buf)``, lent the run's ``RunBuffers``, the next state or a RunAbort,
-    and ``measure(traj)`` attaches a completed run's meters.
-    ``config`` supplies the grid, t_end, safety and record_every; each
-    array of the state must lie on the grid, and the density above
-    ``DEFAULT_FLOOR``.
-    """
-    for x in state:  # each array field, u first
-        if np.ndim(x) and x.shape != config.grid.shape:
-            raise ConfigError("initial state of shape %s is not on the config's grid %s"
-                              % (x.shape, config.grid.shape))
-    if not (state[0].min() > DEFAULT_FLOOR):
-        raise PositivityLossError("initial state below floor", last_time=0.0)
+def _record_grid(state, config, guard):
+    """(dt, S): the step ``config.safety`` times ``guard(state)``, shrunk
+    so that t_end is a whole number of ``record_every``-step blocks, and
+    the count of block ends, 0 included, which the rows are recorded at."""
     dt0 = config.safety * guard(state)
     if dt0 == math.inf:
         raise ConfigError("the guard bounds no step on the initial state "
@@ -177,95 +187,220 @@ def march(state, config, guard, advance, measure):
         raise ConfigError("t_end = %g is not a finite number of steps of %g"
                           % (config.t_end, dt0))
     n_steps = block * max(1, math.ceil(blocks))
-    dt = config.t_end / n_steps
+    return config.t_end / n_steps, n_steps // block + 1
+
+
+@functools.lru_cache(maxsize=16)
+def _sparsity(coupling, n):
+    """The Jacobian pattern of a system of len(coupling) fields on ``n``
+    cells: block (i, j) is "T" (tridiagonal) or "I" (diagonal) as the rate
+    of field i reads field j at a cell's neighbours or at the cell alone.
+    Built once per system and cell count; the integrator only reads it."""
+    from scipy import sparse
+
+    blocks = {"T": sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(n, n)),
+              "I": sparse.identity(n)}
+    return sparse.bmat([[blocks[b] for b in row] for row in coupling], format="csc")
+
+
+class _Counted:
+    """A rate function as the integrator calls it, ``fun(t, y)``, counting
+    its calls and the collocation nodes of each step's attempts.
+
+    A Radau IIA attempt of size H from t evaluates the rate at its three
+    nodes t + c H (c_3 = 1) in each Newton iteration, and the solver's
+    other calls (its Jacobian and error estimates) are made at t; so the
+    distinct times past t, in thirds, are the step's attempts, all but the
+    accepted one rejected."""
+
+    def __init__(self, rate, n):
+        self.rate, self.faces = rate, face_arrays(n)
+        self.calls, self.times, self.rejected = 0, [], 0
+
+    def __call__(self, t, y):
+        self.times.append(t)
+        return self.rate(y, self.faces)
+
+    def attempts_since(self, start):
+        attempts = len({t for t in self.times if t > start}) // 3
+        self.calls += len(self.times)
+        self.times = []
+        return attempts
+
+
+def _inadmissible(ys, n, ceiling):
+    """The RunAbort for the first way in which a row of ``ys``, states
+    whose first ``n`` entries are the density, leaves the admissible set,
+    or None: a density at or below ``DEFAULT_FLOOR`` (a NaN included),
+    above ``ceiling``, or a value that is not finite."""
+    u = ys[:, :n]
+    if not (u.min() > DEFAULT_FLOOR):
+        return PositivityLossError("the density dropped to the positivity floor")
+    if u.max() > ceiling:
+        return StabilityError("density exceeded the blow-up suspicion ceiling")
+    if not np.isfinite(ys).all():
+        return StabilityError("the state is not finite")
+    return None
+
+
+def _integrals(integrand, sol, start, ends):
+    """The integrals of ``integrand`` along the dense output ``sol`` of a
+    step from ``start`` to each of ``ends``, by Gauss-Legendre: exact for
+    the square of a linear function of the state, ``sol`` being a cubic in
+    time.  ``integrand`` maps (K, len(y)) states to K values."""
+    half = 0.5 * (ends - start)
+    nodes = start + half[:, None] * (_GAUSS_NODES + 1.0)
+    values = integrand(np.ascontiguousarray(sol(nodes.ravel()).T))
+    return half * (values.reshape(nodes.shape) @ _GAUSS_WEIGHTS)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def march(state, config, guard, rate, measure, coupling=(("T",),),
+          ceiling=math.inf, accumulate=None):
+    """The integration of every flow; returns a Trajectory.
+
+    ``state`` is a tuple of the initial arrays, the density first, which
+    become the trajectory's ``u`` (then ``v``), and ``rate(y, faces)`` the
+    flow's semi-discrete time derivative of their concatenation y, a new
+    array, lent the run's face arrays.  ``coupling`` says which fields
+    each field's rate reads (see ``_sparsity``), ``ceiling`` bounds the
+    density, and ``accumulate(ys)``, given, maps the (K, len(y)) states
+    ``ys`` to the K values whose time integral becomes ``vt_accum``.
+    ``guard(state)``, called once, returns the bound the record grid is
+    drawn from, and ``measure(traj)`` attaches a completed run's meters.
+    ``config`` supplies the grid, t_end, safety and record_every; each
+    array of the state must lie on the grid, and the density above
+    ``DEFAULT_FLOOR``.
+    """
+    for x in state:
+        if x.shape != config.grid.shape:
+            raise ConfigError("initial state of shape %s is not on the config's grid %s"
+                              % (x.shape, config.grid.shape))
+    if not (state[0].min() > DEFAULT_FLOOR):
+        raise PositivityLossError("initial state below floor", last_time=0.0)
+    dt, count = _record_grid(state, config, guard)
+    n = config.grid.cells
     try:
-        rows = [np.empty((n_steps // block + 1,) + np.shape(x)) for x in state]
+        rows = [np.empty((count, n)) for _ in state]
     except (MemoryError, ValueError):
         raise ConfigError("cannot hold %.3g snapshots of %d cells"
-                          % (blocks + 1.0, state[0].size)) from None
+                          % (count, n)) from None
+    # float steps: a block of 2^63 steps or more overflows an integer
+    # arange, and k * block below 2^53 is exact either way
+    times = np.arange(count, dtype=float) * config.record_every * dt
+    if accumulate is not None:
+        rows.append(np.zeros(count))
 
-    def record(j, state):
-        for row, x in zip(rows, state):
-            row[j] = x
+    for row, x in zip(rows, state):
+        row[0] = x
+    fun, solver = _Counted(rate, n), None
+    accepted, total = 0, 0.0  # total: the accumulated integral to solver.t
 
-    def recorded(count):  # row j is the state after step j * block, at its time
-        # float steps: a block of 2^63 steps or more overflows an integer
-        # arange, and k * block below 2^53 is exact either way
-        return Trajectory(np.arange(count, dtype=float) * block * dt, dt,
-                          *(r[:count] for r in rows))
+    def recorded(j):
+        cost = {"accepted_steps": accepted, "rejected_steps": fun.rejected,
+                "rhs_evaluations": fun.calls + len(fun.times),
+                "lu_factorizations": 0 if solver is None else solver.nlu}
+        return Trajectory(times[:j], dt, *(r[:j] for r in rows), integrator=cost)
 
-    buf = RunBuffers(config.grid.cells)
-    record(0, state)
-    for k in range(1, n_steps + 1):
-        try:
-            state = advance(state, dt, buf)
-        except RunAbort as err:
-            err.last_time = (k - 1) * dt
-            err.trajectory = recorded((k - 1) // block + 1)
-            raise
-        if k % block == 0:
-            record(k // block, state)
-    traj = recorded(len(rows[0]))
+    def abort(err, j, last_time):
+        err.last_time, err.trajectory = last_time, recorded(j)
+        return err
+
+    y0 = np.concatenate(state)
+    err = _inadmissible(y0[None], n, ceiling)
+    if err is not None:
+        raise abort(err, 1, 0.0)
+    from scipy.integrate import Radau  # here: importing it doubles the CLI's start-up
+
+    solver = Radau(fun, 0.0, y0, times[-1], rtol=RTOL, atol=ATOL,
+                   jac_sparsity=_sparsity(coupling, n))
+    j = 1  # the next row to record
+    try:
+        while solver.status == "running":
+            start = solver.t
+            try:
+                message = solver.step()
+                failed = solver.status == "failed"
+            except RuntimeError as exc:  # SuperLU's of a singular Newton matrix
+                message, failed = str(exc), True
+            fun.rejected += fun.attempts_since(start) - (not failed)
+            if failed:
+                raise abort(StabilityError("the integrator failed: %s" % message),
+                            j, start)
+            accepted += 1
+            # the states at the rows inside the step, from its dense output,
+            # and at its end; the last row is the end of the last step
+            t, sol = solver.t, solver.dense_output()
+            k = int(np.searchsorted(times, t))
+            end = k + (k < count and times[k] == t)
+            ys = np.vstack((sol(times[j:k]).T, solver.y))
+            err = _inadmissible(ys, n, ceiling)
+            if err is not None:
+                raise abort(err, j, start)
+            for i, row in enumerate(rows[:len(state)]):
+                row[j:end] = ys[:end - j, i * n:(i + 1) * n]
+            if accumulate is not None:
+                acc = total + _integrals(accumulate, sol, start, np.append(times[j:k], t))
+                rows[-1][j:end] = acc[:end - j]
+                total = acc[-1]
+            j = end
+        traj = recorded(count)
+    finally:
+        # the solver refers to itself through its closures, so its LU
+        # factors would wait for a full garbage collection: free them now
+        solver.__dict__.clear()
     measure(traj)
     return traj
 
 
-class RunBuffers:
-    """The arrays one run on ``n`` cells allocates once (see the run
-    contract): three scratch arrays of n - 1 face entries, two of n cell
-    entries, and two state slots for each of two state fields, which a
-    stencil writes the next state into alternately.  Every flow gets this
-    one layout; only its stencil knows which of the arrays it uses."""
-
-    def __init__(self, n):
-        self.faces = [np.empty(n - 1) for _ in range(3)]
-        self.cells = [np.empty(n) for _ in range(2)]
-        self._slots = [(np.empty(n), np.empty(n)) for _ in range(2)]
-
-    def next_state(self, field, current):
-        """The slot of state field ``field`` that ``current`` does not occupy."""
-        first, second = self._slots[field]
-        return second if current is first else first
+def face_arrays(n):
+    """The three scratch arrays of n - 1 face entries a run lends every
+    evaluation of its rate, and a stencil or guard makes for itself."""
+    return [np.empty(n - 1) for _ in range(3)]
 
 
-def conservative_step(u, flux, bound, dt, h, out):
-    """The tail of every stencil: u + (dt/h) times the divergence of the
-    interior face fluxes, the fluxes through both walls being zero,
-    written into ``out``; aborts as the run contract says.
-
-    StabilityError, before anything is written, unless dt <= bound, the
-    stencil's stability bound, which its guard returns.  Each cell gains
-    the flux of its right face and loses that of its left one, so the
-    update telescopes and the discrete mass is conserved to rounding.
-    PositivityLossError unless the new state lies at or above
-    ``DEFAULT_FLOOR`` everywhere, so a NaN aborts too.
-    """
-    if dt > bound:
-        raise StabilityError("fixed step exceeds the stability bound")
+def net_rate(flux, h, out):
+    """The divergence of the interior face fluxes over the cells, the
+    fluxes through both walls being zero, written into ``out``: each cell
+    gains the flux of its right face and loses that of its left one, over
+    h, so the rates sum to zero and the discrete mass is conserved."""
     out[0] = flux[0]
     np.subtract(flux[1:], flux[:-1], out=out[1:-1])
     out[-1] = -flux[-1]
-    np.multiply(out, dt / h, out=out)
-    new = np.add(u, out, out=out)
+    return np.divide(out, h, out=out)
+
+
+def conservative_step(u, flux, bound, dt, h):
+    """The tail of every stencil: u + dt ``net_rate(flux)``, a new array.
+
+    StabilityError unless dt <= bound, the stencil's stability bound,
+    which its guard returns; PositivityLossError unless the new state lies
+    at or above ``DEFAULT_FLOOR`` everywhere, so a NaN aborts too.
+    """
+    if dt > bound:
+        raise StabilityError("fixed step exceeds the stability bound")
+    new = net_rate(flux, h, np.empty_like(u))
+    new *= dt
+    new += u
     if not (np.minimum.reduce(new) >= DEFAULT_FLOOR):
         raise PositivityLossError("state dropped below the positivity floor")
     return new
 
 
-def _fluxes(u, model, h, buf):
+def _fluxes(u, model, h, faces):
     """The interior face fluxes a(m) (u_{i+1} - u_i) / h, m the face state
-    (the mean of adjacent cells, put in the first face array of ``buf``;
-    the fluxes go in the second), and the bound h^2 / (2 max a) of the
+    (the mean of adjacent cells, put in the first of ``faces``; the fluxes
+    go in the second), and the bound h^2 / (2 max a) of the explicit
     scheme's positivity condition dt (a_{i-1/2} + a_{i+1/2}) <= h^2; a
     coefficient that is 0 on every face (underflowed) bounds no step, inf."""
-    mid = np.add(u[1:], u[:-1], out=buf.faces[0])
+    mid = np.add(u[1:], u[:-1], out=faces[0])
     np.multiply(mid, 0.5, out=mid)
     a_mid = np.asarray(model.a(mid), dtype=float)
     a_max = np.maximum.reduce(a_mid)
     # a NaN reaches both extremes, and an infinity one of them
     if not (math.isfinite(a_max) and math.isfinite(np.minimum.reduce(a_mid))):
         raise ModelError("coefficient evaluated non-finite on the state")
-    flux = np.subtract(u[1:], u[:-1], out=buf.faces[1])
+    flux = np.subtract(u[1:], u[:-1], out=faces[1])
     np.multiply(a_mid, flux, out=flux)
     np.divide(flux, h, out=flux)
     return flux, h * h / (2.0 * float(a_max)) if a_max > 0.0 else math.inf
@@ -273,28 +408,25 @@ def _fluxes(u, model, h, buf):
 
 def stable_dt(u, model, h):
     """The stability guard: the bound of ``_fluxes``, which ``step`` checks."""
-    return _fluxes(u, model, h, RunBuffers(u.size))[1]
+    return _fluxes(u, model, h, face_arrays(u.size))[1]
 
 
-def step(u, model, h, dt, buf=None):
-    """One conservative explicit Euler step of ``_fluxes``; aborts as the
-    run contract says.  ``buf`` lends it two face arrays and the state slot
-    the new state is written into; without it the step allocates its own.
-    """
-    if buf is None:
-        buf = RunBuffers(u.size)
-    return conservative_step(u, *_fluxes(u, model, h, buf), dt, h,
-                             buf.next_state(0, u))
+def step(u, model, h, dt):
+    """One conservative explicit Euler step of ``_fluxes``, a new array;
+    aborts as ``conservative_step`` says.  No run steps with it: it is the
+    oracle of a run's time error."""
+    return conservative_step(u, *_fluxes(u, model, h, face_arrays(u.size)), dt, h)
 
 
 def run(u0, config):
-    """Guarded explicit run from the array ``u0`` to t_end, checked by
-    ``march`` (a non-finite value ends in its floor check, the guard or the
-    first step); returned measured by ``meters.measure_trajectory``."""
+    """The run from the array ``u0`` to t_end, checked and integrated by
+    ``march`` (a non-finite value ends in its floor check or in the guard);
+    returned measured by ``meters.measure_trajectory``."""
     model, h = config.model, config.grid.h
     return march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s: stable_dt(s[0], model, h),
-                 advance=lambda s, dt, buf: (step(s[0], model, h, dt, buf),),
+                 rate=lambda y, faces: net_rate(_fluxes(y, model, h, faces)[0], h,
+                                                np.empty_like(y)),
                  measure=lambda traj: measure_trajectory(traj, model))
 
 

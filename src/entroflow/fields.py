@@ -112,8 +112,8 @@ class Field:
 # with its exact reciprocal, which rounds to the same bits; so results
 # are bit-for-bit those of the padded formula.  In 1D a ghost face is a
 # single cell, and it is computed in scalar arithmetic, which rounds as
-# the ufunc does without its per-call cost; the explicit flows difference
-# 1D arrays of a few hundred cells every step.  Along the last axis of
+# the ufunc does without its per-call cost; the flows' rates difference
+# 1D arrays of a few hundred cells at every evaluation.  Along the last axis of
 # C-contiguous nD arrays both stencils take the flattened arrays in one
 # run: central_diff's entries across two lines are the ghost faces, and
 # second_diff forms the two ends of every line again after the run.

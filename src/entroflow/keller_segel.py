@@ -2,7 +2,7 @@
 
     u_t = (D(u) u_x - S(u) v_x)_x,   v_t = v_xx - v + u,   zero flux,
 
-with D(u) = (1+u)^(-p) and S(u) = u (1+u)^(-q).  The module time-steps the
+with D(u) = (1+u)^(-p) and S(u) = u (1+u)^(-q).  The module integrates the
 system conservatively and instruments it with the classical Lyapunov
 functional, the Fisher-type functional/dissipation pair, the S(u)=u
 special-case identities, and the a-priori estimate monitors that together
@@ -14,7 +14,7 @@ arrays of u and v, into a KSMonitor record of length-S arrays attached as
 entropy-production, L^p and (at q = 0) S(u)=u residuals.
 ``run_ks`` attaches it before it returns, and every residual only reads it.
 
-``run_ks(u0, v0, config)`` steps the arrays (u0, v0), such as
+``run_ks(u0, v0, config)`` integrates from the arrays (u0, v0), such as
 ``cosine_initial_state``'s, under a ``diffusion.FlowConfig`` of a KSModel.
 
 In every functional, v_t is evaluated from the equation (v_xx - v + u),
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import power_quotient
-from .diffusion import RunBuffers, conservative_step, initial_cosine, march
-from .errors import ConfigError, PositivityLossError, StabilityError, UsageError
+from .diffusion import conservative_step, face_arrays, initial_cosine, march, net_rate
+from .errors import ConfigError, PositivityLossError, UsageError
 from .fields import by_row_blocks, central_diff, integrate, second_diff
 
 DEFAULT_CEILING = 1e6
@@ -88,12 +88,12 @@ def v_time_derivative(u, v, h, out=None):
     return np.add(vt, u, out=vt)
 
 
-def _fluxes(u, v, model, h, buf):
+def _fluxes(u, v, model, h, faces):
     """The interior face fluxes of u, D (u_{i+1} - u_i) / h minus the drift
     S (v_{i+1} - v_i) / h with D and S at the face states (means of adjacent
-    cells), into the second and third face arrays of ``buf``, and the bound
+    cells), into the second and third of ``faces``, and the bound
     min(h^2 / (2 max(max D, 1)), h / max |drift|)."""
-    mid, flux, drift = buf.faces[:3]
+    mid, flux, drift = faces
     np.add(u[1:], u[:-1], out=mid)
     np.multiply(mid, 0.5, out=mid)
     diff_coeff = max(float(np.maximum.reduce(model.D(mid, out=flux))), 1.0)
@@ -108,28 +108,42 @@ def _fluxes(u, v, model, h, buf):
     return flux, min(h * h / (2.0 * diff_coeff), h / (adv + 1e-14))
 
 
+def _rate(y, model, h, faces):
+    """The time derivative of the state y = (u, v), concatenated, a new
+    array: the net ``_fluxes`` of u over h, then ``v_time_derivative``."""
+    n = y.size // 2
+    u, v = y[:n], y[n:]
+    out = np.empty_like(y)
+    net_rate(_fluxes(u, v, model, h, faces)[0], h, out[:n])
+    v_time_derivative(u, v, h, out=out[n:])
+    return out
+
+
+def _vt_sq(ys, h):
+    """int |v_t|^2 of each row (u, v) of the (K, 2N) states ``ys``."""
+    n = ys.shape[1] // 2
+    vt = v_time_derivative(ys[:, :n], ys[:, n:], h)
+    return integrate(vt * vt, h, rows=True)
+
+
 def ks_stable_dt(u, v, model, h):
     """The smaller of a diffusive (both equations) and an advective bound, on
     the face coefficients of ``ks_step``, which checks dt against it."""
-    return _fluxes(u, v, model, h, RunBuffers(u.size))[1]
+    return _fluxes(u, v, model, h, face_arrays(u.size))[1]
 
 
-def ks_step(u, v, model, h, dt, buf=None):
-    """One conservative explicit step of ``_fluxes`` for u and of
-    ``v_time_derivative`` for v; aborts as the run contract says.
+def ks_step(u, v, model, h, dt):
+    """One conservative explicit Euler step of ``_fluxes`` for u and of
+    ``v_time_derivative`` for v, new arrays; aborts as
+    ``diffusion.conservative_step`` says, or when v goes negative.  No run
+    steps with it: it is the oracle of a run's time error.
 
     Returns the new (u, v) and v_t of the old state, which drove the
-    v-update.  ``buf`` lends it three face arrays, one cell array (for
-    v_t) and the state slots the new u and v are written into; without it
-    the step allocates its own.
+    v-update.
     """
-    if buf is None:
-        buf = RunBuffers(u.size)
-    u_new = conservative_step(u, *_fluxes(u, v, model, h, buf), dt, h,
-                              buf.next_state(0, u))
-    vt = v_time_derivative(u, v, h, out=buf.cells[0])
-    v_new = np.multiply(vt, dt, out=buf.next_state(1, v))
-    np.add(v, v_new, out=v_new)
+    u_new = conservative_step(u, *_fluxes(u, v, model, h, face_arrays(u.size)), dt, h)
+    vt = v_time_derivative(u, v, h)
+    v_new = v + dt * vt
     if not (np.minimum.reduce(v_new) >= _V_NEG_TOL):
         raise PositivityLossError("chemoattractant went negative")
     return u_new, np.maximum(v_new, 0.0, out=v_new), vt
@@ -145,32 +159,23 @@ def cosine_initial_state(grid, mass=1.0, amplitude=0.5):
 
 
 def run_ks(u0, v0, config):
-    """Guarded run from the arrays (``u0``, ``v0``) to t_end.
+    """The run from the arrays (``u0``, ``v0``) to t_end.
 
     The run contract is that of ``diffusion.march``: aborts raise
     PositivityLossError / StabilityError (the numerical blow-up
-    indicators) carrying the trajectory built so far; after each step,
-    a density above ``DEFAULT_CEILING`` is a StabilityError.  The
-    trajectory's ``vt_accum`` holds the accumulated int_0^t int |v_t|^2
-    at each snapshot.  It is returned measured by ``measure_monitors``.
+    indicators) carrying the trajectory built so far, a density above
+    ``DEFAULT_CEILING`` after a step included.  The trajectory's
+    ``vt_accum`` holds the accumulated int_0^t int |v_t|^2 at each
+    snapshot.  It is returned measured by ``measure_monitors``.
     """
     model, h = config.model, config.grid.h
-
-    def advance(s, dt, buf):
-        u, v, acc = s
-        u, v, vt = ks_step(u, v, model, h, dt, buf)
-        if np.maximum.reduce(u) > DEFAULT_CEILING:
-            raise StabilityError("density exceeded the blow-up suspicion ceiling")
-        # dt times int |v_t|^2 by fields.integrate's midpoint rule, written
-        # out: this runs every step, and the call costs as much as the sum;
-        # the step takes the first cell array for v_t, the second holds v_t^2
-        vt_sq = np.multiply(vt, vt, out=buf.cells[1])
-        return u, v, acc + dt * (float(np.add.reduce(vt_sq)) * h)
-
-    state = (np.asarray(u0, dtype=float), np.asarray(v0, dtype=float), 0.0)
-    return march(state, config, advance=advance,
+    state = (np.asarray(u0, dtype=float), np.asarray(v0, dtype=float))
+    return march(state, config,
                  guard=lambda s: ks_stable_dt(s[0], s[1], model, h),
-                 measure=lambda traj: measure_monitors(traj, model))
+                 rate=lambda y, faces: _rate(y, model, h, faces),
+                 measure=lambda traj: measure_monitors(traj, model),
+                 coupling=(("T", "T"), ("I", "T")), ceiling=DEFAULT_CEILING,
+                 accumulate=lambda ys: _vt_sq(ys, h))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ for p >= 2; runs with p in (1, 2) are allowed but report observations
 without a verdict, and p <= 1 and p = 3/2 are rejected outright because p*
 is undefined or degenerates there.
 
-The flux is regularized as (|u_x|^2 + delta^2)^{(p-2)/2} u_x, which makes
-the explicit scheme well-posed where the gradient vanishes; the
+The flux is regularized as (|u_x|^2 + delta^2)^{(p-2)/2} u_x, which keeps
+its coefficient finite and positive where the gradient vanishes; the
 monotonicity tolerance budgets explicitly for the delta-sized bias this
-introduces.  p and delta are the flow's ``PLaplaceModel``: the stencil, guard,
+introduces.  p and delta are the flow's ``PLaplaceModel``: the rate, guard,
 meter and verdict take it as diffusion's take a coefficient model.
 
 ``measure_trajectory`` evaluates all snapshots in one pass over the (S, N)
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .diffusion import RunBuffers, conservative_step, march
+from .diffusion import conservative_step, face_arrays, march, net_rate
 from .fields import (by_row_blocks, central_diff, integrate,
                      require_positive_field, second_diff)
 from .meters import monotonicity_report as _monotonicity_report
@@ -58,11 +58,11 @@ def p_star(p):
     return 1.0 - 1.0 / (2.0 * (p - 1.0))
 
 
-def _fluxes(u, model, h, buf):
+def _fluxes(u, model, h, faces):
     """The interior face fluxes (u_x^2 + delta^2)^((p-2)/2) u_x of the face
     gradients u_x, and the bound h^2 / (2 max coefficient); the gradients
-    go in the first face array of ``buf``, the fluxes in the second."""
-    du, flux = buf.faces[:2]
+    go in the first of ``faces``, the fluxes in the second."""
+    du, flux = faces[:2]
     np.subtract(u[1:], u[:-1], out=du)
     np.divide(du, h, out=du)
     np.multiply(du, du, out=flux)
@@ -80,28 +80,25 @@ def pl_stable_dt(u, model, h):
     against; a squared face gradient that overflows (a bound of 0 for
     p > 2, and of inf for p < 2 when it does so on every face) is left to
     ``march``."""
-    return _fluxes(u, model, h, RunBuffers(u.size))[1]
+    return _fluxes(u, model, h, face_arrays(u.size))[1]
 
 
-def pl_step(u, model, h, dt, buf=None):
-    """One conservative explicit step of ``_fluxes``; aborts as the run
-    contract says.  ``buf`` lends it two face arrays and the state slot the
-    new state is written into; without it the step allocates its own.
-    """
-    if buf is None:
-        buf = RunBuffers(u.size)
-    return conservative_step(u, *_fluxes(u, model, h, buf), dt, h,
-                             buf.next_state(0, u))
+def pl_step(u, model, h, dt):
+    """One conservative explicit Euler step of ``_fluxes``, a new array;
+    aborts as ``diffusion.conservative_step`` says.  No run steps with it:
+    it is the oracle of a run's time error."""
+    return conservative_step(u, *_fluxes(u, model, h, face_arrays(u.size)), dt, h)
 
 
 def run(u0, config):
-    """Guarded run from the density array ``u0``; the run contract,
-    checks of ``u0`` included, is that of ``diffusion.march``, and the
-    trajectory is returned measured by ``measure_trajectory``."""
+    """The run from the density array ``u0``; the run contract, checks of
+    ``u0`` included, is that of ``diffusion.march``, and the trajectory is
+    returned measured by ``measure_trajectory``."""
     model, h = config.model, config.grid.h
     return march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s: pl_stable_dt(s[0], model, h),
-                 advance=lambda s, dt, buf: (pl_step(s[0], model, h, dt, buf),),
+                 rate=lambda y, faces: net_rate(_fluxes(y, model, h, faces)[0], h,
+                                                np.empty_like(y)),
                  measure=lambda traj: measure_trajectory(traj, model))
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from entroflow.fields import Grid
+
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -15,26 +17,50 @@ def rng():
 
 @pytest.fixture
 def spy_buffers(monkeypatch):
-    """``spy_buffers(module, name)`` wraps the stencil ``module.name`` for
-    the test and returns a dict that collects, by id, every array a call
-    was lent through its last argument (a RunBuffers) or returned."""
+    """``spy_buffers(module)`` wraps the flux function ``module._fluxes``
+    for the test and returns a dict that collects, by id, every array a
+    call was lent through its last argument (the face arrays) or returned."""
 
-    def install(module, name):
+    def install(module):
         seen = {}
-        original = getattr(module, name)
+        original = module._fluxes
 
         def spy(*args):
             out = original(*args)
-            buf = args[-1]
-            returned = out if isinstance(out, tuple) else (out,)
-            for arr in (*buf.faces, *buf.cells, *returned):
+            for arr in (*args[-1], out[0]):
                 seen[id(arr)] = arr
             return out
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(module, "_fluxes", spy)
         return seen
 
     return install
+
+
+@pytest.fixture
+def stencil_loop_gaps():
+    """``stencil_loop_gaps(make, cells)`` returns, per cell count, the
+    largest gap between a run and the explicit stencil looped at the run's
+    dt from the same state, at the run's record times, over the largest
+    state value.  ``make(grid)`` returns the run's trajectory, its initial
+    state as a tuple of arrays and ``advance(state, dt)``, the next state."""
+
+    def gaps(make, cells):
+        out = []
+        for n in cells:
+            traj, state, advance = make(Grid(1, n))
+            block = round(traj.record_dt / traj.dt)
+            rows = (traj.u, traj.v)[:len(state)]
+            gap = 0.0
+            for k in range(1, len(traj.times)):
+                for _ in range(block):
+                    state = advance(state, traj.dt)
+                gap = max(gap, *(np.max(np.abs(x - r[k])) / np.max(np.abs(r))
+                                 for x, r in zip(state, rows)))
+            out.append(gap)
+        return out
+
+    return gaps
 
 
 @pytest.fixture

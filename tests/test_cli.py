@@ -232,8 +232,8 @@ def _capture_results(monkeypatch, owner, name, into):
 @pytest.mark.parametrize("p, q", [(2.0, 1.0), (1.0, 0.0)])
 def test_ks_run_evaluates_each_snapshot_once(p, q, monkeypatch, tmp_path):
     # the fine and the paired coarse run are measured once each: outside
-    # the step and its guard, v_t, D/S and S are formed once per
-    # trajectory, on all of its snapshots at a time
+    # the rate, the v_t integrand and the guard, v_t, D/S and S are formed
+    # once per trajectory, on all of its snapshots at a time
     from entroflow import cli, keller_segel
     from entroflow.coeff_models import KSModel
 
@@ -250,7 +250,7 @@ def test_ks_run_evaluates_each_snapshot_once(p, q, monkeypatch, tmp_path):
                 stepping[0] -= 1
         return wrapped
 
-    for name in ("ks_step", "ks_stable_dt"):
+    for name in ("_rate", "_vt_sq", "ks_stable_dt"):
         monkeypatch.setattr(keller_segel, name, in_step(getattr(keller_segel, name)))
     _count_calls(monkeypatch, keller_segel, "v_time_derivative", counts,
                  lambda: stepping[0] > 0)
@@ -351,18 +351,21 @@ def test_ks_below_twice_the_grid_minimum_skips_coarse_run(outdir):
 
 def test_coarse_ks_abort_stays_in_its_table_row(outdir, tmp_path):
     # the experiment's own 16-cell run completes; the paired 8-cell run
-    # aborts, which nulls its residual and names the abort in its row only
+    # aggregates sooner, and its trough reaches the positivity floor at
+    # t ~ 0.41, which nulls its residual and names the abort in its row only
     cfg = {"name": "ks_coarse_abort", "kind": "ks", "model": {"p": 2, "q": 0.5},
            "grid": {"cells": 16},
-           "run": {"t_end": 0.5, "mass": 20, "record_every": 20}}
+           "run": {"t_end": 0.42, "mass": 36, "record_every": 20}}
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_PASS
     summary = json.loads((outdir / "ks_coarse_abort" / "ks_summary.json").read_text())
     assert summary["termination"] == "completed" and "last_time" not in summary
     coarse, fine = summary["residual_convergence"]["table"]
     assert coarse["cells"] == 8 and coarse["max_lyap_residual"] is None
-    assert coarse["termination"] == "StabilityError"
-    assert 0.0 < coarse["last_time"] < 0.5
+    assert coarse["termination"] == "PositivityLossError"
+    assert 0.0 < coarse["last_time"] < 0.42
+    assert coarse["integrator"]["accepted_steps"] > 0
     assert fine["max_lyap_residual"] is not None and "termination" not in fine
+    assert fine["integrator"] == summary["integrator"]
     assert summary["residual_convergence"]["ratio"] is None
 
 
@@ -471,7 +474,17 @@ _UNRUNNABLE = [
                  {"t_end": 1e-4, "mass": 1e3}, "ks_summary.json", "ConstructionError",
                  "field values must be finite", None,
                  id="ks-monitors-overflow-at-p400"),
+    # the face differences overflow, so the rate is not finite on the
+    # initial state and the integrator halves its first step to nothing
+    pytest.param("diffusion", {"family": "linear"}, {"cells": 16},
+                 {"t_end": 0.01, "mean": 1e307}, "summary.json", "StabilityError",
+                 "the integrator failed", 0.0,
+                 id="diffusion-integrator-fails-on-overflowing-fluxes"),
 ]
+
+
+_INTEGRATOR_KEYS = ("accepted_steps", "rejected_steps", "rhs_evaluations",
+                    "lu_factorizations")
 
 
 @pytest.mark.parametrize(
@@ -487,6 +500,9 @@ def test_unrunnable_config_exits_3_with_a_summary(kind, model, grid, run, summar
     assert summary["termination"] == termination
     assert message in summary["message"]
     assert summary["last_time"] == last_time
+    # an abort once the state is admitted reports the integrator's cost
+    if last_time is not None:
+        assert set(summary["integrator"]) == set(_INTEGRATOR_KEYS)
 
 
 def test_out_of_memory_grid_exits_3_with_a_summary(monkeypatch, outdir, tmp_path):
@@ -602,6 +618,10 @@ _PROBES = [
     ("heat_sanity", {"model.family": "power_law", "model.m": 60}, EXIT_CONFIG),
     ("bernis_n1", {"model.family": "shifted_power_law", "model.m": 200},
      EXIT_CONFIG),
+    # delta^2 underflows to 0, and on a flat state every face coefficient
+    # is 0^(-0.4): a stable step of 0, without a divide-by-zero warning
+    ("plaplace_mono", {"model.p": 1.2, "model.delta": 1e-200, "run.amplitude": 0,
+                       "run.t_end": 0.01, "run.record_every": 5}, EXIT_NUMERICS),
 ]
 # the rows whose config error names the key at fault, and that key
 _NAMED_KEYS = [({"model.family": "power_law"}, "model.m"),
@@ -620,6 +640,7 @@ def _probe_config(preset, edits, tmp_path):
     return cfg if edits is not None else [cfg]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("preset, edits, code", _PROBES)
 def test_validate_and_run_agree(preset, edits, code, outdir, tmp_path, capsys):
     (tmp_path / "high.csv").write_text("s,a\n2,1\n3,1\n4,1\n5,1\n")
@@ -735,3 +756,32 @@ def test_preset_step_counts(name):
     assert counts == _PRESET_STEPS[name]
     for n, dt0 in zip(counts, dts):
         assert cfg.t_end / n <= dt0
+
+
+def test_importing_the_cli_leaves_the_integrator_unimported():
+    # scipy.integrate is imported by the first run, not by the CLI: an
+    # inequality check, which runs none, does not pay for it
+    code = "import sys, entroflow.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("name, summary_file", [("heat_sanity", "summary.json"),
+                                                ("plaplace_mono", "pl_summary.json"),
+                                                ("ks_s1_10", "ks_summary.json")])
+def test_summaries_record_the_integrators_cost(name, summary_file, outdir):
+    cfg = _small_preset(name)
+    cfg["grid"]["cells"], cfg["run"]["t_end"] = 32, 0.005
+    assert run_experiment(cfg) == EXIT_PASS
+    summary = json.loads((outdir / name / summary_file).read_text())
+    cost = summary["integrator"]
+    assert set(cost) == set(_INTEGRATOR_KEYS)
+    assert cost["accepted_steps"] > 0 and cost["rejected_steps"] >= 0
+    assert cost["rhs_evaluations"] > 3 * cost["accepted_steps"]
+    assert cost["lu_factorizations"] >= 2
+    if name.startswith("ks"):
+        for row in summary["residual_convergence"]["table"]:
+            assert set(row["integrator"]) == set(_INTEGRATOR_KEYS)

@@ -147,8 +147,7 @@ def test_instability_oracle():
     u = u0.copy()
     with pytest.raises(PositivityLossError):
         for _ in range(100):
-            u = conservative_step(u, np.diff(u) / g.h, np.inf, 1.5 * dt_crit,
-                                  g.h, np.empty_like(u))
+            u = conservative_step(u, np.diff(u) / g.h, np.inf, 1.5 * dt_crit, g.h)
 
 
 def test_run_rechecks_stability():
@@ -197,31 +196,28 @@ def test_an_infinite_cell_in_a_raw_initial_state_is_refused(flow):
 
 
 def test_stability_error_carries_partial_trajectory():
+    # the rate of u' = u is refused (NaN) past u = 2, which the solution
+    # reaches at t = ln 2: the integrator's step collapses below the float
+    # spacing short of it, and the failure carries the time of the last
+    # accepted step and, unmeasured, the rows recorded up to it
     g = Grid(1, 32)
-    u0 = initial_cosine(g)
-    cfg = FlowConfig(Linear(), g, t_end=0.01, safety=1.0)
-    steps, measured = [], []
+    u0 = initial_cosine(g, amplitude=0.0)
+    cfg = FlowConfig(Linear(), g, t_end=1.0, record_every=1)
+    measured = []
 
-    def advance(state, dt, buf):
-        # from the second step on, the coefficient reaches ~3 and the
-        # stencil refuses the fixed dt, set by a = 1
-        new = step(state[0], PowerLaw(2.0) if steps else Linear(), g.h, dt, buf)
-        steps.append(dt)
-        return (new,)
+    def rate(y, faces):
+        return y.copy() if y.max() <= 2.0 else np.full_like(y, np.nan)
 
-    def guard(state):
-        return stable_dt(state[0], Linear(), g.h)
-
-    with pytest.raises(StabilityError, match="stability bound") as info:
-        march((u0.copy(),), cfg, guard, advance, measured.append)
-    (dt,) = steps
-    assert measured == []
-    assert info.value.last_time == dt
-    traj = info.value.trajectory
-    assert traj.times.tolist() == [0.0, dt]
-    assert len(traj.u) == 2 and traj.meters is None
-    assert np.array_equal(traj.u[0], u0)
-    assert traj.dt == dt
+    with pytest.raises(StabilityError, match="integrator failed") as info:
+        march((u0,), cfg, lambda s: 0.125, rate, measured.append)
+    last, traj = info.value.last_time, info.value.trajectory
+    assert math.log(2.0) - 1e-6 < last < math.log(2.0)
+    assert measured == [] and traj.meters is None
+    assert traj.dt == 0.05
+    assert np.array_equal(traj.times, np.arange(len(traj.times)) * traj.dt)
+    assert traj.times[-1] <= last < traj.times[-1] + traj.dt
+    assert np.allclose(traj.u, np.exp(traj.times)[:, None] * u0, rtol=1e-9, atol=0.0)
+    assert traj.integrator["rejected_steps"] > 0
 
 
 def test_snapshot_contract():
@@ -288,37 +284,24 @@ def test_residuals_refuse_a_trajectory_without_the_runs_meters():
         identity_residuals(flat)
 
 
-# Buffer safety: a run steps in its own buffers (see the run contract in
-# entroflow.diffusion); these pin it against a loop over the public
-# stencil and guard called without buffers.
-
-
-def _unbuffered_run(u0, cfg):
-    """(dt, recorded arrays) of the loop ``run`` makes, without buffers."""
-    h, block, u = cfg.grid.h, cfg.record_every, u0
-    dt0 = cfg.safety * stable_dt(u, cfg.model, h)
-    n_steps = max(block, block * math.ceil(cfg.t_end / (dt0 * block)))
-    dt = cfg.t_end / n_steps
-    snaps = [u.copy()]
-    for k in range(1, n_steps + 1):
-        assert dt <= stable_dt(u, cfg.model, h)
-        u = step(u, cfg.model, h, dt)
-        if k % block == 0:
-            snaps.append(u)
-    return dt, snaps
+# Buffer safety: a run lends its own face arrays to every evaluation of
+# its rate (see the run contract in entroflow.diffusion).  The oracle of a
+# run's time error is the explicit stencil, looped at the run's dt: its
+# own error is O(dt), and dt is proportional to h^2.
 
 
 @pytest.mark.parametrize("model", [Linear(), PowerLaw(2.0)])
-def test_run_equals_unbuffered_stencil_loop(model):
-    g = Grid(1, 32)
-    u0 = initial_cosine(g)
-    cfg = FlowConfig(model, g, t_end=0.01, record_every=7)
-    traj = run(u0, cfg)
-    dt, snaps = _unbuffered_run(u0, cfg)
-    assert traj.dt == dt
-    assert len(traj.u) == len(snaps)
-    for row, ref in zip(traj.u, snaps):
-        assert np.array_equal(row, ref)
+def test_run_equals_unbuffered_stencil_loop(model, stencil_loop_gaps):
+    # up to the stencil loop's time error, which falls 4x per grid doubling
+    def make(g):
+        u0 = initial_cosine(g)
+        traj = run(u0, FlowConfig(model, g, t_end=0.01, record_every=7))
+        return traj, (u0,), lambda s, dt: (step(s[0], model, g.h, dt),)
+
+    gaps = stencil_loop_gaps(make, (16, 32, 64))
+    assert gaps[0] < 1e-3
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.2 < coarse / fine < 4.5
 
 
 def test_run_buffers_stay_private(spy_buffers):
@@ -326,10 +309,10 @@ def test_run_buffers_stay_private(spy_buffers):
     u0 = initial_cosine(g)
     before = u0.copy()
     cfg = FlowConfig(PowerLaw(2.0), g, t_end=0.01, record_every=5)
-    live = spy_buffers(diffusion, "step")
+    live = spy_buffers(diffusion)
     traj = run(u0, cfg)
     assert np.array_equal(u0, before)
-    assert len(live) >= 7  # three face arrays, two cell arrays, both u slots
+    assert len(live) >= 3  # the run's three face arrays, and the guard's
     assert not np.shares_memory(traj.u, u0)
     assert not any(np.shares_memory(traj.u, b) for b in live.values())
 
@@ -342,8 +325,9 @@ def test_interleaved_runs_match_runs_alone(run_interleaved):
 
     runs = [runner(c) for c in (16, 32, 16)]
     alone = [r() for r in runs]
-    for got, want in zip(run_interleaved(diffusion, "step", *runs), alone):
+    for got, want in zip(run_interleaved(diffusion, "_fluxes", *runs), alone):
         assert got.dt == want.dt
+        assert got.integrator == want.integrator
         assert got.u.tobytes() == want.u.tobytes()
 
 
@@ -420,40 +404,35 @@ def test_guard_runs_once_per_run(monkeypatch):
     for module, guard, stencil, go in runs:
         guards = _count_calls(monkeypatch, module, guard)
         steps = _count_calls(monkeypatch, module, stencil)
-        # each flow's one flux function: once for dt, then once per step
+        # each flow's one flux function: once for the record grid, then
+        # once per evaluation of the rate; no run steps with the stencil
         fluxes = _count_calls(monkeypatch, module, "_fluxes")
         traj = go()
         assert len(guards) == 1
-        assert len(steps) == round(traj.times[-1] / traj.dt) > 1
-        assert len(fluxes) == len(steps) + 1
+        assert len(steps) == 0
+        assert len(fluxes) == traj.integrator["rhs_evaluations"] + 1 > 2
 
 
-def test_positivity_abort_keeps_the_rows_before_the_failing_step():
-    # the update at 1.5 times the stable step, given no bound, loses
-    # positivity after some steps: the abort carries the time before the
-    # failing step and, unmeasured, exactly the snapshots recorded before it
+def test_positivity_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
+    # u' = -u takes the density to the positivity floor at t ~ 17.7: the
+    # abort carries the start of the step that reaches it and, unmeasured,
+    # exactly the rows that the run without a floor records before it
     g = Grid(1, 32)
     u0 = initial_cosine(g)
-    cfg = FlowConfig(Linear(), g, t_end=0.1, record_every=3)
-    steps, measured = [], []
+    cfg = FlowConfig(Linear(), g, t_end=30.0, record_every=3)
+    measured = []
 
-    def advance(state, dt, buf):
-        u = state[0]
-        new = conservative_step(u, np.diff(u) / g.h, np.inf, 0.75 * g.h**2, g.h,
-                                np.empty_like(u))
-        steps.append(new)
-        return (new,)
-
-    def guard(state):
-        return stable_dt(state[0], Linear(), g.h)
+    def decay(y, faces):
+        return -y
 
     with pytest.raises(PositivityLossError) as info:
-        march((u0,), cfg, guard, advance, measured.append)
-    traj, block, failing = info.value.trajectory, cfg.record_every, len(steps) + 1
-    dt = traj.dt
-    assert failing > 3 * block and failing * dt < cfg.t_end
-    assert info.value.last_time == (failing - 1) * dt
+        march((u0,), cfg, lambda s: 1.0, decay, measured.append)
+    last, traj = info.value.last_time, info.value.trajectory
+    assert 15.0 < last < math.log(u0.min() / diffusion.DEFAULT_FLOOR)
     assert traj.meters is None and measured == []
-    kept = range(block, failing, block)
-    assert traj.times.tolist() == [k * dt for k in range(0, failing, block)]
-    assert np.array_equal(traj.u, np.stack([u0] + [steps[k - 1] for k in kept]))
+    assert traj.times[-1] <= last < traj.times[-1] + 3 * traj.dt
+    monkeypatch.setattr(diffusion, "DEFAULT_FLOOR", 0.0)
+    whole = march((u0,), cfg, lambda s: 1.0, decay, lambda t: None)
+    assert whole.times[-1] == pytest.approx(30.0)
+    assert np.array_equal(traj.times, whole.times[:len(traj.times)])
+    assert np.array_equal(traj.u, whole.u[:len(traj.times)])
