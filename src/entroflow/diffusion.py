@@ -46,9 +46,12 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   below ``DEFAULT_FLOOR`` (a NaN included) is a PositivityLossError, a
   density above the flow's ceiling (chemotaxis only) or a value that is
   not finite a StabilityError, and so is an integrator that cannot take a
-  step (its step falls below the float spacing, or its Newton matrix is
-  singular).  Each raises with ``last_time``, the start of the step, and
-  the trajectory of the rows recorded up to it;
+  step (its step falls below the float spacing, its Newton matrix is
+  singular, or the rate raises an EntroflowError on one of its iterates or
+  trial states, as it starts too) and an integration that has spent its
+  budget of ``MAX_RHS_EVALUATIONS`` rate evaluations.  Each raises with
+  ``last_time``, the start of the step, and the trajectory of the rows
+  recorded up to it;
 - the loop owns the snapshots: before the integration it allocates one
   (S, N) array per state field (and one of S for the chemotaxis
   ``vt_accum``), or raises ConfigError for a count no float or array
@@ -77,8 +80,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, ModelError, PositivityLossError, StabilityError,
-                     UsageError)
+from .errors import (ConfigError, EntroflowError, ModelError, PositivityLossError,
+                     StabilityError, UsageError)
 from .fields import Grid
 from .meters import measure_trajectory
 
@@ -87,6 +90,10 @@ DEFAULT_FLOOR = 1e-8
 # the integrator's relative and absolute tolerance, per state component
 RTOL = 1e-10
 ATOL = 1e-12
+# the integration's budget of rate evaluations, Jacobian columns included:
+# ~8 per accepted step, so room for ~2,500 steps, 12 times the 1,646 of
+# the presets' largest run; a run that spends it is a StabilityError
+MAX_RHS_EVALUATIONS = 20_000
 # 4-point Gauss-Legendre on [-1, 1], exact for the square of a cubic; in
 # closed form, since numpy.polynomial is not imported with numpy
 _OUTER, _INNER = (math.sqrt((3.0 + s * 2.0 * math.sqrt(1.2)) / 7.0) for s in (1, -1))
@@ -221,6 +228,10 @@ class _Counted:
         self.times.append(t)
         return self.rate(y, self.faces)
 
+    @property
+    def evaluations(self):
+        return self.calls + len(self.times)
+
     def attempts_since(self, start):
         attempts = len({t for t in self.times if t > start}) // 3
         self.calls += len(self.times)
@@ -241,6 +252,14 @@ def _inadmissible(ys, n, ceiling):
     if not np.isfinite(ys).all():
         return StabilityError("the state is not finite")
     return None
+
+
+def _failed(reason):
+    """The StabilityError of a step the integrator cannot take: ``reason``
+    is its message, or the error the rate or the solver raised."""
+    if isinstance(reason, Exception):
+        reason = "%s: %s" % (type(reason).__name__, reason)
+    return StabilityError("the integrator failed: %s" % reason)
 
 
 def _integrals(integrand, sol, start, ends):
@@ -298,7 +317,7 @@ def march(state, config, guard, rate, measure, coupling=(("T",),),
 
     def recorded(j):
         cost = {"accepted_steps": accepted, "rejected_steps": fun.rejected,
-                "rhs_evaluations": fun.calls + len(fun.times),
+                "rhs_evaluations": fun.evaluations,
                 "lu_factorizations": 0 if solver is None else solver.nlu}
         return Trajectory(times[:j], dt, *(r[:j] for r in rows), integrator=cost)
 
@@ -312,21 +331,29 @@ def march(state, config, guard, rate, measure, coupling=(("T",),),
         raise abort(err, 1, 0.0)
     from scipy.integrate import Radau  # here: importing it doubles the CLI's start-up
 
-    solver = Radau(fun, 0.0, y0, times[-1], rtol=RTOL, atol=ATOL,
-                   jac_sparsity=_sparsity(coupling, n))
     j = 1  # the next row to record
     try:
+        try:  # the solver evaluates the rate on trial states as it starts
+            solver = Radau(fun, 0.0, y0, times[-1], rtol=RTOL, atol=ATOL,
+                           jac_sparsity=_sparsity(coupling, n))
+        except EntroflowError as exc:
+            raise abort(_failed(exc), j, 0.0)
         while solver.status == "running":
             start = solver.t
+            if fun.evaluations >= MAX_RHS_EVALUATIONS:
+                raise abort(StabilityError("the integration spent its budget of %d "
+                                           "rate evaluations" % MAX_RHS_EVALUATIONS),
+                            j, start)
             try:
                 message = solver.step()
                 failed = solver.status == "failed"
-            except RuntimeError as exc:  # SuperLU's of a singular Newton matrix
-                message, failed = str(exc), True
+            # SuperLU's RuntimeError for a singular Newton matrix, and the
+            # rate's refusal of a Newton iterate or a trial state
+            except (RuntimeError, EntroflowError) as exc:
+                message, failed = exc, True
             fun.rejected += fun.attempts_since(start) - (not failed)
             if failed:
-                raise abort(StabilityError("the integrator failed: %s" % message),
-                            j, start)
+                raise abort(_failed(message), j, start)
             accepted += 1
             # the states at the rows inside the step, from its dense output,
             # and at its end; the last row is the end of the last step
@@ -348,7 +375,8 @@ def march(state, config, guard, rate, measure, coupling=(("T",),),
     finally:
         # the solver refers to itself through its closures, so its LU
         # factors would wait for a full garbage collection: free them now
-        solver.__dict__.clear()
+        if solver is not None:
+            solver.__dict__.clear()
     measure(traj)
     return traj
 

@@ -480,6 +480,14 @@ _UNRUNNABLE = [
                  {"t_end": 0.01, "mean": 1e307}, "summary.json", "StabilityError",
                  "the integrator failed", 0.0,
                  id="diffusion-integrator-fails-on-overflowing-fluxes"),
+    # delta^2 underflows to 0, so the flux is not Lipschitz where a face
+    # gradient vanishes: the steps shrink near t = 0.1675 until the run has
+    # spent its budget of rate evaluations (~1.5 s)
+    pytest.param("plaplace", {"p": 1.2, "delta": 1e-200}, {"cells": 16},
+                 {"t_end": 1.0, "record_every": 5}, "pl_summary.json",
+                 "StabilityError", "budget of 20000 rate evaluations",
+                 pytest.approx(0.1675, rel=1e-3),
+                 id="plaplace-delta-underflow-spends-the-budget"),
 ]
 
 

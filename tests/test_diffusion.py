@@ -18,6 +18,7 @@ from entroflow.diffusion import (
 from entroflow.errors import (
     ConfigError,
     EntroflowError,
+    ModelError,
     PositivityLossError,
     RunAbort,
     StabilityError,
@@ -218,6 +219,49 @@ def test_stability_error_carries_partial_trajectory():
     assert traj.times[-1] <= last < traj.times[-1] + traj.dt
     assert np.allclose(traj.u, np.exp(traj.times)[:, None] * u0, rtol=1e-9, atol=0.0)
     assert traj.integrator["rejected_steps"] > 0
+
+
+
+@pytest.mark.parametrize("limit", [2.0, 1.0])
+def test_a_rate_that_refuses_a_state_fails_the_step(limit):
+    # the rate of u' = u raises a ModelError past u = limit, as a model does
+    # outside its domain; the integrator evaluates it on Newton iterates and
+    # trial states, at limit 1 already as it starts, and the refusal ends the
+    # run as a failed step with the rows recorded before it
+    g = Grid(1, 32)
+    u0 = initial_cosine(g, amplitude=0.0)
+    cfg = FlowConfig(Linear(), g, t_end=1.0, record_every=1)
+
+    def rate(y, faces):
+        if y.max() > limit:
+            raise ModelError("past the limit")
+        return y.copy()
+
+    with pytest.raises(StabilityError,
+                       match="integrator failed: ModelError: past the limit") as info:
+        march((u0,), cfg, lambda s: 0.125, rate, lambda traj: None)
+    last, traj = info.value.last_time, info.value.trajectory
+    assert 0.0 <= last < math.log(limit) + 0.1
+    assert (last == 0.0) == (limit == 1.0)
+    assert traj.times[-1] <= last < traj.times[-1] + traj.dt
+    assert np.allclose(traj.u, np.exp(traj.times)[:, None] * u0, rtol=1e-9, atol=0.0)
+    assert traj.integrator["rhs_evaluations"] > 0
+
+
+def test_an_integration_past_its_budget_aborts(monkeypatch):
+    # u' = -u to t = 17 takes ~900 steps: a budget of 100 rate evaluations
+    # ends it after the first dozen, with the rows recorded before it
+    monkeypatch.setattr(diffusion, "MAX_RHS_EVALUATIONS", 100)
+    g = Grid(1, 16)
+    u0 = initial_cosine(g, amplitude=0.0)
+    cfg = FlowConfig(Linear(), g, t_end=17.0, record_every=1)
+    with pytest.raises(StabilityError, match="budget of 100 rate evaluations") as info:
+        march((u0,), cfg, lambda s: 0.125, lambda y, faces: -y, lambda traj: None)
+    last, traj = info.value.last_time, info.value.trajectory
+    assert 0.0 < last < 17.0
+    assert traj.times[-1] <= last < traj.times[-1] + traj.dt
+    assert 100 <= traj.integrator["rhs_evaluations"] < 120
+    assert np.allclose(traj.u, np.exp(-traj.times)[:, None] * u0, rtol=1e-9, atol=0.0)
 
 
 def test_snapshot_contract():

@@ -160,13 +160,15 @@ def test_self_convergence_p3():
         traj = run(initial_cosine(g),
                    FlowConfig(PLaplaceModel(3.0), g, t_end=t_end, record_every=10))
         sols[cells] = traj.u[-1]
-    # in the mean over the cells: at the walls, where u_x = 0, the flux
-    # |u_x| u_x makes u - u(0) ~ x^(3/2), which caps the order of the
-    # largest (wall-cell) error at 3/2, reached from below (1.47 here)
     ref = sols[256]
-    e32 = np.mean(np.abs(sols[32] - ref.reshape(-1, 8).mean(axis=1)))
-    e64 = np.mean(np.abs(sols[64] - ref.reshape(-1, 4).mean(axis=1)))
-    assert math.log2(e32 / e64) >= 1.8
+    err32 = np.abs(sols[32] - ref.reshape(-1, 8).mean(axis=1))
+    err64 = np.abs(sols[64] - ref.reshape(-1, 4).mean(axis=1))
+    # the largest error is the wall cell's: where u_x = 0 the flux |u_x| u_x
+    # makes u - u(0) ~ x^(3/2), which caps its order at 3/2, reached from
+    # below (1.47 here, 1.40 against 512 cells)
+    assert math.log2(err32.max() / err64.max()) >= 1.45
+    # away from the walls the scheme is second order (2.07 in the mean)
+    assert math.log2(err32.mean() / err64.mean()) >= 1.8
 
 
 def test_I_against_fine_grid():
