@@ -73,7 +73,6 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   abort's trajectory is unmeasured.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -197,12 +196,10 @@ def _record_grid(state, config, guard):
     return config.t_end / n_steps, n_steps // block + 1
 
 
-@functools.lru_cache(maxsize=16)
 def _sparsity(coupling, n):
     """The Jacobian pattern of a system of len(coupling) fields on ``n``
     cells: block (i, j) is "T" (tridiagonal) or "I" (diagonal) as the rate
-    of field i reads field j at a cell's neighbours or at the cell alone.
-    Built once per system and cell count; the integrator only reads it."""
+    of field i reads field j at a cell's neighbours or at the cell alone."""
     from scipy import sparse
 
     blocks = {"T": sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(n, n)),
