@@ -24,9 +24,10 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
 - the loop owns the integration: scipy's Radau IIA, an implicit
   fifth-order method that stiffness does not hold to a step bound,
   integrates the rate from 0 to the last record time at the fixed
-  tolerances ``RTOL`` and ``ATOL``, with a finite-difference Jacobian of
-  the flow's sparsity pattern; it chooses its own steps, and nothing
-  configures it;
+  tolerances ``RTOL`` and ``ATOL``, with a Jacobian of grouped forward
+  differences on the flow's pattern: 3 rate evaluations per field, against
+  the rate at the state, which the solver has just evaluated there and the
+  Jacobian reuses; it chooses its own steps, and nothing configures it;
 - the loop owns the record grid: dt is fixed once as the configured
   safety times the guard's bound on the initial state, then shrunk so that
   t_end is a whole number of ``record_every``-step blocks, and row k is
@@ -90,7 +91,7 @@ DEFAULT_FLOOR = 1e-8
 RTOL = 1e-10
 ATOL = 1e-12
 # the integration's budget of rate evaluations, Jacobian columns included:
-# ~8 per accepted step, so room for ~2,500 steps, 12 times the 1,646 of
+# ~8 per accepted step, so room for ~2,500 steps, 12 times the 1,614 of
 # the presets' largest run; a run that spends it is a StabilityError
 MAX_RHS_EVALUATIONS = 20_000
 # 4-point Gauss-Legendre on [-1, 1], exact for the square of a cubic; in
@@ -196,34 +197,35 @@ def _record_grid(state, config, guard):
     return config.t_end / n_steps, n_steps // block + 1
 
 
-def _sparsity(coupling, n):
-    """The Jacobian pattern of a system of len(coupling) fields on ``n``
-    cells: block (i, j) is "T" (tridiagonal) or "I" (diagonal) as the rate
-    of field i reads field j at a cell's neighbours or at the cell alone."""
-    from scipy import sparse
-
-    blocks = {"T": sparse.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(n, n)),
-              "I": sparse.identity(n)}
-    return sparse.bmat([[blocks[b] for b in row] for row in coupling], format="csc")
-
-
 class _Counted:
     """A rate function as the integrator calls it, ``fun(t, y)``, counting
-    its calls and the collocation nodes of each step's attempts.
+    its calls and the collocation nodes of each step's attempts, and
+    keeping the last state it was called on with its rate, which
+    ``rate_at`` reuses.
 
     A Radau IIA attempt of size H from t evaluates the rate at its three
     nodes t + c H (c_3 = 1) in each Newton iteration, and the solver's
-    other calls (its Jacobian and error estimates) are made at t; so the
-    distinct times past t, in thirds, are the step's attempts, all but the
-    accepted one rejected."""
+    other calls (its Jacobian columns and error estimates) are made at t
+    or at the end t + H of an accepted attempt; so the distinct times past
+    t, in thirds, are the step's attempts, all but the accepted one
+    rejected."""
 
     def __init__(self, rate, n):
         self.rate, self.faces = rate, face_arrays(n)
         self.calls, self.times, self.rejected = 0, [], 0
+        self.last = (None, None)
 
     def __call__(self, t, y):
         self.times.append(t)
-        return self.rate(y, self.faces)
+        f = self.rate(y, self.faces)
+        self.last = (y, f)
+        return f
+
+    def rate_at(self, t, y):
+        """The rate at y: that of the last call if it was made on this very
+        array, which the integrator does not change, else a new call."""
+        last_y, f = self.last
+        return f if last_y is y else self(t, y)
 
     @property
     def evaluations(self):
@@ -234,6 +236,52 @@ class _Counted:
         self.calls += len(self.times)
         self.times = []
         return attempts
+
+
+def _jacobian(fun, coupling, n):
+    """The integrator's Jacobian ``jac(t, y)`` of the counted rate ``fun``
+    of a system of len(coupling) fields on ``n`` cells, a csc matrix.
+
+    Block (i, j) of its pattern is "T" (tridiagonal) or "I" (diagonal) as
+    the rate of field i reads field j at a cell's neighbours or at the cell
+    alone, so the columns of one field 3 cells apart touch disjoint rows.
+    Column (field j, cell c) is thus perturbed in group 3 j + c mod 3, and
+    ``jac`` takes grouped forward differences (Curtis, Powell & Reid, J.
+    Inst. Math. Appl. 13, 1974): one rate evaluation per group, 3 per
+    field, against f(y) from ``fun.rate_at``, by the step sqrt(eps)
+    max(|y|, ATOL) made exact, signed as f(y) (as scipy's ``num_jac``
+    signs it).  Each difference quotient goes straight into the pattern,
+    fixed once per run."""
+    from scipy.sparse import csc_matrix
+
+    rows, cols, cells = [], [], np.arange(n)
+    for i, blocks in enumerate(coupling):
+        for j, block in enumerate(blocks):
+            for d in (-1, 0, 1) if block == "T" else (0,):
+                c = cells[max(0, -d):n - max(0, d)]  # the cells whose row c + d exists
+                rows.append(i * n + c + d)
+                cols.append(j * n + c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    fields = len(coupling)
+    indptr = np.zeros(fields * n + 1, dtype=rows.dtype)
+    np.cumsum(np.bincount(cols, minlength=fields * n), out=indptr[1:])
+    column_group = (3 * np.arange(fields)[:, None] + cells % 3).ravel()
+    in_group = column_group == np.arange(3 * fields)[:, None]
+    group = column_group[cols]  # of each entry of the pattern
+    root_eps = math.sqrt(np.finfo(float).eps)
+
+    def jac(t, y):
+        f = fun.rate_at(t, y)
+        shifted = y + root_eps * np.copysign(np.maximum(np.abs(y), ATOL), f)
+        s = shifted - y  # the step, exact in floating point
+        diffs = np.array([fun(t, ys) for ys in np.where(in_group, shifted, y)])
+        diffs -= f
+        return csc_matrix((diffs[group, rows] / s[cols], rows, indptr),
+                          shape=(fields * n, fields * n))
+
+    return jac
 
 
 def _inadmissible(ys, n, ceiling):
@@ -279,7 +327,7 @@ def march(state, config, guard, rate, measure, coupling=(("T",),),
     become the trajectory's ``u`` (then ``v``), and ``rate(y, faces)`` the
     flow's semi-discrete time derivative of their concatenation y, a new
     array, lent the run's face arrays.  ``coupling`` says which fields
-    each field's rate reads (see ``_sparsity``), ``ceiling`` bounds the
+    each field's rate reads (see ``_jacobian``), ``ceiling`` bounds the
     density, and ``accumulate(ys)``, given, maps the (K, len(y)) states
     ``ys`` to the K values whose time integral becomes ``vt_accum``.
     ``guard(state)``, called once, returns the bound the record grid is
@@ -332,7 +380,7 @@ def march(state, config, guard, rate, measure, coupling=(("T",),),
     try:
         try:  # the solver evaluates the rate on trial states as it starts
             solver = Radau(fun, 0.0, y0, times[-1], rtol=RTOL, atol=ATOL,
-                           jac_sparsity=_sparsity(coupling, n))
+                           jac=_jacobian(fun, coupling, n))
         except EntroflowError as exc:
             raise abort(_failed(exc), j, 0.0)
         while solver.status == "running":
@@ -460,9 +508,16 @@ def initial_cosine(grid, mean=1.0, amplitude=0.5, mode=1):
     the cell centers, as an array, mass-exact.
 
     The discrete midpoint sum of cos(k pi x) over symmetric cell centers
-    vanishes, so the discrete mass equals ``mean`` exactly.
+    vanishes, so the discrete mass equals ``mean`` exactly.  A datum the
+    scaling leaves not finite (it overflows, or the profile's mean rounds
+    to 0) is a ConfigError, and the scaling runs with numpy's overflow,
+    invalid and divide warnings off.
     """
     vals = grid.full(1.0)
-    vals += amplitude * np.cos(mode * np.pi * grid.axis_centers())
-    vals *= mean / (np.mean(vals))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals += amplitude * np.cos(mode * np.pi * grid.axis_centers())
+        vals *= mean / (np.mean(vals))
+    if not np.isfinite(vals).all():
+        raise ConfigError("the initial datum of mean %g and amplitude %g is not "
+                          "finite" % (mean, amplitude))
     return vals

@@ -481,12 +481,12 @@ _UNRUNNABLE = [
                  "the integrator failed", 0.0,
                  id="diffusion-integrator-fails-on-overflowing-fluxes"),
     # delta^2 underflows to 0, so the flux is not Lipschitz where a face
-    # gradient vanishes: the steps shrink near t = 0.1675 until the run has
+    # gradient vanishes: the steps shrink near t = 0.1669 until the run has
     # spent its budget of rate evaluations (~1.5 s)
     pytest.param("plaplace", {"p": 1.2, "delta": 1e-200}, {"cells": 16},
                  {"t_end": 1.0, "record_every": 5}, "pl_summary.json",
                  "StabilityError", "budget of 20000 rate evaluations",
-                 pytest.approx(0.1675, rel=1e-3),
+                 pytest.approx(0.1669, rel=1e-3),
                  id="plaplace-delta-underflow-spends-the-budget"),
 ]
 
@@ -630,6 +630,11 @@ _PROBES = [
     # is 0^(-0.4): a stable step of 0, without a divide-by-zero warning
     ("plaplace_mono", {"model.p": 1.2, "model.delta": 1e-200, "run.amplitude": 0,
                        "run.t_end": 0.01, "run.record_every": 5}, EXIT_NUMERICS),
+    # initial data whose scaling overflows, or divides by a profile mean
+    # that rounds to 0: refused in the parse, without a warning
+    ("plaplace_mono", {"run.amplitude": 1e154, "run.mean": 1e306}, EXIT_CONFIG),
+    ("heat_sanity", {"run.amplitude": 1e300, "run.mean": 1e306}, EXIT_CONFIG),
+    ("heat_sanity", {"grid.cells": 8, "run.amplitude": 1e154}, EXIT_CONFIG),
 ]
 # the rows whose config error names the key at fault, and that key
 _NAMED_KEYS = [({"model.family": "power_law"}, "model.m"),

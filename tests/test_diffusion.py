@@ -480,3 +480,55 @@ def test_positivity_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
     assert whole.times[-1] == pytest.approx(30.0)
     assert np.array_equal(traj.times, whole.times[:len(traj.times)])
     assert np.array_equal(traj.u, whole.u[:len(traj.times)])
+
+
+def _flow_rate(flow, cells):
+    """(rate, coupling, state) of a flow on ``cells`` cells as ``march``
+    integrates it, the state a cosine profile (u, then v for chemotaxis)."""
+    h = 1.0 / cells
+    u = 1.0 + 0.5 * np.cos(np.pi * (np.arange(cells) + 0.5) * h)
+    if flow == "keller_segel":
+        model = KSModel(2.0, 1.0)
+        return (lambda y, faces: keller_segel._rate(y, model, h, faces),
+                (("T", "T"), ("I", "T")), np.concatenate((2.0 * u, 3.0 - u)))
+    module, model = {"linear": (diffusion, Linear()),
+                     "p_laplace": (p_laplace, PLaplaceModel(3.0))}[flow]
+    return (lambda y, faces: diffusion.net_rate(module._fluxes(y, model, h, faces)[0], h,
+                                                np.empty_like(y)),
+            (("T",),), u)
+
+
+@pytest.mark.parametrize("flow, cells", [("linear", 8), ("p_laplace", 7),
+                                         ("keller_segel", 7)])
+def test_grouped_jacobian_matches_dense_differences(flow, cells):
+    rate, coupling, y = _flow_rate(flow, cells)
+    fun = diffusion._Counted(rate, cells)
+    jac = diffusion._jacobian(fun, coupling, cells)
+    fun(0.0, y)  # as the integrator calls it, right before the Jacobian
+    before = fun.evaluations
+    J = jac(0.0, y)
+    # one counted rate evaluation per group, 3 per field, reusing f(y)
+    assert fun.evaluations - before == 3 * len(coupling)
+    before = fun.evaluations
+    jac(0.0, y.copy())  # another array: f(y) is evaluated once more
+    assert fun.evaluations - before == 3 * len(coupling) + 1
+
+    # the pattern is the coupling's blocks: "T" tridiagonal, "I" diagonal
+    T = np.eye(cells) + np.eye(cells, k=1) + np.eye(cells, k=-1)
+    pattern = np.block([[T if b == "T" else np.eye(cells) for b in row]
+                        for row in coupling]) != 0
+    got = np.zeros_like(pattern)
+    got[J.indices, np.repeat(np.arange(len(y)), np.diff(J.indptr))] = True
+    assert np.array_equal(got, pattern)
+
+    if flow == "linear":  # the Neumann Laplacian
+        expected = (T - 3.0 * np.eye(cells)) * cells**2
+        expected[0, 0] = expected[-1, -1] = -cells**2
+    else:  # column-by-column central differences of the same rate
+        faces, expected = diffusion.face_arrays(cells), np.empty((len(y), len(y)))
+        for k in range(len(y)):
+            e = np.zeros_like(y)
+            e[k] = 1e-5 * max(abs(y[k]), 1.0)
+            expected[:, k] = (rate(y + e, faces) - rate(y - e, faces)) / (2.0 * e[k])
+    np.testing.assert_allclose(J.toarray(), expected, rtol=1e-6,
+                               atol=1e-6 * np.abs(expected).max())

@@ -77,3 +77,24 @@ def test_presets_but_the_long_ks_run_write_their_listed_bytes(capsys):
     expect = os.path.join(ROOT, "tools", "preset_digests.sha256")
     assert tool.main(names + ["--expect", expect]) == 0
     assert capsys.readouterr().out == "0 of 14 files differ from %s\n" % expect
+
+
+def test_preset_digests_diff_src_of_a_tree_against_itself_finds_no_change(capsys):
+    tool = _load("preset_digests")
+    src = os.path.join(ROOT, "src")
+    assert tool.main(["heat_sanity", "--diff-src", src]) == 0
+    assert capsys.readouterr().out == "0 of 2 files differ from %s\n" % src
+
+
+def test_preset_digests_changes_are_relative_per_column_and_number(tmp_path):
+    tool = _load("preset_digests")
+    for side, (b, k, s) in {"old": ("2.0", 2.0, "x"), "new": ("2.000002", 2.0000002, "y")}.items():
+        (tmp_path / side / "run").mkdir(parents=True)
+        (tmp_path / side / "run" / "m.csv").write_text("t,a,b\n0,1,\n1,%s,\n" % b)
+        (tmp_path / side / "run" / "s.json").write_text(
+            json.dumps({"k": k, "s": s, "l": [1, 2]}))
+        (tmp_path / side / "run" / "same.csv").write_text("t\n0\n")
+    assert tool.changes(str(tmp_path / "old"), str(tmp_path / "new")) == [
+        (os.path.join("run", "m.csv"), [("a", "1e-06")]),
+        (os.path.join("run", "s.json"), [("k", "1e-07"), ("s", "'x' -> 'y'")]),
+    ]
