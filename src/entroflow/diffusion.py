@@ -55,11 +55,12 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   recorded up to it;
 - the loop owns the snapshots: before the integration it allocates one
   (S, N) array per state field (and one of S for the chemotaxis
-  ``vt_accum``), or raises ConfigError for a count no float or array
-  holds (a stable step of 0 included) and for a stable step of inf, which
-  bounds nothing.  The rows inside a step come from its dense output, and
-  ``vt_accum`` gains the step's integral of int |v_t|^2 by 4-point
-  Gauss-Legendre on it; the last row is the end of the last step;
+  ``vt_accum``), or raises ConfigError for a count no float holds (a
+  stable step of 0 included), for S N above ``MAX_SNAPSHOT_VALUES`` and
+  for a stable step of inf, which bounds nothing.  The rows inside a step
+  come from its dense output, and ``vt_accum`` gains the step's integral
+  of int |v_t|^2 by 4-point Gauss-Legendre on it; the last row is the end
+  of the last step;
 - the loop owns the buffers: a run allocates its face arrays once
   (``face_arrays``), shares them with no other run, and lends them to
   every evaluation of its rate, which returns a new array.  A guard and a
@@ -94,6 +95,9 @@ ATOL = 1e-12
 # ~8 per accepted step, so room for ~2,500 steps, 12 times the 1,614 of
 # the presets' largest run; a run that spends it is a StabilityError
 MAX_RHS_EVALUATIONS = 20_000
+# the most snapshot values a run records per field, S rows of N cells: 4
+# times Tier-1's largest record grid (985 x 256), 25 times the presets'
+MAX_SNAPSHOT_VALUES = 2**20
 # 4-point Gauss-Legendre on [-1, 1], exact for the square of a cubic; in
 # closed form, since numpy.polynomial is not imported with numpy
 _OUTER, _INNER = (math.sqrt((3.0 + s * 2.0 * math.sqrt(1.2)) / 7.0) for s in (1, -1))
@@ -344,11 +348,10 @@ def march(state, config, guard, rate, measure, coupling=(("T",),),
         raise PositivityLossError("initial state below floor", last_time=0.0)
     dt, count = _record_grid(state, config, guard)
     n = config.grid.cells
-    try:
-        rows = [np.empty((count, n)) for _ in state]
-    except (MemoryError, ValueError):
-        raise ConfigError("cannot hold %.3g snapshots of %d cells"
-                          % (count, n)) from None
+    if count * n > MAX_SNAPSHOT_VALUES:
+        raise ConfigError("cannot hold %.3g snapshots of %d cells, over %d values per "
+                          "field: raise record_every" % (count, n, MAX_SNAPSHOT_VALUES))
+    rows = [np.empty((count, n)) for _ in state]
     # float steps: a block of 2^63 steps or more overflows an integer
     # arange, and k * block below 2^53 is exact either way
     times = np.arange(count, dtype=float) * config.record_every * dt

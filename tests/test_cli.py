@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entroflow import errors
 from entroflow.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICS,
@@ -141,10 +142,10 @@ def test_unknown_kind():
 
 
 def test_ineq_subcommand(outdir):
-    code = main(["ineq", "--check", "both", "--n", "1", "--trials", "10",
-                 "--seed", "3", "--cells", "64"])
+    code = main(["run", "bernis_n1", "--set", "run.check=both", "--set", "run.trials=10",
+                 "--set", "run.seed=3", "--set", "grid.cells=64"])
     assert code == EXIT_PASS
-    run_dir = outdir / "ineq_n1_both"
+    run_dir = outdir / "bernis_n1"
     header = (run_dir / "trials.csv").read_text().splitlines()[0]
     assert header == "trial,c0,bernis_ratio,fisher_ratio,lam"
     summary = json.loads((run_dir / "summary.json").read_text())
@@ -153,18 +154,19 @@ def test_ineq_subcommand(outdir):
 
 
 def test_ineq_cmkm_subcommand(outdir):
-    code = main(["ineq", "--check", "cmkm", "--n", "2", "--trials", "5",
-                 "--seed", "3", "--cells", "32"])
+    code = main(["run", "bernis_n2", "--set", "run.check=cmkm", "--set", "run.trials=5",
+                 "--set", "run.seed=3", "--set", "grid.cells=32"])
     assert code == EXIT_PASS
-    summary = json.loads((outdir / "ineq_n2_cmkm" / "summary.json").read_text())
+    summary = json.loads((outdir / "bernis_n2" / "summary.json").read_text())
     assert summary["max_cmkm_ratio"] > 0.0
 
 
 def test_plaplace_subcommand(outdir):
-    code = main(["plaplace", "--p", "3", "--delta", "1e-6", "--cells", "64",
-                 "--t-end", "0.005", "--record-every", "50"])
+    code = main(["run", "plaplace_mono", "--set", "model.p=3", "--set", "model.delta=1e-6",
+                 "--set", "grid.cells=64", "--set", "run.t_end=0.005",
+                 "--set", "run.record_every=50"])
     assert code == EXIT_PASS
-    run_dir = outdir / "plaplace_p3"
+    run_dir = outdir / "plaplace_mono"
     header = (run_dir / "pl_monitors.csv").read_text().splitlines()[0]
     assert header == "t,I,dI_dt,residual_prop61"
     summary = json.loads((run_dir / "pl_summary.json").read_text())
@@ -176,10 +178,12 @@ def _reject_constant(token):
 
 
 def test_ks_subcommand(outdir):
-    code = main(["ks", "--p", "2", "--q", "1", "--mass", "2", "--cells", "64",
-                 "--t-end", "0.01", "--record-every", "20", "--strict"])
+    code = main(["run", "ks_critical_21", "--set", "model.p=2", "--set", "model.q=1",
+                 "--set", "model.strict=true", "--set", "run.mass=2",
+                 "--set", "grid.cells=64", "--set", "run.t_end=0.01",
+                 "--set", "run.record_every=20"])
     assert code == EXIT_PASS
-    run_dir = outdir / "ks_p2_q1"
+    run_dir = outdir / "ks_critical_21"
     header = (run_dir / "ks_monitors.csv").read_text().splitlines()[0]
     assert header.startswith("t,mass,lyap_classical,lyap_F,dissipation_D")
     summary = json.loads((run_dir / "ks_summary.json").read_text())
@@ -188,10 +192,12 @@ def test_ks_subcommand(outdir):
     assert summary["residual_convergence"]["table"][0]["cells"] == 32
 
     # off the critical line the Fisher-type pair is reported as numbers
-    code = main(["ks", "--p", "2", "--q", "0.5", "--cells", "16",
-                 "--t-end", "0.0234", "--record-every", "10"])
+    code = main(["run", "ks_s1_10", "--set", "model.p=2", "--set", "model.q=0.5",
+                 "--set", "model.strict=false", "--set", "run.mass=1",
+                 "--set", "grid.cells=16", "--set", "run.t_end=0.0234",
+                 "--set", "run.record_every=10"])
     assert code == EXIT_PASS
-    text = (outdir / "ks_p2_q0.5" / "ks_summary.json").read_text()
+    text = (outdir / "ks_s1_10" / "ks_summary.json").read_text()
     summary = json.loads(text, parse_constant=_reject_constant)
     for col in ("lyap_F", "dissipation_D"):
         assert math.isfinite(summary["max_monitors"][col])
@@ -294,8 +300,8 @@ def test_plaplace_run_evaluates_each_snapshot_once(monkeypatch, tmp_path):
 
 def test_plaplace_p1_is_config_error(outdir, tmp_path, capsys):
     # p* = 1 - 1/(2(p-1)) is undefined at p = 1
-    argv = ["plaplace", "--p", "1", "--cells", "32", "--t-end", "1e-4",
-            "--record-every", "1"]
+    argv = ["run", "plaplace_mono", "--set", "model.p=1", "--set", "grid.cells=32",
+            "--set", "run.t_end=1e-4", "--set", "run.record_every=1"]
     assert main(argv) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     cfg = {"name": "p1", "kind": "plaplace", "model": {"p": 1.0},
@@ -328,10 +334,10 @@ def test_non_finite_table_entry_is_config_error(row, outdir, tmp_path):
 
 def test_plaplace_below_three_halves_writes_no_rate_residual(outdir):
     # p* < 0 for p < 3/2: every I row is written, the rate cells are empty
-    code = main(["plaplace", "--p", "1.2", "--cells", "32", "--t-end", "1e-4",
-                 "--record-every", "1"])
+    code = main(["run", "plaplace_mono", "--set", "model.p=1.2", "--set", "grid.cells=32",
+                 "--set", "run.t_end=1e-4", "--set", "run.record_every=1"])
     assert code == EXIT_PASS
-    lines = (outdir / "plaplace_p1.2" / "pl_monitors.csv").read_text().splitlines()
+    lines = (outdir / "plaplace_mono" / "pl_monitors.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) >= 3
     for t, I, dI_dt, residual in rows:
@@ -340,10 +346,11 @@ def test_plaplace_below_three_halves_writes_no_rate_residual(outdir):
 
 
 def test_ks_below_twice_the_grid_minimum_skips_coarse_run(outdir):
-    code = main(["ks", "--p", "2", "--q", "1", "--cells", "12",
-                 "--t-end", "0.001", "--record-every", "5"])
+    code = main(["run", "ks_critical_21", "--set", "model.strict=false",
+                 "--set", "run.mass=1", "--set", "grid.cells=12",
+                 "--set", "run.t_end=0.001", "--set", "run.record_every=5"])
     assert code == EXIT_PASS
-    summary = json.loads((outdir / "ks_p2_q1" / "ks_summary.json").read_text())
+    summary = json.loads((outdir / "ks_critical_21" / "ks_summary.json").read_text())
     assert summary["residual_convergence"]["table"][0] == {
         "cells": 6, "max_lyap_residual": None}
     assert summary["residual_convergence"]["ratio"] is None
@@ -488,6 +495,13 @@ _UNRUNNABLE = [
                  "StabilityError", "budget of 20000 rate evaluations",
                  pytest.approx(0.1669, rel=1e-3),
                  id="plaplace-delta-underflow-spends-the-budget"),
+    # 512k rows of 16 cells, past MAX_SNAPSHOT_VALUES: refused before the
+    # first step, where it was a run of seconds that a larger record_every
+    # makes cheap
+    pytest.param("diffusion", {"family": "linear"}, {"cells": 16},
+                 {"t_end": 400, "record_every": 1}, "summary.json", "ConfigError",
+                 "cannot hold", None,
+                 id="diffusion-snapshots-past-the-budget"),
 ]
 
 
@@ -635,6 +649,9 @@ _PROBES = [
     ("plaplace_mono", {"run.amplitude": 1e154, "run.mean": 1e306}, EXIT_CONFIG),
     ("heat_sanity", {"run.amplitude": 1e300, "run.mean": 1e306}, EXIT_CONFIG),
     ("heat_sanity", {"grid.cells": 8, "run.amplitude": 1e154}, EXIT_CONFIG),
+    # trials past MAX_TRIALS, which would run for hours: refused in the parse
+    ("bernis_n1", {"run.trials": 2**63}, EXIT_CONFIG),
+    ("bernis_n1", {"run.trials": 1e154}, EXIT_CONFIG),
 ]
 # the rows whose config error names the key at fault, and that key
 _NAMED_KEYS = [({"model.family": "power_law"}, "model.m"),
@@ -678,15 +695,56 @@ def test_validate_and_run_agree(preset, edits, code, outdir, tmp_path, capsys):
 
 
 def test_bad_flags_exit_as_config_errors():
-    for argv in (["ks", "--p", "x", "--q", "1"],
-                 ["ineq", "--check", "bernis", "--seed", "1"],
+    # the flag subcommands are gone: `ks` is an invalid choice
+    for argv in (["ks", "--p", "2", "--q", "1"],
+                 ["run", "heat_sanity", "--p", "x"],
+                 ["validate", "heat_sanity", "--out", "elsewhere"],
+                 ["run"],
                  ["nonsense"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == EXIT_CONFIG
     with pytest.raises(SystemExit) as info:
-        main(["ks", "-h"])
+        main(["run", "-h"])
     assert info.value.code == EXIT_PASS
+
+
+def test_set_writes_what_the_edited_config_file_writes(tmp_path):
+    edited = preset_config("heat_sanity")
+    edited["run"]["t_end"], edited["name"] = 0.01, "x"
+    path = _write(tmp_path, edited, "x.json")
+    assert main(["run", "heat_sanity", "--set", "run.t_end=0.01", "--set", "name=x",
+                 "--out", str(tmp_path / "set")]) == EXIT_PASS
+    assert main(["run", path, "--out", str(tmp_path / "file")]) == EXIT_PASS
+    files = sorted(os.listdir(tmp_path / "set" / "x"))
+    assert files == ["meters.csv", "summary.json"]
+    assert files == sorted(os.listdir(tmp_path / "file" / "x"))
+    for name in files:
+        assert ((tmp_path / "set" / "x" / name).read_bytes()
+                == (tmp_path / "file" / "x" / name).read_bytes())
+
+    # a value that is not JSON is a string, and a missing object is made
+    del edited["model"]
+    path = _write(tmp_path, edited, "no_model.json")
+    assert main(["validate", path, "--set", "model.family=power_law",
+                 "--set", "model.m=2"]) == EXIT_PASS
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("run.t_end", "KEY=VALUE"),
+    ("=0.01", "KEY=VALUE"),
+    ("run..t_end=0.01", "KEY=VALUE"),
+    ("run.t_end.x=0.01", "not an object"),
+    ("name.x=1", "not an object"),
+    ("run.tend=0.01", "unknown key run.tend"),
+], ids=["no-equals", "empty-key", "empty-segment", "through-a-number",
+        "through-a-string", "unknown-key"])
+def test_bad_set_exits_1_with_nothing_written(setting, message, outdir, capsys):
+    for command in ("run", "validate"):
+        assert main([command, "heat_sanity", "--set", setting]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+    assert not outdir.exists()
 
 
 def test_write_json_rejects_arbitrary_objects(tmp_path):
@@ -699,7 +757,8 @@ def test_write_json_rejects_arbitrary_objects(tmp_path):
 
 
 _JUNK = (_DELETE, None, True, "1", -1, 0, 1e-3, 0.5, 2, math.nan, math.inf,
-         [], {})
+         [], {}, 1e-300, 1e-200, 1e154, 1e300, 1e306, -math.inf, 1 + 1e-13, 2**63,
+         60, 200, 400)
 _FUZZ_PATHS = [("kind",), ("name",), ("model",), ("grid",), ("run",)] + [
     (section, key)
     for section, keys in (
@@ -733,9 +792,13 @@ def test_no_config_escapes_run_experiment(name, mutations):
     with tempfile.TemporaryDirectory() as root:
         code = run_experiment(cfg, root)
         assert code in (0, 1, 2, 3)
-        summaries = [f for _, _, files in os.walk(root) for f in files
-                     if f.endswith("summary.json")]
+        summaries = [os.path.join(top, f) for top, _, files in os.walk(root)
+                     for f in files if f.endswith("summary.json")]
         assert bool(summaries) == (code != EXIT_CONFIG)
+        if code == EXIT_NUMERICS:  # the summary names the error that ended the run
+            with open(summaries[0]) as fh:
+                termination = json.load(fh)["termination"]
+            assert issubclass(getattr(errors, termination), errors.EntroflowError)
 
 
 # Each flow preset's dt and step count, from its guard on the initial state
