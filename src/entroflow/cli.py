@@ -405,11 +405,11 @@ def run_experiment(cfg, out_root=None):
 
 def _load_config(path):
     """The JSON value in ``path``; an object without a name is named after
-    the file."""
+    the file.  A file nested too deep for the parser is a ConfigError."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise ConfigError("cannot read %s: %s" % (path, err))
     if isinstance(cfg, dict) and "name" not in cfg:
         cfg["name"] = os.path.splitext(os.path.basename(path))[0]

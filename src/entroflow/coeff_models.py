@@ -338,19 +338,12 @@ class KSModel:
         """S(u) = u, the q = 0 case of the special-case identities."""
         return abs(self.q) <= 1e-12
 
-    # D and S write into ``out`` when given: the chemotaxis rate evaluates
-    # them on the run's face arrays at every evaluation.
+    def D(self, s):
+        return (np.asarray(s, dtype=float) + 1.0) ** -self.p
 
-    def D(self, s, out=None):
-        d = np.add(np.asarray(s, dtype=float), 1.0, out=out)
-        d **= -self.p
-        return d
-
-    def S(self, s, out=None):
+    def S(self, s):
         s = np.asarray(s, dtype=float)
-        w = np.add(s, 1.0, out=out)
-        w **= -self.q
-        return np.multiply(s, w, out=out)
+        return s * (s + 1.0) ** -self.q
 
     def S_prime(self, s):
         s = np.asarray(s, dtype=float)

@@ -61,10 +61,9 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   come from its dense output, and ``vt_accum`` gains the step's integral
   of int |v_t|^2 by 4-point Gauss-Legendre on it; the last row is the end
   of the last step;
-- the loop owns the buffers: a run allocates its face arrays once
-  (``face_arrays``), shares them with no other run, and lends them to
-  every evaluation of its rate, which returns a new array.  A guard and a
-  stencil allocate their own;
+- a rate, a guard and a stencil are plain array expressions: each
+  returns new arrays and writes into none it is given, and a snapshot row
+  is a copy of the integrator's state;
 - the loop owns the cost record: ``Trajectory.integrator`` counts the
   accepted and rejected steps, the rate evaluations and the LU
   factorizations, an abort's trajectory included;
@@ -214,14 +213,14 @@ class _Counted:
     t, in thirds, are the step's attempts, all but the accepted one
     rejected."""
 
-    def __init__(self, rate, n):
-        self.rate, self.faces = rate, face_arrays(n)
+    def __init__(self, rate):
+        self.rate = rate
         self.calls, self.times, self.rejected = 0, [], 0
         self.last = (None, None)
 
     def __call__(self, t, y):
         self.times.append(t)
-        f = self.rate(y, self.faces)
+        f = self.rate(y)
         self.last = (y, f)
         return f
 
@@ -328,11 +327,11 @@ def march(state, config, guard, rate, measure, coupling=(("T",),),
     """The integration of every flow; returns a Trajectory.
 
     ``state`` is a tuple of the initial arrays, the density first, which
-    become the trajectory's ``u`` (then ``v``), and ``rate(y, faces)`` the
+    become the trajectory's ``u`` (then ``v``), and ``rate(y)`` the
     flow's semi-discrete time derivative of their concatenation y, a new
-    array, lent the run's face arrays.  ``coupling`` says which fields
-    each field's rate reads (see ``_jacobian``), ``ceiling`` bounds the
-    density, and ``accumulate(ys)``, given, maps the (K, len(y)) states
+    array.  ``coupling`` says which fields each field's rate reads (see
+    ``_jacobian``), ``ceiling`` bounds the density, and
+    ``accumulate(ys)``, given, maps the (K, len(y)) states
     ``ys`` to the K values whose time integral becomes ``vt_accum``.
     ``guard(state)``, called once, returns the bound the record grid is
     drawn from, and ``measure(traj)`` attaches a completed run's meters.
@@ -360,7 +359,7 @@ def march(state, config, guard, rate, measure, coupling=(("T",),),
 
     for row, x in zip(rows, state):
         row[0] = x
-    fun, solver = _Counted(rate, n), None
+    fun, solver = _Counted(rate), None
     accepted, total = 0, 0.0  # total: the accumulated integral to solver.t
 
     def recorded(j):
@@ -429,21 +428,12 @@ def march(state, config, guard, rate, measure, coupling=(("T",),),
     return traj
 
 
-def face_arrays(n):
-    """The three scratch arrays of n - 1 face entries a run lends every
-    evaluation of its rate, and a stencil or guard makes for itself."""
-    return [np.empty(n - 1) for _ in range(3)]
-
-
-def net_rate(flux, h, out):
+def net_rate(flux, h):
     """The divergence of the interior face fluxes over the cells, the
-    fluxes through both walls being zero, written into ``out``: each cell
-    gains the flux of its right face and loses that of its left one, over
-    h, so the rates sum to zero and the discrete mass is conserved."""
-    out[0] = flux[0]
-    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
-    out[-1] = -flux[-1]
-    return np.divide(out, h, out=out)
+    fluxes through both walls being zero, a new array: each cell gains the
+    flux of its right face and loses that of its left one, over h, so the
+    rates sum to zero and the discrete mass is conserved."""
+    return np.concatenate((flux[:1], flux[1:] - flux[:-1], -flux[-1:])) / h
 
 
 def conservative_step(u, flux, bound, dt, h):
@@ -455,43 +445,37 @@ def conservative_step(u, flux, bound, dt, h):
     """
     if dt > bound:
         raise StabilityError("fixed step exceeds the stability bound")
-    new = net_rate(flux, h, np.empty_like(u))
-    new *= dt
-    new += u
+    new = net_rate(flux, h) * dt + u
     if not (np.minimum.reduce(new) >= DEFAULT_FLOOR):
         raise PositivityLossError("state dropped below the positivity floor")
     return new
 
 
-def _fluxes(u, model, h, faces):
+def _fluxes(u, model, h):
     """The interior face fluxes a(m) (u_{i+1} - u_i) / h, m the face state
-    (the mean of adjacent cells, put in the first of ``faces``; the fluxes
-    go in the second), and the bound h^2 / (2 max a) of the explicit
-    scheme's positivity condition dt (a_{i-1/2} + a_{i+1/2}) <= h^2; a
-    coefficient that is 0 on every face (underflowed) bounds no step, inf."""
-    mid = np.add(u[1:], u[:-1], out=faces[0])
-    np.multiply(mid, 0.5, out=mid)
-    a_mid = np.asarray(model.a(mid), dtype=float)
+    (the mean of adjacent cells), and the bound h^2 / (2 max a) of the
+    explicit scheme's positivity condition dt (a_{i-1/2} + a_{i+1/2}) <=
+    h^2; a coefficient that is 0 on every face (underflowed) bounds no
+    step, inf."""
+    a_mid = np.asarray(model.a(0.5 * (u[1:] + u[:-1])), dtype=float)
     a_max = np.maximum.reduce(a_mid)
     # a NaN reaches both extremes, and an infinity one of them
     if not (math.isfinite(a_max) and math.isfinite(np.minimum.reduce(a_mid))):
         raise ModelError("coefficient evaluated non-finite on the state")
-    flux = np.subtract(u[1:], u[:-1], out=faces[1])
-    np.multiply(a_mid, flux, out=flux)
-    np.divide(flux, h, out=flux)
+    flux = a_mid * (u[1:] - u[:-1]) / h
     return flux, h * h / (2.0 * float(a_max)) if a_max > 0.0 else math.inf
 
 
 def stable_dt(u, model, h):
     """The stability guard: the bound of ``_fluxes``, which ``step`` checks."""
-    return _fluxes(u, model, h, face_arrays(u.size))[1]
+    return _fluxes(u, model, h)[1]
 
 
 def step(u, model, h, dt):
     """One conservative explicit Euler step of ``_fluxes``, a new array;
     aborts as ``conservative_step`` says.  No run steps with it: it is the
     oracle of a run's time error."""
-    return conservative_step(u, *_fluxes(u, model, h, face_arrays(u.size)), dt, h)
+    return conservative_step(u, *_fluxes(u, model, h), dt, h)
 
 
 def run(u0, config):
@@ -501,8 +485,7 @@ def run(u0, config):
     model, h = config.model, config.grid.h
     return march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s: stable_dt(s[0], model, h),
-                 rate=lambda y, faces: net_rate(_fluxes(y, model, h, faces)[0], h,
-                                                np.empty_like(y)),
+                 rate=lambda y: net_rate(_fluxes(y, model, h)[0], h),
                  measure=lambda traj: measure_trajectory(traj, model))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff_models import power_quotient
-from .diffusion import conservative_step, face_arrays, initial_cosine, march, net_rate
+from .diffusion import conservative_step, initial_cosine, march, net_rate
 from .errors import ConfigError, PositivityLossError, UsageError
 from .fields import by_row_blocks, central_diff, integrate, second_diff
 
@@ -80,43 +80,31 @@ class KSMonitor:
 # Stepping
 
 
-def v_time_derivative(u, v, h, out=None):
-    """v_xx - v + u with the mirror second difference along the last axis,
-    into ``out`` when given."""
-    vt = second_diff(v, v.ndim - 1, h, out=out)
-    np.subtract(vt, v, out=vt)
-    return np.add(vt, u, out=vt)
+def v_time_derivative(u, v, h):
+    """v_xx - v + u with the mirror second difference along the last axis."""
+    return second_diff(v, v.ndim - 1, h) - v + u
 
 
-def _fluxes(u, v, model, h, faces):
+def _fluxes(u, v, model, h):
     """The interior face fluxes of u, D (u_{i+1} - u_i) / h minus the drift
     S (v_{i+1} - v_i) / h with D and S at the face states (means of adjacent
-    cells), into the second and third of ``faces``, and the bound
-    min(h^2 / (2 max(max D, 1)), h / max |drift|)."""
-    mid, flux, drift = faces
-    np.add(u[1:], u[:-1], out=mid)
-    np.multiply(mid, 0.5, out=mid)
-    diff_coeff = max(float(np.maximum.reduce(model.D(mid, out=flux))), 1.0)
-    model.S(mid, out=drift)
-    np.subtract(v[1:], v[:-1], out=mid)
-    np.multiply(drift, mid, out=drift)
-    np.divide(drift, h, out=drift)
+    cells), and the bound min(h^2 / (2 max(max D, 1)), h / max |drift|)."""
+    mid = 0.5 * (u[1:] + u[:-1])
+    D = model.D(mid)
+    drift = model.S(mid) * (v[1:] - v[:-1]) / h
+    diff_coeff = max(float(np.maximum.reduce(D)), 1.0)
     adv = max(float(np.maximum.reduce(drift)), -float(np.minimum.reduce(drift)))
-    np.multiply(flux, np.subtract(u[1:], u[:-1], out=mid), out=flux)
-    np.divide(flux, h, out=flux)
-    np.subtract(flux, drift, out=flux)
+    flux = D * (u[1:] - u[:-1]) / h - drift
     return flux, min(h * h / (2.0 * diff_coeff), h / (adv + 1e-14))
 
 
-def _rate(y, model, h, faces):
+def _rate(y, model, h):
     """The time derivative of the state y = (u, v), concatenated, a new
     array: the net ``_fluxes`` of u over h, then ``v_time_derivative``."""
     n = y.size // 2
     u, v = y[:n], y[n:]
-    out = np.empty_like(y)
-    net_rate(_fluxes(u, v, model, h, faces)[0], h, out[:n])
-    v_time_derivative(u, v, h, out=out[n:])
-    return out
+    return np.concatenate((net_rate(_fluxes(u, v, model, h)[0], h),
+                           v_time_derivative(u, v, h)))
 
 
 def _vt_sq(ys, h):
@@ -129,7 +117,7 @@ def _vt_sq(ys, h):
 def ks_stable_dt(u, v, model, h):
     """The smaller of a diffusive (both equations) and an advective bound, on
     the face coefficients of ``ks_step``, which checks dt against it."""
-    return _fluxes(u, v, model, h, face_arrays(u.size))[1]
+    return _fluxes(u, v, model, h)[1]
 
 
 def ks_step(u, v, model, h, dt):
@@ -141,7 +129,7 @@ def ks_step(u, v, model, h, dt):
     Returns the new (u, v) and v_t of the old state, which drove the
     v-update.
     """
-    u_new = conservative_step(u, *_fluxes(u, v, model, h, face_arrays(u.size)), dt, h)
+    u_new = conservative_step(u, *_fluxes(u, v, model, h), dt, h)
     vt = v_time_derivative(u, v, h)
     v_new = v + dt * vt
     if not (np.minimum.reduce(v_new) >= _V_NEG_TOL):
@@ -172,7 +160,7 @@ def run_ks(u0, v0, config):
     state = (np.asarray(u0, dtype=float), np.asarray(v0, dtype=float))
     return march(state, config,
                  guard=lambda s: ks_stable_dt(s[0], s[1], model, h),
-                 rate=lambda y, faces: _rate(y, model, h, faces),
+                 rate=lambda y: _rate(y, model, h),
                  measure=lambda traj: measure_monitors(traj, model),
                  coupling=(("T", "T"), ("I", "T")), ceiling=DEFAULT_CEILING,
                  accumulate=lambda ys: _vt_sq(ys, h))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .diffusion import conservative_step, face_arrays, march, net_rate
+from .diffusion import conservative_step, march, net_rate
 from .fields import (by_row_blocks, central_diff, integrate,
                      require_positive_field, second_diff)
 from .meters import monotonicity_report as _monotonicity_report
@@ -58,21 +58,15 @@ def p_star(p):
     return 1.0 - 1.0 / (2.0 * (p - 1.0))
 
 
-def _fluxes(u, model, h, faces):
+def _fluxes(u, model, h):
     """The interior face fluxes (u_x^2 + delta^2)^((p-2)/2) u_x of the face
-    gradients u_x, and the bound h^2 / (2 max coefficient); the gradients
-    go in the first of ``faces``, the fluxes in the second."""
-    du, flux = faces[:2]
-    np.subtract(u[1:], u[:-1], out=du)
-    np.divide(du, h, out=du)
-    np.multiply(du, du, out=flux)
-    np.add(flux, model.delta**2, out=flux)
-    flux **= (model.p - 2.0) / 2.0
+    gradients u_x, and the bound h^2 / (2 max coefficient)."""
+    du = (u[1:] - u[:-1]) / h
+    coeff = (du * du + model.delta**2) ** ((model.p - 2.0) / 2.0)
     # for p < 2 a squared face gradient that overflows gives a coefficient
     # of 0, and 0 on every face bounds no step
-    c_max = float(np.maximum.reduce(flux))
-    np.multiply(flux, du, out=flux)
-    return flux, h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
+    c_max = float(np.maximum.reduce(coeff))
+    return coeff * du, h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
 
 
 def pl_stable_dt(u, model, h):
@@ -80,14 +74,14 @@ def pl_stable_dt(u, model, h):
     against; a squared face gradient that overflows (a bound of 0 for
     p > 2, and of inf for p < 2 when it does so on every face) is left to
     ``march``."""
-    return _fluxes(u, model, h, face_arrays(u.size))[1]
+    return _fluxes(u, model, h)[1]
 
 
 def pl_step(u, model, h, dt):
     """One conservative explicit Euler step of ``_fluxes``, a new array;
     aborts as ``diffusion.conservative_step`` says.  No run steps with it:
     it is the oracle of a run's time error."""
-    return conservative_step(u, *_fluxes(u, model, h, face_arrays(u.size)), dt, h)
+    return conservative_step(u, *_fluxes(u, model, h), dt, h)
 
 
 def run(u0, config):
@@ -97,8 +91,7 @@ def run(u0, config):
     model, h = config.model, config.grid.h
     return march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s: pl_stable_dt(s[0], model, h),
-                 rate=lambda y, faces: net_rate(_fluxes(y, model, h, faces)[0], h,
-                                                np.empty_like(y)),
+                 rate=lambda y: net_rate(_fluxes(y, model, h)[0], h),
                  measure=lambda traj: measure_trajectory(traj, model))
 
 

@@ -18,8 +18,8 @@ def rng():
 @pytest.fixture
 def spy_buffers(monkeypatch):
     """``spy_buffers(module)`` wraps the flux function ``module._fluxes``
-    for the test and returns a dict that collects, by id, every array a
-    call was lent through its last argument (the face arrays) or returned."""
+    for the test and returns a dict that collects, by id, every flux array
+    a call returned."""
 
     def install(module):
         seen = {}
@@ -27,8 +27,7 @@ def spy_buffers(monkeypatch):
 
         def spy(*args):
             out = original(*args)
-            for arr in (*args[-1], out[0]):
-                seen[id(arr)] = arr
+            seen[id(out[0])] = out[0]
             return out
 
         monkeypatch.setattr(module, "_fluxes", spy)
@@ -66,9 +65,9 @@ def stencil_loop_gaps():
 @pytest.fixture
 def run_interleaved(monkeypatch):
     """``run_interleaved(module, name, outer, *inner)`` calls ``outer()``
-    and, between its first and second call of the stencil ``module.name``
-    (its buffers live), every one of ``inner``; returns all the results,
-    the outer run's first."""
+    and, between its first and second call of the flux function
+    ``module.name`` (its run under way), every one of ``inner``; returns
+    all the results, the outer run's first."""
 
     def go(module, name, outer, *inner):
         original, calls, results = getattr(module, name), [], []

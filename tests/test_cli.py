@@ -136,6 +136,16 @@ def test_missing_config_file(outdir):
     assert main(["validate", "/nonexistent/nope.json"]) == EXIT_CONFIG
 
 
+def test_config_nested_too_deep_is_config_error(outdir, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read" in captured.err
+    assert not outdir.exists()
+
+
 def test_unknown_kind():
     with pytest.raises(ConfigError, match="kind"):
         parse_config({"name": "x", "kind": "magic"})

@@ -206,7 +206,7 @@ def test_stability_error_carries_partial_trajectory():
     cfg = FlowConfig(Linear(), g, t_end=1.0, record_every=1)
     measured = []
 
-    def rate(y, faces):
+    def rate(y):
         return y.copy() if y.max() <= 2.0 else np.full_like(y, np.nan)
 
     with pytest.raises(StabilityError, match="integrator failed") as info:
@@ -232,7 +232,7 @@ def test_a_rate_that_refuses_a_state_fails_the_step(limit):
     u0 = initial_cosine(g, amplitude=0.0)
     cfg = FlowConfig(Linear(), g, t_end=1.0, record_every=1)
 
-    def rate(y, faces):
+    def rate(y):
         if y.max() > limit:
             raise ModelError("past the limit")
         return y.copy()
@@ -256,7 +256,7 @@ def test_an_integration_past_its_budget_aborts(monkeypatch):
     u0 = initial_cosine(g, amplitude=0.0)
     cfg = FlowConfig(Linear(), g, t_end=17.0, record_every=1)
     with pytest.raises(StabilityError, match="budget of 100 rate evaluations") as info:
-        march((u0,), cfg, lambda s: 0.125, lambda y, faces: -y, lambda traj: None)
+        march((u0,), cfg, lambda s: 0.125, lambda y: -y, lambda traj: None)
     last, traj = info.value.last_time, info.value.trajectory
     assert 0.0 < last < 17.0
     assert traj.times[-1] <= last < traj.times[-1] + traj.dt
@@ -328,10 +328,11 @@ def test_residuals_refuse_a_trajectory_without_the_runs_meters():
         identity_residuals(flat)
 
 
-# Buffer safety: a run lends its own face arrays to every evaluation of
-# its rate (see the run contract in entroflow.diffusion).  The oracle of a
-# run's time error is the explicit stencil, looped at the run's dt: its
-# own error is O(dt), and dt is proportional to h^2.
+# Buffer safety: a rate returns a new array, and a snapshot row is a copy
+# (see the run contract in entroflow.diffusion), so a run changes neither
+# its initial state nor any flux it formed.  The oracle of a run's time
+# error is the explicit stencil, looped at the run's dt: its own error is
+# O(dt), and dt is proportional to h^2.
 
 
 @pytest.mark.parametrize("model", [Linear(), PowerLaw(2.0)])
@@ -356,7 +357,7 @@ def test_run_buffers_stay_private(spy_buffers):
     live = spy_buffers(diffusion)
     traj = run(u0, cfg)
     assert np.array_equal(u0, before)
-    assert len(live) >= 3  # the run's three face arrays, and the guard's
+    assert len(live) >= 2  # the guard's flux, and the rate's
     assert not np.shares_memory(traj.u, u0)
     assert not any(np.shares_memory(traj.u, b) for b in live.values())
 
@@ -466,7 +467,7 @@ def test_positivity_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
     cfg = FlowConfig(Linear(), g, t_end=30.0, record_every=3)
     measured = []
 
-    def decay(y, faces):
+    def decay(y):
         return -y
 
     with pytest.raises(PositivityLossError) as info:
@@ -489,12 +490,11 @@ def _flow_rate(flow, cells):
     u = 1.0 + 0.5 * np.cos(np.pi * (np.arange(cells) + 0.5) * h)
     if flow == "keller_segel":
         model = KSModel(2.0, 1.0)
-        return (lambda y, faces: keller_segel._rate(y, model, h, faces),
+        return (lambda y: keller_segel._rate(y, model, h),
                 (("T", "T"), ("I", "T")), np.concatenate((2.0 * u, 3.0 - u)))
     module, model = {"linear": (diffusion, Linear()),
                      "p_laplace": (p_laplace, PLaplaceModel(3.0))}[flow]
-    return (lambda y, faces: diffusion.net_rate(module._fluxes(y, model, h, faces)[0], h,
-                                                np.empty_like(y)),
+    return (lambda y: diffusion.net_rate(module._fluxes(y, model, h)[0], h),
             (("T",),), u)
 
 
@@ -502,7 +502,7 @@ def _flow_rate(flow, cells):
                                          ("keller_segel", 7)])
 def test_grouped_jacobian_matches_dense_differences(flow, cells):
     rate, coupling, y = _flow_rate(flow, cells)
-    fun = diffusion._Counted(rate, cells)
+    fun = diffusion._Counted(rate)
     jac = diffusion._jacobian(fun, coupling, cells)
     fun(0.0, y)  # as the integrator calls it, right before the Jacobian
     before = fun.evaluations
@@ -525,10 +525,10 @@ def test_grouped_jacobian_matches_dense_differences(flow, cells):
         expected = (T - 3.0 * np.eye(cells)) * cells**2
         expected[0, 0] = expected[-1, -1] = -cells**2
     else:  # column-by-column central differences of the same rate
-        faces, expected = diffusion.face_arrays(cells), np.empty((len(y), len(y)))
+        expected = np.empty((len(y), len(y)))
         for k in range(len(y)):
             e = np.zeros_like(y)
             e[k] = 1e-5 * max(abs(y[k]), 1.0)
-            expected[:, k] = (rate(y + e, faces) - rate(y - e, faces)) / (2.0 * e[k])
+            expected[:, k] = (rate(y + e) - rate(y - e)) / (2.0 * e[k])
     np.testing.assert_allclose(J.toarray(), expected, rtol=1e-6,
                                atol=1e-6 * np.abs(expected).max())

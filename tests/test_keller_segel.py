@@ -294,12 +294,16 @@ def test_run_equals_unbuffered_stencil_loop(params, stencil_loop_gaps):
 
 
 def test_run_buffers_stay_private(spy_buffers):
+    g = Grid(1, 16)
+    u0, v0 = cosine_initial_state(g, mass=4.0)
+    before = (u0.copy(), v0.copy())
     live = spy_buffers(keller_segel)
-    traj = _cosine_run(P21, Grid(1, 16), t_end=0.005, mass=4.0, record_every=5)
-    assert len(live) >= 3  # the run's three face arrays, and the guard's
+    traj = run_ks(u0, v0, FlowConfig(P21, g, t_end=0.005, record_every=5))
+    assert np.array_equal(u0, before[0]) and np.array_equal(v0, before[1])
+    assert len(live) >= 2  # the guard's flux, and the rate's
     assert not np.shares_memory(traj.u, traj.v)
     for a in (traj.u, traj.v):
-        assert not any(np.shares_memory(a, b) for b in live.values())
+        assert not any(np.shares_memory(a, b) for b in (u0, v0, *live.values()))
 
 
 def test_interleaved_runs_match_runs_alone(run_interleaved):

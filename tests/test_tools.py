@@ -66,17 +66,16 @@ def test_preset_digests_lists_a_config_file_under_its_name(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
-def test_presets_but_the_long_ks_run_write_their_listed_bytes(capsys):
-    # Byte-identical outputs of every preset but ks_critical_21, which
-    # takes about 16 s and stays a manual check.
+def test_presets_write_their_listed_bytes(capsys):
+    # Byte-identical outputs of every preset.
     tool = _load("preset_digests")
     from entroflow.presets import PRESETS
 
-    names = sorted(set(PRESETS) - {"ks_critical_21"})
-    assert len(names) == 7
+    names = sorted(PRESETS)
+    assert len(names) == 8
     expect = os.path.join(ROOT, "tools", "preset_digests.sha256")
     assert tool.main(names + ["--expect", expect]) == 0
-    assert capsys.readouterr().out == "0 of 14 files differ from %s\n" % expect
+    assert capsys.readouterr().out == "0 of 16 files differ from %s\n" % expect
 
 
 def test_preset_digests_diff_src_of_a_tree_against_itself_finds_no_change(capsys):
