@@ -49,6 +49,8 @@ EXIT_NUMERICS = 3
 # the most trials an inequality check runs: 500 times the presets' 200, at
 # ~0.2 ms and one kept row per trial on 64 cells in 1D
 MAX_TRIALS = 100_000
+# the most values of an inequality grid: 128^3, 8 times the largest in use
+MAX_GRID_VALUES = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,9 @@ class IneqConfig:
     def __post_init__(self):
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigError("trials must lie in [1, %d]" % MAX_TRIALS)
+        if self.grid.cells ** self.grid.dim > MAX_GRID_VALUES:
+            raise ConfigError("cannot hold a grid of %d^%d cells, over %d values"
+                              % (self.grid.cells, self.grid.dim, MAX_GRID_VALUES))
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.check not in ("both", "cmkm"):

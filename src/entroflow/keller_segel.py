@@ -89,28 +89,29 @@ def _fluxes(u, v, model, h):
     """The interior face fluxes of u, D (u_{i+1} - u_i) / h minus the drift
     S (v_{i+1} - v_i) / h with D and S at the face states (means of adjacent
     cells), and the bound min(h^2 / (2 max(max D, 1)), h / max |drift|)."""
-    mid = 0.5 * (u[1:] + u[:-1])
+    mid = 0.5 * (u[..., 1:] + u[..., :-1])
     D = model.D(mid)
-    drift = model.S(mid) * (v[1:] - v[:-1]) / h
-    diff_coeff = max(float(np.maximum.reduce(D)), 1.0)
-    adv = max(float(np.maximum.reduce(drift)), -float(np.minimum.reduce(drift)))
-    flux = D * (u[1:] - u[:-1]) / h - drift
+    drift = model.S(mid) * (v[..., 1:] - v[..., :-1]) / h
+    diff_coeff = max(float(D.max()), 1.0)
+    adv = max(float(drift.max()), -float(drift.min()))
+    flux = D * (u[..., 1:] - u[..., :-1]) / h - drift
     return flux, min(h * h / (2.0 * diff_coeff), h / (adv + 1e-14))
 
 
 def _rate(y, model, h):
-    """The time derivative of the state y = (u, v), concatenated, a new
-    array: the net ``_fluxes`` of u over h, then ``v_time_derivative``."""
-    n = y.size // 2
-    u, v = y[:n], y[n:]
-    return np.concatenate((net_rate(_fluxes(u, v, model, h)[0], h),
-                           v_time_derivative(u, v, h)))
+    """The time derivative of the states y, each (u, v) interleaved cell by
+    cell (u_i, v_i at 2i, 2i + 1) along the last axis, a new array of the
+    same layout: the net ``_fluxes`` of u over h, and ``v_time_derivative``."""
+    u, v = y[..., 0::2], y[..., 1::2]
+    rate = np.empty(y.shape)
+    rate[..., 0::2] = net_rate(_fluxes(u, v, model, h)[0], h)
+    rate[..., 1::2] = v_time_derivative(u, v, h)
+    return rate
 
 
 def _vt_sq(ys, h):
-    """int |v_t|^2 of each row (u, v) of the (K, 2N) states ``ys``."""
-    n = ys.shape[1] // 2
-    vt = v_time_derivative(ys[:, :n], ys[:, n:], h)
+    """int |v_t|^2 of each row of the (K, 2N) interleaved states ``ys``."""
+    vt = v_time_derivative(ys[:, 0::2], ys[:, 1::2], h)
     return integrate(vt * vt, h, rows=True)
 
 
@@ -162,7 +163,9 @@ def run_ks(u0, v0, config):
                  guard=lambda s: ks_stable_dt(s[0], s[1], model, h),
                  rate=lambda y: _rate(y, model, h),
                  measure=lambda traj: measure_monitors(traj, model),
-                 coupling=(("T", "T"), ("I", "T")), ceiling=DEFAULT_CEILING,
+                 # the rate of u_i (entry 2i) reads entries 2i - 2 to
+                 # 2i + 3, and that of v_i (2i + 1) entries 2i - 1 to 2i + 3
+                 band=(2, 3), ceiling=DEFAULT_CEILING,
                  accumulate=lambda ys: _vt_sq(ys, h))
 
 

@@ -61,11 +61,11 @@ def p_star(p):
 def _fluxes(u, model, h):
     """The interior face fluxes (u_x^2 + delta^2)^((p-2)/2) u_x of the face
     gradients u_x, and the bound h^2 / (2 max coefficient)."""
-    du = (u[1:] - u[:-1]) / h
+    du = (u[..., 1:] - u[..., :-1]) / h
     coeff = (du * du + model.delta**2) ** ((model.p - 2.0) / 2.0)
     # for p < 2 a squared face gradient that overflows gives a coefficient
     # of 0, and 0 on every face bounds no step
-    c_max = float(np.maximum.reduce(coeff))
+    c_max = float(coeff.max())
     return coeff * du, h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
 
 

@@ -15,11 +15,16 @@ from entroflow.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICS,
     EXIT_PASS,
+    MAX_GRID_VALUES,
+    IneqConfig,
     main,
     parse_config,
     run_experiment,
 )
+from entroflow.coeff_models import Linear
+from entroflow.diffusion import MAX_SNAPSHOT_VALUES, FlowConfig
 from entroflow.errors import ConfigError
+from entroflow.fields import Grid
 from entroflow.presets import PRESETS, preset_config
 from entroflow.reporting import write_json
 
@@ -443,14 +448,6 @@ _UNRUNNABLE = [
     pytest.param("plaplace", {"p": 3.0}, {"cells": 128}, {"t_end": 0.01, "mean": 1e306},
                  "pl_summary.json", "ConfigError", "finite number of steps of 0", None,
                  id="plaplace-model0-grid0-run0-pl_summary.json-finite number of steps of 0"),
-    pytest.param("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
-                 {"trials": 1, "seed": 1}, "summary.json", "ConfigError", "cannot hold",
-                 None,
-                 id="ineq-model2-grid2-run2-summary.json-cannot hold"),
-    pytest.param("ineq", {"family": "linear"}, {"dim": 3, "cells": 10**7},
-                 {"trials": 1, "seed": 1, "check": "cmkm"}, "summary.json",
-                 "ConfigError", "cannot hold", None,
-                 id="ineq-model3-grid3-run3-summary.json-cannot hold"),
     pytest.param("plaplace", {"p": 1.2}, {"cells": 8}, {"t_end": 0.01, "mean": 1e306},
                  "pl_summary.json", "ConfigError", "a stable step of inf", None,
                  id="plaplace-p1.2-stable-step-of-inf"),
@@ -535,6 +532,47 @@ def test_unrunnable_config_exits_3_with_a_summary(kind, model, grid, run, summar
     # an abort once the state is admitted reports the integrator's cost
     if last_time is not None:
         assert set(summary["integrator"]) == set(_INTEGRATOR_KEYS)
+
+
+# Grids whose arrays a run cannot afford, refused by the config's parse
+# before any array is made: a flow records 2 rows of its cells or more,
+# and an inequality check's grid holds cells^dim values
+@pytest.mark.parametrize("preset, sets", [
+    pytest.param("heat_sanity", ["grid.cells=%d" % (MAX_SNAPSHOT_VALUES // 2 + 1)],
+                 id="diffusion-2-rows-past-the-snapshot-budget"),
+    pytest.param("plaplace_mono", ["grid.cells=%d" % (MAX_SNAPSHOT_VALUES // 2 + 1)],
+                 id="plaplace-2-rows-past-the-snapshot-budget"),
+    pytest.param("ks_critical_21", ["grid.cells=100000000"], id="ks-10**8-cells"),
+    pytest.param("bernis_n1", ["grid.cells=%d" % (MAX_GRID_VALUES + 1)],
+                 id="ineq-1d-grid-past-the-budget"),
+    pytest.param("fisher_ineq_n2", ["grid.cells=1449"],  # 1449^2 > 2^21
+                 id="ineq-2d-grid-past-the-budget"),
+    pytest.param("bernis_n1", ["grid.dim=3", "grid.cells=10000000"],
+                 id="ineq-3d-10**21"),
+    pytest.param("bernis_n2", ["grid.dim=3", "grid.cells=10000000", "run.check=cmkm"],
+                 id="ineq-cmkm-3d-10**21"),
+])
+def test_unaffordable_grids_are_refused_before_allocation(preset, sets, monkeypatch,
+                                                          outdir, capsys):
+    def no_grid(self, value):
+        raise AssertionError("allocated a grid of %d^%d cells" % (self.cells, self.dim))
+
+    monkeypatch.setattr(Grid, "full", no_grid)
+    argv = ["run", preset] + [arg for edit in sets for arg in ("--set", edit)]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: cannot hold" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_the_grid_budgets_admit_their_limits():
+    # constructing a config allocates nothing
+    model = Linear()
+    IneqConfig(model, Grid(3, 128), trials=1, seed=0)  # MAX_GRID_VALUES
+    FlowConfig(model, Grid(1, MAX_SNAPSHOT_VALUES // 2), t_end=1.0)
+    with pytest.raises(ConfigError, match="cannot hold a grid of 129\\^3"):
+        IneqConfig(model, Grid(3, 129), trials=1, seed=0)
+    with pytest.raises(ConfigError, match="cannot hold 2 snapshots"):
+        FlowConfig(model, Grid(1, MAX_SNAPSHOT_VALUES // 2 + 1), t_end=1.0)
 
 
 def test_out_of_memory_grid_exits_3_with_a_summary(monkeypatch, outdir, tmp_path):
@@ -768,7 +806,7 @@ def test_write_json_rejects_arbitrary_objects(tmp_path):
 
 _JUNK = (_DELETE, None, True, "1", -1, 0, 1e-3, 0.5, 2, math.nan, math.inf,
          [], {}, 1e-300, 1e-200, 1e154, 1e300, 1e306, -math.inf, 1 + 1e-13, 2**63,
-         60, 200, 400)
+         60, 200, 400, 129, MAX_SNAPSHOT_VALUES // 2 + 1, MAX_GRID_VALUES + 1)
 _FUZZ_PATHS = [("kind",), ("name",), ("model",), ("grid",), ("run",)] + [
     (section, key)
     for section, keys in (
@@ -845,9 +883,10 @@ def test_preset_step_counts(name):
 
 
 def test_importing_the_cli_leaves_the_integrator_unimported():
-    # scipy.integrate is imported by the first run, not by the CLI: an
-    # inequality check, which runs none, does not pay for it
-    code = "import sys, entroflow.cli; print('scipy.integrate' in sys.modules)"
+    # scipy.linalg's LAPACK is imported by the first run, not by the CLI:
+    # an inequality check, which runs none, does not pay for it
+    code = ("import sys, entroflow.cli; "
+            "print('scipy.integrate' in sys.modules or 'scipy.linalg' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -449,13 +449,22 @@ def test_guard_runs_once_per_run(monkeypatch):
     for module, guard, stencil, go in runs:
         guards = _count_calls(monkeypatch, module, guard)
         steps = _count_calls(monkeypatch, module, stencil)
-        # each flow's one flux function: once for the record grid, then
-        # once per evaluation of the rate; no run steps with the stencil
-        fluxes = _count_calls(monkeypatch, module, "_fluxes")
+        # each flow's one flux function: once for the record grid, on the
+        # initial state, then once per evaluation of the rate, on a state
+        # or a batch of them; no run steps with the stencil
+        states = []
+        fluxes = module._fluxes
+
+        def counted(u, *args):
+            states.append(u[..., 0].size)
+            return fluxes(u, *args)
+
+        monkeypatch.setattr(module, "_fluxes", counted)
         traj = go()
         assert len(guards) == 1
         assert len(steps) == 0
-        assert len(fluxes) == traj.integrator["rhs_evaluations"] + 1 > 2
+        assert states[0] == 1 and 3 in states  # the guard's state, a Newton batch
+        assert sum(states) == traj.integrator["rhs_evaluations"] + 1 > 2
 
 
 def test_positivity_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
@@ -484,42 +493,62 @@ def test_positivity_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
 
 
 def _flow_rate(flow, cells):
-    """(rate, coupling, state) of a flow on ``cells`` cells as ``march``
-    integrates it, the state a cosine profile (u, then v for chemotaxis)."""
+    """(rate, band, state) of a flow on ``cells`` cells as ``march``
+    integrates it, the state a tuple of cosine profiles (u, then v for
+    chemotaxis), whose rate acts on their interleaving."""
     h = 1.0 / cells
     u = 1.0 + 0.5 * np.cos(np.pi * (np.arange(cells) + 0.5) * h)
     if flow == "keller_segel":
         model = KSModel(2.0, 1.0)
-        return (lambda y: keller_segel._rate(y, model, h),
-                (("T", "T"), ("I", "T")), np.concatenate((2.0 * u, 3.0 - u)))
+        return lambda y: keller_segel._rate(y, model, h), (2, 3), (2.0 * u, 3.0 - u)
     module, model = {"linear": (diffusion, Linear()),
+                     "power_law_2": (diffusion, PowerLaw(2.0)),
                      "p_laplace": (p_laplace, PLaplaceModel(3.0))}[flow]
-    return (lambda y: diffusion.net_rate(module._fluxes(y, model, h)[0], h),
-            (("T",),), u)
+    return lambda y: diffusion.net_rate(module._fluxes(y, model, h)[0], h), (1, 1), (u,)
+
+
+def _band_to_dense(band, kl, ku):
+    """The matrix of LAPACK band storage: entry (i, j) at row ku + i - j."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for d in range(-kl, ku + 1):  # the d-th superdiagonal, j - i = d
+        dense += np.diag(band[ku - d, max(d, 0):n + min(d, 0)], d)
+    return dense
+
+
+def _started(flow, cells):
+    """(rate, band, state, y, solver): the integrator started on the flow's
+    state, interleaved as y, to t = 0.01."""
+    rate, band, state = _flow_rate(flow, cells)
+    y = np.stack(state, axis=-1).ravel()
+    solver = diffusion.Radau(rate, band)
+    solver.start(y, 0.01)
+    return rate, band, state, y, solver
 
 
 @pytest.mark.parametrize("flow, cells", [("linear", 8), ("p_laplace", 7),
                                          ("keller_segel", 7)])
 def test_grouped_jacobian_matches_dense_differences(flow, cells):
-    rate, coupling, y = _flow_rate(flow, cells)
-    fun = diffusion._Counted(rate)
-    jac = diffusion._jacobian(fun, coupling, cells)
-    fun(0.0, y)  # as the integrator calls it, right before the Jacobian
-    before = fun.evaluations
-    J = jac(0.0, y)
-    # one counted rate evaluation per group, 3 per field, reusing f(y)
-    assert fun.evaluations - before == 3 * len(coupling)
-    before = fun.evaluations
-    jac(0.0, y.copy())  # another array: f(y) is evaluated once more
-    assert fun.evaluations - before == 3 * len(coupling) + 1
+    rate, (kl, ku), _, y, solver = _started(flow, cells)
+    # the rate at y, a trial step, and the Jacobian's kl + ku + 1 states
+    assert solver.evaluations == 2 + kl + ku + 1
+    before = solver.evaluations
+    band = solver.jacobian(y, rate(y))
+    # one evaluated state per column class, 3 per field
+    assert solver.evaluations - before == kl + ku + 1 == 3 * len(y) // cells
+    assert np.array_equal(band, solver.J)
+    J = _band_to_dense(band, kl, ku)
 
-    # the pattern is the coupling's blocks: "T" tridiagonal, "I" diagonal
+    # the pattern: a field's rate reads its own field at a cell and its
+    # neighbours; u's rate reads v there too, and v's rate u at the cell
     T = np.eye(cells) + np.eye(cells, k=1) + np.eye(cells, k=-1)
-    pattern = np.block([[T if b == "T" else np.eye(cells) for b in row]
-                        for row in coupling]) != 0
-    got = np.zeros_like(pattern)
-    got[J.indices, np.repeat(np.arange(len(y)), np.diff(J.indptr))] = True
-    assert np.array_equal(got, pattern)
+    blocks = [[T, T], [np.eye(cells), T]] if flow == "keller_segel" else [[T]]
+    fields = len(blocks)
+    pattern = np.zeros_like(J, dtype=bool)
+    for i, row in enumerate(blocks):
+        for j, block in enumerate(row):
+            pattern[i::fields, j::fields] = block != 0
+    assert np.array_equal(J != 0, pattern)
 
     if flow == "linear":  # the Neumann Laplacian
         expected = (T - 3.0 * np.eye(cells)) * cells**2
@@ -530,5 +559,84 @@ def test_grouped_jacobian_matches_dense_differences(flow, cells):
             e = np.zeros_like(y)
             e[k] = 1e-5 * max(abs(y[k]), 1.0)
             expected[:, k] = (rate(y + e) - rate(y - e)) / (2.0 * e[k])
-    np.testing.assert_allclose(J.toarray(), expected, rtol=1e-6,
+    np.testing.assert_allclose(J, expected, rtol=1e-6,
                                atol=1e-6 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("flow", ["power_law_2", "p_laplace", "keller_segel"])
+def test_a_batched_rate_is_the_rate_of_each_row(flow, rng):
+    # the integrator evaluates the rate on batches of states: row k of a
+    # batch is bit for bit the rate of row k alone
+    rate, _, state = _flow_rate(flow, 32)
+    y = np.stack(state, axis=-1).ravel()
+    batch = y * (1.0 + 0.1 * rng.standard_normal((6, len(y))))
+    rates = rate(batch)
+    assert rates.shape == batch.shape
+    for k, row in enumerate(batch):
+        assert np.array_equal(rates[k], rate(row))
+    assert np.array_equal(rate(batch[:3]), rates[:3])
+
+
+@pytest.mark.parametrize("flow, cells, t_end", [("linear", 16, 0.05),
+                                                ("power_law_2", 24, 0.02),
+                                                ("p_laplace", 16, 0.02),
+                                                ("keller_segel", 32, 0.05)])
+def test_integrator_takes_scipys_radau_steps(flow, cells, t_end, monkeypatch):
+    # scipy.integrate.Radau, the method's reference, on the same rate at
+    # the same tolerances, with a dense Jacobian of the same differences:
+    # the same accepted and rejected steps and LU factorizations, and the
+    # same rows up to the rounding of the linear algebra
+    from scipy.integrate import solve_ivp
+    from scipy.integrate._ivp import radau as scipy_radau
+
+    rate, band, state, y0, helper = _started(flow, cells)
+    cfg = FlowConfig(Linear(), Grid(1, cells), t_end=t_end)
+    traj = march(state, cfg, lambda s: t_end / 8, rate, lambda traj: None, band=band)
+
+    attempts, solve = set(), scipy_radau.solve_collocation_system
+
+    def attempt(fun, t, y, h, *args):  # a retry on a new Jacobian is no new attempt
+        attempts.add((t, h))
+        return solve(fun, t, y, h, *args)
+
+    monkeypatch.setattr(scipy_radau, "solve_collocation_system", attempt)
+    ref = solve_ivp(lambda t, y: rate(y), (0.0, traj.times[-1]), y0, method="Radau",
+                    t_eval=traj.times, rtol=diffusion.RTOL, atol=diffusion.ATOL,
+                    dense_output=True,
+                    jac=lambda t, y: _band_to_dense(helper.jacobian(y, rate(y)), *band))
+    accepted = len(ref.sol.ts) - 1
+    assert traj.integrator["accepted_steps"] == accepted > 10
+    assert traj.integrator["rejected_steps"] == len(attempts) - accepted
+    assert traj.integrator["lu_factorizations"] == ref.nlu
+    fields = len(state)
+    rows = np.stack([getattr(traj, f) for f in ("u", "v")[:fields]], axis=-1)
+    ours = rows.reshape(len(traj.times), -1)
+    assert np.max(np.abs(ours - ref.y.T)) <= 1e-9 * np.max(np.abs(ref.y))
+
+
+@pytest.mark.parametrize("cells", [16, 64, 128])
+def test_linear_heat_rows_are_the_exact_semi_discrete_decay(cells):
+    # on the cell-centred Neumann grid cos(pi x_i) is an eigenvector of the
+    # discrete Laplacian, of eigenvalue -(4 / h^2) sin^2(pi h / 2): the rows
+    # carry the integrator's time error alone, which RTOL bounds
+    g = Grid(1, cells)
+    traj = run(initial_cosine(g), FlowConfig(Linear(), g, t_end=0.1, record_every=200))
+    lam = 4.0 / g.h**2 * math.sin(0.5 * math.pi * g.h) ** 2
+    decay = np.exp(-lam * traj.times[:, None])
+    exact = 1.0 + 0.5 * np.cos(np.pi * g.axis_centers()) * decay
+    assert np.max(np.abs(traj.u - exact)) <= 1e-9
+
+
+@pytest.mark.parametrize("flow", ["linear", "p_laplace", "keller_segel"])
+def test_a_constant_state_stays_put(flow):
+    # its rate is 0, and so is the integrator's error estimate, which the
+    # step-size rule reads as room for the largest step increase
+    g, u = Grid(1, 16), np.full(16, 2.0)
+    go = {"linear": lambda: run(u, FlowConfig(Linear(), g, t_end=0.5)),
+          "p_laplace": lambda: p_laplace.run(u, FlowConfig(PLaplaceModel(3.0), g, 0.5)),
+          "keller_segel": lambda: keller_segel.run_ks(
+              u, u, FlowConfig(KSModel(2.0, 1.0), g, t_end=0.5))}[flow]
+    traj = go()
+    assert np.array_equal(traj.u, np.tile(u, (len(traj.times), 1)))
+    assert traj.integrator["rejected_steps"] == 0
+    assert 0 < traj.integrator["accepted_steps"] <= 8

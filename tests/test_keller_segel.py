@@ -6,7 +6,7 @@ import pytest
 
 from entroflow import fields, keller_segel
 from entroflow.coeff_models import KSModel
-from entroflow.diffusion import FlowConfig, Trajectory
+from entroflow.diffusion import FlowConfig, Radau, Trajectory
 from entroflow.errors import ConfigError, PositivityLossError, StabilityError, UsageError
 from entroflow.fields import Grid, central_diff, integrate, second_diff
 from entroflow.keller_segel import (
@@ -405,3 +405,25 @@ def test_ceiling_abort_keeps_the_rows_before_the_failing_step(monkeypatch):
     for name in ("times", "u", "v", "vt_accum"):
         got, want = getattr(traj, name), getattr(whole, name)
         assert np.array_equal(got, want[:len(got)]), name
+
+
+@pytest.mark.parametrize("cells", [16, 64])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_onset_of_instability_on_the_band_jacobian(cells, side):
+    # At u = v = M the first cosine mode of the linearized (2, 1) system
+    # grows exactly when M (1 + M) > 1 + lambda_1(h), the discrete Neumann
+    # Laplacian's first eigenvalue (4 / h^2) sin^2(pi h / 2): 1e-3 below
+    # and above the onset M_h the integrator's Jacobian has that mode's
+    # eigenvalue -1.1e-3 and +1.1e-3, next to the mass mode's 0
+    h = 1.0 / cells
+    lam = 4.0 / h**2 * math.sin(0.5 * math.pi * h) ** 2
+    onset = 0.5 * (math.sqrt(5.0 + 4.0 * lam) - 1.0)
+    y = np.full(2 * cells, onset * (1.0 + side * 1e-3))  # u and v interleaved
+    solver = Radau(lambda ys: keller_segel._rate(ys, P21, h), (2, 3))
+    solver.start(y, 1.0)
+    J = np.zeros((2 * cells, 2 * cells))
+    for d in range(-2, 4):  # band row 3 - d holds the d-th superdiagonal
+        J += np.diag(solver.J[3 - d, max(d, 0):2 * cells + min(d, 0)], d)
+    eigenvalues = sorted(np.linalg.eigvals(J).real, key=abs)
+    assert abs(eigenvalues[0]) < 1e-9  # the mass mode
+    assert max(eigenvalues[1:]) == pytest.approx(side * 1.1e-3, rel=0.01)

@@ -97,3 +97,19 @@ def test_preset_digests_changes_are_relative_per_column_and_number(tmp_path):
         (os.path.join("run", "m.csv"), [("a", "1e-06")]),
         (os.path.join("run", "s.json"), [("k", "1e-07"), ("s", "'x' -> 'y'")]),
     ]
+
+
+def test_preset_digests_shows_counts_and_changes_from_zero_as_old_and_new(tmp_path):
+    # a count that moves, or a value that was 0, has no relative change
+    tool = _load("preset_digests")
+    sides = {"old": ({"steps": 30, "rejected": 0, "zero": 0.0, "x": 4.0}, "0.0"),
+             "new": ({"steps": 32, "rejected": 1, "zero": 1e-9, "x": 4.0}, "2.5e-12")}
+    for side, (summary, cell) in sides.items():
+        (tmp_path / side / "run").mkdir(parents=True)
+        (tmp_path / side / "run" / "s.json").write_text(json.dumps(summary))
+        (tmp_path / side / "run" / "m.csv").write_text("t,r\n0,0.0\n1,%s\n" % cell)
+    assert tool.changes(str(tmp_path / "old"), str(tmp_path / "new")) == [
+        (os.path.join("run", "m.csv"), [("r", "'0.0' -> '2.5e-12'")]),
+        (os.path.join("run", "s.json"), [("rejected", "0 -> 1"), ("steps", "30 -> 32"),
+                                         ("zero", "0.0 -> 1e-09")]),
+    ]

@@ -39,7 +39,8 @@ A change that moves outputs on purpose measures by how much with
 and under the source tree PATH and prints, per file whose bytes differ,
 the largest change of each CSV column relative to the column's largest
 |value| under PATH, and the relative change of each JSON number (or the
-old and new value of anything else), then exits 1 if any file differs:
+old and new value of an integer count, of a number or column that was 0
+and of anything else), then exits 1 if any file differs:
 
     python tools/preset_digests.py --diff-src ../parent/src
 """
@@ -50,7 +51,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -116,11 +116,14 @@ def _number(text):
         return None
 
 
-def _relative(old, new):
-    """|new - old| / |old|: 0 when they are equal, inf when only old is 0."""
-    if old == new:
-        return 0.0
-    return abs(new - old) / abs(old) if old != 0.0 else math.inf
+def _change(old, new):
+    """|new - old| / |old| of two numbers, or ``old -> new`` when they are
+    integer counts, when old is 0 or when either is not a number."""
+    numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                  for x in (old, new))
+    if not numeric or old == 0 or all(isinstance(x, int) for x in (old, new)):
+        return "%r -> %r" % (old, new)
+    return "%.3g" % (abs(new - old) / abs(old))
 
 
 def _csv_changes(old_path, new_path):
@@ -143,8 +146,11 @@ def _csv_changes(old_path, new_path):
             changes.append((name, "%r -> %r" % differ[0]))
             continue
         scale = max(abs(x) for x in (_number(a) for a, _ in pairs) if x is not None)
+        if not scale:  # a column that was 0 throughout
+            changes.append((name, "%r -> %r" % differ[0]))
+            continue
         worst = max(abs(_number(b) - _number(a)) for a, b in differ)
-        changes.append((name, "%.3g" % (worst / scale if scale else math.inf)))
+        changes.append((name, "%.3g" % (worst / scale)))
     return changes
 
 
@@ -175,9 +181,7 @@ def _json_changes(old_path, new_path):
         a, b = old.get(key), new.get(key)
         if a == b and type(a) is type(b):
             continue
-        numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                      for x in (a, b))
-        changes.append((key, "%.3g" % _relative(a, b) if numeric else "%r -> %r" % (a, b)))
+        changes.append((key, _change(a, b)))
     return changes
 
 
