@@ -13,15 +13,15 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
 - a run takes its initial state as arrays and one ``FlowConfig``: the flow's
   model (a coefficient model, ``PLaplaceModel`` or ``KSModel``), the grid,
   t_end, safety and record_every, which its constructor checks;
-- a flow writes its face flux once, in a private ``_fluxes`` returning
-  the interior face flux and the explicit scheme's stability bound on the
-  face coefficients it was formed with.  Its rate, the semi-discrete time
-  derivative, is ``net_rate`` of that flux (for chemotaxis, with
-  ``v_time_derivative`` for v), on states along a leading axis, row k of
-  a batch bit for bit the rate of row k alone; its guard (``stable_dt``,
-  ``pl_stable_dt``, ``ks_stable_dt``) returns the bound; and its explicit
-  Euler stencil (``step``, ``pl_step``, ``ks_step``), which no run steps
-  with, is the oracle of a run's time error;
+- a flow writes its face flux once, in a private ``_fluxes`` returning the
+  interior face flux alone.  Its rate, the semi-discrete time derivative,
+  is ``net_rate`` of that flux (for chemotaxis, with ``v_time_derivative``
+  for v), on states along a leading axis, row k of a batch bit for bit the
+  rate of row k alone; its guard (``stable_dt``, ``pl_stable_dt``,
+  ``ks_stable_dt``) forms the explicit scheme's stability bound on the face
+  coefficients the flux shares; and its explicit Euler stencil (``step``,
+  ``pl_step``, ``ks_step``), which checks nothing and no run steps with,
+  is the oracle of a run's time error;
 - the loop owns the integration: ``Radau``, the Radau IIA of
   ``scipy.integrate.Radau`` (Hairer & Wanner, Solving ODEs II, Sec.
   IV.8), an implicit fifth-order method that stiffness does not hold to a
@@ -44,8 +44,8 @@ config)`` and ``keller_segel.run_ks(u0, v0, config)`` through ``march``:
   checks that follow it (a non-finite face coefficient, a stable step of 0
   or inf, the checks of the states, which a NaN fails) and never as a
   warning;
-- the loop owns the aborts: an initial density at or below the
-  positivity floor raises with ``last_time`` 0.  After each accepted step
+- the loop owns the aborts: an initial density at or below the positivity
+  floor (a NaN included) raises with ``last_time`` 0.  After each accepted step
   the loop checks the step's end and the rows inside it: a density at or
   below ``DEFAULT_FLOOR`` (a NaN included) is a PositivityLossError, a
   density above the flow's ceiling (chemotaxis only) or a value that is
@@ -521,46 +521,32 @@ def net_rate(flux, h):
     return (padded[..., 1:] - padded[..., :-1]) / h
 
 
-def conservative_step(u, flux, bound, dt, h):
-    """The tail of every stencil: u + dt ``net_rate(flux)``, a new array.
-
-    StabilityError unless dt <= bound, the stencil's stability bound,
-    which its guard returns; PositivityLossError unless the new state lies
-    at or above ``DEFAULT_FLOOR`` everywhere, so a NaN aborts too.
-    """
-    if dt > bound:
-        raise StabilityError("fixed step exceeds the stability bound")
-    new = net_rate(flux, h) * dt + u
-    if not (np.minimum.reduce(new) >= DEFAULT_FLOOR):
-        raise PositivityLossError("state dropped below the positivity floor")
-    return new
+def _face_a(u, model):
+    """a at the face states, the means of adjacent cells; ModelError unless finite."""
+    a_mid = np.asarray(model.a(0.5 * (u[..., 1:] + u[..., :-1])), dtype=float)
+    # a NaN reaches both extremes, and an infinity one of them
+    if not (math.isfinite(a_mid.max()) and math.isfinite(a_mid.min())):
+        raise ModelError("coefficient evaluated non-finite on the state")
+    return a_mid
 
 
 def _fluxes(u, model, h):
-    """The interior face fluxes a(m) (u_{i+1} - u_i) / h, m the face state
-    (the mean of adjacent cells), and the bound h^2 / (2 max a) of the
-    explicit scheme's positivity condition dt (a_{i-1/2} + a_{i+1/2}) <=
-    h^2; a coefficient that is 0 on every face (underflowed) bounds no
-    step, inf."""
-    a_mid = np.asarray(model.a(0.5 * (u[..., 1:] + u[..., :-1])), dtype=float)
-    a_max = a_mid.max()
-    # a NaN reaches both extremes, and an infinity one of them
-    if not (math.isfinite(a_max) and math.isfinite(a_mid.min())):
-        raise ModelError("coefficient evaluated non-finite on the state")
-    flux = a_mid * (u[..., 1:] - u[..., :-1]) / h
-    return flux, h * h / (2.0 * float(a_max)) if a_max > 0.0 else math.inf
+    """The interior face fluxes a (u_{i+1} - u_i) / h, a of ``_face_a``."""
+    return _face_a(u, model) * (u[..., 1:] - u[..., :-1]) / h
 
 
 def stable_dt(u, model, h):
-    """The stability guard: the bound of ``_fluxes``, which ``step`` checks."""
-    return _fluxes(u, model, h)[1]
+    """The guard: h^2 / (2 max a), a of ``_face_a``, the bound of the explicit
+    scheme's positivity condition dt (a_{i-1/2} + a_{i+1/2}) <= h^2; a
+    coefficient 0 on every face (underflowed) bounds no step, inf."""
+    a_max = float(_face_a(u, model).max())
+    return h * h / (2.0 * a_max) if a_max > 0.0 else math.inf
 
 
 def step(u, model, h, dt):
-    """One conservative explicit Euler step of ``_fluxes``, a new array;
-    aborts as ``conservative_step`` says.  No run steps with it: it is the
-    oracle of a run's time error."""
-    return conservative_step(u, *_fluxes(u, model, h), dt, h)
+    """One explicit Euler step, u + dt ``net_rate(_fluxes)``, a new array that
+    nothing checks: no run steps with it, the oracle of a run's time error."""
+    return net_rate(_fluxes(u, model, h), h) * dt + u
 
 
 def run(u0, config):
@@ -570,7 +556,7 @@ def run(u0, config):
     model, h = config.model, config.grid.h
     return march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s: stable_dt(s[0], model, h),
-                 rate=lambda y: net_rate(_fluxes(y, model, h)[0], h),
+                 rate=lambda y: net_rate(_fluxes(y, model, h), h),
                  measure=lambda traj: measure_trajectory(traj, model))
 
 

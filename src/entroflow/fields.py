@@ -13,8 +13,8 @@ in this package relies on.
 
 A ``Field`` is a validated scalar on a grid: a sampled test function,
 the nD input of the inequality checks.  A flow's initial state is a raw
-array: ``diffusion.march``'s floor check, its guard and the first step
-refuse a non-finite value (the run contract there).  The calculus acts
+array: ``diffusion.march``'s floor check, its guard and its check of the
+initial state refuse a non-finite value (the run contract there).  The calculus acts
 on raw arrays: the stencils difference them, and ``integrate(values, h)``
 is the one midpoint rule behind every integral the package reports; with
 ``rows=True`` it integrates each row of a run's (S, N) snapshot array.

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .diffusion import conservative_step, march, net_rate
+from .diffusion import march, net_rate
 from .fields import (by_row_blocks, central_diff, integrate,
                      require_positive_field, second_diff)
 from .meters import monotonicity_report as _monotonicity_report
@@ -58,30 +58,30 @@ def p_star(p):
     return 1.0 - 1.0 / (2.0 * (p - 1.0))
 
 
-def _fluxes(u, model, h):
-    """The interior face fluxes (u_x^2 + delta^2)^((p-2)/2) u_x of the face
-    gradients u_x, and the bound h^2 / (2 max coefficient)."""
+def _face_terms(u, model, h):
+    """The face gradients u_x and the coefficients (u_x^2 + delta^2)^((p-2)/2)."""
     du = (u[..., 1:] - u[..., :-1]) / h
-    coeff = (du * du + model.delta**2) ** ((model.p - 2.0) / 2.0)
-    # for p < 2 a squared face gradient that overflows gives a coefficient
-    # of 0, and 0 on every face bounds no step
-    c_max = float(coeff.max())
-    return coeff * du, h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
+    return du, (du * du + model.delta**2) ** ((model.p - 2.0) / 2.0)
+
+
+def _fluxes(u, model, h):
+    """The interior face fluxes (u_x^2 + delta^2)^((p-2)/2) u_x."""
+    du, coeff = _face_terms(u, model, h)
+    return coeff * du
 
 
 def pl_stable_dt(u, model, h):
-    """h^2 / (2 max face coefficient), the bound ``pl_step`` checks dt
-    against; a squared face gradient that overflows (a bound of 0 for
-    p > 2, and of inf for p < 2 when it does so on every face) is left to
-    ``march``."""
-    return _fluxes(u, model, h)[1]
+    """h^2 / (2 max coefficient) of ``_face_terms``.  For p < 2 a squared face
+    gradient that overflows gives a coefficient of 0, and 0 on every face
+    bounds no step, inf; a bound of 0 (p > 2) or inf is left to ``march``."""
+    c_max = float(_face_terms(u, model, h)[1].max())
+    return h * h / (2.0 * c_max) if c_max > 0.0 else math.inf
 
 
 def pl_step(u, model, h, dt):
-    """One conservative explicit Euler step of ``_fluxes``, a new array;
-    aborts as ``diffusion.conservative_step`` says.  No run steps with it:
-    it is the oracle of a run's time error."""
-    return conservative_step(u, *_fluxes(u, model, h), dt, h)
+    """One explicit Euler step, u + dt ``net_rate(_fluxes)``, a new array that
+    nothing checks: no run steps with it, the oracle of a run's time error."""
+    return net_rate(_fluxes(u, model, h), h) * dt + u
 
 
 def run(u0, config):
@@ -91,7 +91,7 @@ def run(u0, config):
     model, h = config.model, config.grid.h
     return march((np.asarray(u0, dtype=float),), config,
                  guard=lambda s: pl_stable_dt(s[0], model, h),
-                 rate=lambda y: net_rate(_fluxes(y, model, h)[0], h),
+                 rate=lambda y: net_rate(_fluxes(y, model, h), h),
                  measure=lambda traj: measure_trajectory(traj, model))
 
 

@@ -27,7 +27,7 @@ def spy_buffers(monkeypatch):
 
         def spy(*args):
             out = original(*args)
-            seen[id(out[0])] = out[0]
+            seen[id(out)] = out
             return out
 
         monkeypatch.setattr(module, "_fluxes", spy)

@@ -83,10 +83,9 @@ def test_classical_lyapunov_anchor():
 def test_equilibrium_is_steady():
     g = Grid(1, 32)
     st = _uniform_state(g, 2.0, 2.0)
-    u, v, vt = ks_step(*st, P21, g.h, 1e-5)
+    u, v = ks_step(*st, P21, g.h, 1e-5)
     assert np.array_equal(u, st[0])
     assert np.array_equal(v, st[1])
-    assert np.all(vt == 0.0)
     m = _monitor(st, P21)
     assert m.vt_sq == 0.0 and m.drift_sq == 0.0
 
@@ -155,14 +154,6 @@ def test_guard_recheck_aborts_mid_run():
     assert 0.05 < info.value.last_time < 0.1
     times = info.value.trajectory.times
     assert times[-1] <= info.value.last_time < times[-1] + info.value.trajectory.dt
-
-
-def test_nan_state_is_a_positivity_abort():
-    g = Grid(1, 32)
-    u, v = cosine_initial_state(g, mass=2.0)
-    u[5] = np.nan
-    with pytest.raises(PositivityLossError):
-        ks_step(u, v, P21, g.h, 1e-5)
 
 
 @pytest.mark.parametrize("which", ["lyap", "ep"])
@@ -285,7 +276,7 @@ def test_run_equals_unbuffered_stencil_loop(params, stencil_loop_gaps):
     def make(g):
         u0, v0 = cosine_initial_state(g, mass=4.0)
         traj = run_ks(u0, v0, FlowConfig(params, g, t_end=0.01, record_every=7))
-        return traj, (u0, v0), lambda s, dt: ks_step(*s, params, g.h, dt)[:2]
+        return traj, (u0, v0), lambda s, dt: ks_step(*s, params, g.h, dt)
 
     gaps = stencil_loop_gaps(make, (16, 32, 64))
     assert gaps[0] < 1e-3
@@ -300,7 +291,7 @@ def test_run_buffers_stay_private(spy_buffers):
     live = spy_buffers(keller_segel)
     traj = run_ks(u0, v0, FlowConfig(P21, g, t_end=0.005, record_every=5))
     assert np.array_equal(u0, before[0]) and np.array_equal(v0, before[1])
-    assert len(live) >= 2  # the guard's flux, and the rate's
+    assert len(live) >= 2  # one flux per rate evaluation
     assert not np.shares_memory(traj.u, traj.v)
     for a in (traj.u, traj.v):
         assert not any(np.shares_memory(a, b) for b in (u0, v0, *live.values()))
